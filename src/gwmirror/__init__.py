@@ -21,13 +21,12 @@ from .mirror import (
     localp2_f,
     localp2_invariants,
     localp2_kd,
-    localp2_recursion_rhs,
     naive_invariants,
     quintic_crosscheck,
     quintic_f,
     quintic_invariants,
-    quintic_recursion_rhs,
     reconstruct_p_quintic,
+    recursion_rhs,
     solve_correction_series,
 )
 from .multipoly import MultiPoly
@@ -49,12 +48,11 @@ __all__ = [
     "quintic_f",
     "quintic_invariants",
     "quintic_crosscheck",
-    "quintic_recursion_rhs",
     "reconstruct_p_quintic",
     "localp2_f",
     "localp2_invariants",
     "localp2_kd",
-    "localp2_recursion_rhs",
+    "recursion_rhs",
     "naive_invariants",
     "solve_correction_series",
     "build_p",

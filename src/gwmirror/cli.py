@@ -3,13 +3,15 @@
 Subcommands: quintic, local-p2, naive, lemma.  Tables are emitted with
 exact rational values in canonical "a/b" form; JSON, CSV and the default
 pretty rendering carry identical value strings.  Exit codes: 0 success,
-1 mathematical-consistency failure, 2 usage error.
+1 mathematical-consistency failure, 2 usage or output error (an --out
+path that cannot be written, a stdout pipe closed by its reader).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -115,7 +117,7 @@ def _render_table(
     if fmt == "csv":
         lines = [",".join(columns)]
         for row in rows:
-            lines.append(",".join(_csv_cell(row[c]) for c in columns))
+            lines.append(",".join(str(row[c]) for c in columns))
         return "\n".join(lines) + "\n"
     # pretty
     header = [f"case: {case}"]
@@ -128,21 +130,27 @@ def _render_table(
     return "\n".join(header + body + tail) + "\n"
 
 
-def _csv_cell(value) -> str:
-    return str(value)
-
-
 def _pretty_cell(value) -> str:
     if isinstance(value, list):
         return "[" + ", ".join(str(v) for v in value) + "]"
     return str(value)
 
 
+class _OutputError(Exception):
+    """The output could not be written; reported as a usage-class failure."""
+
+
 def _emit(text: str, out_path: str | None) -> None:
     sys.stdout.write(text)
+    sys.stdout.flush()
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _OutputError(
+                f"cannot write {out_path}: {exc.strerror or exc}"
+            ) from exc
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -246,14 +254,25 @@ def _run_lemma(args, parser) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "quintic":
-        return _run_quintic(args)
-    if args.command == "local-p2":
-        return _run_local_p2(args)
-    if args.command == "naive":
-        return _run_naive(args, parser)
-    if args.command == "lemma":
-        return _run_lemma(args, parser)
+    try:
+        if args.command == "quintic":
+            return _run_quintic(args)
+        if args.command == "local-p2":
+            return _run_local_p2(args)
+        if args.command == "naive":
+            return _run_naive(args, parser)
+        if args.command == "lemma":
+            return _run_lemma(args, parser)
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull so that the flush at
+        # interpreter exit finds somewhere to put the unwritten rest.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
     parser.error(f"unknown command {args.command!r}")
     return 2
 

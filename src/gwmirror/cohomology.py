@@ -80,14 +80,6 @@ class CohClass:
     def ring_len(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_unit(self) -> bool:
-        return self.coeffs[0] != 0
-
-    @property
-    def is_nilpotent(self) -> bool:
-        return self.coeffs[0] == 0
-
     def _check_same_ring(self, other: CohClass) -> None:
         if self.ring_len != other.ring_len:
             raise ValueError(
@@ -147,32 +139,6 @@ class CohClass:
             term = -(term * u)
             acc = acc + term
         return acc * (1 / c0)
-
-    def exp_nilpotent(self) -> CohClass:
-        """exp of a nilpotent element: the finite sum sum_k a^k / k!."""
-        if not self.is_nilpotent:
-            raise ValueError(
-                "exp needs a nilpotent argument (H^0 part zero); "
-                "scalar exponentials are not exact rationals"
-            )
-        acc = CohClass.one(self.ring_len)
-        term = CohClass.one(self.ring_len)
-        for k in range(1, self.ring_len):
-            term = term * self * Fraction(1, k)
-            acc = acc + term
-        return acc
-
-    def log_unipotent(self) -> CohClass:
-        """log of 1 + nilpotent: the finite sum sum_m (-1)^{m+1} u^m / m."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log needs H^0 part exactly 1")
-        u = self - CohClass.one(self.ring_len)
-        acc = CohClass.zero(self.ring_len)
-        pw = CohClass.one(self.ring_len)
-        for m in range(1, self.ring_len):
-            pw = pw * u
-            acc = acc + pw * Fraction((-1) ** (m + 1), m)
-        return acc
 
     # -- rendering ---------------------------------------------------------
 

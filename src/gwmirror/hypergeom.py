@@ -11,7 +11,7 @@ ingredients are:
   (which is Y itself) is included.
 * ``naive_series(n, l, dmax, i_from)``: their product as a q-series, the
   generating series Y would have if reducible-curve corrections never
-  contributed.
+  contributed, returned as its n+1 scalar H-components.
 """
 
 from __future__ import annotations
@@ -54,9 +54,11 @@ def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
     return acc
 
 
-def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> DSeries:
+def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, ...]:
     """The q-series with index-d coefficient
-    hyper_factor(l, d, i_from, n+1) * ambient_I(n, d), graded with step l.
+    hyper_factor(l, d, i_from, n+1) * ambient_I(n, d), graded with step l,
+    as its H-components: entry k is the scalar series of H^k parts,
+    for k = 0..n.
 
     Requires 1 <= l <= n+1: for larger l the anticanonical class of the
     hypersurface fails to be nef and the construction does not apply.
@@ -67,7 +69,9 @@ def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> DSeries:
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    coeffs = tuple(
+    classes = [
         hyper_factor(l, d, i_from, n + 1) * ambient_I(n, d) for d in range(dmax + 1)
+    ]
+    return tuple(
+        DSeries(tuple(c.coeffs[k] for c in classes), step=l) for k in range(n + 1)
     )
-    return DSeries(coeffs, step=l)

@@ -1,23 +1,22 @@
 """End-to-end invariant pipelines.
 
 Three computations share one backbone.  Write the naive hypergeometric
-series of a hypersurface Y = l*H in P^n as F_0 + F_1 H + F_2 H^2 + ...:
+series of a hypersurface Y = l*H in P^n as F_0 + F_1 H + F_2 H^2 + ...,
+each F_k a scalar q-series:
 
-* quintic threefold (n = 4, l = 5): corrections from curves inside Y turn
-  the naive series into the true one by the scaling F_0 exp(H F_1/F_0) and
-  the variable change q -> q exp(F_1/(5 F_0)).  Solving
-      F_2 = F_1^2/(2 F_0) + (1/5) sum_{d>0} d n_d q^{5d} F_0 exp(d F_1/F_0)
-  order by order yields the virtual counts n_d of degree-d rational curves
-  on the quintic.  An independent route (divide by the scaling, revert the
-  variable change, read off coefficients) must reproduce the same table.
-
-* plane cubic (n = 2, l = 3): the analogous series has no H^0 part; with
-  F_1, F_2 its H and H^2 parts, solving
-      F_2 = F_1^2/2 + sum_{d>0} v_d q^{3d} exp(d F_1)
-  gives v_d, the virtual number of degree-d rational plane curves meeting
-  a smooth cubic at a single point with multiplicity 3d.  These repackage
-  as local invariants K_d of the canonical bundle of P^2 via
-  v_d = (-1)^d * 3d * K_d.
+* quintic threefold (n = 4, l = 5) and plane cubic (n = 2, l = 3):
+  corrections from curves inside Y turn the naive series into the true
+  one.  Both cases solve one recursion order by order,
+      F_2 = F_1^2/(2 F_0) + sum_{d>0} w_d u_d q^{ld} F_0 exp(d F_1/F_0).
+  For the quintic w_d = d/5 and the unknowns u_d are the virtual counts
+  n_d of degree-d rational curves on the quintic.  An independent route
+  (divide by the scaling series F_0 exp(H F_1/F_0), revert the variable
+  change q -> q exp(F_1/(5 F_0)), read off coefficients) must reproduce
+  the same table.  The plane-cubic series has no H^0 part, so there
+  F_0 = 1 and w_d = 1, and u_d = v_d is the virtual number of degree-d
+  rational plane curves meeting a smooth cubic at a single point with
+  multiplicity 3d.  These repackage as local invariants K_d of the
+  canonical bundle of P^2 via v_d = (-1)^d * 3d * K_d.
 
 * low degree (l <= n-1): no corrections arise at all, so the naive series
   coefficients ARE the invariants of Y.
@@ -41,17 +40,18 @@ CUBIC_RING = 3  # cohomology of P^2
 
 @dataclass(frozen=True)
 class MirrorData:
-    """Scalar H-components of a naive series plus the mirror exponent.
+    """Scalar H-components of a naive series and the weights of the
+    correction recursion.
 
-    ``f0`` is None for the plane-cubic case, whose series has no H^0 part.
-    ``mirror_exponent`` is F_1/(l F_0) (with F_0 = 1 where it is absent),
-    the series whose exponential implements the change of variables.
+    ``f0`` is None for the plane-cubic case, whose series has no H^0 part;
+    the recursion then reads with F_0 = 1, which is never multiplied in.
+    ``weights[d]`` is w_d, the factor of the degree-d unknown.
     """
 
     f0: DSeries | None
     f1: DSeries
     f2: DSeries
-    mirror_exponent: DSeries
+    weights: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -75,61 +75,63 @@ class InvariantTable:
         return dict(self.entries)[d]
 
 
+# -- the correction recursion shared by the quintic and the plane cubic --------
+
+
+def _correction_terms(md: MirrorData) -> tuple[DSeries, list[DSeries]]:
+    """F_1^2/(2 F_0) and the kernels F_0 exp(d F_1/F_0) for d = 0..dmax,
+    with F_1/F_0 formed once."""
+    m = md.f1 if md.f0 is None else md.f1 * md.f0.inv()
+    return md.f1 * m * Fraction(1, 2), m.exp_powers(md.f0)
+
+
+def _solve(case_name: str, md: MirrorData) -> InvariantTable:
+    half, kernels = _correction_terms(md)
+    solved = solve_correction_series(md.f2 - half, kernels, md.weights)
+    return InvariantTable(case_name, tuple(enumerate(solved, start=1)))
+
+
+def recursion_rhs(md: MirrorData, table: InvariantTable) -> DSeries:
+    """Right-hand side F_1^2/(2 F_0) + sum_d w_d u_d q^{ld} F_0 exp(d F_1/F_0)
+    with the table's values u_d substituted back; equals F_2 when the table
+    solves the recursion."""
+    half, kernels = _correction_terms(md)
+    acc = half
+    for d, u in table.entries:
+        term = DSeries.monomial(d, half.dmax, half.step, md.weights[d] * u)
+        acc = acc + term * kernels[d]
+    return acc
+
+
 # -- quintic threefold -------------------------------------------------------
 
 
 def quintic_f(dmax: int) -> MirrorData:
-    """F_0, F_1, F_2 of the quintic naive series, plus F_1/(5 F_0)."""
-    series = naive_series(4, 5, dmax, i_from=1)
-    f0 = series.extract_h(0)
-    f1 = series.extract_h(1)
-    f2 = series.extract_h(2)
-    return MirrorData(f0, f1, f2, f1 * f0.inv() * Fraction(1, 5))
+    """F_0, F_1, F_2 of the quintic naive series, with weights w_d = d/5."""
+    f0, f1, f2 = naive_series(4, 5, dmax, i_from=1)[:3]
+    return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
 
 
-def reconstruct_p_quintic(
-    md: MirrorData, t_order: int = 1
-) -> tuple[DSeries, ...]:
-    """Taylor coefficients (P_0, ..., P_{t_order}) of the correction series
-    P(t) = F_0 exp((t/5 + H) F_1/F_0).
+def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
+    """H-components of the correction series P_0 = F_0 exp(H F_1/F_0) in
+    Q[H]/(H^5).
 
-    P is log-linear in t, so P_k = P_0 (F_1/(5 F_0))^k / k!.  In particular
-    the H-expansion of P_0 starts F_0 + H F_1 + (H^2/2) F_1^2/F_0.
+    The H^k component is F_0 m^k / k! with m = F_1/F_0, so the expansion
+    starts F_0 + H F_1 + (H^2/2) F_1^2/F_0.
     """
-    if t_order < 0:
-        raise ValueError("t_order must be non-negative")
     if md.f0 is None:
         raise ValueError("needs quintic-style mirror data (F_0 present)")
-    m = md.f1 * md.f0.inv()  # F_1/F_0
-    p0 = md.f0.to_cohomology(QUINTIC_RING) * m.to_cohomology(QUINTIC_RING, 1).exp()
-    out = [p0]
-    slope = (m * Fraction(1, 5)).to_cohomology(QUINTIC_RING)
-    for k in range(1, t_order + 1):
-        out.append(out[-1] * slope * Fraction(1, k))
+    m = md.f1 * md.f0.inv()
+    out = [md.f0]
+    for k in range(1, QUINTIC_RING):
+        out.append(out[-1] * m * Fraction(1, k))
     return tuple(out)
 
 
 def quintic_invariants(dmax: int) -> InvariantTable:
     """Virtual counts n_d of degree-d rational curves on the quintic,
     solved degree by degree from the H^3 component of the corrected series."""
-    md = quintic_f(dmax)
-    base = md.f2 - md.f1 * md.f1 * md.f0.inv() * Fraction(1, 2)
-    kernels = _exp_kernels(md.f1 * md.f0.inv(), md.f0, dmax)
-    weights = [Fraction(d, 5) for d in range(dmax + 1)]
-    solved = solve_correction_series(base, kernels, weights)
-    return InvariantTable("quintic", tuple(enumerate(solved, start=1)))
-
-
-def quintic_recursion_rhs(md: MirrorData, table: InvariantTable) -> DSeries:
-    """Right-hand side F_1^2/(2 F_0) + (1/5) sum d n_d q^{5d} F_0 exp(d F_1/F_0)
-    with the table's values substituted back in; equals F_2 when the table
-    solves the recursion."""
-    dmax = md.f2.dmax
-    kernels = _exp_kernels(md.f1 * md.f0.inv(), md.f0, dmax)
-    acc = md.f1 * md.f1 * md.f0.inv() * Fraction(1, 2)
-    for d, n_d in table.entries:
-        acc = acc + DSeries.monomial(d, dmax, 5, Fraction(d, 5) * n_d) * kernels[d]
-    return acc
+    return _solve("quintic", quintic_f(dmax))
 
 
 def quintic_crosscheck(dmax: int) -> InvariantTable:
@@ -141,19 +143,35 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     quintic, with H^0..H^2 parts zero and H^3 part d*n_d.
     """
     md = quintic_f(dmax)
-    p0 = reconstruct_p_quintic(md, 0)[0]
     full = naive_series(4, 5, dmax, i_from=0)
-    g = md.f1 * md.f0.inv()  # index-space exponent: exp(5 * mirror_exponent)
-    corrected = (full * p0.inv()).substitute(g.revert_exp())
+    # Only H^0..H^3 are read, so the quotient stops there.
+    quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
+    # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
+    h = (md.f1 * md.f0.inv()).revert_exp()
+    corrected = [c.substitute(h) for c in quotient]
     entries = []
     for d in range(1, dmax + 1):
-        c = corrected.coeffs[d]
-        if any(c.coeffs[k] != 0 for k in range(3)):
+        residue = [c.coeffs[d] for c in corrected[:3]]
+        if any(residue):
             raise RuntimeError(
-                f"reversion route left a low H-power residue at degree {d}: {c}"
+                "reversion route left a low H-power residue at degree "
+                f"{d}: H^0..H^2 parts {', '.join(map(str, residue))}"
             )
-        entries.append((d, c.coeffs[3] / d))
+        entries.append((d, corrected[3].coeffs[d] / d))
     return InvariantTable("quintic", tuple(entries))
+
+
+def _h_divide(num: Sequence[DSeries], den: Sequence[DSeries]) -> list[DSeries]:
+    """H-components of num/den in Q[H]/(H^len(num)), both given by their
+    H-components; den[0] must be invertible.  Truncated convolution over
+    H powers: q_k = (num_k - sum_{j=1..k} den_j q_{k-j}) / den_0."""
+    inv0 = den[0].inv()
+    out: list[DSeries] = []
+    for k, acc in enumerate(num):
+        for j in range(1, k + 1):
+            acc = acc - den[j] * out[k - j]
+        out.append(acc * inv0)
+    return out
 
 
 # -- plane cubic / local P^2 --------------------------------------------------
@@ -161,41 +179,29 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
 
 def localp2_f(dmax: int) -> MirrorData:
     """F_1, F_2 of the plane-cubic series
-    sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d}."""
+    sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d},
+    with weights w_d = 1."""
     h3 = CohClass.hyperplane(CUBIC_RING) * 3
-    coeffs = [CohClass.zero(CUBIC_RING)]
-    for d in range(1, dmax + 1):
-        # twist product stops at 3d-1: the final multiplicity step is the
-        # invariant being defined, not a factor of the series.
-        acc = h3
-        for i in range(1, 3 * d):
-            acc = acc * (h3 + CohClass.scalar(i, CUBIC_RING))
-        coeffs.append(acc * ambient_I(2, d))
-    series = DSeries(tuple(coeffs), step=3)
-    f1 = series.extract_h(1)
-    f2 = series.extract_h(2)
-    return MirrorData(None, f1, f2, f1 * Fraction(1, 3))
+    # The twist product stops at 3d-1, so the last factor (3H + 3d) of
+    # hyper_factor is divided out: the final multiplicity step is the
+    # invariant being defined, not a factor of the series.
+    classes = [
+        hyper_factor(3, d, 0, CUBIC_RING)
+        * (h3 + CohClass.scalar(3 * d, CUBIC_RING)).inv()
+        * ambient_I(2, d)
+        for d in range(1, dmax + 1)
+    ]
+    f1, f2 = (
+        DSeries((Fraction(0),) + tuple(c.coeffs[k] for c in classes), step=3)
+        for k in (1, 2)
+    )
+    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
 def localp2_invariants(dmax: int) -> InvariantTable:
     """Virtual counts of degree-d rational plane curves with a single point
     of multiplicity-3d contact with a smooth cubic."""
-    md = localp2_f(dmax)
-    base = md.f2 - md.f1 * md.f1 * Fraction(1, 2)
-    kernels = _exp_kernels(md.f1, None, dmax)
-    weights = [Fraction(1)] * (dmax + 1)
-    solved = solve_correction_series(base, kernels, weights)
-    return InvariantTable("local-p2", tuple(enumerate(solved, start=1)))
-
-
-def localp2_recursion_rhs(md: MirrorData, table: InvariantTable) -> DSeries:
-    """F_1^2/2 + sum_d v_d q^{3d} exp(d F_1) with the table substituted back."""
-    dmax = md.f2.dmax
-    kernels = _exp_kernels(md.f1, None, dmax)
-    acc = md.f1 * md.f1 * Fraction(1, 2)
-    for d, v_d in table.entries:
-        acc = acc + DSeries.monomial(d, dmax, 3, v_d) * kernels[d]
-    return acc
+    return _solve("local-p2", localp2_f(dmax))
 
 
 def localp2_kd(dmax: int) -> InvariantTable:
@@ -253,11 +259,3 @@ def solve_correction_series(
         out.append((base.coeffs[e] - s) / weights[e])
     return out
 
-
-def _exp_kernels(m: DSeries, f0: DSeries | None, dmax: int) -> list[DSeries]:
-    """kernels[d] = F_0 * exp(d*m) for d = 0..dmax (F_0 = 1 when None)."""
-    e1 = m.exp()
-    kernels = [DSeries.one(dmax, m.step) if f0 is None else f0]
-    for _ in range(dmax):
-        kernels.append(kernels[-1] * e1)
-    return kernels

@@ -1,11 +1,12 @@
 """Truncated power series in the curve-degree variable.
 
-A ``DSeries`` stores coefficients c_0..c_dmax where index d stands for the
-monomial q^{step*d}.  Generating series of a degree-l hypersurface only
-involve powers of q^l, so grading by the curve degree d with an explicit
-step keeps them dense (no zero gaps to carry around).  Coefficients are
-either all ``Fraction`` or all ``CohClass`` of one ring length; every
-operation truncates at dmax and never claims precision beyond it.
+A ``DSeries`` stores rational coefficients c_0..c_dmax where index d
+stands for the monomial q^{step*d}.  Generating series of a degree-l
+hypersurface only involve powers of q^l, so grading by the curve degree d
+with an explicit step keeps them dense (no zero gaps to carry around).
+A series with values in the cohomology ring Q[H]/(H^r) is carried as the
+tuple of its r scalar H-components, one ``DSeries`` per power of H.
+Every operation truncates at dmax and never claims precision beyond it.
 
 Values are immutable and all operations are pure functions.
 """
@@ -16,28 +17,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .cohomology import CohClass, Rational, as_fraction
-
-Coeff = Union[Fraction, CohClass]
-
-
-def _one_like(c: Coeff) -> Coeff:
-    return CohClass.one(c.ring_len) if isinstance(c, CohClass) else Fraction(1)
-
-
-def _inv_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, CohClass):
-        return c.inv()
-    if c == 0:
-        raise ZeroDivisionError("inverse requires a unit constant coefficient")
-    return 1 / c
+from .cohomology import Rational, as_fraction
 
 
 @dataclass(frozen=True)
 class DSeries:
     """Power series sum_d c_d q^{step*d}, truncated at index dmax."""
 
-    coeffs: tuple[Coeff, ...]
+    coeffs: tuple[Fraction, ...]
     step: int = 1
 
     def __post_init__(self) -> None:
@@ -45,17 +32,7 @@ class DSeries:
             raise ValueError("a series needs at least the index-0 coefficient")
         if self.step < 1:
             raise ValueError("step must be a positive integer")
-        coeffs = tuple(
-            c if isinstance(c, CohClass) else as_fraction(c) for c in self.coeffs
-        )
-        object.__setattr__(self, "coeffs", coeffs)
-        kinds = {type(c) for c in coeffs}
-        if len(kinds) != 1:
-            raise ValueError("coefficients must all be Fraction or all CohClass")
-        if isinstance(coeffs[0], CohClass):
-            lens = {c.ring_len for c in coeffs}
-            if len(lens) != 1:
-                raise ValueError("cohomology coefficients must share one ring length")
+        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
 
     # -- constructors ------------------------------------------------------
 
@@ -82,23 +59,12 @@ class DSeries:
     def dmax(self) -> int:
         return len(self.coeffs) - 1
 
-    @property
-    def is_scalar(self) -> bool:
-        return not isinstance(self.coeffs[0], CohClass)
-
-    @property
-    def ring_len(self) -> int | None:
-        c = self.coeffs[0]
-        return c.ring_len if isinstance(c, CohClass) else None
-
     def _check_shape(self, other: DSeries) -> None:
         if self.dmax != other.dmax or self.step != other.step:
             raise ValueError(
                 f"series shape mismatch: (dmax={self.dmax}, step={self.step}) vs "
                 f"(dmax={other.dmax}, step={other.step})"
             )
-        if self.is_scalar != other.is_scalar or self.ring_len != other.ring_len:
-            raise ValueError("series coefficient rings differ")
 
     # -- ring operations ---------------------------------------------------
 
@@ -128,12 +94,10 @@ class DSeries:
         if not isinstance(other, DSeries):
             return NotImplemented
         self._check_shape(other)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (self.dmax + 1)
+        out = [Fraction(0)] * (self.dmax + 1)
         for d, a in enumerate(self.coeffs):
             for e in range(self.dmax + 1 - d):
-                b = other.coeffs[e]
-                out[d + e] = out[d + e] + a * b
+                out[d + e] += a * other.coeffs[e]
         return DSeries(tuple(out), self.step)
 
     def __rmul__(self, other: Rational) -> DSeries:
@@ -147,59 +111,56 @@ class DSeries:
         return self * other.inv()
 
     def inv(self) -> DSeries:
-        """Multiplicative inverse; the constant coefficient must be a unit.
+        """Multiplicative inverse; the constant coefficient must be nonzero.
 
         Standard recurrence: b_0 = 1/a_0, b_m = -b_0 * sum_{k>=1} a_k b_{m-k}.
         """
-        b0 = _inv_coeff(self.coeffs[0])
+        if self.coeffs[0] == 0:
+            raise ZeroDivisionError("inverse requires a unit constant coefficient")
+        b0 = 1 / self.coeffs[0]
         out = [b0]
         for m in range(1, self.dmax + 1):
             s = self.coeffs[1] * out[m - 1]
             for k in range(2, m + 1):
-                s = s + self.coeffs[k] * out[m - k]
+                s += self.coeffs[k] * out[m - k]
             out.append(-(b0 * s))
         return DSeries(tuple(out), self.step)
 
     def exp(self) -> DSeries:
-        """Exponential of a series with zero (scalar case) or nilpotent
-        (cohomology case) constant coefficient.
+        """Exponential of a series with zero constant coefficient.
 
-        Splitting off the constant part keeps everything finite: with
-        f = c0 + g, exp(f) = exp(c0) * sum_k g^k / k! and g has positive
-        q-valuation, so the sum stops at k = dmax.
+        The series has positive q-valuation, so the sum sum_k g^k / k!
+        stops at k = dmax.
         """
-        c0 = self.coeffs[0]
-        if isinstance(c0, CohClass):
-            head: Coeff = c0.exp_nilpotent()  # raises if not nilpotent
-        else:
-            if c0 != 0:
-                raise ValueError("exp needs constant coefficient 0")
-            head = Fraction(1)
-        g = self - self._constant(c0)
-        acc = self._one_series()
-        term = self._one_series()
+        if self.coeffs[0] != 0:
+            raise ValueError("exp needs constant coefficient 0")
+        acc = term = DSeries.one(self.dmax, self.step)
         for k in range(1, self.dmax + 1):
-            term = term * g * Fraction(1, k)
+            term = term * self * Fraction(1, k)
             acc = acc + term
-        return acc._scale_coeff(head)
+        return acc
 
     def log(self) -> DSeries:
-        """Logarithm of a series with constant coefficient 1 (scalar case)
-        or 1 + nilpotent (cohomology case)."""
-        c0 = self.coeffs[0]
-        if isinstance(c0, CohClass):
-            head: Coeff = c0.log_unipotent()  # raises unless H^0 part is 1
-        else:
-            if c0 != 1:
-                raise ValueError("log needs constant coefficient 1")
-            head = Fraction(0)
-        u = self._scale_coeff(_inv_coeff(c0)) - self._one_series()
-        acc = self.zero_like()
-        pw = self._one_series()
+        """Logarithm of a series with constant coefficient 1."""
+        if self.coeffs[0] != 1:
+            raise ValueError("log needs constant coefficient 1")
+        u = self - DSeries.one(self.dmax, self.step)
+        acc = DSeries.zero(self.dmax, self.step)
+        pw = DSeries.one(self.dmax, self.step)
         for m in range(1, self.dmax + 1):
             pw = pw * u
             acc = acc + pw * Fraction((-1) ** (m + 1), m)
-        return acc + self._constant(head)
+        return acc
+
+    def exp_powers(self, first: DSeries | None = None) -> list[DSeries]:
+        """[first * exp(d*g) for d = 0..dmax] with g this series and
+        ``first`` defaulting to 1; exp(g) is formed once and the list is
+        built by repeated multiplication."""
+        e1 = self.exp()
+        out = [DSeries.one(self.dmax, self.step) if first is None else first]
+        for _ in range(self.dmax):
+            out.append(out[-1] * e1)
+        return out
 
     # -- change of variables -------------------------------------------------
 
@@ -208,24 +169,16 @@ class DSeries:
 
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
-        The exponent g must be scalar with zero constant term.
+        The exponent g must have zero constant term.
         """
-        if not g.is_scalar:
-            raise ValueError("substitution exponent must be scalar-valued")
         if g.dmax != self.dmax or g.step != self.step:
             raise ValueError("substitution exponent must share dmax and step")
         if g.coeffs[0] != 0:
             raise ValueError("substitution exponent must have zero constant term")
-        e1 = g.exp()
-        zero = self.coeffs[0] * 0
-        out = [zero] * (self.dmax + 1)
-        ed = DSeries.one(self.dmax, self.step)  # exp(d*g), built incrementally
-        out[0] = self.coeffs[0]
-        for d in range(1, self.dmax + 1):
-            ed = ed * e1
-            c = self.coeffs[d]
+        out = [Fraction(0)] * (self.dmax + 1)
+        for d, (c, kernel) in enumerate(zip(self.coeffs, g.exp_powers())):
             for e in range(d, self.dmax + 1):
-                out[e] = out[e] + c * ed.coeffs[e - d]
+                out[e] += c * kernel.coeffs[e - d]
         return DSeries(tuple(out), self.step)
 
     def revert_exp(self) -> DSeries:
@@ -238,8 +191,6 @@ class DSeries:
         implementation bug, not a data error.
         """
         g = self
-        if not g.is_scalar:
-            raise ValueError("reversion exponent must be scalar-valued")
         if g.coeffs[0] != 0:
             raise ValueError("reversion exponent must have zero constant term")
         h = DSeries.zero(g.dmax, g.step)
@@ -253,55 +204,10 @@ class DSeries:
                 )
         return h
 
-    # -- cohomology plumbing -------------------------------------------------
-
-    def extract_h(self, k: int) -> DSeries:
-        """Scalar series whose index-d coefficient is the H^k part of c_d."""
-        rl = self.ring_len
-        if rl is None:
-            raise ValueError("extract_h needs cohomology-valued coefficients")
-        if not 0 <= k < rl:
-            raise ValueError(f"H power {k} out of range for ring length {rl}")
-        return DSeries(tuple(c.coeffs[k] for c in self.coeffs), self.step)
-
-    def to_cohomology(self, ring_len: int, hpower: int = 0) -> DSeries:
-        """Lift a scalar series into Q[H]/(H^ring_len), each coefficient
-        landing on H^hpower."""
-        if not self.is_scalar:
-            raise ValueError("only scalar series can be lifted")
-        if not 0 <= hpower < ring_len:
-            raise ValueError("hpower out of range")
-        return DSeries(
-            tuple(CohClass.hyperplane(ring_len, hpower) * c for c in self.coeffs),
-            self.step,
-        )
-
-    # -- helpers -------------------------------------------------------------
-
-    def zero_like(self) -> DSeries:
-        return DSeries(tuple(c * 0 for c in self.coeffs), self.step)
-
-    def _one_series(self) -> DSeries:
-        return self._constant(_one_like(self.coeffs[0]))
-
-    def _constant(self, value: Coeff) -> DSeries:
-        return DSeries((value,) + tuple(c * 0 for c in self.coeffs[1:]), self.step)
-
-    def _scale_coeff(self, value: Coeff) -> DSeries:
-        if isinstance(value, Fraction):
-            return self * value
-        return DSeries(tuple(c * value for c in self.coeffs), self.step)
-
     def __str__(self) -> str:
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if isinstance(c, CohClass):
-                if all(x == 0 for x in c.coeffs):
-                    continue
-                body = f"({c})"
-            else:
-                if c == 0:
-                    continue
-                body = str(c)
-            parts.append(body if d == 0 else f"{body}*q^{self.step * d}")
+        parts = [
+            str(c) if d == 0 else f"{c}*q^{self.step * d}"
+            for d, c in enumerate(self.coeffs)
+            if c != 0
+        ]
         return " + ".join(parts) if parts else "0"

@@ -87,3 +87,30 @@ def lambert_w(dmax: int) -> list[Fraction]:
     return [Fraction(0)] + [
         Fraction((-n) ** (n - 1), factorial(n)) for n in range(1, dmax + 1)
     ]
+
+
+def mobius(n: int) -> int:
+    """The Moebius function, by trial division."""
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def bps_numbers(values: list[Fraction]) -> list[Fraction]:
+    """Moebius inversion of the multiple-cover formula
+    N_d = sum_{k|d} n_{d/k} / k^3, where values[d-1] is N_d.
+
+    Returns [n_1, ..., n_dmax]; for genuine genus-zero invariants every
+    n_d is an integer.
+    """
+    out = []
+    for d in range(1, len(values) + 1):
+        divisors = [k for k in range(1, d + 1) if d % k == 0]
+        out.append(sum(Fraction(mobius(k), k**3) * values[d // k - 1] for k in divisors))
+    return out

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -137,6 +138,29 @@ def test_out_file_matches_stdout(tmp_path):
     out = tmp_path / "table.json"
     r = run("quintic", "--dmax", "2", "--format", "json", "--out", str(out))
     assert out.read_text(encoding="utf-8") == r.stdout
+
+
+def test_unwritable_out_path_is_exit_2(tmp_path):
+    path = tmp_path / "missing" / "x.txt"
+    r = run("quintic", "--dmax", "1", "--out", str(path))
+    assert r.returncode == 2
+    assert r.stderr == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_closed_stdout_pipe_is_exit_2_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            CMD + ["quintic", "--dmax", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert r.returncode == 2
+    assert r.stderr == ""  # no traceback, no "Exception ignored" at exit
 
 
 def test_output_is_deterministic():

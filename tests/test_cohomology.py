@@ -50,18 +50,6 @@ def test_inv_scalar():
     assert CohClass.scalar(2, 4).inv() == CohClass.scalar(Fraction(1, 2), 4)
 
 
-def test_exp_zero():
-    assert CohClass.zero(4).exp_nilpotent() == CohClass.one(4)
-
-
-def test_exp_h():
-    assert CohClass.hyperplane(3).exp_nilpotent() == coh(1, 1, Fraction(1, 2))
-
-
-def test_exp_2h():
-    assert (CohClass.hyperplane(3) * 2).exp_nilpotent() == coh(1, 2, 2)
-
-
 # -- error contracts -----------------------------------------------------------
 
 
@@ -75,11 +63,6 @@ def test_ring_len_mismatch_rejected():
 def test_inv_of_nonunit_rejected():
     with pytest.raises(ZeroDivisionError):
         CohClass.hyperplane(3).inv()
-
-
-def test_exp_of_unit_rejected():
-    with pytest.raises(ValueError, match="nilpotent"):
-        CohClass.one(3).exp_nilpotent()
 
 
 # -- canonical string form -----------------------------------------------------
@@ -124,16 +107,6 @@ def test_ring_axioms(triple):
 def test_unit_times_inverse(a, unit):
     a = CohClass.scalar(unit, a.ring_len) + (a - CohClass.scalar(a.coeffs[0], a.ring_len))
     assert a * a.inv() == CohClass.one(a.ring_len)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(2, 5).flatmap(lambda r: st.tuples(coh_elems(r), coh_elems(r))))
-def test_exp_is_additive_on_nilpotents(pair):
-    a, b = pair
-    zero = Fraction(0)
-    a = CohClass((zero,) + a.coeffs[1:])
-    b = CohClass((zero,) + b.coeffs[1:])
-    assert (a + b).exp_nilpotent() == a.exp_nilpotent() * b.exp_nilpotent()
 
 
 @settings(max_examples=150, deadline=None)

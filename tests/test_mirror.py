@@ -11,17 +11,16 @@ from gwmirror import (
     localp2_f,
     localp2_invariants,
     localp2_kd,
-    localp2_recursion_rhs,
     naive_invariants,
     quintic_crosscheck,
     quintic_f,
     quintic_invariants,
-    quintic_recursion_rhs,
     reconstruct_p_quintic,
+    recursion_rhs,
     solve_correction_series,
 )
 
-from oracles import localp2_coeff, naive_coeff
+from oracles import bps_numbers, localp2_coeff, naive_coeff
 
 QUINTIC_COUNTS = {
     1: Fraction(2875),
@@ -50,20 +49,18 @@ def test_quintic_f_degree_one():
     assert md.f2.coeffs[1] == 575
 
 
-def test_quintic_mirror_exponent():
-    md = quintic_f(3)
-    assert md.mirror_exponent * (md.f0 * 5) == md.f1
-
-
 def test_reconstruct_p_h_expansion():
     md = quintic_f(4)
-    p0, p1 = reconstruct_p_quintic(md, 1)
-    assert p0.extract_h(0) == md.f0
-    assert p0.extract_h(1) == md.f1
-    assert p0.extract_h(2) == md.f1 * md.f1 * md.f0.inv() * Fraction(1, 2)
-    # log-linearity: P_1 = P_0 * F_1/(5 F_0)
-    slope = (md.f1 * md.f0.inv() * Fraction(1, 5)).to_cohomology(5)
-    assert p1 == p0 * slope
+    p = reconstruct_p_quintic(md)
+    assert len(p) == 5
+    assert p[0] == md.f0
+    assert p[1] == md.f1
+    assert p[2] == md.f1 * md.f1 * md.f0.inv() * Fraction(1, 2)
+    # P_0 = F_0 exp(H m): the H^k part is F_0 m^k / k!
+    m = md.f1 * md.f0.inv()
+    assert p[4] == md.f0 * m * m * m * m * Fraction(1, 24)
+    with pytest.raises(ValueError, match="F_0"):
+        reconstruct_p_quintic(localp2_f(2))
 
 
 def test_quintic_counts():
@@ -77,7 +74,7 @@ def test_quintic_empty_table():
 
 
 def test_quintic_crosscheck_agrees():
-    for dmax in (1, 2, 4):
+    for dmax in (1, 2, 4, 12):
         assert quintic_crosscheck(dmax).entries == quintic_invariants(dmax).entries
 
 
@@ -88,7 +85,14 @@ def test_quintic_crosscheck_empty():
 def test_quintic_resubstitution_reproduces_f2():
     md = quintic_f(6)
     table = quintic_invariants(6)
-    assert quintic_recursion_rhs(md, table) == md.f2
+    assert recursion_rhs(md, table) == md.f2
+
+
+def test_quintic_bps_numbers_are_integers():
+    # Moebius-inverting the multiple-cover formula must give integers.
+    bps = bps_numbers(quintic_invariants(15).values())
+    assert all(n.denominator == 1 for n in bps)
+    assert bps[:5] == [2875, 609250, 317206375, 242467530000, 229305888887625]
 
 
 # -- plane cubic ---------------------------------------------------------------
@@ -123,10 +127,16 @@ def test_localp2_kd():
     assert kd.values() == [Fraction(-3), Fraction(45, 8), Fraction(-244, 9)]
 
 
+def test_localp2_bps_numbers_are_integers():
+    bps = bps_numbers(localp2_kd(30).values())
+    assert all(n.denominator == 1 for n in bps)
+    assert bps[:8] == [-3, 6, -27, 192, -1695, 17064, -188454, 2228160]
+
+
 def test_localp2_resubstitution_reproduces_f2():
     md = localp2_f(8)
     table = localp2_invariants(8)
-    assert localp2_recursion_rhs(md, table) == md.f2
+    assert recursion_rhs(md, table) == md.f2
 
 
 # -- correction-free low degrees ---------------------------------------------------

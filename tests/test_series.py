@@ -1,16 +1,22 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import CohClass, DSeries, naive_series
+from gwmirror import CohClass, DSeries, ambient_I, hyper_factor, naive_series
 
 from oracles import lambert_w, naive_coeff
 
 
 def ser(*coeffs, step=1):
     return DSeries(tuple(Fraction(c) for c in coeffs), step)
+
+
+def with_constant(a, c0):
+    """``a`` with its index-0 coefficient replaced by c0."""
+    return DSeries((Fraction(c0),) + a.coeffs[1:], a.step)
 
 
 # -- multiplication ------------------------------------------------------------
@@ -117,29 +123,29 @@ def test_revert_against_lambert_series():
     assert w == DSeries(tuple(lambert_w(dmax)), 1)
 
 
-# -- cross-grading extraction ------------------------------------------------------
+# -- H-components and shape ------------------------------------------------------
 
 
 def test_extract_h_components():
-    c0 = CohClass.one(2)
-    c1 = CohClass((Fraction(2), Fraction(3)))
-    a = DSeries((c0, c1), step=1)
-    assert a.extract_h(0) == ser(1, 2)
-    assert a.extract_h(1) == ser(0, 3)
+    # naive_series hands back one scalar series per power of H, each
+    # holding that H-part of every class coefficient.
+    comps = naive_series(3, 2, 3, i_from=0)
+    assert len(comps) == 4
+    for d in range(4):
+        cls = hyper_factor(2, d, 0, 4) * ambient_I(3, d)
+        assert [c.coeffs[d] for c in comps] == list(cls.coeffs)
+    assert {c.step for c in comps} == {2}
 
 
 def test_extract_h_quintic_spot_value():
     series = naive_series(4, 5, 1, i_from=1)
-    assert series.extract_h(2).coeffs[1] == Fraction(575)
+    assert series[2].coeffs[1] == Fraction(575)
     assert naive_coeff(4, 5, 1, 1)[2] == Fraction(575)
 
 
-def test_extract_h_out_of_range():
-    a = DSeries((CohClass.one(3),), step=1)
-    with pytest.raises(ValueError, match="out of range"):
-        a.extract_h(3)
-    with pytest.raises(ValueError):
-        ser(1, 2).extract_h(0)
+def test_cohomology_coefficients_rejected():
+    with pytest.raises(TypeError, match="exact rational"):
+        DSeries((CohClass.one(3),))
 
 
 def test_shape_mismatch_rejected():
@@ -149,22 +155,16 @@ def test_shape_mismatch_rejected():
         ser(1, 2, step=5) + ser(1, 2, step=3)
 
 
-# -- cohomology-valued analysis ------------------------------------------------------
+# -- kernels ----------------------------------------------------------------------
 
 
-def test_coh_exp_with_nilpotent_constant():
-    h = CohClass.hyperplane(3)
-    a = DSeries((h, CohClass.scalar(2, 3)), step=1)
-    e = a.exp()
-    # exp(c0) * exp(a - c0) expanded by hand at this tiny size
-    assert e.coeffs[0] == h.exp_nilpotent()
-    assert e.coeffs[1] == h.exp_nilpotent() * CohClass.scalar(2, 3)
-
-
-def test_coh_exp_log_round_trip():
-    h = CohClass.hyperplane(3)
-    a = DSeries((CohClass.one(3) + h, CohClass.scalar(5, 3), h * h), step=2)
-    assert a.log().exp() == a
+def test_exp_powers():
+    # [exp(d*q)]_k = d^k / k!
+    want = [ser(*(Fraction(d**k, factorial(k)) for k in range(4))) for d in range(4)]
+    g = DSeries.monomial(1, 3)
+    assert g.exp_powers() == want
+    first = ser(1, 2, 3, 4)
+    assert g.exp_powers(first) == [first * w for w in want]
 
 
 # -- algebraic properties --------------------------------------------------------
@@ -190,14 +190,14 @@ def test_series_ring_axioms(triple):
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 5).flatmap(series_of), fracs.filter(lambda f: f != 0))
 def test_series_mul_inv(a, c0):
-    a = a - a._constant(a.coeffs[0]) + a._constant(c0)
+    a = with_constant(a, c0)
     assert a * a.inv() == DSeries.one(a.dmax)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 5).flatmap(series_of))
 def test_series_exp_log_inverse(a):
-    a = a - a._constant(a.coeffs[0])
+    a = with_constant(a, 0)
     assert a.exp().log() == a
     assert (a + DSeries.one(a.dmax)).log().exp() == a + DSeries.one(a.dmax)
 
@@ -206,7 +206,7 @@ def test_series_exp_log_inverse(a):
 @given(st.integers(1, 8).flatmap(lambda d: st.tuples(series_of(d), series_of(d))))
 def test_substitute_revert_round_trip(pair):
     a, g = pair
-    g = g - g._constant(g.coeffs[0])
+    g = with_constant(g, 0)
     h = g.revert_exp()
     assert a.substitute(g).substitute(h) == a
 
@@ -215,5 +215,5 @@ def test_substitute_revert_round_trip(pair):
 @given(st.integers(0, 5).flatmap(lambda d: st.tuples(*(series_of(d),) * 3)))
 def test_substitution_is_ring_homomorphism(triple):
     a, b, g = triple
-    g = g - g._constant(g.coeffs[0])
+    g = with_constant(g, 0)
     assert (a * b).substitute(g) == a.substitute(g) * b.substitute(g)
