@@ -10,6 +10,7 @@ path that cannot be written, a stdout pipe closed by its reader).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -140,23 +141,36 @@ class _OutputError(Exception):
     """The output could not be written; reported as a usage-class failure."""
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _cannot_write(path: str, exc: OSError) -> _OutputError:
+    return _OutputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _open_out(path: str | None):
+    """The --out file, opened before any work so that a path that cannot
+    be written fails at once; a null context when there is no --out."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def _emit(text: str, out) -> None:
     sys.stdout.write(text)
     sys.stdout.flush()
-    if out_path:
+    if out is not None:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            out.write(text)
+            out.flush()
         except OSError as exc:
-            raise _OutputError(
-                f"cannot write {out_path}: {exc.strerror or exc}"
-            ) from exc
+            raise _cannot_write(out.name, exc) from exc
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def _run_quintic(args) -> int:
+def _run_quintic(args, out) -> int:
     table = quintic_invariants(args.dmax)
     crosscheck = "absent"
     if args.crosscheck:
@@ -172,11 +186,11 @@ def _run_quintic(args) -> int:
     text = _render_table(
         "quintic", {"dmax": args.dmax}, rows, ["d", "value"], args.format, crosscheck
     )
-    _emit(text, args.out)
+    _emit(text, out)
     return 0
 
 
-def _run_local_p2(args) -> int:
+def _run_local_p2(args, out) -> int:
     table = localp2_invariants(args.dmax)
     rows = [{"d": d, "value": str(v)} for d, v in table.entries]
     columns = ["d", "value"]
@@ -187,19 +201,12 @@ def _run_local_p2(args) -> int:
     text = _render_table(
         "local-p2", {"dmax": args.dmax}, rows, columns, args.format, "absent"
     )
-    _emit(text, args.out)
+    _emit(text, out)
     return 0
 
 
-def _run_naive(args, parser) -> int:
+def _run_naive(args, out) -> int:
     n, l = args.ambient, args.degree
-    if n < 2:
-        parser.error("--ambient must be at least 2")
-    if not 1 <= l <= n - 1:
-        parser.error(
-            f"--degree must be at most ambient-1={n - 1}: only degrees up to "
-            "n-1 are correction-free"
-        )
     classes = naive_invariants(n, l, args.dmax)
     rows = [
         {"d": d, "value": [str(c) for c in cls.coeffs]}
@@ -223,13 +230,11 @@ def _run_naive(args, parser) -> int:
         args.format,
         "absent",
     )
-    _emit(text, args.out)
+    _emit(text, out)
     return 0
 
 
-def _run_lemma(args, parser) -> int:
-    if args.vars < 0:
-        parser.error("--vars must be >= 0")
+def _run_lemma(args, out) -> int:
     rng = random.Random(args.seed)
     check = check_a1 if args.which == "a1" else check_a2
     lines = []
@@ -243,7 +248,7 @@ def _run_lemma(args, parser) -> int:
             lines.append(report.line(trial))
             all_passed = all_passed and report.passed
     text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(text, out)
     print(
         f"{args.trials} trials, {'all passed' if all_passed else 'FAILURES above'}",
         file=sys.stderr,
@@ -251,18 +256,37 @@ def _run_lemma(args, parser) -> int:
     return 0 if all_passed else 1
 
 
+def _check_usage(args, parser) -> None:
+    """Usage errors argparse cannot see; parser.error exits 2 before the
+    --out file is touched."""
+    if args.command == "naive":
+        n, l = args.ambient, args.degree
+        if n < 2:
+            parser.error("--ambient must be at least 2")
+        if not 1 <= l <= n - 1:
+            parser.error(
+                f"--degree must be at most ambient-1={n - 1}: only degrees up to "
+                "n-1 are correction-free"
+            )
+    if args.command == "lemma" and args.vars < 0:
+        parser.error("--vars must be >= 0")
+
+
+_RUN = {
+    "quintic": _run_quintic,
+    "local-p2": _run_local_p2,
+    "naive": _run_naive,
+    "lemma": _run_lemma,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _check_usage(args, parser)
     try:
-        if args.command == "quintic":
-            return _run_quintic(args)
-        if args.command == "local-p2":
-            return _run_local_p2(args)
-        if args.command == "naive":
-            return _run_naive(args, parser)
-        if args.command == "lemma":
-            return _run_lemma(args, parser)
+        with _open_out(args.out) as out:
+            return _RUN[args.command](args, out)
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -273,8 +297,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

@@ -12,9 +12,15 @@ ingredients are:
 * ``naive_series(n, l, dmax, i_from)``: their product as a q-series, the
   generating series Y would have if reducible-curve corrections never
   contributed, returned as its n+1 scalar H-components.
+
+Both products are formed on integer coefficient lists, O(r) integer
+operations per linear factor in a ring of length r, and become one
+``CohClass`` at the end; ``ambient_I`` then inverts once in Q[H]/(H^r).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from .cohomology import CohClass
 from .series import DSeries
@@ -26,15 +32,7 @@ def ambient_I(n: int, d: int) -> CohClass:
         raise ValueError("ambient projective space needs n >= 2")
     if d < 0:
         raise ValueError("curve degree must be non-negative")
-    ring_len = n + 1
-    prod = CohClass.one(ring_len)
-    h = CohClass.hyperplane(ring_len)
-    for i in range(1, d + 1):
-        prod = prod * (h + CohClass.scalar(i, ring_len))
-    pw = CohClass.one(ring_len)
-    for _ in range(n + 1):
-        pw = pw * prod
-    return pw.inv()
+    return CohClass(_linear_product(n + 1, 1, list(range(1, d + 1)) * (n + 1))).inv()
 
 
 def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
@@ -47,11 +45,18 @@ def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
         raise ValueError("need l >= 1, d >= 0, ring_len >= 1")
     if i_from not in (0, 1):
         raise ValueError("i_from must be 0 or 1")
-    lh = CohClass.hyperplane(ring_len) * l
-    acc = CohClass.one(ring_len)
-    for i in range(i_from, l * d + 1):
-        acc = acc * (lh + CohClass.scalar(i, ring_len))
-    return acc
+    return CohClass(_linear_product(ring_len, l, range(i_from, l * d + 1)))
+
+
+def _linear_product(ring_len: int, l: int, shifts: Iterable[int]) -> tuple[int, ...]:
+    """Integer coefficients of prod_{i in shifts} (l*H + i) mod H^ring_len,
+    one shift-add c_k <- i*c_k + l*c_{k-1} per factor."""
+    c = [1] + [0] * (ring_len - 1)
+    for i in shifts:
+        for k in range(ring_len - 1, 0, -1):
+            c[k] = i * c[k] + l * c[k - 1]
+        c[0] *= i
+    return tuple(c)
 
 
 def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, ...]:

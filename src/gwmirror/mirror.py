@@ -78,9 +78,9 @@ class InvariantTable:
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
-def _correction_terms(md: MirrorData) -> tuple[DSeries, list[DSeries]]:
-    """F_1^2/(2 F_0) and the kernels F_0 exp(d F_1/F_0) for d = 0..dmax,
-    with F_1/F_0 formed once."""
+def _correction_terms(md: MirrorData) -> tuple[DSeries, list[tuple[Fraction, ...]]]:
+    """F_1^2/(2 F_0) and the coefficients of the kernels F_0 exp(d F_1/F_0)
+    for d = 0..dmax, with F_1/F_0 formed once."""
     m = md.f1 if md.f0 is None else md.f1 * md.f0.inv()
     return md.f1 * m * Fraction(1, 2), m.exp_powers(md.f0)
 
@@ -96,11 +96,12 @@ def recursion_rhs(md: MirrorData, table: InvariantTable) -> DSeries:
     with the table's values u_d substituted back; equals F_2 when the table
     solves the recursion."""
     half, kernels = _correction_terms(md)
-    acc = half
-    for d, u in table.entries:
-        term = DSeries.monomial(d, half.dmax, half.step, md.weights[d] * u)
-        acc = acc + term * kernels[d]
-    return acc
+    # The sum over d is U = sum_d w_d u_d Q^d under the substitution whose
+    # kernels these are.
+    u = [Fraction(0)] * (half.dmax + 1)
+    for d, v in table.entries:
+        u[d] = md.weights[d] * v
+    return half + DSeries(tuple(u), half.step).substitute(kernels)
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -147,8 +148,8 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     # Only H^0..H^3 are read, so the quotient stops there.
     quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
-    h = (md.f1 * md.f0.inv()).revert_exp()
-    corrected = [c.substitute(h) for c in quotient]
+    kernels = (md.f1 * md.f0.inv()).revert_exp().exp_powers()
+    corrected = [c.substitute(kernels) for c in quotient]
     entries = []
     for d in range(1, dmax + 1):
         residue = [c.coeffs[d] for c in corrected[:3]]
@@ -241,21 +242,22 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
 
 def solve_correction_series(
     base: DSeries,
-    kernels: Sequence[DSeries],
+    kernels: Sequence[Sequence[Fraction]],
     weights: Sequence[Fraction],
 ) -> list[Fraction]:
     """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * kernels[d] for the u_d.
 
-    kernels[d] must have constant coefficient 1, which makes the system
-    triangular: the index-e equation determines u_e from u_1..u_{e-1}.
-    Returns [u_1, ..., u_dmax].
+    kernels[d] holds the coefficients of the degree-d kernel up to index
+    dmax - d at least, and its constant coefficient must be 1, which makes
+    the system triangular: the index-e equation determines u_e from
+    u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
     out: list[Fraction] = []
     for e in range(1, dmax + 1):
         s = Fraction(0)
         for d in range(1, e):
-            s += weights[d] * out[d - 1] * kernels[d].coeffs[e - d]
+            s += weights[d] * out[d - 1] * kernels[d][e - d]
         out.append((base.coeffs[e] - s) / weights[e])
     return out
 

@@ -8,6 +8,16 @@ A series with values in the cohomology ring Q[H]/(H^r) is carried as the
 tuple of its r scalar H-components, one ``DSeries`` per power of H.
 Every operation truncates at dmax and never claims precision beyond it.
 
+Algorithms and their costs in coefficient products, with n = dmax:
+
+* product and inverse: schoolbook convolution and triangular solve, O(n^2);
+* ``exp`` and ``log``: the recurrences from E' = g'E and L' = f'/f
+  (Brent & Kung, J. ACM 1978), O(n^2);
+* ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
+  n-d, O(n^3); ``substitute`` adds O(n^2) to them;
+* ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
+  per coefficient h_m, O(n^3) with its round-trip check.
+
 Values are immutable and all operations are pure functions.
 """
 
@@ -15,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import mul
+from typing import Sequence, Union
 
 from .cohomology import Rational, as_fraction
 
@@ -94,11 +105,7 @@ class DSeries:
         if not isinstance(other, DSeries):
             return NotImplemented
         self._check_shape(other)
-        out = [Fraction(0)] * (self.dmax + 1)
-        for d, a in enumerate(self.coeffs):
-            for e in range(self.dmax + 1 - d):
-                out[d + e] += a * other.coeffs[e]
-        return DSeries(tuple(out), self.step)
+        return DSeries(_convolve(self.coeffs, other.coeffs, self.dmax + 1), self.step)
 
     def __rmul__(self, other: Rational) -> DSeries:
         if isinstance(other, (int, Fraction)):
@@ -127,75 +134,79 @@ class DSeries:
         return DSeries(tuple(out), self.step)
 
     def exp(self) -> DSeries:
-        """Exponential of a series with zero constant coefficient.
-
-        The series has positive q-valuation, so the sum sum_k g^k / k!
-        stops at k = dmax.
-        """
+        """Exponential of a series with zero constant coefficient, by the
+        recurrence n E_n = sum_{k=1..n} k g_k E_{n-k} that E' = g' E gives."""
         if self.coeffs[0] != 0:
             raise ValueError("exp needs constant coefficient 0")
-        acc = term = DSeries.one(self.dmax, self.step)
-        for k in range(1, self.dmax + 1):
-            term = term * self * Fraction(1, k)
-            acc = acc + term
-        return acc
+        return DSeries(_exp_coeffs(self.coeffs, 1, self.dmax + 1), self.step)
 
     def log(self) -> DSeries:
-        """Logarithm of a series with constant coefficient 1."""
-        if self.coeffs[0] != 1:
+        """Logarithm of a series with constant coefficient 1, by the
+        recurrence n L_n = n f_n - sum_{k=1..n-1} k L_k f_{n-k} that
+        L' = f'/f gives."""
+        f = self.coeffs
+        if f[0] != 1:
             raise ValueError("log needs constant coefficient 1")
-        u = self - DSeries.one(self.dmax, self.step)
-        acc = DSeries.zero(self.dmax, self.step)
-        pw = DSeries.one(self.dmax, self.step)
-        for m in range(1, self.dmax + 1):
-            pw = pw * u
-            acc = acc + pw * Fraction((-1) ** (m + 1), m)
-        return acc
+        nl = [Fraction(0)]  # nl[n] = n * L_n
+        for n in range(1, len(f)):
+            nl.append(n * f[n] - sum(map(mul, nl[1:n], f[n - 1:0:-1]), Fraction(0)))
+        return DSeries((Fraction(0),) + tuple(c / n for n, c in enumerate(nl) if n), self.step)
 
-    def exp_powers(self, first: DSeries | None = None) -> list[DSeries]:
-        """[first * exp(d*g) for d = 0..dmax] with g this series and
-        ``first`` defaulting to 1; exp(g) is formed once and the list is
-        built by repeated multiplication."""
-        e1 = self.exp()
-        out = [DSeries.one(self.dmax, self.step) if first is None else first]
-        for _ in range(self.dmax):
-            out.append(out[-1] * e1)
+    def exp_powers(self, first: DSeries | None = None) -> list[tuple[Fraction, ...]]:
+        """Coefficients of first * exp(d*g) for d = 0..dmax, with g this
+        series and ``first`` defaulting to 1.  Entry d stops at index
+        dmax - d, the last one a term Q^d times it reaches.  exp(g) is
+        formed once and each entry is the previous one times it."""
+        if first is None:
+            first = DSeries.one(self.dmax, self.step)
+        self._check_shape(first)
+        e1 = self.exp().coeffs
+        out = [first.coeffs]
+        for d in range(1, self.dmax + 1):
+            out.append(_convolve(out[-1], e1, self.dmax + 1 - d))
         return out
 
     # -- change of variables -------------------------------------------------
 
-    def substitute(self, g: DSeries) -> DSeries:
+    def substitute(self, g: DSeries | Sequence[tuple[Fraction, ...]]) -> DSeries:
         """Apply Q -> Q * exp(g(Q)) where Q = q^step is the index variable.
 
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
-        The exponent g must have zero constant term.
+        The exponent g must have zero constant term.  Several series that
+        share one substitution can pass ``g.exp_powers()`` in place of g,
+        so that the kernels exp(d*g) are built once.
         """
-        if g.dmax != self.dmax or g.step != self.step:
-            raise ValueError("substitution exponent must share dmax and step")
-        if g.coeffs[0] != 0:
-            raise ValueError("substitution exponent must have zero constant term")
+        if isinstance(g, DSeries):
+            if g.dmax != self.dmax or g.step != self.step:
+                raise ValueError("substitution exponent must share dmax and step")
+            if g.coeffs[0] != 0:
+                raise ValueError("substitution exponent must have zero constant term")
+            g = g.exp_powers()
+        if len(g) != self.dmax + 1:
+            raise ValueError("substitution kernels must share dmax")
         out = [Fraction(0)] * (self.dmax + 1)
-        for d, (c, kernel) in enumerate(zip(self.coeffs, g.exp_powers())):
-            for e in range(d, self.dmax + 1):
-                out[e] += c * kernel.coeffs[e - d]
+        for d, (c, kernel) in enumerate(zip(self.coeffs, g)):
+            if c:
+                for e, k in enumerate(kernel, start=d):
+                    out[e] += c * k
         return DSeries(tuple(out), self.step)
 
     def revert_exp(self) -> DSeries:
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
         series g: returns h with Q = Qt * exp(h(Qt)).
 
-        Fixed-point iteration h <- -substitute(g, h) gains one index of
-        agreement per pass, so dmax passes are exact at this truncation.
+        Lagrange-Buermann inversion gives each coefficient on its own:
+        h_m = -(1/m) [Q^{m-1}] g'(Q) exp(-m*g(Q)), which is the last step
+        of the exp recurrence for exp(-m*g), so h_m = [Q^m] exp(-m*g) / m.
         The round trip is verified before returning; a failure would be an
         implementation bug, not a data error.
         """
         g = self
         if g.coeffs[0] != 0:
             raise ValueError("reversion exponent must have zero constant term")
-        h = DSeries.zero(g.dmax, g.step)
-        for _ in range(g.dmax):
-            h = -g.substitute(h)
+        hm = [_exp_coeffs(g.coeffs, -m, m + 1)[m] / m for m in range(1, g.dmax + 1)]
+        h = DSeries((Fraction(0), *hm), g.step)
         if g.dmax >= 1:
             ident = DSeries.monomial(1, g.dmax, g.step)
             if ident.substitute(g).substitute(h) != ident:
@@ -211,3 +222,25 @@ class DSeries:
             if c != 0
         ]
         return " + ".join(parts) if parts else "0"
+
+
+# -- coefficient kernels -------------------------------------------------------
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> tuple[Fraction, ...]:
+    """The first ``length`` coefficients of the product of a and b, which
+    must both reach index length-1."""
+    return tuple(
+        sum(map(mul, a[: j + 1], b[j::-1]), Fraction(0)) for j in range(length)
+    )
+
+
+def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fraction, ...]:
+    """The first ``length`` coefficients of exp(scale * g) for g_0 = 0:
+    n E_n = scale * sum_{k=1..n} k g_k E_{n-k}."""
+    dg = [k * c for k, c in enumerate(g[:length])]
+    e = [Fraction(1)]
+    for n in range(1, length):
+        s = sum(map(mul, dg[1 : n + 1], e[::-1]), Fraction(0))
+        e.append(s * Fraction(scale, n))
+    return tuple(e)

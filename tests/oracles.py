@@ -114,3 +114,57 @@ def bps_numbers(values: list[Fraction]) -> list[Fraction]:
         divisors = [k for k in range(1, d + 1) if d % k == 0]
         out.append(sum(Fraction(mobius(k), k**3) * values[d // k - 1] for k in divisors))
     return out
+
+
+# -- power-summing series kernels ------------------------------------------------
+#
+# The package computes exp/log by their O(n^2) derivative recurrences and
+# reverts a change of variables by Lagrange-Buermann inversion.  These are
+# the textbook definitions they replaced: sums of truncated powers, and a
+# fixed-point iteration that gains one coefficient per pass.
+
+
+def exp_by_powers(g: list[Fraction], r: int) -> list[Fraction]:
+    """exp(g) = sum_k g^k / k!, truncated to r coefficients; g[0] must be 0."""
+    if g[0] != 0:
+        raise ValueError("exp needs constant coefficient 0")
+    out = [Fraction(0)] * r
+    term = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for k in range(1, r + 1):
+        out = [a + b for a, b in zip(out, term)]
+        term = [c / k for c in pmul(term, g, r)]
+    return out
+
+
+def log_by_powers(f: list[Fraction], r: int) -> list[Fraction]:
+    """log(f) = sum_{m>=1} (-1)^(m+1) (f-1)^m / m, truncated to r
+    coefficients; f[0] must be 1."""
+    if f[0] != 1:
+        raise ValueError("log needs constant coefficient 1")
+    u = [Fraction(0)] + list(f[1:r])
+    out = [Fraction(0)] * r
+    for m in range(1, r):
+        out = [a + Fraction((-1) ** (m + 1), m) * b for a, b in zip(out, ppow(u, m, r))]
+    return out
+
+
+def substitute_by_powers(a: list[Fraction], g: list[Fraction], r: int) -> list[Fraction]:
+    """sum_d a_d Q^d exp(g)^d: the series a after Q -> Q exp(g(Q)), with
+    every kernel exp(g)^d formed to full length."""
+    e1 = exp_by_powers(g, r)
+    out = [Fraction(0)] * r
+    kernel = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    for d in range(r):
+        for e in range(d, r):
+            out[e] += a[d] * kernel[e - d]
+        kernel = pmul(kernel, e1, r)
+    return out
+
+
+def revert_by_fixed_point(g: list[Fraction], r: int) -> list[Fraction]:
+    """h with Q = Qt exp(h(Qt)) when Qt = Q exp(g(Q)): iterate
+    h <- -g(Qt exp(h(Qt))), which fixes one more coefficient per pass."""
+    h = [Fraction(0)] * r
+    for _ in range(r - 1):
+        h = [-c for c in substitute_by_powers(g, h, r)]
+    return h

@@ -231,9 +231,22 @@ def test_criterion_8_property_suites():
             kernels.append(kernels[-1] * e1)
         weights = [Fraction(k, 5) for k in range(d + 1)]
         base = f2 - f1 * f1 * f0.inv() * Fraction(1, 2)
-        solved = solve_correction_series(base, kernels, weights)
+        solved = solve_correction_series(base, [k.coeffs for k in kernels], weights)
         rebuilt = f1 * f1 * f0.inv() * Fraction(1, 2)
         for k, u in enumerate(solved, start=1):
             rebuilt = rebuilt + DSeries.monomial(k, d, 5, weights[k] * u) * kernels[k]
         assert rebuilt == f2
     report(8, "property suites, >=100 cases each")
+
+
+def test_criterion_9_crosscheck_dmax_40():
+    # The reversion route costs O(dmax^3) coefficient products; the
+    # fixed-point reversion it replaced was O(dmax^4) and took minutes here.
+    t0 = time.perf_counter()
+    reversion = quintic_crosscheck(40)
+    recursion = quintic_invariants(40)
+    elapsed = time.perf_counter() - t0
+    assert reversion.entries == recursion.entries
+    assert len(recursion.entries) == 40
+    assert elapsed < 5.0, f"took {elapsed:.2f}s"
+    report(9, "quintic cross-check dmax=40 within 5 s")

@@ -145,6 +145,7 @@ def test_unwritable_out_path_is_exit_2(tmp_path):
     r = run("quintic", "--dmax", "1", "--out", str(path))
     assert r.returncode == 2
     assert r.stderr == f"error: cannot write {path}: No such file or directory\n"
+    assert r.stdout == ""  # the path is opened before any work or output
 
 
 def test_closed_stdout_pipe_is_exit_2_without_traceback():

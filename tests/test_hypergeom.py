@@ -24,7 +24,7 @@ def test_ambient_constant_term(d):
     assert ambient_I(4, d).coeffs[0] == Fraction(1, factorial(d) ** 5)
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 4)])
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 4), (2, 30), (4, 30)])
 def test_ambient_matches_oracle(n, d):
     assert list(ambient_I(n, d).coeffs) == ambient_poly(n, d)
 
@@ -44,6 +44,16 @@ def test_hyper_factor_from_zero_cubic():
     got = hyper_factor(3, 1, 0, 3)
     assert list(got.coeffs) == [0, 18, 99]  # frozen from the oracle
     assert list(got.coeffs) == hyper_poly(3, 1, 0, 3)
+
+
+@pytest.mark.parametrize("ring_len", [3, 5])
+@pytest.mark.parametrize("i_from", [0, 1])
+@pytest.mark.parametrize("l", range(1, 6))
+def test_hyper_factor_matches_oracle(l, i_from, ring_len):
+    for d in (0, 1, 2, 7, 30):
+        assert list(hyper_factor(l, d, i_from, ring_len).coeffs) == hyper_poly(
+            l, d, i_from, ring_len
+        )
 
 
 @pytest.mark.parametrize("l,d", [(1, 1), (2, 3), (3, 2), (5, 1)])

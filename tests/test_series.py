@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from gwmirror import CohClass, DSeries, ambient_I, hyper_factor, naive_series
 
-from oracles import lambert_w, naive_coeff
+from oracles import (
+    exp_by_powers,
+    lambert_w,
+    log_by_powers,
+    naive_coeff,
+    pmul,
+    revert_by_fixed_point,
+)
 
 
 def ser(*coeffs, step=1):
@@ -159,12 +166,15 @@ def test_shape_mismatch_rejected():
 
 
 def test_exp_powers():
-    # [exp(d*q)]_k = d^k / k!
-    want = [ser(*(Fraction(d**k, factorial(k)) for k in range(4))) for d in range(4)]
+    # [exp(d*q)]_k = d^k / k!; entry d stops at index dmax - d, the last
+    # one a term q^d times the kernel reaches below the truncation.
+    full = [ser(*(Fraction(d**k, factorial(k)) for k in range(4))) for d in range(4)]
     g = DSeries.monomial(1, 3)
-    assert g.exp_powers() == want
+    assert g.exp_powers() == [w.coeffs[: 4 - d] for d, w in enumerate(full)]
     first = ser(1, 2, 3, 4)
-    assert g.exp_powers(first) == [first * w for w in want]
+    assert g.exp_powers(first) == [(first * w).coeffs[: 4 - d] for d, w in enumerate(full)]
+    with pytest.raises(ValueError, match="shape"):
+        g.exp_powers(ser(1, 2))
 
 
 # -- algebraic properties --------------------------------------------------------
@@ -176,6 +186,12 @@ def series_of(dmax, step=1):
     return st.lists(fracs, min_size=dmax + 1, max_size=dmax + 1).map(
         lambda cs: DSeries(tuple(cs), step)
     )
+
+
+# dmax 0..10 and step 1..5: the kernels must not depend on the step.
+any_series = st.tuples(st.integers(0, 10), st.integers(1, 5)).flatmap(
+    lambda shape: series_of(*shape)
+)
 
 
 @settings(max_examples=120, deadline=None)
@@ -217,3 +233,37 @@ def test_substitution_is_ring_homomorphism(triple):
     a, b, g = triple
     g = with_constant(g, 0)
     assert (a * b).substitute(g) == a.substitute(g) * b.substitute(g)
+
+
+# -- kernels against the power-summing oracles -------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series)
+def test_exp_log_match_power_sums(a):
+    r = a.dmax + 1
+    nil = with_constant(a, 0)
+    assert nil.exp() == DSeries(tuple(exp_by_powers(list(nil.coeffs), r)), a.step)
+    unit = with_constant(a, 1)
+    assert unit.log() == DSeries(tuple(log_by_powers(list(unit.coeffs), r)), a.step)
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_series, fracs)
+def test_exp_powers_match_power_sums(a, c0):
+    r = a.dmax + 1
+    g = with_constant(a, 0)
+    first = with_constant(a, c0)
+    kernels = g.exp_powers(first)
+    assert len(kernels) == r
+    for d, kernel in enumerate(kernels):
+        full = exp_by_powers([d * c for c in g.coeffs], r)
+        assert list(kernel) == pmul(list(first.coeffs), full, r)[: r - d]
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_series)
+def test_revert_exp_matches_fixed_point(a):
+    g = with_constant(a, 0)
+    h = g.revert_exp()
+    assert h == DSeries(tuple(revert_by_fixed_point(list(g.coeffs), g.dmax + 1)), g.step)
