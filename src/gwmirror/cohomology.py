@@ -10,13 +10,21 @@ output and golden files.
 hyperplane class: a dense length-r coefficient vector with H^r == 0
 enforced by every product.  All values are immutable; all operations are
 pure, so instances are safe to share between threads.
+
+Both factors of H^*(P^n)[[q]] are truncated univariate power series, so
+this module also holds the three truncated-polynomial kernels that
+``CohClass``, ``DSeries`` and the twist and lemma products share:
+``_convolve`` (schoolbook product, O(r^2)), ``_inverse`` (triangular
+solve, O(r^2); Brent & Kung, J. ACM 1978) and ``_linear_product``
+(prod (l*H + i), one O(r) shift-add per factor).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import mul
+from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -110,16 +118,7 @@ class CohClass:
         if not isinstance(other, CohClass):
             return NotImplemented
         self._check_same_ring(other)
-        n = self.ring_len
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):  # H^{i+j} with i+j >= n is discarded
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return CohClass(tuple(out))
+        return CohClass(_convolve(self.coeffs, other.coeffs, self.ring_len))
 
     def __rmul__(self, other: Rational) -> CohClass:
         if isinstance(other, (int, Fraction)):
@@ -127,18 +126,8 @@ class CohClass:
         return NotImplemented
 
     def inv(self) -> CohClass:
-        """Multiplicative inverse of a unit, via the geometric series of
-        the nilpotent part: 1/(c(1+u)) = (1/c) * sum_k (-u)^k."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("inverse requires a unit (nonzero H^0 part)")
-        u = self * (1 / c0) - CohClass.one(self.ring_len)
-        acc = CohClass.one(self.ring_len)
-        term = CohClass.one(self.ring_len)
-        for _ in range(self.ring_len - 1):
-            term = -(term * u)
-            acc = acc + term
-        return acc * (1 / c0)
+        """Multiplicative inverse of a unit (nonzero H^0 part)."""
+        return CohClass(_inverse(self.coeffs))
 
     # -- rendering ---------------------------------------------------------
 
@@ -159,3 +148,41 @@ class CohClass:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts) if parts else "0"
+
+
+# -- truncated-polynomial kernels ---------------------------------------------
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> tuple[Fraction, ...]:
+    """The first ``length`` coefficients of the product of a and b, which
+    must both reach index length-1."""
+    return tuple(
+        sum(map(mul, a[: j + 1], b[j::-1]), Fraction(0)) for j in range(length)
+    )
+
+
+def _inverse(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The first len(a) coefficients of 1/a; a_0 must be nonzero.
+
+    Triangular solve: b_0 = 1/a_0, b_m = -b_0 * sum_{k=1..m} a_k b_{m-k}.
+    """
+    if a[0] == 0:
+        raise ZeroDivisionError("inverse requires a unit constant coefficient")
+    b0 = 1 / a[0]
+    out = [b0]
+    for m in range(1, len(a)):
+        out.append(-(b0 * sum(map(mul, a[1 : m + 1], out[::-1]), Fraction(0))))
+    return tuple(out)
+
+
+def _linear_product(ring_len: int, l: Rational, shifts: Iterable[Rational]) -> tuple[Rational, ...]:
+    """Coefficients of prod_{i in shifts} (l*H + i) mod H^ring_len, one
+    shift-add c_k <- i*c_k + l*c_{k-1} per factor; integer data stays
+    integer.  After n factors only c_0..c_n can be nonzero, so the
+    shift-add stops there."""
+    c: list[Rational] = [1] + [0] * (ring_len - 1)
+    for n, i in enumerate(shifts, start=1):
+        for k in range(min(n, ring_len - 1), 0, -1):
+            c[k] = i * c[k] + l * c[k - 1]
+        c[0] *= i
+    return tuple(c)

@@ -13,16 +13,15 @@ ingredients are:
   generating series Y would have if reducible-curve corrections never
   contributed, returned as its n+1 scalar H-components.
 
-Both products are formed on integer coefficient lists, O(r) integer
-operations per linear factor in a ring of length r, and become one
-``CohClass`` at the end; ``ambient_I`` then inverts once in Q[H]/(H^r).
+Both products are formed by ``cohomology._linear_product`` on integer
+coefficient lists, O(r) integer operations per linear factor in a ring
+of length r, and become one ``CohClass`` at the end; ``ambient_I`` then
+inverts once in Q[H]/(H^r) by the O(r^2) triangular solve.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .cohomology import CohClass
+from .cohomology import CohClass, _linear_product
 from .series import DSeries
 
 
@@ -46,17 +45,6 @@ def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
     if i_from not in (0, 1):
         raise ValueError("i_from must be 0 or 1")
     return CohClass(_linear_product(ring_len, l, range(i_from, l * d + 1)))
-
-
-def _linear_product(ring_len: int, l: int, shifts: Iterable[int]) -> tuple[int, ...]:
-    """Integer coefficients of prod_{i in shifts} (l*H + i) mod H^ring_len,
-    one shift-add c_k <- i*c_k + l*c_{k-1} per factor."""
-    c = [1] + [0] * (ring_len - 1)
-    for i in shifts:
-        for k in range(ring_len - 1, 0, -1):
-            c[k] = i * c[k] + l * c[k - 1]
-        c[0] *= i
-    return tuple(c)
 
 
 def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, ...]:

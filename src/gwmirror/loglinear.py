@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .cohomology import as_fraction
+from .cohomology import _linear_product, as_fraction
 from .multipoly import MultiPoly
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
@@ -106,20 +106,14 @@ def _multi_indices(nvars: int, total_max: int):
             yield (head,) + tail
 
 
-def _linear_product(constants: list[Fraction], with_z: bool) -> dict[tuple[int, int], Fraction]:
+def _tz_product(constants: list[Fraction], with_z: bool) -> dict[tuple[int, int], Fraction]:
     """Expand prod_j (constants[j] + t [+ z]) as {(t_exp, z_exp): coeff}.
 
-    Collects in s = t (+ z) first, then splits s^m binomially.
+    Collects in s = t (+ z) first, with no truncation, then splits s^m
+    binomially.
     """
-    s_coeffs = [Fraction(1)]
-    for cj in constants:
-        nxt = [Fraction(0)] * (len(s_coeffs) + 1)
-        for m, w in enumerate(s_coeffs):
-            nxt[m] += w * cj
-            nxt[m + 1] += w
-        s_coeffs = nxt
     out: dict[tuple[int, int], Fraction] = {}
-    for m, w in enumerate(s_coeffs):
+    for m, w in enumerate(_linear_product(len(constants) + 1, 1, constants)):
         if w == 0:
             continue
         if with_z:
@@ -140,7 +134,7 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
         coef = Fraction(1)
         for ki in k:
             coef /= factorial(ki)
-        tz = _linear_product([ck - i for i in range(bk)], with_z=True)
+        tz = _tz_product([ck - i for i in range(bk)], with_z=True)
         for (te, ze), w in tz.items():
             key = k + (te + ak, ze)
             terms[key] = terms.get(key, Fraction(0)) + coef * w
@@ -161,7 +155,7 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
             ck = sum((c * ki for c, ki in zip(cfg.cs, k)), Fraction(0))
             tz = {
                 (te + 1, 0): w  # overall factor t
-                for (te, _), w in _linear_product(
+                for (te, _), w in _tz_product(
                     [ck - i for i in range(1, s)], with_z=False
                 ).items()
             }

@@ -22,6 +22,9 @@ each F_k a scalar q-series:
   coefficients ARE the invariants of Y.
 
 All recursions are solved strictly order by order in exact arithmetic.
+The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) is formed directly
+by the integer kernel ``cohomology._linear_product`` that ``hyper_factor``
+also uses.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CohClass
+from .cohomology import CohClass, _linear_product
 from .hypergeom import ambient_I, hyper_factor, naive_series
 from .series import DSeries
 
@@ -182,14 +185,12 @@ def localp2_f(dmax: int) -> MirrorData:
     """F_1, F_2 of the plane-cubic series
     sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d},
     with weights w_d = 1."""
-    h3 = CohClass.hyperplane(CUBIC_RING) * 3
-    # The twist product stops at 3d-1, so the last factor (3H + 3d) of
-    # hyper_factor is divided out: the final multiplicity step is the
-    # invariant being defined, not a factor of the series.
+    # The twist product prod_{i=0}^{3d-1}(3H+i) = 3H prod_{i=1}^{3d-1}(3H+i)
+    # stops one factor short of hyper_factor(3, d, 0, 3): the final
+    # multiplicity step is the invariant being defined, not a factor of
+    # the series.
     classes = [
-        hyper_factor(3, d, 0, CUBIC_RING)
-        * (h3 + CohClass.scalar(3 * d, CUBIC_RING)).inv()
-        * ambient_I(2, d)
+        CohClass(_linear_product(CUBIC_RING, 3, range(3 * d))) * ambient_I(2, d)
         for d in range(1, dmax + 1)
     ]
     f1, f2 = (

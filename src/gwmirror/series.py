@@ -10,13 +10,15 @@ Every operation truncates at dmax and never claims precision beyond it.
 
 Algorithms and their costs in coefficient products, with n = dmax:
 
-* product and inverse: schoolbook convolution and triangular solve, O(n^2);
+* product and inverse: the schoolbook convolution and triangular solve
+  that ``CohClass`` shares (``cohomology._convolve``/``_inverse``), O(n^2);
 * ``exp`` and ``log``: the recurrences from E' = g'E and L' = f'/f
   (Brent & Kung, J. ACM 1978), O(n^2);
 * ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
   n-d, O(n^3); ``substitute`` adds O(n^2) to them;
 * ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
-  per coefficient h_m, O(n^3) with its round-trip check.
+  per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
+  one ``substitute``.
 
 Values are immutable and all operations are pure functions.
 """
@@ -28,7 +30,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .cohomology import Rational, as_fraction
+from .cohomology import Rational, _convolve, _inverse, as_fraction
 
 
 @dataclass(frozen=True)
@@ -118,20 +120,8 @@ class DSeries:
         return self * other.inv()
 
     def inv(self) -> DSeries:
-        """Multiplicative inverse; the constant coefficient must be nonzero.
-
-        Standard recurrence: b_0 = 1/a_0, b_m = -b_0 * sum_{k>=1} a_k b_{m-k}.
-        """
-        if self.coeffs[0] == 0:
-            raise ZeroDivisionError("inverse requires a unit constant coefficient")
-        b0 = 1 / self.coeffs[0]
-        out = [b0]
-        for m in range(1, self.dmax + 1):
-            s = self.coeffs[1] * out[m - 1]
-            for k in range(2, m + 1):
-                s += self.coeffs[k] * out[m - k]
-            out.append(-(b0 * s))
-        return DSeries(tuple(out), self.step)
+        """Multiplicative inverse; the constant coefficient must be nonzero."""
+        return DSeries(_inverse(self.coeffs), self.step)
 
     def exp(self) -> DSeries:
         """Exponential of a series with zero constant coefficient, by the
@@ -199,8 +189,9 @@ class DSeries:
         Lagrange-Buermann inversion gives each coefficient on its own:
         h_m = -(1/m) [Q^{m-1}] g'(Q) exp(-m*g(Q)), which is the last step
         of the exp recurrence for exp(-m*g), so h_m = [Q^m] exp(-m*g) / m.
-        The round trip is verified before returning; a failure would be an
-        implementation bug, not a data error.
+        The round trip is verified before returning: Q exp(g), which is
+        Q -> Q exp(g) applied to Q, must go back to Q under h.  A failure
+        would be an implementation bug, not a data error.
         """
         g = self
         if g.coeffs[0] != 0:
@@ -209,7 +200,8 @@ class DSeries:
         h = DSeries((Fraction(0), *hm), g.step)
         if g.dmax >= 1:
             ident = DSeries.monomial(1, g.dmax, g.step)
-            if ident.substitute(g).substitute(h) != ident:
+            q_exp_g = DSeries((Fraction(0),) + g.exp().coeffs[:-1], g.step)
+            if q_exp_g.substitute(h) != ident:
                 raise RuntimeError(
                     "series reversion failed its round-trip check (internal bug)"
                 )
@@ -224,15 +216,7 @@ class DSeries:
         return " + ".join(parts) if parts else "0"
 
 
-# -- coefficient kernels -------------------------------------------------------
-
-
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> tuple[Fraction, ...]:
-    """The first ``length`` coefficients of the product of a and b, which
-    must both reach index length-1."""
-    return tuple(
-        sum(map(mul, a[: j + 1], b[j::-1]), Fraction(0)) for j in range(length)
-    )
+# -- the exp recurrence --------------------------------------------------------
 
 
 def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fraction, ...]:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import CohClass
+from gwmirror.cohomology import _linear_product
 
-from oracles import linear, pinv, ppow
+from oracles import linear, pinv, pmul, ppow
 
 
 def coh(*coeffs):
@@ -116,3 +117,22 @@ def test_operations_keep_fractions_normalized(pair):
     for c in (a * b).coeffs + (a + b).coeffs:
         assert c.denominator > 0
         assert Fraction(c.numerator, c.denominator) == c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(coh_elems), fracs.filter(lambda f: f != 0))
+def test_inv_matches_long_division(a, unit):
+    coeffs = (unit,) + a.coeffs[1:]
+    assert list(CohClass(coeffs).inv().coeffs) == pinv(list(coeffs), a.ring_len)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(fracs, max_size=8))
+def test_linear_product_untruncated(shifts):
+    # The log-linearity builders' use: rational shifts, l = 1 and a ring
+    # long enough that nothing is cut off.
+    r = len(shifts) + 1
+    expected = linear(1, 0, r)
+    for c in shifts:
+        expected = pmul(expected, linear(c, 1, r), r)
+    assert list(_linear_product(r, 1, shifts)) == expected

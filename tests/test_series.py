@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import CohClass, DSeries, ambient_I, hyper_factor, naive_series
+from gwmirror import series as series_mod
 
 from oracles import (
     exp_by_powers,
@@ -128,6 +129,21 @@ def test_revert_against_lambert_series():
     h = g.revert_exp()
     w = DSeries.monomial(1, dmax) * h.exp()
     assert w == DSeries(tuple(lambert_w(dmax)), 1)
+
+
+def test_revert_self_check_fires(monkeypatch):
+    # Only the Lagrange step calls the exp recurrence with a negative scale;
+    # the check's own exp and substitution use scale 1.  Spoiling the last
+    # coefficient there makes every h_m wrong, and the round trip must say so.
+    original = series_mod._exp_coeffs
+
+    def spoiled(g, scale, length):
+        e = original(g, scale, length)
+        return e if scale > 0 else e[:-1] + (e[-1] + 1,)
+
+    monkeypatch.setattr(series_mod, "_exp_coeffs", spoiled)
+    with pytest.raises(RuntimeError, match="round-trip"):
+        ser(0, 1, 2, 3).revert_exp()
 
 
 # -- H-components and shape ------------------------------------------------------
