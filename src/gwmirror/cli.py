@@ -16,7 +16,7 @@ import os
 import random
 import sys
 
-from .loglinear import check_a1, check_a2, check_closed_forms, sample_config
+from .loglinear import check_a1, check_a2, check_closed_forms, p_term_bound, sample_config
 from .mirror import (
     localp2_invariants,
     localp2_kd,
@@ -26,6 +26,15 @@ from .mirror import (
 )
 
 FORMATS = ("pretty", "json", "csv")
+
+# Lemma shapes above these are refused before any work.  A trial's cost
+# grows with the term count of P: at the ceiling the slowest admitted
+# shape, --vars 2 --xdeg 15 with every (a_i, b_i) = (0, 1), takes about
+# 5 s a trial (x86, Python 3.11), and --vars 3 --xdeg 4 about 0.03 s.
+# Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
+# the exponent vectors (vars + 2 entries per term) set the cost instead.
+LEMMA_MAX_TERMS = 10_000
+LEMMA_MAX_VARS = 64
 
 
 def _positive(name: str):
@@ -268,8 +277,18 @@ def _check_usage(args, parser) -> None:
                 f"--degree must be at most ambient-1={n - 1}: only degrees up to "
                 "n-1 are correction-free"
             )
-    if args.command == "lemma" and args.vars < 0:
-        parser.error("--vars must be >= 0")
+    if args.command == "lemma":
+        if args.vars < 0:
+            parser.error("--vars must be >= 0")
+        if args.vars > LEMMA_MAX_VARS:
+            parser.error(f"--vars must be at most {LEMMA_MAX_VARS}")
+        # Every x-degree adds at least one term, so the sum may stop at the
+        # ceiling; a huge --xdeg costs nothing to refuse.
+        if p_term_bound(args.vars, min(args.xdeg, LEMMA_MAX_TERMS)) > LEMMA_MAX_TERMS:
+            parser.error(
+                f"--vars {args.vars} --xdeg {args.xdeg} allows more than "
+                f"{LEMMA_MAX_TERMS} terms per series"
+            )
 
 
 _RUN = {

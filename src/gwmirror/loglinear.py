@@ -21,6 +21,11 @@ and not just their logs.
 The c_i are sampled as exact rationals rather than carried as formal
 variables; many sampled instances give the same assurance at a fraction
 of the cost, and the checks stay exact for every sample.
+
+The builders expand each product over i on integer numerators
+(``_shifted_product``) and make one Fraction per output term;
+``p_term_bound`` gives the worst-case term count of P for a shape
+without building it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .cohomology import _linear_product, as_fraction
 from .multipoly import MultiPoly
@@ -94,6 +100,20 @@ def sample_config(
     return LemmaConfig(pairs, cs, xdeg_max, seed)
 
 
+def p_term_bound(nvars: int, xdeg_max: int) -> int:
+    """Worst-case term count of P, computed without building anything.
+
+    A multi-index k with sum(k) = s has a.k + b.k <= s, so its factor is a
+    polynomial in t, z of total degree at most s: at most (s+1)(s+2)/2
+    terms, over the C(s+nvars-1, nvars-1) multi-indices of that total.
+    """
+    if nvars == 0:
+        return 1
+    return sum(
+        comb(s + nvars - 1, nvars - 1) * (s + 1) * (s + 2) // 2 for s in range(xdeg_max + 1)
+    )
+
+
 # -- series builders -----------------------------------------------------------
 
 
@@ -106,62 +126,59 @@ def _multi_indices(nvars: int, total_max: int):
             yield (head,) + tail
 
 
-def _tz_product(constants: list[Fraction], with_z: bool) -> dict[tuple[int, int], Fraction]:
-    """Expand prod_j (constants[j] + t [+ z]) as {(t_exp, z_exp): coeff}.
+def _shifted_product(ck: Fraction, shifts: range) -> tuple[tuple[int, ...], int]:
+    """prod_{i in shifts} (ck - i + s) as integers (w, den) with
+    sum_m w[m] s^m / den the product.
 
-    Collects in s = t (+ z) first, with no truncation, then splits s^m
-    binomially.
+    With ck = N/D, each factor is (D s + N - i D)/D, so the integer kernel
+    runs on the numerators N - i D with l = D and den = D^len(shifts).
     """
-    out: dict[tuple[int, int], Fraction] = {}
-    for m, w in enumerate(_linear_product(len(constants) + 1, 1, constants)):
-        if w == 0:
-            continue
-        if with_z:
-            for j in range(m + 1):
-                out[(j, m - j)] = out.get((j, m - j), Fraction(0)) + w * comb(m, j)
-        else:
-            out[(m, 0)] = out.get((m, 0), Fraction(0)) + w
-    return out
+    num, den = ck.numerator, ck.denominator
+    w = _linear_product(len(shifts) + 1, den, [num - i * den for i in shifts])
+    return w, den ** len(shifts)
+
+
+def _indexed(cfg: LemmaConfig):
+    """Each multi-index k with sum(k) <= xdeg_max, with c.k and prod_i k_i!;
+    c.k is summed on integer numerators over the common denominator."""
+    cden = lcm(*(c.denominator for c in cfg.cs))
+    cnum = [c.numerator * (cden // c.denominator) for c in cfg.cs]
+    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
+        yield k, Fraction(sum(map(mul, cnum, k)), cden), prod(map(factorial, k))
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:
-    """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max."""
+    """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
+
+    The product over i is collected in s = t + z on integer numerators;
+    s^m splits binomially, and each output term is one Fraction.
+    """
     terms: dict[tuple[int, ...], Fraction] = {}
-    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
+    for k, ck, kfact in _indexed(cfg):
         ak = sum(a * ki for (a, _), ki in zip(cfg.pairs, k))
         bk = sum(b * ki for (_, b), ki in zip(cfg.pairs, k))
-        ck = sum((c * ki for c, ki in zip(cfg.cs, k)), Fraction(0))
-        coef = Fraction(1)
-        for ki in k:
-            coef /= factorial(ki)
-        tz = _tz_product([ck - i for i in range(bk)], with_z=True)
-        for (te, ze), w in tz.items():
-            key = k + (te + ak, ze)
-            terms[key] = terms.get(key, Fraction(0)) + coef * w
+        w, den = _shifted_product(ck, range(bk))
+        den *= kfact
+        for m, wm in enumerate(w):
+            if wm:
+                for j in range(m + 1):
+                    terms[k + (j + ak, m - j)] = Fraction(wm * comb(m, j), den)
     return MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
     terms: dict[tuple[int, ...], Fraction] = {}
-    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
+    for k, ck, kfact in _indexed(cfg):
         s = sum(k)
-        coef = Fraction(1)
-        for ki in k:
-            coef /= factorial(ki)
         if s == 0:
-            tz = {(0, 0): Fraction(1)}
-        else:
-            ck = sum((c * ki for c, ki in zip(cfg.cs, k)), Fraction(0))
-            tz = {
-                (te + 1, 0): w  # overall factor t
-                for (te, _), w in _tz_product(
-                    [ck - i for i in range(1, s)], with_z=False
-                ).items()
-            }
-        for (te, ze), w in tz.items():
-            key = k + (te, ze)
-            terms[key] = terms.get(key, Fraction(0)) + coef * w
+            terms[k + (0, 0)] = Fraction(1)
+            continue
+        w, den = _shifted_product(ck, range(1, s))
+        den *= kfact
+        for m, wm in enumerate(w):
+            if wm:
+                terms[k + (m + 1, 0)] = Fraction(wm, den)  # overall factor t
     return MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
 
 

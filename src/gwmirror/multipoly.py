@@ -10,7 +10,21 @@ E.g. with two variables, 3*x1^2*t - z/2 is
 ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1): Fraction(-1, 2)}``.
 
 Instances are treated as immutable; do not mutate ``terms`` after
-construction.
+construction.  The public constructor validates keys and coefficients;
+the results of operations on valid polynomials go through the private
+``_from_terms``, which only drops zero coefficients.
+
+``log`` and ``exp`` solve the Euler-operator recurrences degree by degree
+on the x-degree-homogeneous blocks, with theta = sum_i x_i d/dx_i, which
+multiplies a block of x-degree n by n (Brent & Kung, J. ACM 1978):
+
+    log: theta L = theta P / P  gives  n L_n = n P_n - sum_{k<n} (k L_k) P_{n-k}
+    exp: theta E = E theta g    gives  n E_n = sum_{k=1..n} (k g_k) E_{n-k}
+
+Once block k is known it is multiplied by the fixed factor (P - 1, resp.
+theta g) in one ``__mul__``, which adds its share to every later degree,
+so a log or exp costs xdeg_max - 1 products of one block by one
+polynomial, not xdeg_max products of full powers.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Union
 
 from .cohomology import Rational, as_fraction
@@ -51,6 +66,16 @@ class MultiPoly:
             if c != 0:
                 clean[key] = c
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _from_terms(cls, nvars: int, xdeg_max: int, terms: Mapping[Key, Fraction]) -> MultiPoly:
+        """Result of an operation on valid polynomials: keys are already
+        in range and coefficients are Fractions, so only zeros are dropped."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "xdeg_max", xdeg_max)
+        object.__setattr__(poly, "terms", {k: c for k, c in terms.items() if c})
+        return poly
 
     # -- constructors --------------------------------------------------------
 
@@ -111,7 +136,7 @@ class MultiPoly:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly(self.nvars, self.xdeg_max, out)
+        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
 
     __radd__ = __add__
 
@@ -119,14 +144,14 @@ class MultiPoly:
         return self + (-other if isinstance(other, MultiPoly) else -as_fraction(other))
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(
+        return MultiPoly._from_terms(
             self.nvars, self.xdeg_max, {k: -c for k, c in self.terms.items()}
         )
 
     def __mul__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             f = as_fraction(other)
-            return MultiPoly(
+            return MultiPoly._from_terms(
                 self.nvars, self.xdeg_max, {k: c * f for k, c in self.terms.items()}
             )
         if not isinstance(other, MultiPoly):
@@ -139,16 +164,19 @@ class MultiPoly:
         by_deg_b: dict[int, list] = defaultdict(list)
         for key, c in other.terms.items():
             by_deg_b[_xdeg(key)].append((key, c))
-        out: dict[Key, Fraction] = defaultdict(Fraction)
+        out: dict[Key, Fraction] = {}
         for da, items_a in by_deg_a.items():
             for db, items_b in by_deg_b.items():
                 if da + db > self.xdeg_max:
                     continue
                 for ka, ca in items_a:
                     for kb, cb in items_b:
-                        key = tuple(a + b for a, b in zip(ka, kb))
-                        out[key] += ca * cb
-        return MultiPoly(self.nvars, self.xdeg_max, out)
+                        key = tuple(map(add, ka, kb))
+                        if key in out:
+                            out[key] += ca * cb
+                        else:
+                            out[key] = ca * cb
+        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
 
     __rmul__ = __mul__
 
@@ -171,36 +199,76 @@ class MultiPoly:
                 continue
             nk = key[:pos] + (e - 1,) + key[pos + 1 :]
             out[nk] = out.get(nk, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, self.xdeg_max, out)
+        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
+
+    def _blocks(self) -> list[dict[Key, Fraction]]:
+        """The terms split by x-degree: entry n holds the block of degree n."""
+        blocks: list[dict[Key, Fraction]] = [{} for _ in range(self.xdeg_max + 1)]
+        for key, c in self.terms.items():
+            blocks[_xdeg(key)][key] = c
+        return blocks
+
+    def _add_product(self, block: dict[Key, Fraction], acc: list[dict[Key, Fraction]]) -> None:
+        """acc[n] += the degree-n part of block * self, for every n."""
+        product = MultiPoly._from_terms(self.nvars, self.xdeg_max, block) * self
+        for key, c in product.terms.items():
+            into = acc[_xdeg(key)]
+            if key in into:
+                into[key] += c
+            else:
+                into[key] = c
 
     def log(self) -> MultiPoly:
         """log of a polynomial whose x-degree-0 part is exactly 1.
 
-        With u = self - 1 of positive x-degree, the series
-        sum_m (-1)^{m+1} u^m / m terminates at m = xdeg_max.
+        Solves n L_n = n P_n - sum_{k<n} (k L_k) P_{n-k} for the blocks
+        L_n; acc[n] collects the sum as each k L_k is multiplied by P - 1.
         """
         one_key = (0,) * (self.nvars + 2)
-        x0 = {k: c for k, c in self.terms.items() if _xdeg(k) == 0}
-        if x0 != {one_key: Fraction(1)}:
+        if self.terms.get(one_key) != 1 or any(
+            _xdeg(k) == 0 for k in self.terms if k != one_key
+        ):
             raise ValueError("log requires constant term exactly 1")
-        u = self - 1
-        acc = MultiPoly.zero(self.nvars, self.xdeg_max)
-        pw = MultiPoly.one(self.nvars, self.xdeg_max)
-        for m in range(1, self.xdeg_max + 1):
-            pw = pw * u
-            acc = acc + pw * Fraction((-1) ** (m + 1), m)
-        return acc
+        u = MultiPoly._from_terms(
+            self.nvars, self.xdeg_max, {k: c for k, c in self.terms.items() if k != one_key}
+        )
+        if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
+            return u
+        blocks = u._blocks()
+        acc: list[dict[Key, Fraction]] = [{} for _ in blocks]
+        out: dict[Key, Fraction] = {}
+        for n in range(1, self.xdeg_max + 1):
+            theta_l = {k: n * c for k, c in blocks[n].items()}
+            for k, c in acc[n].items():
+                theta_l[k] = theta_l[k] - c if k in theta_l else -c
+            for k, c in theta_l.items():
+                out[k] = c / n
+            if n < self.xdeg_max:
+                u._add_product(theta_l, acc)
+        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
 
     def exp(self) -> MultiPoly:
-        """exp of a polynomial all of whose terms have positive x-degree."""
+        """exp of a polynomial all of whose terms have positive x-degree.
+
+        Solves n E_n = sum_{k=1..n} (k g_k) E_{n-k} for the blocks E_n;
+        acc[n] collects the sum, starting from E_0 theta g = theta g, as
+        each later E_k is multiplied by theta g.
+        """
         if any(_xdeg(k) == 0 for k in self.terms):
             raise ValueError("exp requires every term to have positive x-degree")
-        acc = MultiPoly.one(self.nvars, self.xdeg_max)
-        pw = MultiPoly.one(self.nvars, self.xdeg_max)
-        for m in range(1, self.xdeg_max + 1):
-            pw = pw * self * Fraction(1, m)
-            acc = acc + pw
-        return acc
+        if self.is_zero:  # exp 0 = 1, with no loop over xdeg_max
+            return MultiPoly.one(self.nvars, self.xdeg_max)
+        theta_g = MultiPoly._from_terms(
+            self.nvars, self.xdeg_max, {k: _xdeg(k) * c for k, c in self.terms.items()}
+        )
+        acc = theta_g._blocks()
+        out = {(0,) * (self.nvars + 2): Fraction(1)}
+        for n in range(1, self.xdeg_max + 1):
+            block = {k: c / n for k, c in acc[n].items()}
+            out.update(block)
+            if n < self.xdeg_max:
+                theta_g._add_product(block, acc)
+        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
 
     # -- rendering --------------------------------------------------------------
 

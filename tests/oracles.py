@@ -168,3 +168,59 @@ def revert_by_fixed_point(g: list[Fraction], r: int) -> list[Fraction]:
     for _ in range(r - 1):
         h = [-c for c in substitute_by_powers(g, h, r)]
     return h
+
+
+# -- power-summing truncated polynomials in x_1..x_v, t, z -------------------------
+#
+# A polynomial is a plain dict {(k_1..k_v, t_exp, z_exp): Fraction}; terms of
+# total x-degree above xdeg_max are dropped.  ``MultiPoly.log``/``exp`` solve
+# the Euler-operator recurrences on x-degree blocks; these are the sums of
+# truncated powers they replaced.
+
+
+def mp_mul(a: dict, b: dict, xdeg_max: int) -> dict:
+    """Schoolbook product, truncated in x-degree, zero terms dropped."""
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(i + j for i, j in zip(ka, kb))
+            if sum(key[:-2]) <= xdeg_max:
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def mp_add(a: dict, b: dict, scale: Fraction) -> dict:
+    """a + scale * b, zero terms dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, Fraction(0)) + scale * c
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def mp_log_by_powers(p: dict, nvars: int, xdeg_max: int) -> dict:
+    """log p = sum_{m=1..xdeg_max} (-1)^(m+1) u^m / m with u = p - 1; the
+    x-degree-0 part of p must be exactly 1."""
+    one = (0,) * (nvars + 2)
+    if {k: c for k, c in p.items() if sum(k[:-2]) == 0} != {one: 1}:
+        raise ValueError("log needs x-degree-0 part 1")
+    u = {k: c for k, c in p.items() if k != one}
+    out: dict = {}
+    power = {one: Fraction(1)}
+    for m in range(1, xdeg_max + 1):
+        power = mp_mul(power, u, xdeg_max)
+        out = mp_add(out, power, Fraction((-1) ** (m + 1), m))
+    return out
+
+
+def mp_exp_by_powers(g: dict, nvars: int, xdeg_max: int) -> dict:
+    """exp g = sum_{m=0..xdeg_max} g^m / m!; every term of g must have
+    positive x-degree."""
+    if any(sum(k[:-2]) == 0 for k in g):
+        raise ValueError("exp needs positive x-degree")
+    one = (0,) * (nvars + 2)
+    out = {one: Fraction(1)}
+    power = {one: Fraction(1)}
+    for m in range(1, xdeg_max + 1):
+        power = mp_mul(power, g, xdeg_max)
+        out = mp_add(out, power, Fraction(1, factorial(m)))
+    return out

@@ -123,12 +123,29 @@ def test_lemma_no_variables():
     assert r.returncode == 0
     # with no variables every c vector is trivially zero: closed forms run too
     assert "closed-form PASS" in r.stdout
+    # P = Q = 1 has one term at any --xdeg, so the shape bound admits it
+    # and the run must not loop over the x-degrees
+    r = run("lemma", "a2", "--vars", "0", "--xdeg", "1000000000", "--trials", "1", timeout=10)
+    assert r.returncode == 0
+    assert r.stdout.endswith("closed-form PASS\n")
 
 
 def test_lemma_rejects_bad_flags():
     assert run("lemma", "a1", "--vars", "-1").returncode == 2
     assert run("lemma", "a1", "--trials", "0").returncode == 2
     assert run("lemma", "a3").returncode == 2
+
+
+def test_lemma_refuses_oversized_shapes_before_any_work(tmp_path):
+    out = tmp_path / "lemma.txt"
+    r = run("lemma", "a1", "--vars", "40", "--xdeg", "40", "--out", str(out), timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "more than 10000 terms" in r.stderr
+    assert not out.exists()
+    assert run("lemma", "a2", "--vars", "65", "--xdeg", "1", timeout=10).returncode == 2
+    # the largest --xdeg costs nothing to refuse
+    assert run("lemma", "a1", "--xdeg", "10" + "0" * 30, timeout=10).returncode == 2
 
 
 # -- shared output contracts ---------------------------------------------------------

@@ -1,8 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gwmirror import (
     LemmaConfig,
@@ -12,17 +16,78 @@ from gwmirror import (
     check_a1,
     check_a2,
     check_closed_forms,
+    loglinear,
     sample_config,
 )
+from gwmirror.loglinear import ALLOWED_PAIRS
 
 
-def expand_tz(factors, nvars, xdeg):
-    """Independent expansion of prod (const + t + z) by repeated distribution."""
+def expand_tz(factors, nvars, xdeg, with_z=True):
+    """Independent expansion of prod (const + t [+ z]) by repeated distribution."""
     acc = MultiPoly.one(nvars, xdeg)
-    s = MultiPoly.t(nvars, xdeg) + MultiPoly.z(nvars, xdeg)
+    s = MultiPoly.t(nvars, xdeg)
+    if with_z:
+        s = s + MultiPoly.z(nvars, xdeg)
     for c in factors:
         acc = acc * (s + MultiPoly.const(c, nvars, xdeg))
     return acc
+
+
+def multi_indices(nvars, total_max):
+    return [
+        k for k in itertools.product(range(total_max + 1), repeat=nvars) if sum(k) <= total_max
+    ]
+
+
+def brute_force_p(cfg):
+    """sum_k x^k/k! t^{a.k} prod_{i<b.k} (c.k + z + t - i), one MultiPoly
+    linear factor at a time."""
+    v, xd = cfg.nvars, cfg.xdeg_max
+    total = MultiPoly.zero(v, xd)
+    for k in multi_indices(v, xd):
+        ak = sum(a * ki for (a, _), ki in zip(cfg.pairs, k))
+        bk = sum(b * ki for (_, b), ki in zip(cfg.pairs, k))
+        ck = sum((c * ki for c, ki in zip(cfg.cs, k)), Fraction(0))
+        kfact = math.prod(factorial(ki) for ki in k)
+        head = MultiPoly(v, xd, {k + (ak, 0): Fraction(1, kfact)})
+        total = total + head * expand_tz([ck - i for i in range(bk)], v, xd)
+    return total
+
+
+def brute_force_q(cfg):
+    """sum_k x^k/k! t prod_{i=1}^{sum(k)-1} (c.k + t - i), with 1 at k = 0."""
+    v, xd = cfg.nvars, cfg.xdeg_max
+    total = MultiPoly.one(v, xd)
+    for k in multi_indices(v, xd):
+        s = sum(k)
+        if s == 0:
+            continue
+        ck = sum((c * ki for c, ki in zip(cfg.cs, k)), Fraction(0))
+        kfact = math.prod(factorial(ki) for ki in k)
+        head = MultiPoly(v, xd, {k + (1, 0): Fraction(1, kfact)})
+        total = total + head * expand_tz([ck - i for i in range(1, s)], v, xd, with_z=False)
+    return total
+
+
+lemma_configs = st.integers(0, 3).flatmap(
+    lambda v: st.builds(
+        LemmaConfig,
+        st.lists(st.sampled_from(ALLOWED_PAIRS), min_size=v, max_size=v).map(tuple),
+        st.lists(st.fractions(-9, 9, max_denominator=9), min_size=v, max_size=v).map(tuple),
+        st.integers(0, 4),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lemma_configs)
+@example(LemmaConfig(((0, 1), (0, 1)), (Fraction(-7, 9), Fraction(5, 6)), 4))  # non-integer c
+@example(LemmaConfig(((0, 1), (0, 0)), (Fraction(-3), Fraction(8, 9)), 3))  # negative c
+@example(LemmaConfig(((1, 0), (0, 0)), (Fraction(4, 7), Fraction(-2, 3)), 4))  # b.k = 0
+@example(LemmaConfig(((0, 1), (1, 0), (0, 0)), (Fraction(0),) * 3, 4))  # c = 0
+def test_builders_match_brute_force_expansion(cfg):
+    assert build_p(cfg).terms == brute_force_p(cfg).terms
+    assert build_q(cfg).terms == brute_force_q(cfg).terms
 
 
 # -- build_p -----------------------------------------------------------------
@@ -224,6 +289,19 @@ def test_report_line_format():
     cfg = LemmaConfig(((1, 0),), (Fraction(2, 3),), 3, seed=5)
     line = check_a1(cfg).line(trial=2)
     assert line == "trial=2 seed=5 xdeg=3 pairs=(1,0) c=2/3 a1 PASS"
+
+
+def test_a1_fails_on_a_non_affine_term(monkeypatch):
+    # an x1^2 t^2 term in P puts 2/3 x1^2 into d2/dt2 ln P; a log that
+    # assumed the affine shape of ln P would hide it
+    cfg = LemmaConfig(((0, 1),), (Fraction(2),), 2)
+    honest = loglinear.build_p
+    bad = MultiPoly(1, 2, {(2, 2, 0): Fraction(1, 3)})
+    monkeypatch.setattr(loglinear, "build_p", lambda c: honest(c) + bad)
+    report = check_a1(cfg)
+    assert not report.passed
+    assert report.offending == "d2t(lnP) = 2/3 * x1^2"
+    assert report.line(trial=1).endswith("a1 FAIL d2t(lnP) = 2/3 * x1^2")
 
 
 def test_failing_report_names_offending_term():

@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwmirror import MultiPoly
+
+from oracles import mp_exp_by_powers, mp_log_by_powers
 
 
 def test_truncation_drops_high_x_degree():
@@ -117,3 +121,45 @@ def test_term_rendering():
     z = MultiPoly.z(2, 4)
     p = x * x * y * t * t * z * Fraction(-3, 2)
     assert p.leading_term_str() == "-3/2 * x1^2*x2*t^2*z"
+
+
+# -- log and exp against the power sums they replaced ----------------------------
+
+
+@st.composite
+def positive_degree_terms(draw):
+    """(nvars, xdeg_max, terms) with every term of x-degree 1..xdeg_max."""
+    nvars = draw(st.integers(0, 3))
+    xdeg = draw(st.integers(0, 6))
+    terms = {}
+    if nvars and xdeg:
+        for _ in range(draw(st.integers(0, 5))):
+            degree = draw(st.integers(1, xdeg))
+            x = [0] * nvars
+            for _ in range(degree):
+                x[draw(st.integers(0, nvars - 1))] += 1
+            key = tuple(x) + (draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+            terms[key] = draw(st.fractions(-4, 4, max_denominator=6))
+    return nvars, xdeg, {k: c for k, c in terms.items() if c != 0}
+
+
+@settings(max_examples=120, deadline=None)
+@given(positive_degree_terms())
+def test_log_exp_match_power_sums(case):
+    nvars, xdeg, g = case
+    one = (0,) * (nvars + 2)
+    assert MultiPoly(nvars, xdeg, g).exp().terms == mp_exp_by_powers(g, nvars, xdeg)
+    p = {**g, one: Fraction(1)}
+    assert MultiPoly(nvars, xdeg, p).log().terms == mp_log_by_powers(p, nvars, xdeg)
+
+
+def test_log_exp_error_messages():
+    t = MultiPoly.t(1, 3)
+    for bad in (MultiPoly.x(0, 1, 3) + 2, t + 1, MultiPoly.zero(1, 3)):
+        with pytest.raises(ValueError, match=r"^log requires constant term exactly 1$"):
+            bad.log()
+    for bad in (t, MultiPoly.one(1, 3), MultiPoly.x(0, 1, 3) + t):
+        with pytest.raises(
+            ValueError, match=r"^exp requires every term to have positive x-degree$"
+        ):
+            bad.exp()
