@@ -36,6 +36,15 @@ FORMATS = ("pretty", "json", "csv")
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 
+# Table requests above these are refused before any work.  At each ceiling
+# the slowest admitted request takes about 3 s (2.6-3.7 s, x86,
+# Python 3.11): quintic --dmax 150 --crosscheck, local-p2 --dmax 250
+# --emit-kd and naive --ambient 16 --degree 15 --dmax 100.  A naive
+# request's cost grows with the ring length as well, hence its --ambient
+# ceiling.
+DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
+NAIVE_MAX_AMBIENT = 16
+
 
 def _positive(name: str):
     def parse(text: str) -> int:
@@ -272,6 +281,8 @@ def _check_usage(args, parser) -> None:
         n, l = args.ambient, args.degree
         if n < 2:
             parser.error("--ambient must be at least 2")
+        if n > NAIVE_MAX_AMBIENT:
+            parser.error(f"--ambient must be at most {NAIVE_MAX_AMBIENT}")
         if not 1 <= l <= n - 1:
             parser.error(
                 f"--degree must be at most ambient-1={n - 1}: only degrees up to "
@@ -289,6 +300,9 @@ def _check_usage(args, parser) -> None:
                 f"--vars {args.vars} --xdeg {args.xdeg} allows more than "
                 f"{LEMMA_MAX_TERMS} terms per series"
             )
+    ceiling = DMAX_CEILING.get(args.command)
+    if ceiling is not None and args.dmax > ceiling:
+        parser.error(f"--dmax must be at most {ceiling} for {args.command}")
 
 
 _RUN = {

@@ -16,13 +16,20 @@ this module also holds the three truncated-polynomial kernels that
 ``CohClass``, ``DSeries`` and the twist and lemma products share:
 ``_convolve`` (schoolbook product, O(r^2)), ``_inverse`` (triangular
 solve, O(r^2); Brent & Kung, J. ACM 1978) and ``_linear_product``
-(prod (l*H + i), one O(r) shift-add per factor).
+(prod (l*H + i), one O(r) shift-add per factor).  Their dot products,
+and those of the series recurrences, the correction solver and
+``MultiPoly`` products, run on Python ints: ``_ints`` takes a rational
+vector apart into integer numerators over the lcm of its denominators,
+``_push`` appends to such a vector as a recurrence produces it, and each
+output coefficient is one ``Fraction(numerator, denominator)``, so gcd
+normalisation runs once per output and not once per product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -153,25 +160,47 @@ class CohClass:
 # -- truncated-polynomial kernels ---------------------------------------------
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], length: int) -> tuple[Fraction, ...]:
+def _ints(seq: Iterable[Rational]) -> tuple[list[int], int]:
+    """Integer numerators of ``seq`` over den = lcm of its denominators."""
+    seq = list(seq)
+    den = lcm(*(x.denominator for x in seq))
+    return [x.numerator * (den // x.denominator) for x in seq], den
+
+
+def _push(nums: list[int], den: int, v: Rational) -> int:
+    """Append v to the numerators ``nums`` over ``den`` and return the new
+    common denominator; the earlier numerators are rescaled only when v's
+    denominator does not divide den."""
+    vd = v.denominator
+    if den % vd:
+        grow = vd // gcd(den, vd)
+        nums[:] = [x * grow for x in nums]
+        den *= grow
+    nums.append(v.numerator * (den // vd))
+    return den
+
+
+def _convolve(a: Sequence[Rational], b: Sequence[Rational], length: int) -> tuple[Fraction, ...]:
     """The first ``length`` coefficients of the product of a and b, which
     must both reach index length-1."""
-    return tuple(
-        sum(map(mul, a[: j + 1], b[j::-1]), Fraction(0)) for j in range(length)
-    )
+    an, ad = _ints(a[:length])
+    bn, bd = _ints(b[:length])
+    return tuple(Fraction(sum(map(mul, an[: j + 1], bn[j::-1])), ad * bd) for j in range(length))
 
 
-def _inverse(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def _inverse(a: Sequence[Rational]) -> tuple[Fraction, ...]:
     """The first len(a) coefficients of 1/a; a_0 must be nonzero.
 
     Triangular solve: b_0 = 1/a_0, b_m = -b_0 * sum_{k=1..m} a_k b_{m-k}.
     """
     if a[0] == 0:
         raise ZeroDivisionError("inverse requires a unit constant coefficient")
-    b0 = 1 / a[0]
-    out = [b0]
-    for m in range(1, len(a)):
-        out.append(-(b0 * sum(map(mul, a[1 : m + 1], out[::-1]), Fraction(0))))
+    an, ad = _ints(a)
+    out = [Fraction(ad, an[0])]
+    bn, bd = _ints(out)
+    for m in range(1, len(an)):
+        out.append(Fraction(-sum(map(mul, an[1 : m + 1], reversed(bn))), an[0] * bd))
+        bd = _push(bn, bd, out[-1])
     return tuple(out)
 
 

@@ -118,12 +118,26 @@ def p_term_bound(nvars: int, xdeg_max: int) -> int:
 
 
 def _multi_indices(nvars: int, total_max: int):
-    if nvars == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for tail in _multi_indices(nvars - 1, total_max - head):
-            yield (head,) + tail
+    """Multi-indices k of length nvars with sum(k) <= total_max, in
+    lexicographic order.  The successor of k raises its last entry while
+    the sum allows; at the sum limit it zeroes the last nonzero entry and
+    raises the one before it, or stops when that entry is the first."""
+    k = [0] * nvars
+    total = 0
+    while True:
+        yield tuple(k)
+        if total < total_max and nvars:
+            k[-1] += 1
+            total += 1
+            continue
+        j = nvars - 1
+        while j >= 0 and k[j] == 0:
+            j -= 1
+        if j <= 0:
+            return
+        total -= k[j] - 1
+        k[j] = 0
+        k[j - 1] += 1
 
 
 def _shifted_product(ck: Fraction, shifts: range) -> tuple[tuple[int, ...], int]:

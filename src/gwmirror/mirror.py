@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .cohomology import CohClass, _linear_product
+from .cohomology import CohClass, _ints, _linear_product, _push
 from .hypergeom import ambient_I, hyper_factor, naive_series
 from .series import DSeries
 
@@ -254,11 +255,15 @@ def solve_correction_series(
     u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
+    bn, bd = _ints(base.coeffs)
+    kn = [_ints(kernel[: dmax + 1 - d]) for d, kernel in enumerate(kernels[: dmax + 1])]
+    kd = lcm(*(den for _, den in kn))
+    kn = [[x * (kd // den) for x in nums] for nums, den in kn]
     out: list[Fraction] = []
+    yn, yd = [], 1  # numerators of w_d * u_d over yd, d = 1..e-1
     for e in range(1, dmax + 1):
-        s = Fraction(0)
-        for d in range(1, e):
-            s += weights[d] * out[d - 1] * kernels[d][e - d]
-        out.append((base.coeffs[e] - s) / weights[e])
+        s = sum(yn[d - 1] * kn[d][e - d] for d in range(1, e))
+        y = Fraction(bn[e] * yd * kd - bd * s, bd * yd * kd)
+        out.append(y / weights[e])
+        yd = _push(yn, yd, y)
     return out
-

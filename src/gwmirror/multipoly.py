@@ -9,6 +9,9 @@ polynomial in t, z within each x-degree, so no bound is needed.
 E.g. with two variables, 3*x1^2*t - z/2 is
 ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1): Fraction(-1, 2)}``.
 
+``__mul__`` multiplies integer numerators over one common denominator per
+operand (``cohomology._ints``) and makes one Fraction per output term.
+
 Instances are treated as immutable; do not mutate ``terms`` after
 construction.  The public constructor validates keys and coefficients;
 the results of operations on valid polynomials go through the private
@@ -35,7 +38,7 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Union
 
-from .cohomology import Rational, as_fraction
+from .cohomology import Rational, _ints, as_fraction
 
 Key = tuple[int, ...]  # (k_1..k_v, t_exp, z_exp)
 
@@ -157,14 +160,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        # bucket by x-degree so pairs beyond the truncation are never formed
+        # Bucket by x-degree so pairs beyond the truncation are never formed;
+        # the pairs multiply integer numerators over one denominator per operand.
+        an, ad = _ints(self.terms.values())
+        bn, bd = _ints(other.terms.values())
         by_deg_a: dict[int, list] = defaultdict(list)
-        for key, c in self.terms.items():
+        for key, c in zip(self.terms, an):
             by_deg_a[_xdeg(key)].append((key, c))
         by_deg_b: dict[int, list] = defaultdict(list)
-        for key, c in other.terms.items():
+        for key, c in zip(other.terms, bn):
             by_deg_b[_xdeg(key)].append((key, c))
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, int] = {}
         for da, items_a in by_deg_a.items():
             for db, items_b in by_deg_b.items():
                 if da + db > self.xdeg_max:
@@ -176,7 +182,10 @@ class MultiPoly:
                             out[key] += ca * cb
                         else:
                             out[key] = ca * cb
-        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
+        den = ad * bd
+        return MultiPoly._from_terms(
+            self.nvars, self.xdeg_max, {k: Fraction(c, den) for k, c in out.items() if c}
+        )
 
     __rmul__ = __mul__
 

@@ -20,6 +20,10 @@ Algorithms and their costs in coefficient products, with n = dmax:
   per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
   one ``substitute``.
 
+Each kernel multiplies integer numerators over one common denominator per
+operand (``cohomology._ints``/``_push``) and makes one ``Fraction`` per
+output coefficient, so ``coeffs`` stays a tuple of normalised Fractions.
+
 Values are immutable and all operations are pure functions.
 """
 
@@ -30,7 +34,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .cohomology import Rational, _convolve, _inverse, as_fraction
+from .cohomology import Rational, _convolve, _ints, _inverse, _push, as_fraction
 
 
 @dataclass(frozen=True)
@@ -114,11 +118,6 @@ class DSeries:
             return self * other
         return NotImplemented
 
-    def __truediv__(self, other: DSeries) -> DSeries:
-        if not isinstance(other, DSeries):
-            return NotImplemented
-        return self * other.inv()
-
     def inv(self) -> DSeries:
         """Multiplicative inverse; the constant coefficient must be nonzero."""
         return DSeries(_inverse(self.coeffs), self.step)
@@ -134,13 +133,15 @@ class DSeries:
         """Logarithm of a series with constant coefficient 1, by the
         recurrence n L_n = n f_n - sum_{k=1..n-1} k L_k f_{n-k} that
         L' = f'/f gives."""
-        f = self.coeffs
-        if f[0] != 1:
+        if self.coeffs[0] != 1:
             raise ValueError("log needs constant coefficient 1")
-        nl = [Fraction(0)]  # nl[n] = n * L_n
-        for n in range(1, len(f)):
-            nl.append(n * f[n] - sum(map(mul, nl[1:n], f[n - 1:0:-1]), Fraction(0)))
-        return DSeries((Fraction(0),) + tuple(c / n for n, c in enumerate(nl) if n), self.step)
+        fn, fd = _ints(self.coeffs)
+        out, nl, ld = [Fraction(0)], [0], 1  # nl: numerators of n * L_n over ld
+        for n in range(1, len(fn)):
+            v = Fraction(n * fn[n] * ld - sum(map(mul, nl[1:n], fn[n - 1 : 0 : -1])), ld * fd)
+            out.append(v / n)
+            ld = _push(nl, ld, v)
+        return DSeries(tuple(out), self.step)
 
     def exp_powers(self, first: DSeries | None = None) -> list[tuple[Fraction, ...]]:
         """Coefficients of first * exp(d*g) for d = 0..dmax, with g this
@@ -175,12 +176,16 @@ class DSeries:
             g = g.exp_powers()
         if len(g) != self.dmax + 1:
             raise ValueError("substitution kernels must share dmax")
-        out = [Fraction(0)] * (self.dmax + 1)
-        for d, (c, kernel) in enumerate(zip(self.coeffs, g)):
+        cn, cd = _ints(self.coeffs)
+        kn, kd = _ints(x for kernel in g for x in kernel)
+        out = [0] * (self.dmax + 1)
+        end = 0
+        for d, (c, kernel) in enumerate(zip(cn, g)):
+            start, end = end, end + len(kernel)
             if c:
-                for e, k in enumerate(kernel, start=d):
+                for e, k in enumerate(kn[start:end], start=d):
                     out[e] += c * k
-        return DSeries(tuple(out), self.step)
+        return DSeries(tuple(Fraction(x, cd * kd) for x in out), self.step)
 
     def revert_exp(self) -> DSeries:
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
@@ -222,9 +227,10 @@ class DSeries:
 def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fraction, ...]:
     """The first ``length`` coefficients of exp(scale * g) for g_0 = 0:
     n E_n = scale * sum_{k=1..n} k g_k E_{n-k}."""
-    dg = [k * c for k, c in enumerate(g[:length])]
-    e = [Fraction(1)]
+    gn, gd = _ints(g[:length])
+    dg = [k * c for k, c in enumerate(gn)]
+    out, e, ed = [Fraction(1)], [1], 1  # e: numerators of E_0..E_{n-1} over ed
     for n in range(1, length):
-        s = sum(map(mul, dg[1 : n + 1], e[::-1]), Fraction(0))
-        e.append(s * Fraction(scale, n))
-    return tuple(e)
+        out.append(Fraction(scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n))
+        ed = _push(e, ed, out[-1])
+    return tuple(out)

@@ -224,3 +224,77 @@ def mp_exp_by_powers(g: dict, nvars: int, xdeg_max: int) -> dict:
         power = mp_mul(power, g, xdeg_max)
         out = mp_add(out, power, Fraction(1, factorial(m)))
     return out
+
+
+# -- Fraction kernels ---------------------------------------------------------------
+#
+# The package's kernels run their dot products on integer numerators over one
+# common denominator and make one Fraction per output coefficient.  These are
+# the bodies they replaced, with every product and sum done on Fractions.
+
+
+def convolve_fractions(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
+    """The first ``length`` coefficients of a*b."""
+    return [
+        sum((a[i] * b[j - i] for i in range(j + 1)), Fraction(0)) for j in range(length)
+    ]
+
+
+def inverse_fractions(a: list[Fraction]) -> list[Fraction]:
+    """b_0 = 1/a_0, b_m = -b_0 * sum_{k=1..m} a_k b_{m-k}."""
+    b0 = 1 / Fraction(a[0])
+    out = [b0]
+    for m in range(1, len(a)):
+        out.append(-b0 * sum((a[k] * out[m - k] for k in range(1, m + 1)), Fraction(0)))
+    return out
+
+
+def exp_coeffs_fractions(g: list[Fraction], scale: int, length: int) -> list[Fraction]:
+    """exp(scale*g) for g_0 = 0: n E_n = scale * sum_{k=1..n} k g_k E_{n-k}."""
+    e = [Fraction(1)]
+    for n in range(1, length):
+        s = sum((k * g[k] * e[n - k] for k in range(1, n + 1)), Fraction(0))
+        e.append(s * Fraction(scale, n))
+    return e
+
+
+def log_fractions(f: list[Fraction]) -> list[Fraction]:
+    """log(f) for f_0 = 1: n L_n = n f_n - sum_{k=1..n-1} k L_k f_{n-k}."""
+    nl = [Fraction(0)]
+    for n in range(1, len(f)):
+        nl.append(n * f[n] - sum((nl[k] * f[n - k] for k in range(1, n)), Fraction(0)))
+    return [Fraction(0)] + [c / n for n, c in enumerate(nl) if n]
+
+
+def substitute_fractions(c: list[Fraction], kernels: list[list[Fraction]]) -> list[Fraction]:
+    """sum_d c_d Q^d kernels[d], truncated to len(c) coefficients."""
+    out = [Fraction(0)] * len(c)
+    for d, (cd, kernel) in enumerate(zip(c, kernels)):
+        for e, k in enumerate(kernel[: len(c) - d], start=d):
+            out[e] += cd * k
+    return out
+
+
+def solve_fractions(
+    base: list[Fraction], kernels: list[list[Fraction]], weights: list[Fraction]
+) -> list[Fraction]:
+    """u_1..u_dmax with base = sum_{d>=1} weights[d] u_d Q^d kernels[d], the
+    kernels' constant coefficients taken as 1."""
+    out: list[Fraction] = []
+    for e in range(1, len(base)):
+        s = Fraction(0)
+        for d in range(1, e):
+            s += weights[d] * out[d - 1] * kernels[d][e - d]
+        out.append((base[e] - s) / weights[e])
+    return out
+
+
+def multi_indices_recursive(nvars: int, total_max: int):
+    """Multi-indices of length nvars with sum <= total_max in lexicographic
+    order, by recursion on the first entry."""
+    if nvars == 0:
+        yield ()
+        return
+    for head in range(total_max + 1):
+        for tail in multi_indices_recursive(nvars - 1, total_max - head):
+            yield (head,) + tail

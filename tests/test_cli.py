@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -146,6 +147,48 @@ def test_lemma_refuses_oversized_shapes_before_any_work(tmp_path):
     assert run("lemma", "a2", "--vars", "65", "--xdeg", "1", timeout=10).returncode == 2
     # the largest --xdeg costs nothing to refuse
     assert run("lemma", "a1", "--xdeg", "10" + "0" * 30, timeout=10).returncode == 2
+
+
+# -- table bounds and pinned large tables ---------------------------------------------
+
+
+def test_tables_refuse_dmax_above_the_ceiling_before_any_work(tmp_path):
+    out = tmp_path / "table.txt"
+    for args, ceiling in (
+        (["quintic", "--crosscheck", "--dmax", "151"], 150),
+        (["local-p2", "--emit-kd", "--dmax", "251"], 250),
+        (["naive", "--ambient", "4", "--degree", "2", "--dmax", "101"], 100),
+    ):
+        r = run(*args, "--out", str(out), timeout=10)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert f"--dmax must be at most {ceiling} for {args[0]}" in r.stderr
+        assert not out.exists()
+    r = run("naive", "--ambient", "17", "--degree", "2", "--dmax", "1", timeout=10)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert "--ambient must be at most 16" in r.stderr
+    # the largest --dmax costs nothing to refuse
+    assert run("quintic", "--dmax", "10" + "0" * 30, timeout=10).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args,digest",
+    [
+        (
+            ["quintic", "--dmax", "100"],
+            "639799b8afee42844e8f03f42dd774c16817939b8be54c3f1abacaec438cbe0f",
+        ),
+        (
+            ["local-p2", "--dmax", "120", "--emit-kd"],
+            "f98e7ef528e2d3d3906bd6f87d6fa962362866b244a47f1fbb111e93006741e3",
+        ),
+    ],
+)
+def test_large_tables_keep_their_bytes(args, digest):
+    # sha256 of stdout, taken from the Fraction-kernel implementation
+    r = subprocess.run(CMD + args, capture_output=True)
+    assert r.returncode == 0
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
 
 
 # -- shared output contracts ---------------------------------------------------------

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import CohClass
-from gwmirror.cohomology import _linear_product
+from gwmirror.cohomology import _convolve, _ints, _inverse, _linear_product, _push
 
-from oracles import linear, pinv, pmul, ppow
+from oracles import convolve_fractions, inverse_fractions, linear, pinv, pmul, ppow
+from strategies import wide_fractions as wide
 
 
 def coh(*coeffs):
@@ -136,3 +138,38 @@ def test_linear_product_untruncated(shifts):
     for c in shifts:
         expected = pmul(expected, linear(c, 1, r), r)
     assert list(_linear_product(r, 1, shifts)) == expected
+
+
+# -- integer-numerator kernels on non-integral data ------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(wide, max_size=10), st.lists(wide, max_size=10))
+def test_ints_and_push_keep_the_least_common_denominator(head, tail):
+    nums, den = _ints(head)
+    for v in tail:
+        den = _push(nums, den, v)
+    assert den == lcm(*(v.denominator for v in head + tail))
+    assert [Fraction(x, den) for x in nums] == head + tail
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda r: st.tuples(*(st.lists(wide, min_size=r, max_size=r),) * 2)
+    ),
+    st.integers(0, 9),
+)
+def test_convolve_and_inverse_match_fraction_oracles(pair, cut):
+    a, b = pair
+    for length in {len(a), min(cut, len(a))}:
+        got = _convolve(a, b, length)
+        assert list(got) == convolve_fractions(a, b, length)
+        assert all(type(c) is Fraction for c in got)
+    if a[0]:
+        got = _inverse(a)
+        assert list(got) == inverse_fractions(a)
+        assert all(type(c) is Fraction for c in got)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _inverse(a)

@@ -19,7 +19,9 @@ from gwmirror import (
     loglinear,
     sample_config,
 )
-from gwmirror.loglinear import ALLOWED_PAIRS
+from gwmirror.loglinear import ALLOWED_PAIRS, _multi_indices
+
+from oracles import multi_indices_recursive
 
 
 def expand_tz(factors, nvars, xdeg, with_z=True):
@@ -313,3 +315,29 @@ def test_failing_report_names_offending_term():
     residual = t * bad.log().partial("t") - bad.log()
     assert not residual.is_zero
     assert "x1" in residual.leading_term_str()
+
+
+# -- multi-indices -------------------------------------------------------------------
+
+
+def test_multi_indices_match_the_recursive_order():
+    for nvars in range(6):
+        for total in range(7):
+            assert list(_multi_indices(nvars, total)) == list(
+                multi_indices_recursive(nvars, total)
+            )
+
+
+def test_build_p_at_a_thousand_variables():
+    # A generator recursion one level per variable passes the default
+    # recursion limit of 1,000 frames here.
+    nvars = 1000
+    cfg = sample_config(random.Random(1), nvars, 1)
+    p = build_p(cfg)
+    # At x-degree 1 each variable contributes its own one-variable series.
+    expected = {(0,) * (nvars + 2): Fraction(1)}
+    for i, (pair, c) in enumerate(zip(cfg.pairs, cfg.cs)):
+        for (ki, te, ze), coeff in build_p(LemmaConfig((pair,), (c,), 1)).terms.items():
+            if ki:
+                expected[(0,) * i + (ki,) + (0,) * (nvars - 1 - i) + (te, ze)] = coeff
+    assert p.terms == expected

@@ -20,7 +20,8 @@ from gwmirror import (
     solve_correction_series,
 )
 
-from oracles import bps_numbers, localp2_coeff, naive_coeff
+from oracles import bps_numbers, localp2_coeff, naive_coeff, solve_fractions
+from strategies import wide_fractions as wide
 
 QUINTIC_COUNTS = {
     1: Fraction(2875),
@@ -90,7 +91,7 @@ def test_quintic_resubstitution_reproduces_f2():
 
 def test_quintic_bps_numbers_are_integers():
     # Moebius-inverting the multiple-cover formula must give integers.
-    bps = bps_numbers(quintic_invariants(15).values())
+    bps = bps_numbers(quintic_invariants(60).values())
     assert all(n.denominator == 1 for n in bps)
     assert bps[:5] == [2875, 609250, 317206375, 242467530000, 229305888887625]
 
@@ -128,7 +129,7 @@ def test_localp2_kd():
 
 
 def test_localp2_bps_numbers_are_integers():
-    bps = bps_numbers(localp2_kd(30).values())
+    bps = bps_numbers(localp2_kd(120).values())
     assert all(n.denominator == 1 for n in bps)
     assert bps[:8] == [-3, 6, -27, 192, -1695, 17064, -188454, 2228160]
 
@@ -214,3 +215,21 @@ def test_solver_round_trips_on_random_data(data):
     for d, u in enumerate(solved, start=1):
         acc = acc + DSeries.monomial(d, dmax, 5, weights[d] * u) * kernels[d]
     assert acc == f2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.lists(wide, min_size=n + 1, max_size=n + 1),
+            st.lists(st.lists(wide, min_size=n + 1, max_size=n + 1), min_size=n + 1, max_size=n + 1),
+            st.lists(wide.filter(bool), min_size=n + 1, max_size=n + 1),
+        )
+    )
+)
+def test_solver_matches_fraction_oracle(data):
+    base, rows, weights = data
+    kernels = [row[: len(base) - d] for d, row in enumerate(rows)]
+    got = solve_correction_series(DSeries(tuple(base)), kernels, weights)
+    assert got == solve_fractions(base, kernels, weights)
+    assert all(type(u) is Fraction for u in got)

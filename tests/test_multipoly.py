@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from gwmirror import MultiPoly
 
-from oracles import mp_exp_by_powers, mp_log_by_powers
+from oracles import mp_exp_by_powers, mp_log_by_powers, mp_mul
+from strategies import wide_fractions as wide
 
 
 def test_truncation_drops_high_x_degree():
@@ -163,3 +164,22 @@ def test_log_exp_error_messages():
             ValueError, match=r"^exp requires every term to have positive x-degree$"
         ):
             bad.exp()
+
+
+def poly_terms(nvars):
+    key = st.tuples(*(st.integers(0, 2),) * (nvars + 2))
+    return st.dictionaries(key, wide, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(
+        lambda shape: st.tuples(st.just(shape), poly_terms(shape[0]), poly_terms(shape[0]))
+    )
+)
+def test_mul_matches_fraction_oracle(data):
+    (nvars, xdeg), a, b = data
+    pa, pb = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
+    got = pa * pb
+    assert got.terms == mp_mul(pa.terms, pb.terms, xdeg)
+    assert all(type(c) is Fraction for c in got.terms.values())

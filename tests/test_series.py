@@ -10,12 +10,16 @@ from gwmirror import series as series_mod
 
 from oracles import (
     exp_by_powers,
+    exp_coeffs_fractions,
     lambert_w,
     log_by_powers,
+    log_fractions,
     naive_coeff,
     pmul,
     revert_by_fixed_point,
+    substitute_fractions,
 )
+from strategies import wide_fractions as wide
 
 
 def ser(*coeffs, step=1):
@@ -283,3 +287,35 @@ def test_revert_exp_matches_fixed_point(a):
     g = with_constant(a, 0)
     h = g.revert_exp()
     assert h == DSeries(tuple(revert_by_fixed_point(list(g.coeffs), g.dmax + 1)), g.step)
+
+
+# -- integer-numerator kernels on non-integral data ------------------------------
+
+
+def wide_lists(size):
+    return st.lists(wide, min_size=size, max_size=size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: wide_lists(n + 1)), st.integers(1, 10))
+def test_exp_and_log_match_fraction_oracles(cs, m):
+    r = len(cs)
+    g = [Fraction(0)] + cs[1:]
+    for scale in (1, -m):
+        assert list(series_mod._exp_coeffs(g, scale, r)) == exp_coeffs_fractions(g, scale, r)
+    f = [Fraction(1)] + cs[1:]
+    assert list(DSeries(tuple(f)).log().coeffs) == log_fractions(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.tuples(wide_lists(n + 1), st.lists(wide_lists(n + 1), min_size=n + 1, max_size=n + 1))
+    )
+)
+def test_substitute_matches_fraction_oracle(data):
+    c, rows = data
+    # non-integral kernels, entry d cut at index dmax - d as exp_powers cuts them
+    kernels = [tuple(row[: len(c) - d]) for d, row in enumerate(rows)]
+    got = DSeries(tuple(c)).substitute(kernels)
+    assert list(got.coeffs) == substitute_fractions(c, kernels)
