@@ -26,7 +26,6 @@ from .mirror import (
     quintic_f,
     quintic_invariants,
     reconstruct_p_quintic,
-    recursion_rhs,
     solve_correction_series,
 )
 from .multipoly import MultiPoly
@@ -52,7 +51,6 @@ __all__ = [
     "localp2_f",
     "localp2_invariants",
     "localp2_kd",
-    "recursion_rhs",
     "naive_invariants",
     "solve_correction_series",
     "build_p",

@@ -27,14 +27,19 @@ from .mirror import (
 
 FORMATS = ("pretty", "json", "csv")
 
-# Lemma shapes above these are refused before any work.  A trial's cost
-# grows with the term count of P: at the ceiling the slowest admitted
-# shape, --vars 2 --xdeg 15 with every (a_i, b_i) = (0, 1), takes about
-# 5 s a trial (x86, Python 3.11), and --vars 3 --xdeg 4 about 0.03 s.
-# Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
-# the exponent vectors (vars + 2 entries per term) set the cost instead.
+# Lemma requests above these are refused before any work.  A trial's cost
+# grows with the term count of P: at the term ceiling the slowest admitted
+# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 1.5-2 s a
+# trial (x86, Python 3.11), and --vars 3 --xdeg 4 about 0.01 s.  Above
+# LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where the
+# exponent vectors (vars + 2 entries per term) set the cost instead.
+# A request costs at most about 165 us per term and trial at either end of
+# the range, so trials times terms is bounded too: the slowest admitted
+# requests, --vars 0 --trials 40000 and --vars 1 --xdeg 37 --trials 4
+# --seed 481 (every trial (0, 1)), take about 6.5 s each.
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
+LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
 # the slowest admitted request takes about 3 s (2.6-3.7 s, x86,
@@ -295,10 +300,16 @@ def _check_usage(args, parser) -> None:
             parser.error(f"--vars must be at most {LEMMA_MAX_VARS}")
         # Every x-degree adds at least one term, so the sum may stop at the
         # ceiling; a huge --xdeg costs nothing to refuse.
-        if p_term_bound(args.vars, min(args.xdeg, LEMMA_MAX_TERMS)) > LEMMA_MAX_TERMS:
+        terms = p_term_bound(args.vars, min(args.xdeg, LEMMA_MAX_TERMS))
+        if terms > LEMMA_MAX_TERMS:
             parser.error(
                 f"--vars {args.vars} --xdeg {args.xdeg} allows more than "
                 f"{LEMMA_MAX_TERMS} terms per series"
+            )
+        if args.trials * terms > LEMMA_MAX_TERM_TRIALS:
+            parser.error(
+                f"--trials {args.trials} times {terms} terms per series is more "
+                f"than {LEMMA_MAX_TERM_TRIALS}"
             )
     ceiling = DMAX_CEILING.get(args.command)
     if ceiling is not None and args.dmax > ceiling:

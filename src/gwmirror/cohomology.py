@@ -53,8 +53,7 @@ class CohClass:
     length and is checked on every binary operation (no silent coercion
     between rings of different length).
 
-    >>> h = CohClass.hyperplane(3)
-    >>> str((CohClass.one(3) + h).inv())
+    >>> str(CohClass((1, 1, 0)).inv())
     '1 - H + H^2'
     """
 
@@ -64,30 +63,6 @@ class CohClass:
         object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("ring_len must be positive")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ring_len: int) -> CohClass:
-        return cls((Fraction(0),) * ring_len)
-
-    @classmethod
-    def one(cls, ring_len: int) -> CohClass:
-        return cls.scalar(1, ring_len)
-
-    @classmethod
-    def scalar(cls, value: Rational, ring_len: int) -> CohClass:
-        return cls((as_fraction(value),) + (Fraction(0),) * (ring_len - 1))
-
-    @classmethod
-    def hyperplane(cls, ring_len: int, power: int = 1) -> CohClass:
-        """H^power as a ring element (zero if power >= ring_len)."""
-        if power < 0:
-            raise ValueError("power must be non-negative")
-        c = [Fraction(0)] * ring_len
-        if power < ring_len:
-            c[power] = Fraction(1)
-        return cls(tuple(c))
 
     # -- structure ---------------------------------------------------------
 

@@ -72,12 +72,6 @@ class InvariantTable:
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
 
-    def values(self) -> list[Fraction]:
-        return [v for _, v in self.entries]
-
-    def value_at(self, d: int) -> Fraction:
-        return dict(self.entries)[d]
-
 
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
@@ -93,19 +87,6 @@ def _solve(case_name: str, md: MirrorData) -> InvariantTable:
     half, kernels = _correction_terms(md)
     solved = solve_correction_series(md.f2 - half, kernels, md.weights)
     return InvariantTable(case_name, tuple(enumerate(solved, start=1)))
-
-
-def recursion_rhs(md: MirrorData, table: InvariantTable) -> DSeries:
-    """Right-hand side F_1^2/(2 F_0) + sum_d w_d u_d q^{ld} F_0 exp(d F_1/F_0)
-    with the table's values u_d substituted back; equals F_2 when the table
-    solves the recursion."""
-    half, kernels = _correction_terms(md)
-    # The sum over d is U = sum_d w_d u_d Q^d under the substitution whose
-    # kernels these are.
-    u = [Fraction(0)] * (half.dmax + 1)
-    for d, v in table.entries:
-        u[d] = md.weights[d] * v
-    return half + DSeries(tuple(u), half.step).substitute(kernels)
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -186,6 +167,8 @@ def localp2_f(dmax: int) -> MirrorData:
     """F_1, F_2 of the plane-cubic series
     sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d},
     with weights w_d = 1."""
+    if dmax < 0:
+        raise ValueError("dmax must be non-negative")
     # The twist product prod_{i=0}^{3d-1}(3H+i) = 3H prod_{i=1}^{3d-1}(3H+i)
     # stops one factor short of hyper_factor(3, d, 0, 3): the final
     # multiplicity step is the invariant being defined, not a factor of
@@ -255,6 +238,8 @@ def solve_correction_series(
     u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
+    if any(kernel[0] != 1 for kernel in kernels[1 : dmax + 1]):
+        raise ValueError("kernels[d] must have constant coefficient 1 for d >= 1")
     bn, bd = _ints(base.coeffs)
     kn = [_ints(kernel[: dmax + 1 - d]) for d, kernel in enumerate(kernels[: dmax + 1])]
     kd = lcm(*(den for _, den in kn))

@@ -125,9 +125,6 @@ class MultiPoly:
         if self.nvars != other.nvars or self.xdeg_max != other.xdeg_max:
             raise ValueError("polynomials live in different truncated rings")
 
-    def coefficient(self, key: Key) -> Fraction:
-        return self.terms.get(tuple(key), Fraction(0))
-
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:

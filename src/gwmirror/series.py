@@ -12,8 +12,9 @@ Algorithms and their costs in coefficient products, with n = dmax:
 
 * product and inverse: the schoolbook convolution and triangular solve
   that ``CohClass`` shares (``cohomology._convolve``/``_inverse``), O(n^2);
-* ``exp`` and ``log``: the recurrences from E' = g'E and L' = f'/f
-  (Brent & Kung, J. ACM 1978), O(n^2);
+* ``exp``: the recurrence from E' = g'E (Brent & Kung, J. ACM 1978),
+  O(n^2); ``log``: theta f / f from L' = f'/f, one inverse and one
+  product, O(n^2);
 * ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
   n-d, O(n^3); ``substitute`` adds O(n^2) to them;
 * ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
@@ -52,10 +53,6 @@ class DSeries:
         object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, dmax: int, step: int = 1) -> DSeries:
-        return cls((Fraction(0),) * (dmax + 1), step)
 
     @classmethod
     def one(cls, dmax: int, step: int = 1) -> DSeries:
@@ -130,18 +127,13 @@ class DSeries:
         return DSeries(_exp_coeffs(self.coeffs, 1, self.dmax + 1), self.step)
 
     def log(self) -> DSeries:
-        """Logarithm of a series with constant coefficient 1, by the
-        recurrence n L_n = n f_n - sum_{k=1..n-1} k L_k f_{n-k} that
-        L' = f'/f gives."""
+        """Logarithm of a series f with constant coefficient 1: n L_n is the
+        index-n coefficient of theta f / f, theta = Q d/dQ, since L' = f'/f."""
         if self.coeffs[0] != 1:
             raise ValueError("log needs constant coefficient 1")
-        fn, fd = _ints(self.coeffs)
-        out, nl, ld = [Fraction(0)], [0], 1  # nl: numerators of n * L_n over ld
-        for n in range(1, len(fn)):
-            v = Fraction(n * fn[n] * ld - sum(map(mul, nl[1:n], fn[n - 1 : 0 : -1])), ld * fd)
-            out.append(v / n)
-            ld = _push(nl, ld, v)
-        return DSeries(tuple(out), self.step)
+        theta_f = [n * c for n, c in enumerate(self.coeffs)]
+        theta_l = _convolve(theta_f, _inverse(self.coeffs), self.dmax + 1)
+        return DSeries(tuple(c / (n or 1) for n, c in enumerate(theta_l)), self.step)
 
     def exp_powers(self, first: DSeries | None = None) -> list[tuple[Fraction, ...]]:
         """Coefficients of first * exp(d*g) for d = 0..dmax, with g this

@@ -2,13 +2,17 @@
 
 Everything here works on plain lists of Fractions (index = power of H, or
 power of the series variable) with schoolbook algorithms, so the main
-implementation can be checked against a second, simpler code path.
+implementation can be checked against a second, simpler code path.  The
+one exception is ``recursion_rhs``, which puts a solved table back into
+the correction recursion with the public ``DSeries`` operations only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+
+from gwmirror import DSeries
 
 
 def pmul(a: list[Fraction], b: list[Fraction], r: int) -> list[Fraction]:
@@ -116,12 +120,29 @@ def bps_numbers(values: list[Fraction]) -> list[Fraction]:
     return out
 
 
+# -- resubstitution ----------------------------------------------------------------
+
+
+def recursion_rhs(md, table) -> DSeries:
+    """F_1^2/(2 F_0) + sum_d w_d u_d Q^d F_0 exp(d m), m = F_1/F_0, with the
+    table's values u_d put back; equals F_2 when the table solves the
+    recursion.  The sum over d is U = sum_d w_d u_d Q^d sent through
+    Q -> Q exp(m) by the kernels F_0 exp(d m); F_0 = 1 when absent."""
+    f0 = md.f0 if md.f0 is not None else DSeries.one(md.f1.dmax, md.f1.step)
+    m = md.f1 * f0.inv()
+    u = [Fraction(0)] * (m.dmax + 1)
+    for d, v in table.entries:
+        u[d] = md.weights[d] * v
+    return md.f1 * m * Fraction(1, 2) + DSeries(tuple(u), m.step).substitute(m.exp_powers(f0))
+
+
 # -- power-summing series kernels ------------------------------------------------
 #
-# The package computes exp/log by their O(n^2) derivative recurrences and
-# reverts a change of variables by Lagrange-Buermann inversion.  These are
-# the textbook definitions they replaced: sums of truncated powers, and a
-# fixed-point iteration that gains one coefficient per pass.
+# The package computes exp by its O(n^2) derivative recurrence and log as
+# theta f / f, and reverts a change of variables by Lagrange-Buermann
+# inversion.  These are the textbook definitions they replaced: sums of
+# truncated powers, and a fixed-point iteration that gains one coefficient
+# per pass.
 
 
 def exp_by_powers(g: list[Fraction], r: int) -> list[Fraction]:

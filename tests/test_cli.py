@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +150,22 @@ def test_lemma_refuses_oversized_shapes_before_any_work(tmp_path):
     assert run("lemma", "a1", "--xdeg", "10" + "0" * 30, timeout=10).returncode == 2
 
 
+def test_lemma_refuses_trials_times_terms_above_the_ceiling_before_any_work(tmp_path):
+    out = tmp_path / "lemma.txt"
+    r = run("lemma", "a1", "--trials", "1000000000", "--out", str(out), timeout=10)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "140 terms per series is more than 40000" in r.stderr
+    assert not out.exists()
+    assert run("lemma", "a2", "--vars", "0", "--trials", "40001", timeout=10).returncode == 2
+    # 371 terms per series at --vars 3 --xdeg 4: 107 trials is the last admitted
+    shape = ("--vars", "3", "--xdeg", "4", "--seed", "5")
+    assert run("lemma", "a1", *shape, "--trials", "108", timeout=10).returncode == 2
+    r = run("lemma", "a1", *shape, "--trials", "107", timeout=60)
+    assert r.returncode == 0
+    assert r.stderr == "107 trials, all passed\n"
+
+
 # -- table bounds and pinned large tables ---------------------------------------------
 
 
@@ -235,3 +252,20 @@ def test_formats_carry_identical_value_strings(fmt):
     r = run("local-p2", "--dmax", "4", "--format", fmt)
     for value in ("9", "135/4", "244", "36999/16"):
         assert value in r.stdout
+
+
+# -- benchmark tracer entry points ---------------------------------------------------
+
+
+def test_tracer_installs_on_a_fresh_cli_import():
+    # perfbench/spans.py wraps every entry point its LAYERS table names and
+    # raises if one is gone.  A fresh interpreter that has imported only
+    # gwmirror.cli is the state a traced benchmark request starts from.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = (
+        "import sys; import gwmirror.cli; "
+        f"sys.path.insert(0, {str(perfbench)!r}); "
+        "import spans; spans.Tracer().install()"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

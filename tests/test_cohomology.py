@@ -9,7 +9,7 @@ from gwmirror import CohClass
 from gwmirror.cohomology import _convolve, _ints, _inverse, _linear_product, _push
 
 from oracles import convolve_fractions, inverse_fractions, linear, pinv, pmul, ppow
-from strategies import wide_fractions as wide
+from strategies import hpow, wide_fractions as wide
 
 
 def coh(*coeffs):
@@ -20,28 +20,28 @@ def coh(*coeffs):
 
 
 def test_nilpotency():
-    h = CohClass.hyperplane(3)
-    assert h * (h * h) == CohClass.zero(3)
+    h = hpow(1, 3)
+    assert h * (h * h) == coh(0, 0, 0)
 
 
 def test_difference_of_squares():
-    one, h = CohClass.one(3), CohClass.hyperplane(3)
+    one, h = hpow(0, 3), hpow(1, 3)
     assert (one + h) * (one - h) == coh(1, 0, -1)
 
 
 def test_one_is_identity():
     a = coh(1, 1, 0)
-    assert a * CohClass.one(3) == a
+    assert a * hpow(0, 3) == a
 
 
 def test_inv_geometric_series():
-    one, h = CohClass.one(3), CohClass.hyperplane(3)
+    one, h = hpow(0, 3), hpow(1, 3)
     assert (one + h).inv() == coh(1, -1, 1)
 
 
 def test_inv_fifth_power():
-    one, h = CohClass.one(5), CohClass.hyperplane(5)
-    p = CohClass.one(5)
+    one, h = hpow(0, 5), hpow(1, 5)
+    p = hpow(0, 5)
     for _ in range(5):
         p = p * (one + h)
     expected = coh(1, -5, 15, -35, 70)  # frozen from the long-division oracle
@@ -50,7 +50,7 @@ def test_inv_fifth_power():
 
 
 def test_inv_scalar():
-    assert CohClass.scalar(2, 4).inv() == CohClass.scalar(Fraction(1, 2), 4)
+    assert coh(2, 0, 0, 0).inv() == coh(Fraction(1, 2), 0, 0, 0)
 
 
 # -- error contracts -----------------------------------------------------------
@@ -58,14 +58,14 @@ def test_inv_scalar():
 
 def test_ring_len_mismatch_rejected():
     with pytest.raises(ValueError, match="ring length"):
-        CohClass.one(3) * CohClass.one(4)
+        hpow(0, 3) * hpow(0, 4)
     with pytest.raises(ValueError, match="ring length"):
-        CohClass.one(3) + CohClass.one(4)
+        hpow(0, 3) + hpow(0, 4)
 
 
 def test_inv_of_nonunit_rejected():
     with pytest.raises(ZeroDivisionError):
-        CohClass.hyperplane(3).inv()
+        hpow(1, 3).inv()
 
 
 # -- canonical string form -----------------------------------------------------
@@ -108,8 +108,9 @@ def test_ring_axioms(triple):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 5).flatmap(coh_elems), fracs.filter(lambda f: f != 0))
 def test_unit_times_inverse(a, unit):
-    a = CohClass.scalar(unit, a.ring_len) + (a - CohClass.scalar(a.coeffs[0], a.ring_len))
-    assert a * a.inv() == CohClass.one(a.ring_len)
+    one = hpow(0, a.ring_len)
+    a = one * unit + (a - one * a.coeffs[0])
+    assert a * a.inv() == one
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,10 +6,11 @@ import pytest
 from gwmirror import CohClass, ambient_I, hyper_factor, naive_series
 
 from oracles import ambient_poly, hyper_poly, naive_coeff
+from strategies import hpow
 
 
 def test_ambient_degree_zero():
-    assert ambient_I(4, 0) == CohClass.one(5)
+    assert ambient_I(4, 0) == hpow(0, 5)
 
 
 def test_ambient_degree_one():
@@ -37,7 +38,7 @@ def test_hyper_factor_quintic_degree_one():
 
 
 def test_hyper_factor_empty_product():
-    assert hyper_factor(7, 0, 1, 4) == CohClass.one(4)
+    assert hyper_factor(7, 0, 1, 4) == hpow(0, 4)
 
 
 def test_hyper_factor_from_zero_cubic():
@@ -59,7 +60,7 @@ def test_hyper_factor_matches_oracle(l, i_from, ring_len):
 @pytest.mark.parametrize("l,d", [(1, 1), (2, 3), (3, 2), (5, 1)])
 def test_hyper_factor_zero_start_pulls_out_lh(l, d):
     ring_len = 5
-    lh = CohClass.hyperplane(ring_len) * l
+    lh = hpow(1, ring_len) * l
     assert hyper_factor(l, d, 0, ring_len) == lh * hyper_factor(l, d, 1, ring_len)
 
 

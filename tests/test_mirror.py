@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import (
-    CohClass,
     DSeries,
     InvariantTable,
     localp2_f,
@@ -16,11 +15,10 @@ from gwmirror import (
     quintic_f,
     quintic_invariants,
     reconstruct_p_quintic,
-    recursion_rhs,
     solve_correction_series,
 )
 
-from oracles import bps_numbers, localp2_coeff, naive_coeff, solve_fractions
+from oracles import bps_numbers, localp2_coeff, naive_coeff, recursion_rhs, solve_fractions
 from strategies import wide_fractions as wide
 
 QUINTIC_COUNTS = {
@@ -66,8 +64,7 @@ def test_reconstruct_p_h_expansion():
 
 def test_quintic_counts():
     table = quintic_invariants(2)
-    assert table.value_at(1) == QUINTIC_COUNTS[1]
-    assert table.value_at(2) == QUINTIC_COUNTS[2]
+    assert dict(table.entries) == QUINTIC_COUNTS
 
 
 def test_quintic_empty_table():
@@ -91,7 +88,7 @@ def test_quintic_resubstitution_reproduces_f2():
 
 def test_quintic_bps_numbers_are_integers():
     # Moebius-inverting the multiple-cover formula must give integers.
-    bps = bps_numbers(quintic_invariants(60).values())
+    bps = bps_numbers([v for _, v in quintic_invariants(60).entries])
     assert all(n.denominator == 1 for n in bps)
     assert bps[:5] == [2875, 609250, 317206375, 242467530000, 229305888887625]
 
@@ -115,7 +112,7 @@ def test_localp2_series_has_no_h0_part():
 
 def test_localp2_table_matches_reference():
     table = localp2_invariants(8)
-    assert table.values() == CUBIC_CONTACT_COUNTS
+    assert [v for _, v in table.entries] == CUBIC_CONTACT_COUNTS
 
 
 def test_localp2_kd():
@@ -125,11 +122,11 @@ def test_localp2_kd():
     for (d, v), (dk, k) in zip(table.entries, kd.entries):
         assert d == dk
         assert k == Fraction((-1) ** d) * v / (3 * d)
-    assert kd.values() == [Fraction(-3), Fraction(45, 8), Fraction(-244, 9)]
+    assert [v for _, v in kd.entries] == [Fraction(-3), Fraction(45, 8), Fraction(-244, 9)]
 
 
 def test_localp2_bps_numbers_are_integers():
-    bps = bps_numbers(localp2_kd(120).values())
+    bps = bps_numbers([v for _, v in localp2_kd(120).entries])
     assert all(n.denominator == 1 for n in bps)
     assert bps[:8] == [-3, 6, -27, 192, -1695, 17064, -188454, 2228160]
 
@@ -153,6 +150,22 @@ def test_naive_invariants_plane_conic():
 def test_naive_invariants_divisible_by_h(n, l):
     for entry in naive_invariants(n, l, 3):
         assert entry.coeffs[0] == 0
+
+
+@pytest.mark.parametrize(
+    "pipeline",
+    [
+        quintic_invariants,
+        quintic_crosscheck,
+        localp2_invariants,
+        localp2_kd,
+        lambda dmax: naive_invariants(4, 3, dmax),
+    ],
+    ids=["quintic", "crosscheck", "localp2", "localp2_kd", "naive"],
+)
+def test_negative_dmax_rejected(pipeline):
+    with pytest.raises(ValueError, match="dmax must be non-negative"):
+        pipeline(-1)
 
 
 def test_naive_invariants_rejects_high_degree():
@@ -217,6 +230,15 @@ def test_solver_round_trips_on_random_data(data):
     assert acc == f2
 
 
+def test_solver_rejects_kernel_without_unit_constant():
+    # u_1 = 1/2 solves this system, but the kernels[1][0] = 2 it needs is
+    # outside the triangular form the solver assumes.
+    base, weights = DSeries((0, 1, 0)), [1, 1, 1]
+    with pytest.raises(ValueError, match="constant coefficient 1"):
+        solve_correction_series(base, [(1, 0, 0), (2, 0), (2,)], weights)
+    assert solve_correction_series(base, [(1, 0, 0), (1, 0), (1,)], weights) == [1, 0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 8).flatmap(
@@ -229,7 +251,10 @@ def test_solver_round_trips_on_random_data(data):
 )
 def test_solver_matches_fraction_oracle(data):
     base, rows, weights = data
+    # The solver's contract: every kernel from d = 1 on starts with 1.
     kernels = [row[: len(base) - d] for d, row in enumerate(rows)]
+    for kernel in kernels[1:]:
+        kernel[0] = Fraction(1)
     got = solve_correction_series(DSeries(tuple(base)), kernels, weights)
     assert got == solve_fractions(base, kernels, weights)
     assert all(type(u) is Fraction for u in got)
