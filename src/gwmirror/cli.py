@@ -42,11 +42,11 @@ LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes about 3 s (2.6-3.7 s, x86,
-# Python 3.11): quintic --dmax 150 --crosscheck, local-p2 --dmax 250
-# --emit-kd and naive --ambient 16 --degree 15 --dmax 100.  A naive
-# request's cost grows with the ring length as well, hence its --ambient
-# ceiling.
+# the slowest admitted request takes 1.5-2.6 s (best of 3 in a fresh
+# process, two runs, x86, Python 3.11): quintic --dmax 150 --crosscheck
+# 1.9-2.2 s, local-p2 --dmax 250 --emit-kd 2.3-2.6 s and naive --ambient
+# 16 --degree 15 --dmax 100 1.5-1.6 s.  A naive request's cost grows with
+# the ring length as well, hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16
 

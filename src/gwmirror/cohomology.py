@@ -14,15 +14,17 @@ pure, so instances are safe to share between threads.
 Both factors of H^*(P^n)[[q]] are truncated univariate power series, so
 this module also holds the three truncated-polynomial kernels that
 ``CohClass``, ``DSeries`` and the twist and lemma products share:
-``_convolve`` (schoolbook product, O(r^2)), ``_inverse`` (triangular
-solve, O(r^2); Brent & Kung, J. ACM 1978) and ``_linear_product``
-(prod (l*H + i), one O(r) shift-add per factor).  Their dot products,
-and those of the series recurrences, the correction solver and
-``MultiPoly`` products, run on Python ints: ``_ints`` takes a rational
-vector apart into integer numerators over the lcm of its denominators,
-``_push`` appends to such a vector as a recurrence produces it, and each
-output coefficient is one ``Fraction(numerator, denominator)``, so gcd
-normalisation runs once per output and not once per product.
+``_convolve`` (schoolbook product, O(r^2), on the integer product
+``_int_product`` that running products call directly), ``_inverse``
+(triangular solve, O(r^2); Brent & Kung, J. ACM 1978) and
+``_linear_product`` (prod (l*H + i), one O(r) shift-add per factor).
+Their dot products, and those of the series recurrences, the correction
+solver and ``MultiPoly`` products, run on Python ints: ``_ints`` takes a
+rational vector apart into integer numerators over the lcm of its
+denominators, ``_push`` appends to such a vector as a recurrence
+produces it, and each output coefficient is one
+``Fraction(numerator, denominator)``, so gcd normalisation runs once per
+output and not once per product.
 """
 
 from __future__ import annotations
@@ -155,12 +157,18 @@ def _push(nums: list[int], den: int, v: Rational) -> int:
     return den
 
 
+def _int_product(a: Sequence[int], b: Sequence[int], length: int) -> list[int]:
+    """The first ``length`` coefficients of the product of the integer
+    lists a and b, which must both reach index length-1."""
+    return [sum(map(mul, a[: j + 1], b[j::-1])) for j in range(length)]
+
+
 def _convolve(a: Sequence[Rational], b: Sequence[Rational], length: int) -> tuple[Fraction, ...]:
     """The first ``length`` coefficients of the product of a and b, which
     must both reach index length-1."""
     an, ad = _ints(a[:length])
     bn, bd = _ints(b[:length])
-    return tuple(Fraction(sum(map(mul, an[: j + 1], bn[j::-1])), ad * bd) for j in range(length))
+    return tuple(Fraction(x, ad * bd) for x in _int_product(an, bn, length))
 
 
 def _inverse(a: Sequence[Rational]) -> tuple[Fraction, ...]:

@@ -13,25 +13,35 @@ ingredients are:
   generating series Y would have if reducible-curve corrections never
   contributed, returned as its n+1 scalar H-components.
 
-Both products are formed by ``cohomology._linear_product`` on integer
-coefficient lists, O(r) integer operations per linear factor in a ring
-of length r, and become one ``CohClass`` at the end; ``ambient_I`` then
-inverts once in Q[H]/(H^r) by the O(r^2) triangular solve.
+Each linear factor is one O(r) integer shift-add in a ring of length r
+(``cohomology._linear_product``).  ``naive_series`` grows the twist
+product from degree to degree: degree d shift-adds its l new factors and
+multiplies them in by one truncated integer product
+(``cohomology._int_product``), O(l*r + r^2) a degree.  ``ambient_I``
+raises prod_{i=1}^{d}(H+i) to the (n+1)-th power by n integer products
+and inverts once by the O(r^2) triangular solve.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohClass, _linear_product
+from .cohomology import CohClass, _int_product, _linear_product
 from .series import DSeries
 
 
 def ambient_I(n: int, d: int) -> CohClass:
-    """prod_{i=1}^{d} (H+i)^{-(n+1)} in Q[H]/(H^{n+1}); d = 0 gives 1."""
+    """prod_{i=1}^{d} (H+i)^{-(n+1)} in Q[H]/(H^{n+1}); d = 0 gives 1.
+
+    >>> str(ambient_I(2, 1))
+    '1 - 3*H + 6*H^2'
+    """
     if n < 2:
         raise ValueError("ambient projective space needs n >= 2")
     if d < 0:
         raise ValueError("curve degree must be non-negative")
-    return CohClass(_linear_product(n + 1, 1, list(range(1, d + 1)) * (n + 1))).inv()
+    base = power = _linear_product(n + 1, 1, range(1, d + 1))
+    for _ in range(n):
+        power = _int_product(power, base, n + 1)
+    return CohClass(power).inv()
 
 
 def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
@@ -55,6 +65,11 @@ def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, .
 
     Requires 1 <= l <= n+1: for larger l the anticanonical class of the
     hypersurface fails to be nef and the construction does not apply.
+
+    The quintic's degree-1 coefficient, H^0..H^4 parts:
+
+    >>> [str(h.coeffs[1]) for h in naive_series(4, 5, 1)]
+    ['120', '770', '575', '-1150', '1075']
     """
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
@@ -62,9 +77,15 @@ def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, .
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    classes = [
-        hyper_factor(l, d, i_from, n + 1) * ambient_I(n, d) for d in range(dmax + 1)
-    ]
+    if i_from not in (0, 1):
+        raise ValueError("i_from must be 0 or 1")
+    # Degree d multiplies the twist product by its new factors
+    # i in (l(d-1), l*d], and degree 0 by the i = 0 factor if i_from is 0.
+    twist, classes = (1,) + (0,) * n, []
+    for d in range(dmax + 1):
+        new = _linear_product(n + 1, l, range(max(i_from, l * d - l + 1), l * d + 1))
+        twist = _int_product(twist, new, n + 1)
+        classes.append(CohClass(twist) * ambient_I(n, d))
     return tuple(
         DSeries(tuple(c.coeffs[k] for c in classes), step=l) for k in range(n + 1)
     )

@@ -22,9 +22,10 @@ each F_k a scalar q-series:
   coefficients ARE the invariants of Y.
 
 All recursions are solved strictly order by order in exact arithmetic.
-The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) is formed directly
-by the integer kernel ``cohomology._linear_product`` that ``hyper_factor``
-also uses.
+The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) grows from degree
+to degree as ``naive_series`` grows its own: degree d multiplies the
+previous product by its three new factors, on the integer kernels
+``cohomology._linear_product`` and ``_int_product``.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .cohomology import CohClass, _ints, _linear_product, _push
-from .hypergeom import ambient_I, hyper_factor, naive_series
+from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
+from .hypergeom import ambient_I, naive_series
 from .series import DSeries
 
 QUINTIC_RING = 5  # cohomology of P^4
@@ -172,11 +173,12 @@ def localp2_f(dmax: int) -> MirrorData:
     # The twist product prod_{i=0}^{3d-1}(3H+i) = 3H prod_{i=1}^{3d-1}(3H+i)
     # stops one factor short of hyper_factor(3, d, 0, 3): the final
     # multiplicity step is the invariant being defined, not a factor of
-    # the series.
-    classes = [
-        CohClass(_linear_product(CUBIC_RING, 3, range(3 * d))) * ambient_I(2, d)
-        for d in range(1, dmax + 1)
-    ]
+    # the series.  Degree d multiplies it by its new factors i in [3d-3, 3d).
+    twist, classes = (1,) + (0,) * (CUBIC_RING - 1), []
+    for d in range(1, dmax + 1):
+        new = _linear_product(CUBIC_RING, 3, range(3 * d - 3, 3 * d))
+        twist = _int_product(twist, new, CUBIC_RING)
+        classes.append(CohClass(twist) * ambient_I(2, d))
     f1, f2 = (
         DSeries((Fraction(0),) + tuple(c.coeffs[k] for c in classes), step=3)
         for k in (1, 2)
@@ -206,7 +208,8 @@ def localp2_kd(dmax: int) -> InvariantTable:
 def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
     """1-point classes of a degree-l hypersurface in P^n for l <= n-1, where
     no corrections arise: the d-th entry is
-    prod_{i=0}^{l*d}(l*H+i) * ambient_I(n, d) for d = 1..dmax.
+    prod_{i=0}^{l*d}(l*H+i) * ambient_I(n, d) for d = 1..dmax, the
+    index-d coefficient of ``naive_series(n, l, dmax, i_from=0)``.
 
     The degree-0 class (which is Y itself by convention) is not emitted.
     """
@@ -215,11 +218,8 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
             f"degree l={l} out of range: correction terms vanish only for "
             f"hypersurfaces of degree at most n-1={n - 1} in P^{n}"
         )
-    if dmax < 0:
-        raise ValueError("dmax must be non-negative")
-    return tuple(
-        hyper_factor(l, d, 0, n + 1) * ambient_I(n, d) for d in range(1, dmax + 1)
-    )
+    series = naive_series(n, l, dmax, i_from=0)
+    return tuple(CohClass(tuple(h.coeffs[d] for h in series)) for d in range(1, dmax + 1))
 
 
 # -- shared solver -------------------------------------------------------------

@@ -16,7 +16,9 @@ Algorithms and their costs in coefficient products, with n = dmax:
   O(n^2); ``log``: theta f / f from L' = f'/f, one inverse and one
   product, O(n^2);
 * ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
-  n-d, O(n^3); ``substitute`` adds O(n^2) to them;
+  n-d, each the previous one times exp(g) by one integer product on
+  numerators carried from entry to entry, O(n^3); ``substitute`` adds
+  O(n^2) to them;
 * ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
   per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
   one ``substitute``.
@@ -35,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence, Union
 
-from .cohomology import Rational, _convolve, _ints, _inverse, _push, as_fraction
+from .cohomology import Rational, _convolve, _int_product, _ints, _inverse, _push, as_fraction
 
 
 @dataclass(frozen=True)
@@ -139,14 +141,17 @@ class DSeries:
         """Coefficients of first * exp(d*g) for d = 0..dmax, with g this
         series and ``first`` defaulting to 1.  Entry d stops at index
         dmax - d, the last one a term Q^d times it reaches.  exp(g) is
-        formed once and each entry is the previous one times it."""
+        formed once and each entry is the previous one times it, on
+        integer numerators kept from one entry to the next."""
         if first is None:
             first = DSeries.one(self.dmax, self.step)
         self._check_shape(first)
-        e1 = self.exp().coeffs
+        en, ed = _ints(self.exp().coeffs)
+        kn, kd = _ints(first.coeffs)
         out = [first.coeffs]
         for d in range(1, self.dmax + 1):
-            out.append(_convolve(out[-1], e1, self.dmax + 1 - d))
+            kn, kd = _int_product(kn, en, self.dmax + 1 - d), kd * ed
+            out.append(tuple(Fraction(x, kd) for x in kn))
         return out
 
     # -- change of variables -------------------------------------------------

@@ -25,7 +25,9 @@ def test_ambient_constant_term(d):
     assert ambient_I(4, d).coeffs[0] == Fraction(1, factorial(d) ** 5)
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (4, 4), (2, 30), (4, 30)])
+@pytest.mark.parametrize(
+    "n,d", [(2, 3), (3, 2), (4, 4), (2, 30), (4, 30), (8, 20), (16, 1), (16, 15), (16, 30)]
+)
 def test_ambient_matches_oracle(n, d):
     assert list(ambient_I(n, d).coeffs) == ambient_poly(n, d)
 
@@ -96,6 +98,25 @@ def test_naive_series_low_degree_kills_h0(n, l):
     h0 = naive_series(n, l, 3, i_from=0)[0]
     for d in range(1, 4):
         assert h0.coeffs[d] == 0
+
+
+NAIVE_SHAPES = [(n, l) for n in range(2, 7) for l in range(1, n + 2)]
+
+
+@pytest.mark.parametrize("i_from", [0, 1])
+@pytest.mark.parametrize("n,l", NAIVE_SHAPES)
+def test_naive_series_matches_oracle_at_every_degree(n, l, i_from):
+    # Each degree extends the previous degree's twist product, so an error
+    # in one degree's new factors shows in every later degree.
+    dmax = 30
+    series = naive_series(n, l, dmax, i_from=i_from)
+    for d in range(dmax + 1):
+        assert [h.coeffs[d] for h in series] == naive_coeff(n, l, d, i_from), d
+
+
+def test_naive_series_rejects_bad_start():
+    with pytest.raises(ValueError, match="i_from"):
+        naive_series(4, 5, 2, i_from=2)
 
 
 def test_naive_series_rejects_non_nef():

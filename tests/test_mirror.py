@@ -146,6 +146,14 @@ def test_naive_invariants_plane_conic():
     assert list(entry.coeffs) == naive_coeff(4, 2, 1, 0)
 
 
+@pytest.mark.parametrize("n,l", [(3, 1), (3, 2), (4, 3), (5, 2), (6, 5)])
+def test_naive_invariants_match_oracle(n, l):
+    entries = naive_invariants(n, l, 20)
+    assert len(entries) == 20
+    for d, entry in enumerate(entries, start=1):
+        assert list(entry.coeffs) == naive_coeff(n, l, d, 0), d
+
+
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (3, 1), (5, 4)])
 def test_naive_invariants_divisible_by_h(n, l):
     for entry in naive_invariants(n, l, 3):

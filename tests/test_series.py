@@ -307,6 +307,21 @@ def test_exp_and_log_match_fraction_oracles(cs, m):
     assert list(DSeries(tuple(f)).log().coeffs) == log_fractions(f)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(wide_lists(n + 1), wide_lists(n + 1))))
+def test_exp_powers_match_power_sums_on_wide_denominators(pair):
+    # exp(g) and the running kernels are far from integral here, unlike
+    # the series the pipelines pass in.
+    first, g = pair
+    g = [Fraction(0)] + g[1:]
+    r = len(g)
+    kernels = DSeries(tuple(g)).exp_powers(DSeries(tuple(first)))
+    assert len(kernels) == r
+    for d, kernel in enumerate(kernels):
+        full = exp_by_powers([d * c for c in g], r)
+        assert list(kernel) == pmul(first, full, r)[: r - d]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(0, 8).flatmap(
