@@ -4,7 +4,7 @@ Subcommands: quintic, local-p2, naive, lemma.  Tables are emitted with
 exact rational values in canonical "a/b" form; JSON, CSV and the default
 pretty rendering carry identical value strings.  Exit codes: 0 success,
 1 mathematical-consistency failure, 2 usage or output error (an --out
-path that cannot be written, a stdout pipe closed by its reader).
+path or a stdout that cannot be written, or a closed stdout pipe).
 """
 
 from __future__ import annotations
@@ -180,13 +180,26 @@ def _open_out(path: str | None):
 
 
 def _emit(text: str, out) -> None:
-    sys.stdout.write(text)
-    sys.stdout.flush()
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at devnull so that the flush at interpreter exit finds
+        # somewhere to put the unwritten rest; a gone reader ends quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise _cannot_write("stdout", exc) from exc
     if out is not None:
         try:
             out.write(text)
             out.flush()
         except OSError as exc:
+            # Close now, so that the close on the way out does not flush again.
+            with contextlib.suppress(OSError):
+                out.close()
             raise _cannot_write(out.name, exc) from exc
 
 
@@ -334,12 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader is gone.  Point stdout at devnull so that the flush at
-        # interpreter exit finds somewhere to put the unwritten rest.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # the reader is gone: end quietly
         return 2
 
 

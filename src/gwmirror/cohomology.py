@@ -6,13 +6,14 @@ coprime parts), and ``str()`` renders the canonical ``a/b`` form with
 ``/1`` omitted.  That string form is the one used bit-for-bit in CLI
 output and golden files.
 
-``CohClass`` models Q[H]/(H^r), the cohomology ring of P^{r-1} with H the
-hyperplane class: a dense length-r coefficient vector with H^r == 0
-enforced by every product.  All values are immutable; all operations are
-pure, so instances are safe to share between threads.
+Both factors of H^*(P^n)[[q]] are truncated univariate polynomials.  The
+private base ``_Truncated`` owns what ``CohClass`` and ``series.DSeries``
+share: coefficient coercion, +, -, scalar and truncated products and the
+inverse.  ``CohClass`` models Q[H]/(H^r), the cohomology ring of P^{r-1}
+with H the hyperplane class, and adds only its ring-length check and
+``str()``.  All values are immutable and all operations are pure.
 
-Both factors of H^*(P^n)[[q]] are truncated univariate power series, so
-this module also holds the three truncated-polynomial kernels that
+This module also holds the three truncated-polynomial kernels that
 ``CohClass``, ``DSeries`` and the twist and lemma products share:
 ``_convolve`` (schoolbook product, O(r^2), on the integer product
 ``_int_product`` that running products call directly), ``_inverse``
@@ -29,7 +30,7 @@ output and not once per product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -48,7 +49,56 @@ def as_fraction(x: Rational) -> Fraction:
 
 
 @dataclass(frozen=True)
-class CohClass:
+class _Truncated:
+    """A truncated univariate polynomial: the coercion and ring operations
+    that ``CohClass`` and ``DSeries`` share.  Results are built by
+    ``dataclasses.replace``, so ``DSeries.step`` carries over; an operand of
+    another type gives NotImplemented, so classes and series never mix, and
+    each subclass's ``_check(other)`` refuses operands of another shape."""
+
+    coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
+        if not self.coeffs:
+            raise ValueError("at least the index-0 coefficient is needed")
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return replace(self, coeffs=tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return replace(self, coeffs=tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return replace(self, coeffs=tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            f = as_fraction(other)
+            return replace(self, coeffs=tuple(a * f for a in self.coeffs))
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return replace(self, coeffs=_convolve(self.coeffs, other.coeffs, len(self.coeffs)))
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def inv(self):
+        """Multiplicative inverse; the index-0 coefficient must be nonzero."""
+        return replace(self, coeffs=_inverse(self.coeffs))
+
+
+@dataclass(frozen=True)
+class CohClass(_Truncated):
     """Element of Q[H]/(H^ring_len), stored densely.
 
     ``coeffs[k]`` is the coefficient of H^k; ``len(coeffs)`` is the ring
@@ -59,59 +109,16 @@ class CohClass:
     '1 - H + H^2'
     """
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
-        if not self.coeffs:
-            raise ValueError("ring_len must be positive")
-
-    # -- structure ---------------------------------------------------------
+    # Own entries: perfbench/spans.py wraps cls.__dict__[name] for each class.
+    __add__, __mul__, inv = _Truncated.__add__, _Truncated.__mul__, _Truncated.inv
 
     @property
     def ring_len(self) -> int:
         return len(self.coeffs)
 
-    def _check_same_ring(self, other: CohClass) -> None:
+    def _check(self, other: CohClass) -> None:
         if self.ring_len != other.ring_len:
-            raise ValueError(
-                f"ring length mismatch: {self.ring_len} vs {other.ring_len}"
-            )
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: CohClass) -> CohClass:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        self._check_same_ring(other)
-        return CohClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: CohClass) -> CohClass:
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        self._check_same_ring(other)
-        return CohClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> CohClass:
-        return CohClass(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: Union[CohClass, Rational]) -> CohClass:
-        if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
-            return CohClass(tuple(a * f for a in self.coeffs))
-        if not isinstance(other, CohClass):
-            return NotImplemented
-        self._check_same_ring(other)
-        return CohClass(_convolve(self.coeffs, other.coeffs, self.ring_len))
-
-    def __rmul__(self, other: Rational) -> CohClass:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def inv(self) -> CohClass:
-        """Multiplicative inverse of a unit (nonzero H^0 part)."""
-        return CohClass(_inverse(self.coeffs))
+            raise ValueError(f"ring length mismatch: {self.ring_len} vs {other.ring_len}")
 
     # -- rendering ---------------------------------------------------------
 

@@ -33,10 +33,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import mul
 
-from .cohomology import _linear_product, as_fraction
+from .cohomology import _ints, _linear_product, as_fraction
 from .multipoly import MultiPoly
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
@@ -155,8 +155,7 @@ def _shifted_product(ck: Fraction, shifts: range) -> tuple[tuple[int, ...], int]
 def _indexed(cfg: LemmaConfig):
     """Each multi-index k with sum(k) <= xdeg_max, with c.k and prod_i k_i!;
     c.k is summed on integer numerators over the common denominator."""
-    cden = lcm(*(c.denominator for c in cfg.cs))
-    cnum = [c.numerator * (cden // c.denominator) for c in cfg.cs]
+    cnum, cden = _ints(cfg.cs)
     for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
         yield k, Fraction(sum(map(mul, cnum, k)), cden), prod(map(factorial, k))
 

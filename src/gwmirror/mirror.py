@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
 from .hypergeom import ambient_I, naive_series
-from .series import DSeries
+from .series import DSeries, _kernel_rows
 
 QUINTIC_RING = 5  # cohomology of P^4
 CUBIC_RING = 3  # cohomology of P^2
@@ -233,15 +233,17 @@ def solve_correction_series(
     """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * kernels[d] for the u_d.
 
     kernels[d] holds the coefficients of the degree-d kernel up to index
-    dmax - d at least, and its constant coefficient must be 1, which makes
-    the system triangular: the index-e equation determines u_e from
-    u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
+    dmax - d at least (a shorter row raises ValueError naming d, entries
+    past that index are ignored), and its constant coefficient must be 1,
+    which makes the system triangular: the index-e equation determines u_e
+    from u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
-    if any(kernel[0] != 1 for kernel in kernels[1 : dmax + 1]):
+    rows = _kernel_rows(kernels, dmax)
+    if any(row[0] != 1 for row in rows[1:]):
         raise ValueError("kernels[d] must have constant coefficient 1 for d >= 1")
     bn, bd = _ints(base.coeffs)
-    kn = [_ints(kernel[: dmax + 1 - d]) for d, kernel in enumerate(kernels[: dmax + 1])]
+    kn = [_ints(row) for row in rows]
     kd = lcm(*(den for _, den in kn))
     kn = [[x * (kd // den) for x in nums] for nums, den in kn]
     out: list[Fraction] = []

@@ -7,11 +7,14 @@ with an explicit step keeps them dense (no zero gaps to carry around).
 A series with values in the cohomology ring Q[H]/(H^r) is carried as the
 tuple of its r scalar H-components, one ``DSeries`` per power of H.
 Every operation truncates at dmax and never claims precision beyond it.
+The ring operations come from ``cohomology._Truncated``, the base that
+``CohClass`` shares; ``DSeries`` adds ``step``, its shape check, its
+constructors and the series operations below, all of them pure.
 
 Algorithms and their costs in coefficient products, with n = dmax:
 
 * product and inverse: the schoolbook convolution and triangular solve
-  that ``CohClass`` shares (``cohomology._convolve``/``_inverse``), O(n^2);
+  (``cohomology._convolve``/``_inverse``), O(n^2);
 * ``exp``: the recurrence from E' = g'E (Brent & Kung, J. ACM 1978),
   O(n^2); ``log``: theta f / f from L' = f'/f, one inverse and one
   product, O(n^2);
@@ -26,8 +29,6 @@ Algorithms and their costs in coefficient products, with n = dmax:
 Each kernel multiplies integer numerators over one common denominator per
 operand (``cohomology._ints``/``_push``) and makes one ``Fraction`` per
 output coefficient, so ``coeffs`` stays a tuple of normalised Fractions.
-
-Values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -35,24 +36,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
-from .cohomology import Rational, _convolve, _int_product, _ints, _inverse, _push, as_fraction
+from .cohomology import Rational, _Truncated, _convolve, _int_product, _ints, _inverse, _push
+from .cohomology import as_fraction
 
 
 @dataclass(frozen=True)
-class DSeries:
+class DSeries(_Truncated):
     """Power series sum_d c_d q^{step*d}, truncated at index dmax."""
 
-    coeffs: tuple[Fraction, ...]
     step: int = 1
 
+    # Own entries: perfbench/spans.py wraps cls.__dict__[name] for each class.
+    __mul__, inv = _Truncated.__mul__, _Truncated.inv
+
     def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a series needs at least the index-0 coefficient")
+        super().__post_init__()
         if self.step < 1:
             raise ValueError("step must be a positive integer")
-        object.__setattr__(self, "coeffs", tuple(as_fraction(c) for c in self.coeffs))
+
+    @property
+    def dmax(self) -> int:
+        return len(self.coeffs) - 1
+
+    def _check(self, other: DSeries) -> None:
+        if self.dmax != other.dmax or self.step != other.step:
+            raise ValueError(
+                f"series shape mismatch: (dmax={self.dmax}, step={self.step}) vs "
+                f"(dmax={other.dmax}, step={other.step})"
+            )
 
     # -- constructors ------------------------------------------------------
 
@@ -69,57 +82,7 @@ class DSeries:
         c[d] = as_fraction(value)
         return cls(tuple(c), step)
 
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def dmax(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check_shape(self, other: DSeries) -> None:
-        if self.dmax != other.dmax or self.step != other.step:
-            raise ValueError(
-                f"series shape mismatch: (dmax={self.dmax}, step={self.step}) vs "
-                f"(dmax={other.dmax}, step={other.step})"
-            )
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other: DSeries) -> DSeries:
-        if not isinstance(other, DSeries):
-            return NotImplemented
-        self._check_shape(other)
-        return DSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.step
-        )
-
-    def __sub__(self, other: DSeries) -> DSeries:
-        if not isinstance(other, DSeries):
-            return NotImplemented
-        self._check_shape(other)
-        return DSeries(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.step
-        )
-
-    def __neg__(self) -> DSeries:
-        return DSeries(tuple(-a for a in self.coeffs), self.step)
-
-    def __mul__(self, other: Union[DSeries, Rational]) -> DSeries:
-        if isinstance(other, (int, Fraction)):
-            f = as_fraction(other)
-            return DSeries(tuple(c * f for c in self.coeffs), self.step)
-        if not isinstance(other, DSeries):
-            return NotImplemented
-        self._check_shape(other)
-        return DSeries(_convolve(self.coeffs, other.coeffs, self.dmax + 1), self.step)
-
-    def __rmul__(self, other: Rational) -> DSeries:
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def inv(self) -> DSeries:
-        """Multiplicative inverse; the constant coefficient must be nonzero."""
-        return DSeries(_inverse(self.coeffs), self.step)
+    # -- series operations -------------------------------------------------
 
     def exp(self) -> DSeries:
         """Exponential of a series with zero constant coefficient, by the
@@ -145,7 +108,7 @@ class DSeries:
         integer numerators kept from one entry to the next."""
         if first is None:
             first = DSeries.one(self.dmax, self.step)
-        self._check_shape(first)
+        self._check(first)
         en, ed = _ints(self.exp().coeffs)
         kn, kd = _ints(first.coeffs)
         out = [first.coeffs]
@@ -163,7 +126,8 @@ class DSeries:
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
         The exponent g must have zero constant term.  Several series that
         share one substitution can pass ``g.exp_powers()`` in place of g,
-        so that the kernels exp(d*g) are built once.
+        so that the kernels exp(d*g) are built once; kernel row d must
+        reach index dmax - d, and entries past it are ignored.
         """
         if isinstance(g, DSeries):
             if g.dmax != self.dmax or g.step != self.step:
@@ -173,12 +137,13 @@ class DSeries:
             g = g.exp_powers()
         if len(g) != self.dmax + 1:
             raise ValueError("substitution kernels must share dmax")
+        rows = _kernel_rows(g, self.dmax)
         cn, cd = _ints(self.coeffs)
-        kn, kd = _ints(x for kernel in g for x in kernel)
+        kn, kd = _ints(x for row in rows for x in row)
         out = [0] * (self.dmax + 1)
         end = 0
-        for d, (c, kernel) in enumerate(zip(cn, g)):
-            start, end = end, end + len(kernel)
+        for d, (c, row) in enumerate(zip(cn, rows)):
+            start, end = end, end + len(row)
             if c:
                 for e, k in enumerate(kn[start:end], start=d):
                     out[e] += c * k
@@ -231,3 +196,13 @@ def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fractio
         out.append(Fraction(scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n))
         ed = _push(e, ed, out[-1])
     return tuple(out)
+
+
+def _kernel_rows(kernels: Sequence[Sequence[Fraction]], dmax: int) -> list[Sequence[Fraction]]:
+    """Rows 0..dmax of ``kernels``, row d cut at index dmax - d; a row that
+    is missing or stops short of that index raises ValueError naming d."""
+    rows = [kernel[: dmax + 1 - d] for d, kernel in enumerate(kernels[: dmax + 1])]
+    for d in range(dmax + 1):
+        if d == len(rows) or len(rows[d]) < dmax + 1 - d:
+            raise ValueError(f"kernel row {d} must reach index {dmax - d}")
+    return rows

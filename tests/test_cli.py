@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 CMD = [sys.executable, "-m", "gwmirror"]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*args, **kwargs):
@@ -251,6 +253,29 @@ def test_closed_stdout_pipe_is_exit_2_without_traceback():
     assert r.stderr == ""  # no traceback, no "Exception ignored" at exit
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [("quintic", "--dmax", "3"), ("lemma", "a1", "--vars", "1", "--xdeg", "2", "--trials", "2")],
+)
+def test_full_stdout_is_exit_2_with_one_line(args):
+    with open("/dev/full", "w") as full:
+        r = subprocess.run(CMD + list(args), stdout=full, stderr=subprocess.PIPE, text=True)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write stdout: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr and "Exception ignored" not in r.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_out_file_is_exit_2_with_one_line():
+    r = run("quintic", "--dmax", "3", "--out", "/dev/full")
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: cannot write /dev/full: ")
+    assert len(r.stderr.splitlines()) == 1
+    assert "Traceback" not in r.stderr
+
+
 def test_output_is_deterministic():
     a = run("lemma", "a1", "--vars", "2", "--xdeg", "3", "--trials", "5", "--seed", "3")
     b = run("lemma", "a1", "--vars", "2", "--xdeg", "3", "--trials", "5", "--seed", "3")
@@ -279,3 +304,34 @@ def test_tracer_installs_on_a_fresh_cli_import():
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+# -- README examples -----------------------------------------------------------------
+
+
+def _readme_block(lang: str, after: str) -> str:
+    """The first ```lang block of README.md that follows the text ``after``."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"```{lang}\n", text.index(after)) + len(lang) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_cli_examples_match_the_program():
+    examples = re.split(r"^\$ gwmirror ", _readme_block("text", "Examples:"), flags=re.M)[1:]
+    assert len(examples) == 2
+    for example in examples:
+        command, _, shown = example.partition("\n")
+        r = run(*command.split())
+        assert r.returncode == 0, r.stderr
+        # a blank line separates one example from the next
+        assert r.stdout == shown.rstrip("\n") + "\n"
+
+
+def test_readme_library_example_matches_the_program():
+    lines = _readme_block("python", "## Library").splitlines()
+    namespace: dict = {}
+    exec("\n".join(l for l in lines if l.startswith(("from ", "import "))), namespace)
+    shown = [(expr, out[2:]) for expr, out in zip(lines, lines[1:]) if out.startswith("# ")]
+    assert [expr for expr, _ in shown] == ["quintic_invariants(3).entries"]
+    for expr, text in shown:
+        assert repr(eval(expr, namespace)) == text

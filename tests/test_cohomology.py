@@ -1,3 +1,5 @@
+import operator
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import CohClass
+from gwmirror import CohClass, DSeries
 from gwmirror.cohomology import _convolve, _ints, _inverse, _linear_product, _push
 
 from oracles import convolve_fractions, inverse_fractions, linear, pinv, pmul, ppow
@@ -174,3 +176,50 @@ def test_convolve_and_inverse_match_fraction_oracles(pair, cut):
     else:
         with pytest.raises(ZeroDivisionError):
             _inverse(a)
+
+
+# -- the base CohClass and DSeries share ----------------------------------------
+
+
+@pytest.mark.parametrize("kind, fields", [(CohClass, {}), (DSeries, {"step": 5})])
+def test_shared_operations_keep_type_and_fields(kind, fields):
+    # fields beyond coeffs (DSeries.step) must carry over to every result
+    a = [Fraction(3, 2), Fraction(-1), Fraction(2, 7), Fraction(5)]
+    b = [Fraction(-4), Fraction(1, 3), Fraction(0), Fraction(-9, 4)]
+    x, y = kind(tuple(a), **fields), kind(tuple(b), **fields)
+    s = Fraction(-2, 3)
+    cases = [
+        (x + y, [p + q for p, q in zip(a, b)]),
+        (x - y, [p - q for p, q in zip(a, b)]),
+        (-x, [-p for p in a]),
+        (x * s, [p * s for p in a]),
+        (s * x, [p * s for p in a]),
+        (3 * x, [3 * p for p in a]),
+        (x * 3, [3 * p for p in a]),
+        (x * y, convolve_fractions(a, b, len(a))),
+        (x.inv(), inverse_fractions(a)),
+    ]
+    for got, want in cases:
+        assert type(got) is kind
+        assert vars(got) == {"coeffs": tuple(want), **fields}
+        assert all(type(c) is Fraction for c in got.coeffs)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_classes_and_series_never_mix(op):
+    c, q = CohClass((1, 2)), DSeries((1, 2))
+    with pytest.raises(TypeError):
+        op(c, q)
+    with pytest.raises(TypeError):
+        op(q, c)
+
+
+def test_shape_and_empty_messages():
+    with pytest.raises(ValueError, match=re.escape("ring length mismatch: 3 vs 4")):
+        hpow(0, 3) - hpow(0, 4)
+    shape = "series shape mismatch: (dmax=1, step=5) vs (dmax=2, step=5)"
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        DSeries((1, 2), 5) - DSeries((1, 2, 3), 5)
+    for kind in (CohClass, DSeries):
+        with pytest.raises(ValueError, match="at least the index-0 coefficient"):
+            kind(())

@@ -247,6 +247,16 @@ def test_solver_rejects_kernel_without_unit_constant():
     assert solve_correction_series(base, [(1, 0, 0), (1, 0), (1,)], weights) == [1, 0]
 
 
+def test_solver_kernel_rows_must_reach_dmax_minus_d():
+    base, weights = DSeries((0, 1, 0)), [1, 1, 1]
+    with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
+        solve_correction_series(base, [(1, 0, 0), (1,), (1,)], weights)
+    with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
+        solve_correction_series(base, [(1, 0, 0), (1, 0)], weights)
+    # entries past index dmax - d are ignored
+    assert solve_correction_series(base, [(1, 0, 0, 9), (1, 0, 9), (1, 9)], weights) == [1, 0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 8).flatmap(

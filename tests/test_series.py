@@ -182,6 +182,12 @@ def test_shape_mismatch_rejected():
         ser(1, 2, step=5) + ser(1, 2, step=3)
 
 
+def test_str():
+    assert str(DSeries((1, 0, Fraction(-1, 2)), step=5)) == "1 + -1/2*q^10"
+    assert str(ser(0, 3, 0, Fraction(7, 3))) == "3*q^1 + 7/3*q^3"
+    assert str(ser(0, 0)) == "0"
+
+
 # -- kernels ----------------------------------------------------------------------
 
 
@@ -195,6 +201,18 @@ def test_exp_powers():
     assert g.exp_powers(first) == [(first * w).coeffs[: 4 - d] for d, w in enumerate(full)]
     with pytest.raises(ValueError, match="shape"):
         g.exp_powers(ser(1, 2))
+
+
+def test_substitute_kernel_rows_must_reach_dmax_minus_d():
+    c = ser(1, 2, 3)
+    kernels = [(1, 0, 0), (1, 5), (1,)]
+    assert str(c.substitute(kernels)) == "1 + 2*q^1 + 13*q^2"
+    with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
+        c.substitute([(1, 0, 0), (1,), (1,)])
+    with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
+        c.substitute([(1, 0, 0), (1, 5), ()])
+    # entries past index dmax - d are ignored
+    assert c.substitute([(1, 0, 0, 7), (1, 5, 9), (1, 4, 4)]) == c.substitute(kernels)
 
 
 # -- algebraic properties --------------------------------------------------------
