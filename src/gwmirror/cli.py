@@ -210,12 +210,14 @@ def _run_quintic(args, out) -> int:
     table = quintic_invariants(args.dmax)
     crosscheck = "absent"
     if args.crosscheck:
-        other = quintic_crosscheck(args.dmax)
-        if other.entries != table.entries:
-            print(
-                "consistency failure: recursion and reversion tables disagree",
-                file=sys.stderr,
-            )
+        # The reversion route raises RuntimeError when one of its own
+        # self-checks (round trip, low-H residue) fails; that and a table
+        # that disagrees are both a consistency failure.
+        try:
+            if quintic_crosscheck(args.dmax).entries != table.entries:
+                raise RuntimeError("recursion and reversion tables disagree")
+        except RuntimeError as exc:
+            print(f"consistency failure: {exc}", file=sys.stderr)
             return 1
         crosscheck = "ok"
     rows = [{"d": d, "value": str(v)} for d, v in table.entries]

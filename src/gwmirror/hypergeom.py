@@ -5,11 +5,10 @@ ingredients are:
 
 * ``ambient_I(n, d)``: the degree-d coefficient of the genus-zero 1-point
   series of P^n itself, prod_{i=1}^{d} (H+i)^{-(n+1)}.
-* ``hyper_factor(l, d, i_from, ring_len)``: the finite twist product
-  prod_{i=i_from}^{l*d} (l*H + i) that raises the tangency multiplicity
-  to Y one step at a time; ``i_from`` selects whether the i = 0 factor
-  (which is Y itself) is included.
-* ``naive_series(n, l, dmax, i_from)``: their product as a q-series, the
+* ``hyper_factor(l, d, ring_len)``: the finite twist product
+  prod_{i=0}^{l*d} (l*H + i) that raises the tangency multiplicity
+  to Y one step at a time; its i = 0 factor l*H is the class of Y itself.
+* ``naive_series(n, l, dmax)``: their product as a q-series, the
   generating series Y would have if reducible-curve corrections never
   contributed, returned as its n+1 scalar H-components.
 
@@ -44,22 +43,17 @@ def ambient_I(n: int, d: int) -> CohClass:
     return CohClass(power).inv()
 
 
-def hyper_factor(l: int, d: int, i_from: int, ring_len: int) -> CohClass:
-    """prod_{i=i_from}^{l*d} (l*H + i) in Q[H]/(H^ring_len).
-
-    Empty ranges give 1, so d = 0 with i_from = 1 is the empty product
-    while d = 0 with i_from = 0 is the single factor l*H.
-    """
+def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
+    """prod_{i=0}^{l*d} (l*H + i) in Q[H]/(H^ring_len); d = 0 gives the
+    single factor l*H."""
     if l < 1 or d < 0 or ring_len < 1:
         raise ValueError("need l >= 1, d >= 0, ring_len >= 1")
-    if i_from not in (0, 1):
-        raise ValueError("i_from must be 0 or 1")
-    return CohClass(_linear_product(ring_len, l, range(i_from, l * d + 1)))
+    return CohClass(_linear_product(ring_len, l, range(l * d + 1)))
 
 
-def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, ...]:
+def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     """The q-series with index-d coefficient
-    hyper_factor(l, d, i_from, n+1) * ambient_I(n, d), graded with step l,
+    hyper_factor(l, d, n+1) * ambient_I(n, d), graded with step l,
     as its H-components: entry k is the scalar series of H^k parts,
     for k = 0..n.
 
@@ -69,7 +63,7 @@ def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, .
     The quintic's degree-1 coefficient, H^0..H^4 parts:
 
     >>> [str(h.coeffs[1]) for h in naive_series(4, 5, 1)]
-    ['120', '770', '575', '-1150', '1075']
+    ['0', '600', '3850', '2875', '-5750']
     """
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
@@ -77,13 +71,11 @@ def naive_series(n: int, l: int, dmax: int, i_from: int = 1) -> tuple[DSeries, .
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    if i_from not in (0, 1):
-        raise ValueError("i_from must be 0 or 1")
     # Degree d multiplies the twist product by its new factors
-    # i in (l(d-1), l*d], and degree 0 by the i = 0 factor if i_from is 0.
+    # i in (l(d-1), l*d], and degree 0 by the i = 0 factor l*H.
     twist, classes = (1,) + (0,) * n, []
     for d in range(dmax + 1):
-        new = _linear_product(n + 1, l, range(max(i_from, l * d - l + 1), l * d + 1))
+        new = _linear_product(n + 1, l, range(max(0, l * d - l + 1), l * d + 1))
         twist = _int_product(twist, new, n + 1)
         classes.append(CohClass(twist) * ambient_I(n, d))
     return tuple(

@@ -1,8 +1,9 @@
 """End-to-end invariant pipelines.
 
-Three computations share one backbone.  Write the naive hypergeometric
-series of a hypersurface Y = l*H in P^n as F_0 + F_1 H + F_2 H^2 + ...,
-each F_k a scalar q-series:
+Three computations share one backbone.  ``naive_series`` gives the naive
+hypergeometric series of a hypersurface Y = l*H in P^n with Y's own
+factor l*H in it; with that factor taken out, write it as
+F_0 + F_1 H + F_2 H^2 + ..., each F_k a scalar q-series:
 
 * quintic threefold (n = 4, l = 5) and plane cubic (n = 2, l = 3):
   corrections from curves inside Y turn the naive series into the true
@@ -12,14 +13,16 @@ each F_k a scalar q-series:
   n_d of degree-d rational curves on the quintic.  An independent route
   (divide by the scaling series F_0 exp(H F_1/F_0), revert the variable
   change q -> q exp(F_1/(5 F_0)), read off coefficients) must reproduce
-  the same table.  The plane-cubic series has no H^0 part, so there
-  F_0 = 1 and w_d = 1, and u_d = v_d is the virtual number of degree-d
-  rational plane curves meeting a smooth cubic at a single point with
-  multiplicity 3d.  These repackage as local invariants K_d of the
-  canonical bundle of P^2 via v_d = (-1)^d * 3d * K_d.
+  the same table; that route divides the naive series itself, factor
+  5H and all.  The plane-cubic series stops one twist factor short and
+  has no H^0 part, so there F_k is its H^k part, F_0 = 1 and w_d = 1,
+  and u_d = v_d is the virtual number of degree-d rational plane curves
+  meeting a smooth cubic at a single point with multiplicity 3d.  These
+  repackage as local invariants K_d of the canonical bundle of P^2 via
+  v_d = (-1)^d * 3d * K_d.
 
 * low degree (l <= n-1): no corrections arise at all, so the naive series
-  coefficients ARE the invariants of Y.
+  coefficients, factor l*H included, ARE the invariants of Y.
 
 All recursions are solved strictly order by order in exact arithmetic.
 The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) grows from degree
@@ -32,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
@@ -63,7 +65,6 @@ class MirrorData:
 class InvariantTable:
     """Ordered exact table degree -> invariant."""
 
-    case_name: str
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
@@ -84,18 +85,20 @@ def _correction_terms(md: MirrorData) -> tuple[DSeries, list[tuple[Fraction, ...
     return md.f1 * m * Fraction(1, 2), m.exp_powers(md.f0)
 
 
-def _solve(case_name: str, md: MirrorData) -> InvariantTable:
+def _solve(md: MirrorData) -> InvariantTable:
     half, kernels = _correction_terms(md)
     solved = solve_correction_series(md.f2 - half, kernels, md.weights)
-    return InvariantTable(case_name, tuple(enumerate(solved, start=1)))
+    return InvariantTable(tuple(enumerate(solved, start=1)))
 
 
 # -- quintic threefold -------------------------------------------------------
 
 
 def quintic_f(dmax: int) -> MirrorData:
-    """F_0, F_1, F_2 of the quintic naive series, with weights w_d = d/5."""
-    f0, f1, f2 = naive_series(4, 5, dmax, i_from=1)[:3]
+    """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
+    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
+    series = naive_series(4, 5, dmax)
+    f0, f1, f2 = (DSeries(tuple(c / 5 for c in h.coeffs), 5) for h in series[1:4])
     return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
 
 
@@ -118,19 +121,19 @@ def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
 def quintic_invariants(dmax: int) -> InvariantTable:
     """Virtual counts n_d of degree-d rational curves on the quintic,
     solved degree by degree from the H^3 component of the corrected series."""
-    return _solve("quintic", quintic_f(dmax))
+    return _solve(quintic_f(dmax))
 
 
 def quintic_crosscheck(dmax: int) -> InvariantTable:
     """The same table by the reversion route.
 
-    Divide the full naive series (including its leading 5H factor) by the
+    Divide the naive series (which carries the factor 5H) by the
     scaling series P_0 and rewrite it in the transformed variable; for
     d >= 1 the index-d coefficient is the true 1-point class of the
     quintic, with H^0..H^2 parts zero and H^3 part d*n_d.
     """
     md = quintic_f(dmax)
-    full = naive_series(4, 5, dmax, i_from=0)
+    full = naive_series(4, 5, dmax)
     # Only H^0..H^3 are read, so the quotient stops there.
     quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
@@ -145,7 +148,7 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
                 f"{d}: H^0..H^2 parts {', '.join(map(str, residue))}"
             )
         entries.append((d, corrected[3].coeffs[d] / d))
-    return InvariantTable("quintic", tuple(entries))
+    return InvariantTable(tuple(entries))
 
 
 def _h_divide(num: Sequence[DSeries], den: Sequence[DSeries]) -> list[DSeries]:
@@ -171,7 +174,7 @@ def localp2_f(dmax: int) -> MirrorData:
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     # The twist product prod_{i=0}^{3d-1}(3H+i) = 3H prod_{i=1}^{3d-1}(3H+i)
-    # stops one factor short of hyper_factor(3, d, 0, 3): the final
+    # stops one factor short of hyper_factor(3, d, 3): the final
     # multiplicity step is the invariant being defined, not a factor of
     # the series.  Degree d multiplies it by its new factors i in [3d-3, 3d).
     twist, classes = (1,) + (0,) * (CUBIC_RING - 1), []
@@ -189,7 +192,7 @@ def localp2_f(dmax: int) -> MirrorData:
 def localp2_invariants(dmax: int) -> InvariantTable:
     """Virtual counts of degree-d rational plane curves with a single point
     of multiplicity-3d contact with a smooth cubic."""
-    return _solve("local-p2", localp2_f(dmax))
+    return _solve(localp2_f(dmax))
 
 
 def localp2_kd(dmax: int) -> InvariantTable:
@@ -199,7 +202,7 @@ def localp2_kd(dmax: int) -> InvariantTable:
     entries = tuple(
         (d, Fraction((-1) ** d) * v / (3 * d)) for d, v in table.entries
     )
-    return InvariantTable("local-p2-kd", entries)
+    return InvariantTable(entries)
 
 
 # -- correction-free low degrees ----------------------------------------------
@@ -209,7 +212,7 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
     """1-point classes of a degree-l hypersurface in P^n for l <= n-1, where
     no corrections arise: the d-th entry is
     prod_{i=0}^{l*d}(l*H+i) * ambient_I(n, d) for d = 1..dmax, the
-    index-d coefficient of ``naive_series(n, l, dmax, i_from=0)``.
+    index-d coefficient of ``naive_series(n, l, dmax)``.
 
     The degree-0 class (which is Y itself by convention) is not emitted.
     """
@@ -218,7 +221,7 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
             f"degree l={l} out of range: correction terms vanish only for "
             f"hypersurfaces of degree at most n-1={n - 1} in P^{n}"
         )
-    series = naive_series(n, l, dmax, i_from=0)
+    series = naive_series(n, l, dmax)
     return tuple(CohClass(tuple(h.coeffs[d] for h in series)) for d in range(1, dmax + 1))
 
 
@@ -233,19 +236,17 @@ def solve_correction_series(
     """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * kernels[d] for the u_d.
 
     kernels[d] holds the coefficients of the degree-d kernel up to index
-    dmax - d at least (a shorter row raises ValueError naming d, entries
-    past that index are ignored), and its constant coefficient must be 1,
-    which makes the system triangular: the index-e equation determines u_e
-    from u_1..u_{e-1}.  Returns [u_1, ..., u_dmax].
+    dmax - d at least (``_kernel_rows`` reads them: a shorter row raises
+    ValueError naming d, later rows and entries are ignored), and its
+    constant coefficient must be 1, which makes the system triangular:
+    the index-e equation determines u_e from u_1..u_{e-1}.  Returns
+    [u_1, ..., u_dmax].
     """
     dmax = base.dmax
-    rows = _kernel_rows(kernels, dmax)
-    if any(row[0] != 1 for row in rows[1:]):
+    kn, kd = _kernel_rows(kernels, dmax)
+    if any(row[0] != kd for row in kn[1:]):
         raise ValueError("kernels[d] must have constant coefficient 1 for d >= 1")
     bn, bd = _ints(base.coeffs)
-    kn = [_ints(row) for row in rows]
-    kd = lcm(*(den for _, den in kn))
-    kn = [[x * (kd // den) for x in nums] for nums, den in kn]
     out: list[Fraction] = []
     yn, yd = [], 1  # numerators of w_d * u_d over yd, d = 1..e-1
     for e in range(1, dmax + 1):

@@ -27,14 +27,16 @@ Algorithms and their costs in coefficient products, with n = dmax:
   one ``substitute``.
 
 Each kernel multiplies integer numerators over one common denominator per
-operand (``cohomology._ints``/``_push``) and makes one ``Fraction`` per
-output coefficient, so ``coeffs`` stays a tuple of normalised Fractions.
+operand (``cohomology._ints``/``_push``; substitution kernel rows once, by
+``_kernel_rows``) and makes one ``Fraction`` per output coefficient, so
+``coeffs`` stays a tuple of normalised Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
@@ -127,7 +129,8 @@ class DSeries(_Truncated):
         The exponent g must have zero constant term.  Several series that
         share one substitution can pass ``g.exp_powers()`` in place of g,
         so that the kernels exp(d*g) are built once; kernel row d must
-        reach index dmax - d, and entries past it are ignored.
+        reach index dmax - d, and rows past dmax and entries past that
+        index are ignored.
         """
         if isinstance(g, DSeries):
             if g.dmax != self.dmax or g.step != self.step:
@@ -135,17 +138,12 @@ class DSeries(_Truncated):
             if g.coeffs[0] != 0:
                 raise ValueError("substitution exponent must have zero constant term")
             g = g.exp_powers()
-        if len(g) != self.dmax + 1:
-            raise ValueError("substitution kernels must share dmax")
-        rows = _kernel_rows(g, self.dmax)
+        kn, kd = _kernel_rows(g, self.dmax)
         cn, cd = _ints(self.coeffs)
-        kn, kd = _ints(x for row in rows for x in row)
         out = [0] * (self.dmax + 1)
-        end = 0
-        for d, (c, row) in enumerate(zip(cn, rows)):
-            start, end = end, end + len(row)
+        for d, (c, row) in enumerate(zip(cn, kn)):
             if c:
-                for e, k in enumerate(kn[start:end], start=d):
+                for e, k in enumerate(row, start=d):
                     out[e] += c * k
         return DSeries(tuple(Fraction(x, cd * kd) for x in out), self.step)
 
@@ -198,11 +196,15 @@ def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fractio
     return tuple(out)
 
 
-def _kernel_rows(kernels: Sequence[Sequence[Fraction]], dmax: int) -> list[Sequence[Fraction]]:
-    """Rows 0..dmax of ``kernels``, row d cut at index dmax - d; a row that
-    is missing or stops short of that index raises ValueError naming d."""
+def _kernel_rows(kernels: Sequence[Sequence[Rational]], dmax: int) -> tuple[list[list[int]], int]:
+    """Rows 0..dmax of ``kernels``, row d cut at index dmax - d, as integer
+    numerators over one common denominator.  Rows past dmax and entries
+    past index dmax - d are ignored; a row that is missing or stops short
+    of that index raises ValueError naming d."""
     rows = [kernel[: dmax + 1 - d] for d, kernel in enumerate(kernels[: dmax + 1])]
     for d in range(dmax + 1):
         if d == len(rows) or len(rows[d]) < dmax + 1 - d:
             raise ValueError(f"kernel row {d} must reach index {dmax - d}")
-    return rows
+    nums, den = _ints(x for row in rows for x in row)
+    it = iter(nums)
+    return [list(islice(it, len(row))) for row in rows], den

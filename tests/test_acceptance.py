@@ -158,9 +158,10 @@ def _p_closed_form(cfg: LemmaConfig) -> MultiPoly:
 
 
 def test_criterion_7_hypergeometric_spot_values():
-    quintic = [comp.coeffs[1] for comp in naive_series(4, 5, 1, i_from=1)]
-    assert quintic[:3] == [120, 770, 575]
-    assert quintic == naive_coeff(4, 5, 1, 1)
+    # The series carries the quintic's factor 5H.
+    quintic = [comp.coeffs[1] for comp in naive_series(4, 5, 1)]
+    assert [c / 5 for c in quintic[1:4]] == [120, 770, 575]
+    assert quintic == naive_coeff(4, 5, 1, 0)
     local = localp2_f(1)
     assert local.f1.coeffs[1] == 6
     assert local.f2.coeffs[1] == 9

@@ -52,6 +52,63 @@ def test_quintic_crosscheck_flag():
     assert json.loads(r.stdout)["crosscheck"] == "ok"
 
 
+def _crosscheck_in_process(capsys):
+    from gwmirror import cli
+
+    code = cli.main(["quintic", "--dmax", "3", "--crosscheck"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_quintic_crosscheck_self_check_failure_is_exit_1_with_one_line(monkeypatch, capsys):
+    from gwmirror import series
+
+    # Off by one in the last coefficient of exp(-m*g) only: the recursion
+    # route is untouched, and revert_exp fails its round-trip check.
+    exp_coeffs = series._exp_coeffs
+
+    def broken(g, scale, length):
+        out = exp_coeffs(g, scale, length)
+        return out if scale > 0 else out[:-1] + (out[-1] + 1,)
+
+    monkeypatch.setattr(series, "_exp_coeffs", broken)
+    assert _crosscheck_in_process(capsys) == (
+        1,
+        "",
+        "consistency failure: series reversion failed its round-trip check (internal bug)\n",
+    )
+
+
+def test_quintic_crosscheck_residue_failure_is_exit_1(monkeypatch, capsys):
+    from gwmirror import cli
+
+    def residue(dmax):
+        raise RuntimeError("reversion route left a low H-power residue at degree 2")
+
+    monkeypatch.setattr(cli, "quintic_crosscheck", residue)
+    assert _crosscheck_in_process(capsys) == (
+        1,
+        "",
+        "consistency failure: reversion route left a low H-power residue at degree 2\n",
+    )
+
+
+def test_quintic_crosscheck_disagreement_is_exit_1(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from gwmirror import InvariantTable, cli
+
+    def wrong(dmax):
+        return InvariantTable(tuple((d, Fraction(d)) for d in range(1, dmax + 1)))
+
+    monkeypatch.setattr(cli, "quintic_crosscheck", wrong)
+    assert _crosscheck_in_process(capsys) == (
+        1,
+        "",
+        "consistency failure: recursion and reversion tables disagree\n",
+    )
+
+
 def test_quintic_dmax_zero_is_usage_error():
     r = run("quintic", "--dmax", "0")
     assert r.returncode == 2

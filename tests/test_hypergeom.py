@@ -5,7 +5,7 @@ import pytest
 
 from gwmirror import CohClass, ambient_I, hyper_factor, naive_series
 
-from oracles import ambient_poly, hyper_poly, naive_coeff
+from oracles import ambient_poly, hyper_poly, linear, naive_coeff, pmul
 from strategies import hpow
 
 
@@ -33,69 +33,82 @@ def test_ambient_matches_oracle(n, d):
 
 
 def test_hyper_factor_quintic_degree_one():
-    got = hyper_factor(5, 1, 1, 5)
-    # frozen from the oracle; H^0 = 5! and H^1 = 120*5*(1+1/2+1/3+1/4+1/5)
-    assert list(got.coeffs) == [120, 1370, 5625, 10625, 9375]
-    assert list(got.coeffs) == hyper_poly(5, 1, 1, 5)
+    got = hyper_factor(5, 1, 5)
+    # frozen from the oracle; 5H times 5! (1 + H)(1 + H/2)...(1 + H/5) mod H^5
+    assert list(got.coeffs) == [0, 600, 6850, 28125, 53125]
+    assert list(got.coeffs) == hyper_poly(5, 1, 0, 5)
 
 
 def test_hyper_factor_empty_product():
-    assert hyper_factor(7, 0, 1, 4) == hpow(0, 4)
+    # At d = 0 the product over i = 1..0 is empty, leaving the factor 7H.
+    assert hyper_factor(7, 0, 4) == hpow(1, 4) * 7
 
 
 def test_hyper_factor_from_zero_cubic():
-    got = hyper_factor(3, 1, 0, 3)
+    got = hyper_factor(3, 1, 3)
     assert list(got.coeffs) == [0, 18, 99]  # frozen from the oracle
     assert list(got.coeffs) == hyper_poly(3, 1, 0, 3)
 
 
+def lh_times(l: int, poly: list[Fraction]) -> list[Fraction]:
+    """l*H times an oracle polynomial, in the oracle's own arithmetic."""
+    return pmul(linear(0, l, len(poly)), poly, len(poly))
+
+
+# The oracles keep both starts of the twist product: from 0 it is the
+# package's product itself, from 1 the package's product is l*H times it.
 @pytest.mark.parametrize("ring_len", [3, 5])
-@pytest.mark.parametrize("i_from", [0, 1])
+@pytest.mark.parametrize("oracle_from", [0, 1])
 @pytest.mark.parametrize("l", range(1, 6))
-def test_hyper_factor_matches_oracle(l, i_from, ring_len):
+def test_hyper_factor_matches_oracle(l, oracle_from, ring_len):
     for d in (0, 1, 2, 7, 30):
-        assert list(hyper_factor(l, d, i_from, ring_len).coeffs) == hyper_poly(
-            l, d, i_from, ring_len
-        )
+        want = hyper_poly(l, d, oracle_from, ring_len)
+        if oracle_from:
+            want = lh_times(l, want)
+        assert list(hyper_factor(l, d, ring_len).coeffs) == want
 
 
 @pytest.mark.parametrize("l,d", [(1, 1), (2, 3), (3, 2), (5, 1)])
 def test_hyper_factor_zero_start_pulls_out_lh(l, d):
     ring_len = 5
     lh = hpow(1, ring_len) * l
-    assert hyper_factor(l, d, 0, ring_len) == lh * hyper_factor(l, d, 1, ring_len)
+    rest = hpow(0, ring_len)
+    for i in range(1, l * d + 1):
+        rest = rest * CohClass((i, l) + (0,) * (ring_len - 2))
+    assert hyper_factor(l, d, ring_len) == lh * rest
 
 
 def test_naive_series_quintic_degree_one():
-    series = naive_series(4, 5, 2, i_from=1)
+    series = naive_series(4, 5, 2)
     got = [comp.coeffs[1] for comp in series]
-    assert got[:3] == [120, 770, 575]
-    assert got == naive_coeff(4, 5, 1, 1)
+    assert got[:4] == [0, 5 * 120, 5 * 770, 5 * 575]
+    assert got == naive_coeff(4, 5, 1, 0)
 
 
-def test_naive_series_degree_zero_is_one():
+def test_naive_series_degree_zero_is_lh():
     for n, l in [(4, 5), (3, 2), (2, 3)]:
-        series = naive_series(n, l, 0, i_from=1)
-        assert [comp.coeffs for comp in series] == [(1,)] + [(0,)] * n
+        series = naive_series(n, l, 0)
+        assert [comp.coeffs for comp in series] == [(0,), (l,)] + [(0,)] * (n - 1)
 
 
 def test_naive_series_plane_conic_in_p4():
-    got = [comp.coeffs[1] for comp in naive_series(4, 2, 1, i_from=0)]
+    got = [comp.coeffs[1] for comp in naive_series(4, 2, 1)]
     assert got == [0, 4, -8, 8, 0]
     assert got == naive_coeff(4, 2, 1, 0)
 
 
 @pytest.mark.parametrize("n,l", [(4, 5), (4, 2), (3, 1), (2, 3)])
 def test_naive_series_constant_terms(n, l):
-    h0 = naive_series(n, l, 3, i_from=1)[0]
+    # The constant terms of the series with its factor l*H taken out.
+    h1 = naive_series(n, l, 3)[1]
     for d in range(4):
-        expected = Fraction(factorial(l * d), factorial(d) ** (n + 1))
-        assert h0.coeffs[d] == expected
+        expected = Fraction(l * factorial(l * d), factorial(d) ** (n + 1))
+        assert h1.coeffs[d] == expected
 
 
 @pytest.mark.parametrize("n,l", [(4, 2), (4, 3), (3, 2), (5, 4)])
 def test_naive_series_low_degree_kills_h0(n, l):
-    h0 = naive_series(n, l, 3, i_from=0)[0]
+    h0 = naive_series(n, l, 3)[0]
     for d in range(1, 4):
         assert h0.coeffs[d] == 0
 
@@ -103,20 +116,18 @@ def test_naive_series_low_degree_kills_h0(n, l):
 NAIVE_SHAPES = [(n, l) for n in range(2, 7) for l in range(1, n + 2)]
 
 
-@pytest.mark.parametrize("i_from", [0, 1])
+@pytest.mark.parametrize("oracle_from", [0, 1])
 @pytest.mark.parametrize("n,l", NAIVE_SHAPES)
-def test_naive_series_matches_oracle_at_every_degree(n, l, i_from):
+def test_naive_series_matches_oracle_at_every_degree(n, l, oracle_from):
     # Each degree extends the previous degree's twist product, so an error
     # in one degree's new factors shows in every later degree.
     dmax = 30
-    series = naive_series(n, l, dmax, i_from=i_from)
+    series = naive_series(n, l, dmax)
     for d in range(dmax + 1):
-        assert [h.coeffs[d] for h in series] == naive_coeff(n, l, d, i_from), d
-
-
-def test_naive_series_rejects_bad_start():
-    with pytest.raises(ValueError, match="i_from"):
-        naive_series(4, 5, 2, i_from=2)
+        want = naive_coeff(n, l, d, oracle_from)
+        if oracle_from:
+            want = lh_times(l, want)
+        assert [h.coeffs[d] for h in series] == want, d
 
 
 def test_naive_series_rejects_non_nef():

@@ -48,6 +48,15 @@ def test_quintic_f_degree_one():
     assert md.f2.coeffs[1] == 575
 
 
+def test_quintic_f_is_the_series_from_i_equals_1():
+    # quintic_f divides the factor 5H out of naive_series; the reference
+    # product that starts at i = 1 has no such factor to begin with.
+    md = quintic_f(30)
+    for d in range(31):
+        got = [md.f0.coeffs[d], md.f1.coeffs[d], md.f2.coeffs[d]]
+        assert got == naive_coeff(4, 5, d, 1)[:3], d
+
+
 def test_reconstruct_p_h_expansion():
     md = quintic_f(4)
     p = reconstruct_p_quintic(md)
@@ -188,7 +197,7 @@ def test_hyperplane_in_p3_case():
 
     entries = naive_invariants(3, 1, 3)
     for d, entry in enumerate(entries, start=1):
-        assert entry == hyper_factor(1, d, 0, 4) * ambient_I(3, d)
+        assert entry == hyper_factor(1, d, 4) * ambient_I(3, d)
 
 
 # -- invariant table contract ---------------------------------------------------
@@ -196,10 +205,10 @@ def test_hyperplane_in_p3_case():
 
 def test_invariant_table_validates_degrees():
     with pytest.raises(ValueError):
-        InvariantTable("x", ((2, Fraction(1)),))
+        InvariantTable(((2, Fraction(1)),))
     with pytest.raises(ValueError):
-        InvariantTable("x", ((1, Fraction(1)), (1, Fraction(2))))
-    InvariantTable("x", ())  # empty is fine
+        InvariantTable(((1, Fraction(1)), (1, Fraction(2))))
+    InvariantTable(())  # empty is fine
 
 
 # -- solver property -------------------------------------------------------------

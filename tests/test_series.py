@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import DSeries, ambient_I, hyper_factor, naive_series
+from gwmirror import DSeries, ambient_I, hyper_factor, naive_series, solve_correction_series
 from gwmirror import series as series_mod
 
 from oracles import (
@@ -156,18 +156,21 @@ def test_revert_self_check_fires(monkeypatch):
 def test_extract_h_components():
     # naive_series hands back one scalar series per power of H, each
     # holding that H-part of every class coefficient.
-    comps = naive_series(3, 2, 3, i_from=0)
+    comps = naive_series(3, 2, 3)
     assert len(comps) == 4
     for d in range(4):
-        cls = hyper_factor(2, d, 0, 4) * ambient_I(3, d)
+        cls = hyper_factor(2, d, 4) * ambient_I(3, d)
         assert [c.coeffs[d] for c in comps] == list(cls.coeffs)
     assert {c.step for c in comps} == {2}
 
 
 def test_extract_h_quintic_spot_value():
-    series = naive_series(4, 5, 1, i_from=1)
-    assert series[2].coeffs[1] == Fraction(575)
+    # The series carries the factor 5H, so its H^3 part is 5 times the
+    # H^2 part of the reference product that starts at i = 1.
+    series = naive_series(4, 5, 1)
+    assert series[3].coeffs[1] == Fraction(2875)
     assert naive_coeff(4, 5, 1, 1)[2] == Fraction(575)
+    assert naive_coeff(4, 5, 1, 0)[3] == Fraction(2875)
 
 
 def test_cohomology_coefficients_rejected():
@@ -213,6 +216,31 @@ def test_substitute_kernel_rows_must_reach_dmax_minus_d():
         c.substitute([(1, 0, 0), (1, 5), ()])
     # entries past index dmax - d are ignored
     assert c.substitute([(1, 0, 0, 7), (1, 5, 9), (1, 4, 4)]) == c.substitute(kernels)
+
+
+# One contract for kernel rows, whichever consumer reads them: row d must
+# reach index dmax - d, and rows past dmax are ignored.
+KERNEL_ROW_CASES = {
+    "missing": ([(1, 0, 0), (1, 5)], "kernel row 2 must reach index 0"),
+    "short": ([(1, 0, 0), (1,), (1,)], "kernel row 1 must reach index 1"),
+    "extra": ([(1, 0, 0), (1, 5), (1,), (7, 7, 7)], None),
+}
+KERNEL_ROW_CONSUMERS = {
+    "substitute": (lambda rows: list(ser(0, 1, 0).substitute(rows).coeffs), [0, 1, 5]),
+    "solver": (lambda rows: solve_correction_series(ser(0, 1, 0), rows, [1, 1, 1]), [1, -5]),
+}
+
+
+@pytest.mark.parametrize("consumer", KERNEL_ROW_CONSUMERS)
+@pytest.mark.parametrize("case", KERNEL_ROW_CASES)
+def test_kernel_row_contract(case, consumer):
+    rows, error = KERNEL_ROW_CASES[case]
+    read, want = KERNEL_ROW_CONSUMERS[consumer]
+    if error is None:
+        assert read(rows) == want
+    else:
+        with pytest.raises(ValueError, match=error):
+            read(rows)
 
 
 # -- algebraic properties --------------------------------------------------------
