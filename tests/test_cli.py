@@ -225,6 +225,51 @@ def test_lemma_refuses_trials_times_terms_above_the_ceiling_before_any_work(tmp_
     assert r.stderr == "107 trials, all passed\n"
 
 
+_ALL_PASSED_20 = "6ae20054a61efbadc956a535a6022f0729601ba6fb60f84b3bdfcb66f51e8b52"
+_ALL_PASSED_24 = "22f6af5320de28c80667c88c7068d99aeeefa9dd650ff2902792f70174f3e72d"
+_ALL_PASSED_8 = "ae37c1a34f652781f4bd35a932cc560505fbbf35321e446da695188b4dab9319"
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_REFUSED_2_12 = "5df98015c28bd3e36319eb1a5e475842a5a3bc1f449bfb061a31621d41389c89"
+
+
+@pytest.mark.parametrize(
+    "args,code,out_digest,err_digest",
+    [
+        (["a1", "--vars", "0"], 0,
+         "68841990a7c2affe59aa5907bf3cddb2552277c85c8d1f4821d3280b84f6e8be", _ALL_PASSED_20),
+        (["a2", "--vars", "0"], 0,
+         "427651c2469160d105de5ff7d7f6b3f741e2da474748a2a22d2952f67e5e1793", _ALL_PASSED_20),
+        # seeds 0 and 99991 each sample one c = 0 trial, so exp runs too
+        (["a1", "--vars", "1", "--xdeg", "6", "--seed", "0"], 0,
+         "62b3ebee083ec88ed113808b0eeabc09881bd8aa98a805ccda6cf5da29e623b5", _ALL_PASSED_20),
+        (["a2", "--vars", "1", "--xdeg", "6", "--seed", "0"], 0,
+         "78e761de8434374347477fdecfc96bd72d89bee2079de01fe1d89deb9a95699a", _ALL_PASSED_20),
+        (["a1", "--vars", "1", "--xdeg", "6", "--seed", "99991"], 0,
+         "a9126532f161ff7eabd6b78dc2d933a46bf28be9ae554926f202eb01c16f6616", _ALL_PASSED_20),
+        (["a2", "--vars", "1", "--xdeg", "6", "--seed", "99991"], 0,
+         "b3a8803cdffa64382ea25364897a5c9badcc7d2bd921534cc37e339ea3e11bc0", _ALL_PASSED_20),
+        (["a1", "--vars", "3", "--xdeg", "4", "--trials", "24"], 0,
+         "c47defe33ae264c5bb98b0bd5a55a47cac0b9013204ca20c30be1acebc65f121", _ALL_PASSED_24),
+        (["a2", "--vars", "3", "--xdeg", "4", "--trials", "24"], 0,
+         "d0762706f21d84065ea730142d994bb53b62adc6b109f2c48b76ad2c4cf297b9", _ALL_PASSED_24),
+        # 20 trials of 4,550 terms is over the ceiling; 8 is admitted
+        (["a1", "--vars", "2", "--xdeg", "12"], 2, _EMPTY, _REFUSED_2_12),
+        (["a2", "--vars", "2", "--xdeg", "12"], 2, _EMPTY, _REFUSED_2_12),
+        (["a1", "--vars", "2", "--xdeg", "12", "--trials", "8"], 0,
+         "491e6ca94049d9d27b3236a6ae2c53de6e971e24d9d9aa362271dc99799c1a9e", _ALL_PASSED_8),
+        (["a2", "--vars", "2", "--xdeg", "12", "--trials", "8"], 0,
+         "068454a9343e4df287ddbfcdf9501f969697f8cadd3ee5c41d7e9dd5b514d602", _ALL_PASSED_8),
+    ],
+)
+def test_lemma_keeps_its_bytes(args, code, out_digest, err_digest):
+    # sha256 of stdout and stderr, taken from the MultiPoly that kept its
+    # terms as Fractions and solved log and exp on Fraction blocks
+    r = subprocess.run(CMD + ["lemma"] + args, capture_output=True, timeout=60)
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout).hexdigest() == out_digest
+    assert hashlib.sha256(r.stderr).hexdigest() == err_digest
+
+
 # -- table bounds and pinned large tables ---------------------------------------------
 
 
