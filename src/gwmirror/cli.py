@@ -29,14 +29,13 @@ FORMATS = ("pretty", "json", "csv")
 
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
-# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 1.5-2 s a
-# trial (x86, Python 3.11), and --vars 3 --xdeg 4 about 0.01 s.  Above
-# LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where the
-# exponent vectors (vars + 2 entries per term) set the cost instead.
-# A request costs at most about 165 us per term and trial at either end of
-# the range, so trials times terms is bounded too: the slowest admitted
-# requests, --vars 0 --trials 40000 and --vars 1 --xdeg 37 --trials 4
-# --seed 481 (every trial (0, 1)), take about 6.5 s each.
+# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes about 1 s a
+# trial (shared 2-CPU x86, Python 3.11), and --vars 3 --xdeg 4 about 3 ms.
+# Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
+# the exponent vectors (vars + 2 entries per term) set the cost instead.
+# Trials times terms is bounded too: the slowest admitted requests,
+# --vars 0 --trials 40000 (about 220 us a trial) and --vars 1 --xdeg 37
+# --trials 4 --seed 481 (every trial (0, 1)), take about 8-9 s and 4 s.
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000

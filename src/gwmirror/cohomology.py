@@ -19,13 +19,13 @@ This module also holds the three truncated-polynomial kernels that
 ``_int_product`` that running products call directly), ``_inverse``
 (triangular solve, O(r^2); Brent & Kung, J. ACM 1978) and
 ``_linear_product`` (prod (l*H + i), one O(r) shift-add per factor).
-Their dot products, and those of the series recurrences, the correction
-solver and ``MultiPoly`` products, run on Python ints: ``_ints`` takes a
-rational vector apart into integer numerators over the lcm of its
-denominators, ``_push`` appends to such a vector as a recurrence
-produces it, and each output coefficient is one
-``Fraction(numerator, denominator)``, so gcd normalisation runs once per
-output and not once per product.
+Their dot products, and those of the series recurrences and the
+correction solver, run on Python ints: ``_ints`` takes a rational vector
+apart into integer numerators over the lcm of its denominators, ``_push``
+appends to such a vector as a recurrence produces it, and each output
+coefficient is one ``Fraction(numerator, denominator)``, so gcd
+normalisation runs once per output and not once per product.
+``MultiPoly`` keeps numerators over one denominator, D^n in its log/exp.
 """
 
 from __future__ import annotations

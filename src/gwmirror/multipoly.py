@@ -1,84 +1,106 @@
 """Sparse truncated polynomials in x_1..x_v, t, z over Q.
 
-Terms are stored in a dict keyed by the full exponent vector
-(k_1, ..., k_v, t_exp, z_exp); only nonzero coefficients are kept, and any
-term whose total x-degree k_1+...+k_v exceeds ``xdeg_max`` is discarded by
-every operation.  t and z are NOT truncated: series in this ring are
-polynomial in t, z within each x-degree, so no bound is needed.
+A polynomial is integer numerators over one common denominator, in blocks
+by x-degree k_1+...+k_v: each block maps exponent vectors (k_1, ..., k_v,
+t_exp, z_exp) to nonzero numerators.  Terms of x-degree above
+``xdeg_max`` are dropped by every operation; t and z are not truncated,
+since each x-degree is polynomial in them.  ``terms``, the read-only view
+as normalised Fractions, is built on first read: with two variables
+3*x1^2*t - z/2 is ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1):
+Fraction(-1, 2)}``.  The constructor validates its input; every operation
+then works on numerators, makes no Fraction and may leave the common
+denominator unreduced, so ``==`` compares ``terms``.
 
-E.g. with two variables, 3*x1^2*t - z/2 is
-``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1): Fraction(-1, 2)}``.
+``log`` and ``exp`` solve the Euler-operator recurrences block by block,
+with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
+P = 1 + U/D and g = G/D for integer U, G they stay on integers:
 
-``__mul__`` multiplies integer numerators over one common denominator per
-operand (``cohomology._ints``) and makes one Fraction per output term.
+    log: n L_n = A_n / D^n,     A_n = n U_n D^{n-1} - sum_{k<n} A_k U_{n-k} D^{n-k-1}
+    exp: E_n = B_n / (n! D^n),  B_n = sum_{k=1..n} k G_k B_{n-k} (n-1)!/(n-k)! D^{k-1}
 
-Instances are treated as immutable; do not mutate ``terms`` after
-construction.  The public constructor validates keys and coefficients;
-the results of operations on valid polynomials go through the private
-``_from_terms``, which only drops zero coefficients.
-
-``log`` and ``exp`` solve the Euler-operator recurrences degree by degree
-on the x-degree-homogeneous blocks, with theta = sum_i x_i d/dx_i, which
-multiplies a block of x-degree n by n (Brent & Kung, J. ACM 1978):
-
-    log: theta L = theta P / P  gives  n L_n = n P_n - sum_{k<n} (k L_k) P_{n-k}
-    exp: theta E = E theta g    gives  n E_n = sum_{k=1..n} (k g_k) E_{n-k}
-
-Once block k is known it is multiplied by the fixed factor (P - 1, resp.
-theta g) in one ``__mul__``, which adds its share to every later degree,
-so a log or exp costs xdeg_max - 1 products of one block by one
-polynomial, not xdeg_max products of full powers.
+Each solved block is reduced to lowest terms, so only the running sums
+carry the powers of D, and multiplied by U (resp. theta G) in one
+``__mul__``: xdeg_max - 1 products of one block by one polynomial, where
+summing powers cost xdeg_max full products.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import factorial, gcd, lcm
 from operator import add
-from typing import Mapping, Union
+from typing import Callable, Mapping, Optional, Union
 
-from .cohomology import Rational, _ints, as_fraction
+from .cohomology import Rational, as_fraction
 
 Key = tuple[int, ...]  # (k_1..k_v, t_exp, z_exp)
+Blocks = dict[int, dict[Key, int]]  # x-degree -> {key: numerator}
 
 
-def _xdeg(key: Key) -> int:
-    return sum(key[:-2])
+def _accumulate(into: dict[Key, int], block: dict[Key, int], scale: int) -> None:
+    """into += scale * block."""
+    for k, c in block.items():
+        into[k] = into.get(k, 0) + c * scale
 
 
-@dataclass(frozen=True, eq=True)
 class MultiPoly:
-    nvars: int
-    xdeg_max: int
-    terms: dict = field(default_factory=dict)
+    __hash__ = None  # equality compares the dict of terms
 
-    def __post_init__(self) -> None:
-        clean: dict[Key, Fraction] = {}
-        for key, c in self.terms.items():
+    def __init__(self, nvars: int, xdeg_max: int, terms: Optional[Mapping[Key, Rational]] = None):
+        fracs: dict[int, dict[Key, Fraction]] = {}
+        for key, c in (terms or {}).items():
             key = tuple(key)
-            if len(key) != self.nvars + 2:
-                raise ValueError(
-                    f"exponent vector {key} has wrong length for {self.nvars} variables"
-                )
-            if any(e < 0 for e in key):
+            if len(key) != nvars + 2:
+                raise ValueError(f"exponent vector {key} has wrong length for {nvars} variables")
+            if min(key) < 0:
                 raise ValueError("negative exponent")
-            if _xdeg(key) > self.xdeg_max:
+            deg = sum(key[:-2])
+            if deg > xdeg_max:
                 continue
             c = as_fraction(c)
             if c != 0:
-                clean[key] = c
-        object.__setattr__(self, "terms", clean)
+                fracs.setdefault(deg, {})[key] = c
+        den = lcm(*(c.denominator for b in fracs.values() for c in b.values()))
+        blocks = {
+            d: {k: c.numerator * (den // c.denominator) for k, c in b.items()}
+            for d, b in fracs.items()
+        }
+        self.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=blocks, _den=den)
 
-    @classmethod
-    def _from_terms(cls, nvars: int, xdeg_max: int, terms: Mapping[Key, Fraction]) -> MultiPoly:
-        """Result of an operation on valid polynomials: keys are already
-        in range and coefficients are Fractions, so only zeros are dropped."""
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "xdeg_max", xdeg_max)
-        object.__setattr__(poly, "terms", {k: c for k, c in terms.items() if c})
+    def _result(self, blocks: Blocks, den: int) -> MultiPoly:
+        """A polynomial in this ring from numerator blocks over den, zeros dropped."""
+        kept = {d: nz for d, b in blocks.items() if (nz := {k: c for k, c in b.items() if c})}
+        poly = object.__new__(MultiPoly)
+        poly.__dict__.update(nvars=self.nvars, xdeg_max=self.xdeg_max, _blocks=kept, _den=den)
         return poly
+
+    def _over(self, blocks: Blocks, dens: dict[int, int]) -> MultiPoly:
+        """The polynomial whose block n is blocks[n] / dens[n]."""
+        den = lcm(*dens.values())
+        return self._result(
+            {n: {k: c * (den // dens[n]) for k, c in b.items()} for n, b in blocks.items()}, den
+        )
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError("MultiPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    @cached_property
+    def terms(self) -> dict[Key, Fraction]:
+        """{exponent vector: nonzero normalised Fraction}; do not mutate."""
+        den = self._den
+        return {k: Fraction(c, den) for b in self._blocks.values() for k, c in b.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not MultiPoly:
+            return NotImplemented
+        same_ring = (self.nvars, self.xdeg_max) == (other.nvars, other.xdeg_max)
+        return same_ring and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"MultiPoly(nvars={self.nvars}, xdeg_max={self.xdeg_max}, terms={self.terms!r})"
 
     # -- constructors --------------------------------------------------------
 
@@ -95,31 +117,31 @@ class MultiPoly:
         return cls.const(1, nvars, xdeg_max)
 
     @classmethod
+    def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:
+        key = [0] * (nvars + 2)
+        key[pos] = 1
+        return cls(nvars, xdeg_max, {tuple(key): Fraction(1)})
+
+    @classmethod
     def x(cls, i: int, nvars: int, xdeg_max: int) -> MultiPoly:
         """The variable x_{i+1} (0-based index i)."""
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
-        key = [0] * (nvars + 2)
-        key[i] = 1
-        return cls(nvars, xdeg_max, {tuple(key): Fraction(1)})
+        return cls._variable(i, nvars, xdeg_max)
 
     @classmethod
     def t(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        key = [0] * (nvars + 2)
-        key[-2] = 1
-        return cls(nvars, xdeg_max, {tuple(key): Fraction(1)})
+        return cls._variable(nvars, nvars, xdeg_max)
 
     @classmethod
     def z(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        key = [0] * (nvars + 2)
-        key[-1] = 1
-        return cls(nvars, xdeg_max, {tuple(key): Fraction(1)})
+        return cls._variable(nvars + 1, nvars, xdeg_max)
 
     # -- structure -------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._blocks
 
     def _check_ring(self, other: MultiPoly) -> None:
         if self.nvars != other.nvars or self.xdeg_max != other.xdeg_max:
@@ -133,10 +155,12 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
+        den = lcm(self._den, other._den)
+        out: Blocks = {}
+        for poly in (self, other):
+            for d, b in poly._blocks.items():
+                _accumulate(out.setdefault(d, {}), b, den // poly._den)
+        return self._result(out, den)
 
     __radd__ = __add__
 
@@ -144,45 +168,37 @@ class MultiPoly:
         return self + (-other if isinstance(other, MultiPoly) else -as_fraction(other))
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly._from_terms(
-            self.nvars, self.xdeg_max, {k: -c for k, c in self.terms.items()}
+        return self._result(
+            {d: {k: -c for k, c in b.items()} for d, b in self._blocks.items()}, self._den
         )
 
     def __mul__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             f = as_fraction(other)
-            return MultiPoly._from_terms(
-                self.nvars, self.xdeg_max, {k: c * f for k, c in self.terms.items()}
+            return self._result(
+                {d: {k: c * f.numerator for k, c in b.items()} for d, b in self._blocks.items()},
+                self._den * f.denominator,
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        # Bucket by x-degree so pairs beyond the truncation are never formed;
-        # the pairs multiply integer numerators over one denominator per operand.
-        an, ad = _ints(self.terms.values())
-        bn, bd = _ints(other.terms.values())
-        by_deg_a: dict[int, list] = defaultdict(list)
-        for key, c in zip(self.terms, an):
-            by_deg_a[_xdeg(key)].append((key, c))
-        by_deg_b: dict[int, list] = defaultdict(list)
-        for key, c in zip(other.terms, bn):
-            by_deg_b[_xdeg(key)].append((key, c))
-        out: dict[Key, int] = {}
-        for da, items_a in by_deg_a.items():
-            for db, items_b in by_deg_b.items():
+        # Pairs of blocks beyond the truncation are never formed, and each
+        # product term lands in the block of its degree.
+        out: Blocks = {}
+        for da, block_a in self._blocks.items():
+            for db, block_b in other._blocks.items():
                 if da + db > self.xdeg_max:
                     continue
-                for ka, ca in items_a:
+                into = out.setdefault(da + db, {})
+                items_b = block_b.items()
+                for ka, ca in block_a.items():
                     for kb, cb in items_b:
                         key = tuple(map(add, ka, kb))
-                        if key in out:
-                            out[key] += ca * cb
+                        if key in into:
+                            into[key] += ca * cb
                         else:
-                            out[key] = ca * cb
-        den = ad * bd
-        return MultiPoly._from_terms(
-            self.nvars, self.xdeg_max, {k: Fraction(c, den) for k, c in out.items() if c}
-        )
+                            into[key] = ca * cb
+        return self._result(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -198,83 +214,68 @@ class MultiPoly:
             pos = var
         else:
             raise ValueError(f"unknown variable {var!r}")
-        out: dict[Key, Fraction] = {}
-        for key, c in self.terms.items():
-            e = key[pos]
-            if e == 0:
+        shift = int(pos < self.nvars)  # an x derivative lowers the x-degree by 1
+        out: Blocks = {}
+        for d, b in self._blocks.items():
+            for key, c in b.items():
+                e = key[pos]
+                if e:  # distinct keys have distinct derivatives, so no sums
+                    out.setdefault(d - shift, {})[key[:pos] + (e - 1,) + key[pos + 1 :]] = c * e
+        return self._result(out, self._den)
+
+    def _solve(
+        self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int
+    ) -> tuple[Blocks, dict[int, int]]:
+        """The blocks Y_n = out[n] / dens[n], in lowest terms, n = 1..xdeg_max, of
+
+            Y_n = (acc[n] + sign * den_of(n-1) * sum_{k<n} (Y_k factor)_n) / den_of(n)
+
+        Each solved Y_k is multiplied by factor in one ``__mul__`` and its
+        share added to acc[m] for every later degree m."""
+        out: Blocks = {}
+        dens: dict[int, int] = {}
+        for n in range(1, self.xdeg_max + 1):
+            block = {k: c for k, c in acc.pop(n, {}).items() if c}
+            if not block:
                 continue
-            nk = key[:pos] + (e - 1,) + key[pos + 1 :]
-            out[nk] = out.get(nk, Fraction(0)) + c * e
-        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
-
-    def _blocks(self) -> list[dict[Key, Fraction]]:
-        """The terms split by x-degree: entry n holds the block of degree n."""
-        blocks: list[dict[Key, Fraction]] = [{} for _ in range(self.xdeg_max + 1)]
-        for key, c in self.terms.items():
-            blocks[_xdeg(key)][key] = c
-        return blocks
-
-    def _add_product(self, block: dict[Key, Fraction], acc: list[dict[Key, Fraction]]) -> None:
-        """acc[n] += the degree-n part of block * self, for every n."""
-        product = MultiPoly._from_terms(self.nvars, self.xdeg_max, block) * self
-        for key, c in product.terms.items():
-            into = acc[_xdeg(key)]
-            if key in into:
-                into[key] += c
-            else:
-                into[key] = c
+            d = den_of(n)
+            g = gcd(d, *block.values())
+            out[n], dens[n] = {k: c // g for k, c in block.items()}, d // g
+            if n < self.xdeg_max:
+                for m, b in (self._result({n: out[n]}, 1) * factor)._blocks.items():
+                    _accumulate(acc.setdefault(m, {}), b, sign * den_of(m - 1) // dens[n])
+        return out, dens
 
     def log(self) -> MultiPoly:
-        """log of a polynomial whose x-degree-0 part is exactly 1.
-
-        Solves n L_n = n P_n - sum_{k<n} (k L_k) P_{n-k} for the blocks
-        L_n; acc[n] collects the sum as each k L_k is multiplied by P - 1.
-        """
-        one_key = (0,) * (self.nvars + 2)
-        if self.terms.get(one_key) != 1 or any(
-            _xdeg(k) == 0 for k in self.terms if k != one_key
-        ):
+        """log of a polynomial whose x-degree-0 part is exactly 1: theta L
+        is Y_n = A_n / D^n (module docstring), so L_n = Y_n / n."""
+        den = self._den
+        if self._blocks.get(0) != {(0,) * (self.nvars + 2): den}:
             raise ValueError("log requires constant term exactly 1")
-        u = MultiPoly._from_terms(
-            self.nvars, self.xdeg_max, {k: c for k, c in self.terms.items() if k != one_key}
-        )
+        u = self._result({j: b for j, b in self._blocks.items() if j}, 1)
         if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
             return u
-        blocks = u._blocks()
-        acc: list[dict[Key, Fraction]] = [{} for _ in blocks]
-        out: dict[Key, Fraction] = {}
-        for n in range(1, self.xdeg_max + 1):
-            theta_l = {k: n * c for k, c in blocks[n].items()}
-            for k, c in acc[n].items():
-                theta_l[k] = theta_l[k] - c if k in theta_l else -c
-            for k, c in theta_l.items():
-                out[k] = c / n
-            if n < self.xdeg_max:
-                u._add_product(theta_l, acc)
-        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
+        acc = {n: {k: n * c * den ** (n - 1) for k, c in b.items()} for n, b in u._blocks.items()}
+        out, dens = self._solve(u, acc, lambda n: den**n, -1)
+        return self._over(out, {n: n * d for n, d in dens.items()})
 
     def exp(self) -> MultiPoly:
-        """exp of a polynomial all of whose terms have positive x-degree.
-
-        Solves n E_n = sum_{k=1..n} (k g_k) E_{n-k} for the blocks E_n;
-        acc[n] collects the sum, starting from E_0 theta g = theta g, as
-        each later E_k is multiplied by theta g.
-        """
-        if any(_xdeg(k) == 0 for k in self.terms):
+        """exp of a polynomial all of whose terms have positive x-degree:
+        E_n = B_n / (n! D^n) (module docstring), from E_0 = 1."""
+        if 0 in self._blocks:
             raise ValueError("exp requires every term to have positive x-degree")
         if self.is_zero:  # exp 0 = 1, with no loop over xdeg_max
             return MultiPoly.one(self.nvars, self.xdeg_max)
-        theta_g = MultiPoly._from_terms(
-            self.nvars, self.xdeg_max, {k: _xdeg(k) * c for k, c in self.terms.items()}
+        den = self._den
+        theta_g = self._result(
+            {j: {k: j * c for k, c in b.items()} for j, b in self._blocks.items()}, 1
         )
-        acc = theta_g._blocks()
-        out = {(0,) * (self.nvars + 2): Fraction(1)}
-        for n in range(1, self.xdeg_max + 1):
-            block = {k: c / n for k, c in acc[n].items()}
-            out.update(block)
-            if n < self.xdeg_max:
-                theta_g._add_product(block, acc)
-        return MultiPoly._from_terms(self.nvars, self.xdeg_max, out)
+        acc = {  # the share of E_0 = 1
+            n: {k: c * factorial(n - 1) * den ** (n - 1) for k, c in b.items()}
+            for n, b in theta_g._blocks.items()
+        }
+        out, dens = self._solve(theta_g, acc, lambda n: factorial(n) * den**n, 1)
+        return self._over({0: {(0,) * (self.nvars + 2): 1}, **out}, {0: 1, **dens})
 
     # -- rendering --------------------------------------------------------------
 

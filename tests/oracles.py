@@ -218,6 +218,16 @@ def mp_add(a: dict, b: dict, scale: Fraction) -> dict:
     return {k: c for k, c in out.items() if c != 0}
 
 
+def mp_partial(a: dict, pos: int) -> dict:
+    """Derivative in the variable at key position pos, term by term."""
+    out: dict = {}
+    for k, c in a.items():
+        if k[pos]:
+            nk = k[:pos] + (k[pos] - 1,) + k[pos + 1 :]
+            out[nk] = out.get(nk, Fraction(0)) + c * k[pos]
+    return {k: c for k, c in out.items() if c != 0}
+
+
 def mp_log_by_powers(p: dict, nvars: int, xdeg_max: int) -> dict:
     """log p = sum_{m=1..xdeg_max} (-1)^(m+1) u^m / m with u = p - 1; the
     x-degree-0 part of p must be exactly 1."""

@@ -1,4 +1,7 @@
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from gwmirror import MultiPoly
 
-from oracles import mp_exp_by_powers, mp_log_by_powers, mp_mul
+from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial
 from strategies import wide_fractions as wide
 
 
@@ -183,3 +186,114 @@ def test_mul_matches_fraction_oracle(data):
     got = pa * pb
     assert got.terms == mp_mul(pa.terms, pb.terms, xdeg)
     assert all(type(c) is Fraction for c in got.terms.values())
+
+
+# -- the integer representation against the Fraction oracles ----------------------
+
+# Numerators and denominators up to 10^6, so that the common denominators of
+# the operands differ and every sum and product must rescale.
+million = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@st.composite
+def ring_terms(draw, nvars, xdeg, min_degree=0, max_terms=6, tz=2):
+    """Terms of x-degree min_degree..xdeg (none when that range is empty)."""
+    terms = {}
+    if min_degree > xdeg or (nvars == 0 and min_degree > 0):
+        return terms
+    for _ in range(draw(st.integers(0, max_terms))):
+        x = [0] * nvars
+        for _ in range(draw(st.integers(min_degree, xdeg)) if nvars else 0):
+            x[draw(st.integers(0, nvars - 1))] += 1
+        terms[tuple(x) + (draw(st.integers(0, tz)), draw(st.integers(0, tz)))] = draw(million)
+    return {k: c for k, c in terms.items() if c != 0}
+
+
+ring_shapes = st.tuples(st.integers(0, 3), st.integers(0, 8))
+
+
+def in_lowest_terms(p: MultiPoly) -> bool:
+    return all(
+        type(c) is Fraction and c != 0 and c.denominator > 0
+        and math.gcd(c.numerator, c.denominator) == 1
+        for c in p.terms.values()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(
+            st.just(shape), ring_terms(*shape), ring_terms(*shape), million,
+            st.integers(0, shape[0] + 1),
+        )
+    )
+)
+def test_ring_operations_match_fraction_oracles(data):
+    (nvars, xdeg), a, b, f, pos = data
+    pa, pb = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
+    var = "t" if pos == nvars else "z" if pos == nvars + 1 else pos
+    for got, want in (
+        (pa + pb, mp_add(a, b, Fraction(1))),
+        (pa - pb, mp_add(a, b, Fraction(-1))),
+        (-pa, mp_add({}, a, Fraction(-1))),
+        (pa * f, mp_add({}, a, f)),
+        (f * pa, mp_add({}, a, f)),
+        (pa * pb, mp_mul(a, b, xdeg)),
+        (pa.partial(var), mp_partial(a, pos)),
+    ):
+        assert got.terms == want
+        assert in_lowest_terms(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(
+            st.just(shape), ring_terms(*shape, min_degree=1, max_terms=4, tz=1)
+        )
+    )
+)
+def test_log_exp_match_power_sums_on_wide_denominators(data):
+    (nvars, xdeg), g = data
+    one = (0,) * (nvars + 2)
+    got = MultiPoly(nvars, xdeg, g).exp()
+    assert got.terms == mp_exp_by_powers(g, nvars, xdeg)
+    assert in_lowest_terms(got)
+    p = {**g, one: Fraction(1)}
+    got = MultiPoly(nvars, xdeg, p).log()
+    assert got.terms == mp_log_by_powers(p, nvars, xdeg)
+    assert in_lowest_terms(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(st.just(shape), ring_terms(*shape), ring_terms(*shape))
+    ),
+    st.integers(2, 10**6),
+)
+def test_equality_is_equality_of_normalised_terms(data, n):
+    # (p * n) * (1/n) and p - q + q carry other, unreduced common
+    # denominators than p, and must still compare equal to it
+    (nvars, xdeg), a, b = data
+    p, q = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
+    for other in (p * n * Fraction(1, n), p - q + q, q, p * Fraction(n + 1, n)):
+        assert (p == other) == (p.terms == other.terms)
+        assert (other == p) == (p == other)
+    assert p * n * Fraction(1, n) == p
+    assert p - q + q == p
+    with pytest.raises(TypeError):
+        hash(p)
+
+
+def test_trivial_log_exp_and_products_return_at_once_at_any_xdeg():
+    # log 1, exp 0 and a product with 0 must not walk the x-degrees
+    code = (
+        "from gwmirror import MultiPoly\n"
+        "n = 10**9\n"
+        "assert MultiPoly.one(0, n).log().is_zero\n"
+        "assert MultiPoly.zero(0, n).exp() == MultiPoly.one(0, n)\n"
+        "assert (MultiPoly.zero(0, n) * MultiPoly.t(0, n)).is_zero\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=10)
