@@ -25,7 +25,7 @@ apart into integer numerators over the lcm of its denominators, ``_push``
 appends to such a vector as a recurrence produces it, and each output
 coefficient is one ``Fraction(numerator, denominator)``, so gcd
 normalisation runs once per output and not once per product.
-``MultiPoly`` keeps numerators over one denominator, D^n in its log/exp.
+``MultiPoly`` keeps numerators over one denominator.
 """
 
 from __future__ import annotations

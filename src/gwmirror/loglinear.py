@@ -22,10 +22,12 @@ The c_i are sampled as exact rationals rather than carried as formal
 variables; many sampled instances give the same assurance at a fraction
 of the cost, and the checks stay exact for every sample.
 
-The builders expand each product over i on integer numerators
-(``_shifted_product``) and make one Fraction per output term;
-``p_term_bound`` gives the worst-case term count of P for a shape
-without building it.
+The builders make no Fraction: c.k is an integer over the common
+denominator of the c_i, each product over i is expanded on integer
+numerators (``_shifted_product``), the terms of each multi-index are
+reduced once by one gcd, and the numerator blocks go to the polynomial
+over the lcm of those denominators.  ``p_term_bound`` gives the
+worst-case term count of P for a shape without building it.
 """
 
 from __future__ import annotations
@@ -33,11 +35,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 from .cohomology import _ints, _linear_product, as_fraction
-from .multipoly import MultiPoly
+from .multipoly import Blocks, Key, MultiPoly
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
@@ -140,59 +142,70 @@ def _multi_indices(nvars: int, total_max: int):
         k[j - 1] += 1
 
 
-def _shifted_product(ck: Fraction, shifts: range) -> tuple[tuple[int, ...], int]:
-    """prod_{i in shifts} (ck - i + s) as integers (w, den) with
-    sum_m w[m] s^m / den the product.
-
-    With ck = N/D, each factor is (D s + N - i D)/D, so the integer kernel
-    runs on the numerators N - i D with l = D and den = D^len(shifts).
-    """
-    num, den = ck.numerator, ck.denominator
-    w = _linear_product(len(shifts) + 1, den, [num - i * den for i in shifts])
-    return w, den ** len(shifts)
+def _shifted_product(ck: int, cden: int, shifts: range) -> tuple[tuple[int, ...], int]:
+    """prod_{i in shifts} (ck/cden - i + s) as integers (w, den) with
+    sum_m w[m] s^m / den the product: each factor is
+    (cden s + ck - i cden) / cden, so the integer kernel runs on the
+    numerators ck - i cden with l = cden and den = cden^len(shifts)."""
+    w = _linear_product(len(shifts) + 1, cden, [ck - i * cden for i in shifts])
+    return w, cden ** len(shifts)
 
 
-def _indexed(cfg: LemmaConfig):
-    """Each multi-index k with sum(k) <= xdeg_max, with c.k and prod_i k_i!;
-    c.k is summed on integer numerators over the common denominator."""
-    cnum, cden = _ints(cfg.cs)
-    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
-        yield k, Fraction(sum(map(mul, cnum, k)), cden), prod(map(factorial, k))
+def _over_lcm(cfg: LemmaConfig, parts: list[tuple[int, dict[Key, int], int]]) -> MultiPoly:
+    """The sum of the parts (x-degree, numerators, den), each one multi-index
+    in lowest terms, as numerator blocks over the lcm of their dens."""
+    den = lcm(*(d for _, _, d in parts))
+    blocks: Blocks = {}
+    for deg, terms, d in parts:
+        scale = den // d
+        into = blocks.setdefault(deg, {})
+        for key, c in terms.items():
+            into[key] = c * scale
+    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den)
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
 
-    The product over i is collected in s = t + z on integer numerators;
-    s^m splits binomially, and each output term is one Fraction.
+    The product over i is collected in s = t + z on integer numerators and
+    s^m splits binomially.  The terms of k share den = cden^{b.k} prod k_i!
+    and are reduced once by g = gcd(den, *w): since C(m, 0) = 1, den / g
+    is the lcm of their reduced denominators.
     """
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, ck, kfact in _indexed(cfg):
-        ak = sum(a * ki for (a, _), ki in zip(cfg.pairs, k))
-        bk = sum(b * ki for (_, b), ki in zip(cfg.pairs, k))
-        w, den = _shifted_product(ck, range(bk))
-        den *= kfact
-        for m, wm in enumerate(w):
-            if wm:
-                for j in range(m + 1):
-                    terms[k + (j + ak, m - j)] = Fraction(wm * comb(m, j), den)
-    return MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
+    cnum, cden = _ints(cfg.cs)
+    avec, bvec = [a for a, _ in cfg.pairs], [b for _, b in cfg.pairs]
+    parts = []
+    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
+        ak, bk = sum(map(mul, avec, k)), sum(map(mul, bvec, k))
+        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(bk))
+        den *= prod(map(factorial, k))
+        g = gcd(den, *w)
+        terms = {
+            k + (j + ak, m - j): wm // g * comb(m, j)
+            for m, wm in enumerate(w)
+            if wm
+            for j in range(m + 1)
+        }
+        parts.append((sum(k), terms, den // g))
+    return _over_lcm(cfg, parts)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
-    """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for k, ck, kfact in _indexed(cfg):
+    """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1.  The
+    terms of k are reduced once, as in ``build_p``."""
+    cnum, cden = _ints(cfg.cs)
+    parts = []
+    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
         s = sum(k)
         if s == 0:
-            terms[k + (0, 0)] = Fraction(1)
+            parts.append((0, {k + (0, 0): 1}, 1))
             continue
-        w, den = _shifted_product(ck, range(1, s))
-        den *= kfact
-        for m, wm in enumerate(w):
-            if wm:
-                terms[k + (m + 1, 0)] = Fraction(wm, den)  # overall factor t
-    return MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
+        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(1, s))
+        den *= prod(map(factorial, k))
+        g = gcd(den, *w)
+        # overall factor t
+        parts.append((s, {k + (m + 1, 0): wm // g for m, wm in enumerate(w) if wm}, den // g))
+    return _over_lcm(cfg, parts)
 
 
 # -- identity checks -----------------------------------------------------------

@@ -7,28 +7,31 @@ t_exp, z_exp) to nonzero numerators.  Terms of x-degree above
 since each x-degree is polynomial in them.  ``terms``, the read-only view
 as normalised Fractions, is built on first read: with two variables
 3*x1^2*t - z/2 is ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1):
-Fraction(-1, 2)}``.  The constructor validates its input; every operation
-then works on numerators, makes no Fraction and may leave the common
-denominator unreduced, so ``==`` compares ``terms``.
+Fraction(-1, 2)}``.  The public constructor validates its input; the
+constants, the variables, the lemma builders and every operation hand
+numerator blocks to ``_from_blocks`` instead, make no Fraction and may
+leave the common denominator unreduced, so ``==`` compares ``terms``.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
 P = 1 + U/D and g = G/D for integer U, G they stay on integers:
 
-    log: n L_n = A_n / D^n,     A_n = n U_n D^{n-1} - sum_{k<n} A_k U_{n-k} D^{n-k-1}
-    exp: E_n = B_n / (n! D^n),  B_n = sum_{k=1..n} k G_k B_{n-k} (n-1)!/(n-k)! D^{k-1}
+    log: n L_n = (n U_n - sum_{k<n} (k L_k) U_{n-k}) / D
+    exp:   E_n = sum_{k<n} E_k (theta G)_{n-k} / (n D),    E_0 = 1
 
-Each solved block is reduced to lowest terms, so only the running sums
-carry the powers of D, and multiplied by U (resp. theta G) in one
-``__mul__``: xdeg_max - 1 products of one block by one polynomial, where
-summing powers cost xdeg_max full products.
+Each solved block is reduced to lowest terms and multiplied by U (resp.
+theta G) in one ``__mul__``: xdeg_max - 1 products of one block by one
+polynomial, where summing powers cost xdeg_max full products.  The
+running sum of a later block is kept over the lcm of the reduced
+denominators added to it, not over a power of D, so its integers stay
+about as large as the blocks it sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Mapping, Optional, Union
 
@@ -68,12 +71,24 @@ class MultiPoly:
         }
         self.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=blocks, _den=den)
 
-    def _result(self, blocks: Blocks, den: int) -> MultiPoly:
-        """A polynomial in this ring from numerator blocks over den, zeros dropped."""
-        kept = {d: nz for d, b in blocks.items() if (nz := {k: c for k, c in b.items() if c})}
-        poly = object.__new__(MultiPoly)
-        poly.__dict__.update(nvars=self.nvars, xdeg_max=self.xdeg_max, _blocks=kept, _den=den)
+    @classmethod
+    def _from_blocks(cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int) -> MultiPoly:
+        """The polynomial with numerator blocks over den, unvalidated; zeros
+        and blocks above xdeg_max are dropped, and a block without zeros is
+        kept as it is, not copied."""
+        kept = {}
+        for d, b in blocks.items():
+            if 0 in b.values():
+                b = {k: c for k, c in b.items() if c}
+            if b and d <= xdeg_max:
+                kept[d] = b
+        poly = object.__new__(cls)
+        poly.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den)
         return poly
+
+    def _result(self, blocks: Blocks, den: int) -> MultiPoly:
+        """A polynomial in this ring from numerator blocks over den."""
+        return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den)
 
     def _over(self, blocks: Blocks, dens: dict[int, int]) -> MultiPoly:
         """The polynomial whose block n is blocks[n] / dens[n]."""
@@ -106,21 +121,23 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls(nvars, xdeg_max, {})
+        return cls._from_blocks(nvars, xdeg_max, {}, 1)
 
     @classmethod
     def const(cls, value: Rational, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls(nvars, xdeg_max, {(0,) * (nvars + 2): as_fraction(value)})
+        f = as_fraction(value)
+        blocks = {0: {(0,) * (nvars + 2): f.numerator}}
+        return cls._from_blocks(nvars, xdeg_max, blocks, f.denominator)
 
     @classmethod
     def one(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls.const(1, nvars, xdeg_max)
+        return cls._from_blocks(nvars, xdeg_max, {0: {(0,) * (nvars + 2): 1}}, 1)
 
     @classmethod
     def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:
         key = [0] * (nvars + 2)
         key[pos] = 1
-        return cls(nvars, xdeg_max, {tuple(key): Fraction(1)})
+        return cls._from_blocks(nvars, xdeg_max, {int(pos < nvars): {tuple(key): 1}}, 1)
 
     @classmethod
     def x(cls, i: int, nvars: int, xdeg_max: int) -> MultiPoly:
@@ -228,40 +245,52 @@ class MultiPoly:
     ) -> tuple[Blocks, dict[int, int]]:
         """The blocks Y_n = out[n] / dens[n], in lowest terms, n = 1..xdeg_max, of
 
-            Y_n = (acc[n] + sign * den_of(n-1) * sum_{k<n} (Y_k factor)_n) / den_of(n)
+            Y_n = (acc[n] + sign * sum_{k<n} (Y_k factor)_n) / den_of(n)
 
-        Each solved Y_k is multiplied by factor in one ``__mul__`` and its
-        share added to acc[m] for every later degree m."""
+        for integer seed blocks acc[n].  Each solved Y_k is multiplied by
+        factor in one ``__mul__`` and its share added to acc[m] for every
+        later degree m.  The running sum acc[m] is kept over acc_den[m], the
+        lcm of the dens[k] added to it so far, and rescaled only when a new
+        dens[k] does not divide that, as ``cohomology._push`` does."""
         out: Blocks = {}
         dens: dict[int, int] = {}
+        acc_den: dict[int, int] = {}
         for n in range(1, self.xdeg_max + 1):
             block = {k: c for k, c in acc.pop(n, {}).items() if c}
             if not block:
                 continue
-            d = den_of(n)
+            d = acc_den.pop(n, 1) * den_of(n)
             g = gcd(d, *block.values())
             out[n], dens[n] = {k: c // g for k, c in block.items()}, d // g
             if n < self.xdeg_max:
                 for m, b in (self._result({n: out[n]}, 1) * factor)._blocks.items():
-                    _accumulate(acc.setdefault(m, {}), b, sign * den_of(m - 1) // dens[n])
+                    into, have = acc.setdefault(m, {}), acc_den.get(m, 1)
+                    if have % dens[n]:
+                        grow = dens[n] // gcd(have, dens[n])
+                        for k in into:
+                            into[k] *= grow
+                        acc_den[m] = have = have * grow
+                    _accumulate(into, b, sign * have // dens[n])
         return out, dens
 
     def log(self) -> MultiPoly:
         """log of a polynomial whose x-degree-0 part is exactly 1: theta L
-        is Y_n = A_n / D^n (module docstring), so L_n = Y_n / n."""
+        is Y_n = (n U_n - sum_{k<n} (Y_k U)_n) / D (module docstring), so
+        L_n = Y_n / n."""
         den = self._den
         if self._blocks.get(0) != {(0,) * (self.nvars + 2): den}:
             raise ValueError("log requires constant term exactly 1")
         u = self._result({j: b for j, b in self._blocks.items() if j}, 1)
         if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
             return u
-        acc = {n: {k: n * c * den ** (n - 1) for k, c in b.items()} for n, b in u._blocks.items()}
-        out, dens = self._solve(u, acc, lambda n: den**n, -1)
+        acc = {n: {k: n * c for k, c in b.items()} for n, b in u._blocks.items()}
+        out, dens = self._solve(u, acc, lambda n: den, -1)
         return self._over(out, {n: n * d for n, d in dens.items()})
 
     def exp(self) -> MultiPoly:
         """exp of a polynomial all of whose terms have positive x-degree:
-        E_n = B_n / (n! D^n) (module docstring), from E_0 = 1."""
+        E_n = sum_{k<n} (E_k theta G)_n / (n D) (module docstring), from
+        E_0 = 1."""
         if 0 in self._blocks:
             raise ValueError("exp requires every term to have positive x-degree")
         if self.is_zero:  # exp 0 = 1, with no loop over xdeg_max
@@ -270,11 +299,9 @@ class MultiPoly:
         theta_g = self._result(
             {j: {k: j * c for k, c in b.items()} for j, b in self._blocks.items()}, 1
         )
-        acc = {  # the share of E_0 = 1
-            n: {k: c * factorial(n - 1) * den ** (n - 1) for k, c in b.items()}
-            for n, b in theta_g._blocks.items()
-        }
-        out, dens = self._solve(theta_g, acc, lambda n: factorial(n) * den**n, 1)
+        # theta_g's blocks are the share of E_0 = 1
+        acc = {n: dict(b) for n, b in theta_g._blocks.items()}
+        out, dens = self._solve(theta_g, acc, lambda n: n * den, 1)
         return self._over({0: {(0,) * (self.nvars + 2): 1}, **out}, {0: 1, **dens})
 
     # -- rendering --------------------------------------------------------------

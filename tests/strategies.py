@@ -15,6 +15,11 @@ wide_fractions = st.one_of(
 )
 
 
+# Numerators and denominators up to 10^6, so that the common denominators of
+# the operands differ and every sum and product must rescale.
+million = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
 def hpow(k: int, ring_len: int) -> CohClass:
     """H^k in Q[H]/(H^ring_len) from its coefficient tuple (0 if k >= ring_len)."""
     return CohClass(tuple(int(i == k) for i in range(ring_len)))

@@ -21,7 +21,8 @@ from gwmirror import (
 )
 from gwmirror.loglinear import ALLOWED_PAIRS, _multi_indices
 
-from oracles import multi_indices_recursive
+from oracles import mp_exp_by_powers, mp_log_by_powers, multi_indices_recursive
+from strategies import million
 
 
 def expand_tz(factors, nvars, xdeg, with_z=True):
@@ -90,6 +91,45 @@ lemma_configs = st.integers(0, 3).flatmap(
 def test_builders_match_brute_force_expansion(cfg):
     assert build_p(cfg).terms == brute_force_p(cfg).terms
     assert build_q(cfg).terms == brute_force_q(cfg).terms
+
+
+wide_lemma_configs = st.integers(0, 4).flatmap(
+    lambda v: st.builds(
+        LemmaConfig,
+        st.lists(st.sampled_from(ALLOWED_PAIRS), min_size=v, max_size=v).map(tuple),
+        st.lists(million, min_size=v, max_size=v).map(tuple),
+        st.integers(0, 6),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_lemma_configs)
+def test_builders_hand_log_the_validated_integers(cfg):
+    # The builders skip the validating constructor; the numerator blocks and
+    # the common denominator they hand over, which log and exp read, must be
+    # those the constructor makes from the same terms.
+    for built, brute in ((build_p(cfg), brute_force_p(cfg)), (build_q(cfg), brute_force_q(cfg))):
+        want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
+        assert (built._blocks, built._den) == (want._blocks, want._den)
+
+
+def test_deep_one_variable_log_and_exp_match_power_sums():
+    # One (0, 1) variable at x-degree 20: P and Q have denominators D of
+    # about 125 bits here, so running sums kept over D^n would reach about
+    # 2,500.  Q's log is checked against the power sums directly; P's
+    # log is dense and its power sums take minutes, so exp is checked
+    # against them on ln P and then shown to invert log on P.
+    cfg = LemmaConfig(((0, 1),), (Fraction(-7, 9),), 20)
+    q = build_q(cfg)
+    ln_q = q.log()
+    assert ln_q.terms == mp_log_by_powers(q.terms, 1, 20)
+    assert ln_q.exp() == q
+    p = build_p(cfg)
+    ln_p = p.log()
+    exp_ln_p = ln_p.exp()
+    assert exp_ln_p.terms == mp_exp_by_powers(ln_p.terms, 1, 20)
+    assert exp_ln_p == p
 
 
 # -- build_p -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gwmirror import MultiPoly
 
 from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial
-from strategies import wide_fractions as wide
+from strategies import million, wide_fractions as wide
 
 
 def test_truncation_drops_high_x_degree():
@@ -189,11 +189,6 @@ def test_mul_matches_fraction_oracle(data):
 
 
 # -- the integer representation against the Fraction oracles ----------------------
-
-# Numerators and denominators up to 10^6, so that the common denominators of
-# the operands differ and every sum and product must rescale.
-million = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
-
 
 @st.composite
 def ring_terms(draw, nvars, xdeg, min_degree=0, max_terms=6, tz=2):
