@@ -35,11 +35,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 from operator import mul
 
 from .cohomology import _ints, _linear_product, as_fraction
-from .multipoly import Blocks, Key, MultiPoly
+from .multipoly import MultiPoly
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
@@ -151,19 +151,6 @@ def _shifted_product(ck: int, cden: int, shifts: range) -> tuple[tuple[int, ...]
     return w, cden ** len(shifts)
 
 
-def _over_lcm(cfg: LemmaConfig, parts: list[tuple[int, dict[Key, int], int]]) -> MultiPoly:
-    """The sum of the parts (x-degree, numerators, den), each one multi-index
-    in lowest terms, as numerator blocks over the lcm of their dens."""
-    den = lcm(*(d for _, _, d in parts))
-    blocks: Blocks = {}
-    for deg, terms, d in parts:
-        scale = den // d
-        into = blocks.setdefault(deg, {})
-        for key, c in terms.items():
-            into[key] = c * scale
-    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den)
-
-
 def build_p(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
 
@@ -187,7 +174,7 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
             for j in range(m + 1)
         }
         parts.append((sum(k), terms, den // g))
-    return _over_lcm(cfg, parts)
+    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
@@ -205,7 +192,7 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
         g = gcd(den, *w)
         # overall factor t
         parts.append((s, {k + (m + 1, 0): wm // g for m, wm in enumerate(w) if wm}, den // g))
-    return _over_lcm(cfg, parts)
+    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
 
 
 # -- identity checks -----------------------------------------------------------

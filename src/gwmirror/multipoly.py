@@ -39,6 +39,7 @@ from .cohomology import Rational, as_fraction
 
 Key = tuple[int, ...]  # (k_1..k_v, t_exp, z_exp)
 Blocks = dict[int, dict[Key, int]]  # x-degree -> {key: numerator}
+Part = tuple[int, dict[Key, int], int]  # (x-degree, {key: numerator}, den)
 
 
 def _accumulate(into: dict[Key, int], block: dict[Key, int], scale: int) -> None:
@@ -90,12 +91,18 @@ class MultiPoly:
         """A polynomial in this ring from numerator blocks over den."""
         return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den)
 
-    def _over(self, blocks: Blocks, dens: dict[int, int]) -> MultiPoly:
-        """The polynomial whose block n is blocks[n] / dens[n]."""
-        den = lcm(*dens.values())
-        return self._result(
-            {n: {k: c * (den // dens[n]) for k, c in b.items()} for n, b in blocks.items()}, den
-        )
+    @classmethod
+    def _over(cls, nvars: int, xdeg_max: int, parts: list[Part]) -> MultiPoly:
+        """The sum of the parts (x-degree, numerators, den), no key in two
+        parts, as numerator blocks over the lcm of their dens."""
+        den = lcm(*(d for _, _, d in parts))
+        blocks: Blocks = {}
+        for n, b, d in parts:
+            scale = den // d
+            into = blocks.setdefault(n, {})
+            for k, c in b.items():
+                into[k] = c * scale
+        return cls._from_blocks(nvars, xdeg_max, blocks, den)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -242,18 +249,19 @@ class MultiPoly:
 
     def _solve(
         self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int
-    ) -> tuple[Blocks, dict[int, int]]:
-        """The blocks Y_n = out[n] / dens[n], in lowest terms, n = 1..xdeg_max, of
+    ) -> list[Part]:
+        """The blocks Y_n, as parts (n, numerators, den) in lowest terms,
+        n = 1..xdeg_max, of
 
             Y_n = (acc[n] + sign * sum_{k<n} (Y_k factor)_n) / den_of(n)
 
         for integer seed blocks acc[n].  Each solved Y_k is multiplied by
         factor in one ``__mul__`` and its share added to acc[m] for every
         later degree m.  The running sum acc[m] is kept over acc_den[m], the
-        lcm of the dens[k] added to it so far, and rescaled only when a new
-        dens[k] does not divide that, as ``cohomology._push`` does."""
-        out: Blocks = {}
-        dens: dict[int, int] = {}
+        lcm of the denominators of the Y_k added to it so far, and rescaled
+        only when a new one does not divide that, as ``cohomology._push``
+        does."""
+        parts: list[Part] = []
         acc_den: dict[int, int] = {}
         for n in range(1, self.xdeg_max + 1):
             block = {k: c for k, c in acc.pop(n, {}).items() if c}
@@ -261,17 +269,18 @@ class MultiPoly:
                 continue
             d = acc_den.pop(n, 1) * den_of(n)
             g = gcd(d, *block.values())
-            out[n], dens[n] = {k: c // g for k, c in block.items()}, d // g
+            block, d = {k: c // g for k, c in block.items()}, d // g
+            parts.append((n, block, d))
             if n < self.xdeg_max:
-                for m, b in (self._result({n: out[n]}, 1) * factor)._blocks.items():
+                for m, b in (self._result({n: block}, 1) * factor)._blocks.items():
                     into, have = acc.setdefault(m, {}), acc_den.get(m, 1)
-                    if have % dens[n]:
-                        grow = dens[n] // gcd(have, dens[n])
+                    if have % d:
+                        grow = d // gcd(have, d)
                         for k in into:
                             into[k] *= grow
                         acc_den[m] = have = have * grow
-                    _accumulate(into, b, sign * have // dens[n])
-        return out, dens
+                    _accumulate(into, b, sign * have // d)
+        return parts
 
     def log(self) -> MultiPoly:
         """log of a polynomial whose x-degree-0 part is exactly 1: theta L
@@ -284,8 +293,8 @@ class MultiPoly:
         if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
             return u
         acc = {n: {k: n * c for k, c in b.items()} for n, b in u._blocks.items()}
-        out, dens = self._solve(u, acc, lambda n: den, -1)
-        return self._over(out, {n: n * d for n, d in dens.items()})
+        parts = self._solve(u, acc, lambda n: den, -1)
+        return MultiPoly._over(self.nvars, self.xdeg_max, [(n, b, n * d) for n, b, d in parts])
 
     def exp(self) -> MultiPoly:
         """exp of a polynomial all of whose terms have positive x-degree:
@@ -299,10 +308,11 @@ class MultiPoly:
         theta_g = self._result(
             {j: {k: j * c for k, c in b.items()} for j, b in self._blocks.items()}, 1
         )
-        # theta_g's blocks are the share of E_0 = 1
+        # the share of E_0 = 1, copied since _solve adds into it
         acc = {n: dict(b) for n, b in theta_g._blocks.items()}
-        out, dens = self._solve(theta_g, acc, lambda n: n * den, 1)
-        return self._over({0: {(0,) * (self.nvars + 2): 1}, **out}, {0: 1, **dens})
+        parts = self._solve(theta_g, acc, lambda n: n * den, 1)
+        e_0 = (0, {(0,) * (self.nvars + 2): 1}, 1)
+        return MultiPoly._over(self.nvars, self.xdeg_max, [e_0, *parts])
 
     # -- rendering --------------------------------------------------------------
 
