@@ -138,7 +138,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls._from_blocks(nvars, xdeg_max, {0: {(0,) * (nvars + 2): 1}}, 1)
+        return cls.const(1, nvars, xdeg_max)
 
     @classmethod
     def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:

@@ -282,6 +282,26 @@ def test_equality_is_equality_of_normalised_terms(data, n):
         hash(p)
 
 
+@pytest.mark.parametrize("xdeg", [0, 3])
+def test_constant_and_variable_constructors_match_the_validating_one(xdeg):
+    # They skip the validating constructor; at xdeg 0 an x variable is
+    # beyond the truncation and must come out zero as it does there.
+    v = 2
+    for got, terms in (
+        (MultiPoly.zero(v, xdeg), {}),
+        (MultiPoly.one(v, xdeg), {(0, 0, 0, 0): 1}),
+        (MultiPoly.const(Fraction(-6, 4), v, xdeg), {(0, 0, 0, 0): Fraction(-3, 2)}),
+        (MultiPoly.const(0, v, xdeg), {}),
+        (MultiPoly.x(1, v, xdeg), {(0, 1, 0, 0): 1}),
+        (MultiPoly.t(v, xdeg), {(0, 0, 1, 0): 1}),
+        (MultiPoly.z(v, xdeg), {(0, 0, 0, 1): 1}),
+    ):
+        want = MultiPoly(v, xdeg, terms)
+        assert (got._blocks, got._den) == (want._blocks, want._den)
+    with pytest.raises(TypeError):
+        MultiPoly.const(0.5, v, xdeg)
+
+
 def test_trivial_log_exp_and_products_return_at_once_at_any_xdeg():
     # log 1, exp 0 and a product with 0 must not walk the x-degrees
     code = (
