@@ -142,44 +142,50 @@ def _multi_indices(nvars: int, total_max: int):
         k[j - 1] += 1
 
 
-def _shifted_product(ck: int, cden: int, shifts: range) -> tuple[tuple[int, ...], int]:
-    """prod_{i in shifts} (ck/cden - i + s) as integers (w, den) with
-    sum_m w[m] s^m / den the product: each factor is
+def _shifted_product(
+    k: tuple[int, ...], cnum: list[int], cden: int, shifts: range
+) -> tuple[list[int], int]:
+    """prod_{i in shifts} (c.k - i + s) / prod_i k_i! in lowest terms, as
+    integers (w, den) with sum_m w[m] s^m / den the product.
+
+    With c.k = ck/cden for the integer ck = cnum.k, each factor is
     (cden s + ck - i cden) / cden, so the integer kernel runs on the
-    numerators ck - i cden with l = cden and den = cden^len(shifts)."""
+    numerators ck - i cden with l = cden; the product's denominator
+    cden^len(shifts) prod_i k_i! and its coefficients are then divided by
+    their gcd once.
+    """
+    ck = sum(map(mul, cnum, k))
     w = _linear_product(len(shifts) + 1, cden, [ck - i * cden for i in shifts])
-    return w, cden ** len(shifts)
+    den = cden ** len(shifts) * prod(map(factorial, k))
+    g = gcd(den, *w)
+    return [c // g for c in w], den // g
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
 
     The product over i is collected in s = t + z on integer numerators and
-    s^m splits binomially.  The terms of k share den = cden^{b.k} prod k_i!
-    and are reduced once by g = gcd(den, *w): since C(m, 0) = 1, den / g
-    is the lcm of their reduced denominators.
+    s^m splits binomially.  The terms of k share the product's reduced
+    denominator, which is the lcm of their own since C(m, 0) = 1.
     """
     cnum, cden = _ints(cfg.cs)
     avec, bvec = [a for a, _ in cfg.pairs], [b for _, b in cfg.pairs]
     parts = []
     for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
         ak, bk = sum(map(mul, avec, k)), sum(map(mul, bvec, k))
-        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(bk))
-        den *= prod(map(factorial, k))
-        g = gcd(den, *w)
+        w, den = _shifted_product(k, cnum, cden, range(bk))
         terms = {
-            k + (j + ak, m - j): wm // g * comb(m, j)
+            k + (j + ak, m - j): wm * comb(m, j)
             for m, wm in enumerate(w)
             if wm
             for j in range(m + 1)
         }
-        parts.append((sum(k), terms, den // g))
+        parts.append((sum(k), terms, den))
     return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
-    """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1.  The
-    terms of k are reduced once, as in ``build_p``."""
+    """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
     cnum, cden = _ints(cfg.cs)
     parts = []
     for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
@@ -187,11 +193,9 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
         if s == 0:
             parts.append((0, {k + (0, 0): 1}, 1))
             continue
-        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(1, s))
-        den *= prod(map(factorial, k))
-        g = gcd(den, *w)
+        w, den = _shifted_product(k, cnum, cden, range(1, s))
         # overall factor t
-        parts.append((s, {k + (m + 1, 0): wm // g for m, wm in enumerate(w) if wm}, den // g))
+        parts.append((s, {k + (m + 1, 0): wm for m, wm in enumerate(w) if wm}, den))
     return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
 
 

@@ -8,9 +8,9 @@ since each x-degree is polynomial in them.  ``terms``, the read-only view
 as normalised Fractions, is built on first read: with two variables
 3*x1^2*t - z/2 is ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1):
 Fraction(-1, 2)}``.  The public constructor validates its input; the
-constants, the variables, the lemma builders and every operation hand
-numerator blocks to ``_from_blocks`` instead, make no Fraction and may
-leave the common denominator unreduced, so ``==`` compares ``terms``.
+constants and variables, the lemma builders and every operation build
+numerator blocks without that check, make no Fraction and may leave the
+common denominator unreduced, so ``==`` compares ``terms``.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -52,7 +52,7 @@ class MultiPoly:
     __hash__ = None  # equality compares the dict of terms
 
     def __init__(self, nvars: int, xdeg_max: int, terms: Optional[Mapping[Key, Rational]] = None):
-        fracs: dict[int, dict[Key, Fraction]] = {}
+        parts: list[Part] = []
         for key, c in (terms or {}).items():
             key = tuple(key)
             if len(key) != nvars + 2:
@@ -63,20 +63,14 @@ class MultiPoly:
             if deg > xdeg_max:
                 continue
             c = as_fraction(c)
-            if c != 0:
-                fracs.setdefault(deg, {})[key] = c
-        den = lcm(*(c.denominator for b in fracs.values() for c in b.values()))
-        blocks = {
-            d: {k: c.numerator * (den // c.denominator) for k, c in b.items()}
-            for d, b in fracs.items()
-        }
-        self.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=blocks, _den=den)
+            parts.append((deg, {key: c.numerator}, c.denominator))
+        self.__dict__.update(MultiPoly._over(nvars, xdeg_max, parts).__dict__)
 
     @classmethod
     def _from_blocks(cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int) -> MultiPoly:
         """The polynomial with numerator blocks over den, unvalidated; zeros
-        and blocks above xdeg_max are dropped, and a block without zeros is
-        kept as it is, not copied."""
+        and blocks above xdeg_max are dropped.  A block without zeros is
+        kept, not copied, so the caller must not change it afterwards."""
         kept = {}
         for d, b in blocks.items():
             if 0 in b.values():
