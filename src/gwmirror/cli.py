@@ -29,13 +29,14 @@ FORMATS = ("pretty", "json", "csv")
 
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
-# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes about 0.5 s a
-# trial (shared 2-CPU x86, Python 3.11), and --vars 3 --xdeg 4 about 1 ms.
+# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.2-0.5 s a
+# trial, and --vars 3 --xdeg 4 0.6-1.5 ms (shared 2-CPU x86, Python 3.11;
+# the ranges are the machine's load phases, up to 2.5x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the exponent vectors (vars + 2 entries per term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests,
-# --vars 0 --trials 40000 (about 180 us a trial) and --vars 1 --xdeg 37
-# --trials 4 --seed 481 (every trial (0, 1)), take about 7-8 s and 2 s.
+# --vars 0 --trials 40000 (70-200 us a trial) and --vars 1 --xdeg 37
+# --trials 4 --seed 481 (every trial (0, 1)), take 2.8-7.9 s and 0.7-2.1 s.
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000

@@ -118,7 +118,7 @@ def test_deep_one_variable_log_and_exp_match_power_sums():
     # One (0, 1) variable at x-degree 20: P and Q have denominators D of
     # about 125 bits here, so running sums kept over D^n would reach about
     # 2,500.  Q's log is checked against the power sums directly; P's
-    # log is dense and its power sums take minutes, so exp is checked
+    # log is dense and its power sums take over a minute, so exp is checked
     # against them on ln P and then shown to invert log on P.
     cfg = LemmaConfig(((0, 1),), (Fraction(-7, 9),), 20)
     q = build_q(cfg)
