@@ -16,7 +16,15 @@ import os
 import random
 import sys
 
-from .loglinear import check_a1, check_a2, check_closed_forms, p_term_bound, sample_config
+from .loglinear import (
+    build_p,
+    build_q,
+    check_a1,
+    check_a2,
+    check_closed_forms,
+    p_term_bound,
+    sample_config,
+)
 from .mirror import (
     localp2_invariants,
     localp2_kd,
@@ -29,23 +37,24 @@ FORMATS = ("pretty", "json", "csv")
 
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
-# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.2-0.5 s a
-# trial, and --vars 3 --xdeg 4 0.6-1.5 ms (shared 2-CPU x86, Python 3.11;
-# the ranges are the machine's load phases, up to 2.5x apart).
+# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.13-0.25 s a
+# trial, and --vars 3 --xdeg 4 0.9-1.2 ms (shared 2-CPU x86, Python 3.11;
+# the ranges are the machine's load phases, up to 1.7x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
-# the exponent vectors (vars + 2 entries per term) set the cost instead.
+# the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests,
-# --vars 0 --trials 40000 (70-200 us a trial) and --vars 1 --xdeg 37
-# --trials 4 --seed 481 (every trial (0, 1)), take 2.8-7.9 s and 0.7-2.1 s.
+# --vars 0 --trials 40000 (90-145 us a trial) and --vars 1 --xdeg 37
+# --trials 4 --seed 481 (every trial (0, 1)), take 3.7-5.8 s and 0.6-1.0 s
+# (fresh process, best of 3, four runs).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes 1.5-2.6 s (best of 3 in a fresh
-# process, two runs, x86, Python 3.11): quintic --dmax 150 --crosscheck
-# 1.9-2.2 s, local-p2 --dmax 250 --emit-kd 2.3-2.6 s and naive --ambient
-# 16 --degree 15 --dmax 100 1.5-1.6 s.  A naive request's cost grows with
+# the slowest admitted request takes 0.5-2.3 s (best of 3 in a fresh
+# process, four runs, x86, Python 3.11): quintic --dmax 150 --crosscheck
+# 1.3-1.8 s, local-p2 --dmax 250 --emit-kd 1.8-2.3 s and naive --ambient
+# 16 --degree 15 --dmax 100 0.5-0.7 s.  A naive request's cost grows with
 # the ring length as well, hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16
@@ -274,14 +283,18 @@ def _run_naive(args, out) -> int:
 
 def _run_lemma(args, out) -> int:
     rng = random.Random(args.seed)
-    check = check_a1 if args.which == "a1" else check_a2
+    a1 = args.which == "a1"
+    build, check = (build_p, check_a1) if a1 else (build_q, check_a2)
     lines = []
     all_passed = True
     for trial in range(1, args.trials + 1):
         cfg = sample_config(rng, args.vars, args.xdeg, seed=args.seed)
-        reports = [check(cfg)]
+        # The checked series is built once and handed to the closed forms too.
+        series = build(cfg)
+        reports = [check(cfg, series)]
         if all(c == 0 for c in cfg.cs):
-            reports.append(check_closed_forms(cfg))
+            p, q = (series, None) if a1 else (None, series)
+            reports.append(check_closed_forms(cfg, p, q))
         for report in reports:
             lines.append(report.line(trial))
             all_passed = all_passed and report.passed

@@ -17,13 +17,21 @@ Each linear factor is one O(r) integer shift-add in a ring of length r
 product from degree to degree: degree d shift-adds its l new factors and
 multiplies them in by one truncated integer product
 (``cohomology._int_product``), O(l*r + r^2) a degree.  ``ambient_I``
-raises prod_{i=1}^{d}(H+i) to the (n+1)-th power by n integer products
-and inverts once by the O(r^2) triangular solve.
+shift-adds a = prod_{i=1}^{d}(H+i) on integers and raises it to the
+power p = -(n+1) in one O(r^2) pass by J. C. P. Miller's recurrence for
+the powers of a power series (Knuth, TAOCP vol. 2, 4.7):
+
+    b_0 = a_0^p,    m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k},
+
+with b kept as integer numerators over a common denominator, as
+``cohomology._inverse`` keeps its solve.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohClass, _int_product, _linear_product
+from fractions import Fraction
+
+from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
 from .series import DSeries
 
 
@@ -37,10 +45,16 @@ def ambient_I(n: int, d: int) -> CohClass:
         raise ValueError("ambient projective space needs n >= 2")
     if d < 0:
         raise ValueError("curve degree must be non-negative")
-    base = power = _linear_product(n + 1, 1, range(1, d + 1))
-    for _ in range(n):
-        power = _int_product(power, base, n + 1)
-    return CohClass(power).inv()
+    a = _linear_product(n + 1, 1, range(1, d + 1))
+    # Miller's recurrence for b = a^p, p = -(n+1):
+    # m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k} = -sum (n k + m) a_k b_{m-k}.
+    out = [Fraction(1, a[0] ** (n + 1))]
+    bn, bd = _ints(out)
+    for m in range(1, n + 1):
+        s = sum((n * k + m) * a[k] * bn[m - k] for k in range(1, m + 1))
+        out.append(Fraction(-s, m * a[0] * bd))
+        bd = _push(bn, bd, out[-1])
+    return CohClass(tuple(out))
 
 
 def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:

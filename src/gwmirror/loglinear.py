@@ -39,7 +39,7 @@ from math import comb, factorial, gcd, prod
 from operator import mul
 
 from .cohomology import _ints, _linear_product, as_fraction
-from .multipoly import MultiPoly
+from .multipoly import FIELD_BITS, MultiPoly, _pack
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
@@ -161,6 +161,13 @@ def _shifted_product(
     return [c // g for c in w], den // g
 
 
+def _field_bounds(parts) -> dict[int, int]:
+    """The field bounds of the builders' blocks: each exponent is at most
+    the x-degree, since the factor of a multi-index k has total degree in t
+    and z at most sum(k), and each k_i is at most sum(k) too."""
+    return {n: n for n, _, _ in parts}
+
+
 def build_p(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
 
@@ -174,14 +181,15 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
     for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
         ak, bk = sum(map(mul, avec, k)), sum(map(mul, bvec, k))
         w, den = _shifted_product(k, cnum, cden, range(bk))
+        base = _pack(k + (ak, 0))
         terms = {
-            k + (j + ak, m - j): wm * comb(m, j)
+            base + (j << FIELD_BITS) + (m - j): wm * comb(m, j)
             for m, wm in enumerate(w)
             if wm
             for j in range(m + 1)
         }
         parts.append((sum(k), terms, den))
-    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
+    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts, _field_bounds(parts))
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
@@ -191,20 +199,22 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
     for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
         s = sum(k)
         if s == 0:
-            parts.append((0, {k + (0, 0): 1}, 1))
+            parts.append((0, {0: 1}, 1))
             continue
         w, den = _shifted_product(k, cnum, cden, range(1, s))
         # overall factor t
-        parts.append((s, {k + (m + 1, 0): wm for m, wm in enumerate(w) if wm}, den))
-    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts)
+        base = _pack(k + (1, 0))
+        parts.append((s, {base + (m << FIELD_BITS): wm for m, wm in enumerate(w) if wm}, den))
+    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts, _field_bounds(parts))
 
 
 # -- identity checks -----------------------------------------------------------
 
 
-def check_a1(cfg: LemmaConfig) -> CheckReport:
-    """All three second derivatives of ln P vanish identically."""
-    ln_p = build_p(cfg).log()
+def check_a1(cfg: LemmaConfig, p: MultiPoly | None = None) -> CheckReport:
+    """All three second derivatives of ln P vanish identically; p is
+    build_p(cfg) when the caller has built it already."""
+    ln_p = (build_p(cfg) if p is None else p).log()
     d_t = ln_p.partial("t")
     for name, residual in (
         ("d2t(lnP)", d_t.partial("t")),
@@ -216,9 +226,10 @@ def check_a1(cfg: LemmaConfig) -> CheckReport:
     return CheckReport("a1", cfg, True)
 
 
-def check_a2(cfg: LemmaConfig) -> CheckReport:
-    """(t d/dt - 1) ln Q vanishes identically, i.e. ln Q is linear in t."""
-    ln_q = build_q(cfg).log()
+def check_a2(cfg: LemmaConfig, q: MultiPoly | None = None) -> CheckReport:
+    """(t d/dt - 1) ln Q vanishes identically, i.e. ln Q is linear in t; q
+    is build_q(cfg) when the caller has built it already."""
+    ln_q = (build_q(cfg) if q is None else q).log()
     t = MultiPoly.t(cfg.nvars, cfg.xdeg_max)
     residual = t * ln_q.partial("t") - ln_q
     if not residual.is_zero:
@@ -226,12 +237,15 @@ def check_a2(cfg: LemmaConfig) -> CheckReport:
     return CheckReport("a2", cfg, True)
 
 
-def check_closed_forms(cfg: LemmaConfig) -> CheckReport:
+def check_closed_forms(
+    cfg: LemmaConfig, p: MultiPoly | None = None, q: MultiPoly | None = None
+) -> CheckReport:
     """At c = 0 the series factor into elementary closed forms:
 
         P = exp(sum_i x_i t^{a_i}) * (1 + sum_j x_j)^{z+t}
     (the first factor over the b_i = 0 variables, the second over the
-    (0,1) variables), and Q = (1 + sum_i x_i)^t.
+    (0,1) variables), and Q = (1 + sum_i x_i)^t.  p and q are build_p(cfg)
+    and build_q(cfg) when the caller has built them already.
     """
     if any(c != 0 for c in cfg.cs):
         raise ValueError("closed forms require all c_i = 0")
@@ -251,8 +265,8 @@ def check_closed_forms(cfg: LemmaConfig) -> CheckReport:
     p_expected = exp_arg.exp() * (z_plus_t * (binom_sum + 1).log()).exp()
     q_expected = (t * (all_sum + 1).log()).exp()
     for name, got, want in (
-        ("P", build_p(cfg), p_expected),
-        ("Q", build_q(cfg), q_expected),
+        ("P", build_p(cfg) if p is None else p, p_expected),
+        ("Q", build_q(cfg) if q is None else q, q_expected),
     ):
         diff = got - want
         if not diff.is_zero:

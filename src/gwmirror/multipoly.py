@@ -1,16 +1,35 @@
 """Sparse truncated polynomials in x_1..x_v, t, z over Q.
 
 A polynomial is integer numerators over one common denominator, in blocks
-by x-degree k_1+...+k_v: each block maps exponent vectors (k_1, ..., k_v,
-t_exp, z_exp) to nonzero numerators.  Terms of x-degree above
-``xdeg_max`` are dropped by every operation; t and z are not truncated,
-since each x-degree is polynomial in them.  ``terms``, the read-only view
+by x-degree k_1+...+k_v: each block maps packed exponent keys (below) to
+nonzero numerators.  Terms of x-degree above ``xdeg_max`` are dropped by
+every operation; t and z are not truncated, since each x-degree is
+polynomial in them.  ``terms``, the read-only view
 as normalised Fractions, is built on first read: with two variables
 3*x1^2*t - z/2 is ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1):
 Fraction(-1, 2)}``.  The public constructor validates its input; the
 constants and variables, the lemma builders and every operation build
 numerator blocks without that check, make no Fraction and may leave the
 common denominator unreduced, so ``==`` compares ``terms``.
+
+A key packs the exponent vector (k_1, ..., k_v, t_exp, z_exp) into one
+int, FIELD_BITS bits a field with k_1 most significant and z_exp least:
+
+    key = sum_j e_j << (FIELD_BITS * (v + 1 - j)),    j = 0..v+1
+
+so integer order is lexicographic order, the constant's key is 0, a
+monomial product is the sum of the keys and d/dt subtracts 1 << FIELD_BITS.
+Only ``terms``, ``term_str`` and the validating constructor see tuples.
+A field holds 0..EXP_MAX; a sum that passed EXP_MAX would carry into the
+next field and silently change the monomial.  So the constructor refuses
+a larger exponent with a ValueError, and every polynomial carries
+``_bounds``, for each x-degree an upper bound on every field of that
+block's keys: a sum keeps the larger bound of each block, a derivative
+its block's, and a product of two blocks adds theirs.  ``__mul__`` raises
+OverflowError before it multiplies two blocks whose bounds add up past
+EXP_MAX: one addition and comparison a pair of blocks, no scan of the
+keys.  A block bound is exact enough to compose: where every field is at
+most the x-degree, as in the lemma's P and Q, log and exp keep that bound.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -29,20 +48,36 @@ about as large as the blocks it sums.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
 from typing import Callable, Mapping, Optional, Union
 
 from .cohomology import Rational, as_fraction
 
+FIELD_BITS = 32  # the width of the struct format "I" that packs a field
+EXP_MAX = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
+
 Key = tuple[int, ...]  # (k_1..k_v, t_exp, z_exp)
-Blocks = dict[int, dict[Key, int]]  # x-degree -> {key: numerator}
-Part = tuple[int, dict[Key, int], int]  # (x-degree, {key: numerator}, den)
+Blocks = dict[int, dict[int, int]]  # x-degree -> {packed key: numerator}
+Part = tuple[int, dict[int, int], int]  # (x-degree, {packed key: numerator}, den)
+Bounds = dict[int, int]  # x-degree -> bound on every field of the block's keys
 
 
-def _accumulate(into: dict[Key, int], block: dict[Key, int], scale: int) -> None:
+def _pack(key: Key) -> int:
+    """The packed key of an exponent vector whose entries are 0..EXP_MAX.
+    Each field is one big-endian unsigned 32-bit word ("I") of the key's
+    bytes, so that packing and unpacking take time linear in the number of
+    fields."""
+    return int.from_bytes(struct.pack(f">{len(key)}I", *key), "big")
+
+
+def _unpack(packed: int, nfields: int) -> Key:
+    return struct.unpack(f">{nfields}I", packed.to_bytes(FIELD_BITS // 8 * nfields, "big"))
+
+
+def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None:
     """into += scale * block."""
     for k, c in block.items():
         into[k] = into.get(k, 0) + c * scale
@@ -53,24 +88,33 @@ class MultiPoly:
 
     def __init__(self, nvars: int, xdeg_max: int, terms: Optional[Mapping[Key, Rational]] = None):
         parts: list[Part] = []
+        bounds: Bounds = {}
         for key, c in (terms or {}).items():
             key = tuple(key)
             if len(key) != nvars + 2:
                 raise ValueError(f"exponent vector {key} has wrong length for {nvars} variables")
             if min(key) < 0:
                 raise ValueError("negative exponent")
+            top = max(key)
+            if top > EXP_MAX:
+                raise ValueError(f"exponent {top} is above the limit {EXP_MAX}")
             deg = sum(key[:-2])
             if deg > xdeg_max:
                 continue
             c = as_fraction(c)
-            parts.append((deg, {key: c.numerator}, c.denominator))
-        self.__dict__.update(MultiPoly._over(nvars, xdeg_max, parts).__dict__)
+            parts.append((deg, {_pack(key): c.numerator}, c.denominator))
+            bounds[deg] = max(bounds.get(deg, 0), top)
+        self.__dict__.update(MultiPoly._over(nvars, xdeg_max, parts, bounds).__dict__)
 
     @classmethod
-    def _from_blocks(cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int) -> MultiPoly:
+    def _from_blocks(
+        cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int, bounds: Bounds
+    ) -> MultiPoly:
         """The polynomial with numerator blocks over den, unvalidated; zeros
-        and blocks above xdeg_max are dropped.  A block without zeros is
-        kept, not copied, so the caller must not change it afterwards."""
+        and blocks above xdeg_max are dropped.  bounds must bound the fields
+        of every block and may hold degrees without one.  A block without
+        zeros and the bounds are kept, not copied, so the caller must not
+        change them afterwards."""
         kept = {}
         for d, b in blocks.items():
             if 0 in b.values():
@@ -78,17 +122,22 @@ class MultiPoly:
             if b and d <= xdeg_max:
                 kept[d] = b
         poly = object.__new__(cls)
-        poly.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den)
+        poly.__dict__.update(
+            nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den, _bounds=bounds
+        )
         return poly
 
-    def _result(self, blocks: Blocks, den: int) -> MultiPoly:
-        """A polynomial in this ring from numerator blocks over den."""
-        return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den)
+    def _result(self, blocks: Blocks, den: int, bounds: Optional[Bounds] = None) -> MultiPoly:
+        """A polynomial in this ring from numerator blocks over den, with
+        the given field bounds or, by default, this polynomial's."""
+        bounds = self._bounds if bounds is None else bounds
+        return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den, bounds)
 
     @classmethod
-    def _over(cls, nvars: int, xdeg_max: int, parts: list[Part]) -> MultiPoly:
+    def _over(cls, nvars: int, xdeg_max: int, parts: list[Part], bounds: Bounds) -> MultiPoly:
         """The sum of the parts (x-degree, numerators, den), no key in two
-        parts, as numerator blocks over the lcm of their dens."""
+        parts, as numerator blocks over the lcm of their dens, with the
+        field bounds of those blocks."""
         den = lcm(*(d for _, _, d in parts))
         blocks: Blocks = {}
         for n, b, d in parts:
@@ -96,7 +145,7 @@ class MultiPoly:
             into = blocks.setdefault(n, {})
             for k, c in b.items():
                 into[k] = c * scale
-        return cls._from_blocks(nvars, xdeg_max, blocks, den)
+        return cls._from_blocks(nvars, xdeg_max, blocks, den, bounds)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -106,8 +155,12 @@ class MultiPoly:
     @cached_property
     def terms(self) -> dict[Key, Fraction]:
         """{exponent vector: nonzero normalised Fraction}; do not mutate."""
-        den = self._den
-        return {k: Fraction(c, den) for b in self._blocks.values() for k, c in b.items()}
+        den, nfields = self._den, self.nvars + 2
+        return {
+            _unpack(k, nfields): Fraction(c, den)
+            for b in self._blocks.values()
+            for k, c in b.items()
+        }
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not MultiPoly:
@@ -122,13 +175,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls._from_blocks(nvars, xdeg_max, {}, 1)
+        return cls._from_blocks(nvars, xdeg_max, {}, 1, {})
 
     @classmethod
     def const(cls, value: Rational, nvars: int, xdeg_max: int) -> MultiPoly:
         f = as_fraction(value)
-        blocks = {0: {(0,) * (nvars + 2): f.numerator}}
-        return cls._from_blocks(nvars, xdeg_max, blocks, f.denominator)
+        return cls._from_blocks(nvars, xdeg_max, {0: {0: f.numerator}}, f.denominator, {0: 0})
 
     @classmethod
     def one(cls, nvars: int, xdeg_max: int) -> MultiPoly:
@@ -136,9 +188,8 @@ class MultiPoly:
 
     @classmethod
     def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:
-        key = [0] * (nvars + 2)
-        key[pos] = 1
-        return cls._from_blocks(nvars, xdeg_max, {int(pos < nvars): {tuple(key): 1}}, 1)
+        key, deg = 1 << FIELD_BITS * (nvars + 1 - pos), int(pos < nvars)
+        return cls._from_blocks(nvars, xdeg_max, {deg: {key: 1}}, 1, {deg: 1})
 
     @classmethod
     def x(cls, i: int, nvars: int, xdeg_max: int) -> MultiPoly:
@@ -178,7 +229,11 @@ class MultiPoly:
         for poly in (self, other):
             for d, b in poly._blocks.items():
                 _accumulate(out.setdefault(d, {}), b, den // poly._den)
-        return self._result(out, den)
+        bounds = dict(self._bounds)
+        for d, b in other._bounds.items():
+            if b > bounds.get(d, -1):
+                bounds[d] = b
+        return self._result(out, den, bounds)
 
     __radd__ = __add__
 
@@ -203,20 +258,26 @@ class MultiPoly:
         # Pairs of blocks beyond the truncation are never formed, and each
         # product term lands in the block of its degree.
         out: Blocks = {}
+        bounds: Bounds = {}
         for da, block_a in self._blocks.items():
             for db, block_b in other._blocks.items():
-                if da + db > self.xdeg_max:
+                d = da + db
+                if d > self.xdeg_max:
                     continue
-                into = out.setdefault(da + db, {})
-                items_b = block_b.items()
+                bound = self._bounds[da] + other._bounds[db]
+                if bound > EXP_MAX:
+                    raise OverflowError(
+                        f"a product could reach exponent {bound}, above the limit {EXP_MAX}"
+                    )
+                if bound > bounds.get(d, -1):
+                    bounds[d] = bound
+                into = out.setdefault(d, {})
+                get, items_b = into.get, block_b.items()
                 for ka, ca in block_a.items():
                     for kb, cb in items_b:
-                        key = tuple(map(add, ka, kb))
-                        if key in into:
-                            into[key] += ca * cb
-                        else:
-                            into[key] = ca * cb
-        return self._result(out, self._den * other._den)
+                        key = ka + kb
+                        into[key] = get(key, 0) + ca * cb
+        return self._result(out, self._den * other._den, bounds)
 
     __rmul__ = __mul__
 
@@ -232,31 +293,38 @@ class MultiPoly:
             pos = var
         else:
             raise ValueError(f"unknown variable {var!r}")
-        shift = int(pos < self.nvars)  # an x derivative lowers the x-degree by 1
+        lower = int(pos < self.nvars)  # an x derivative lowers the x-degree by 1
+        shift = FIELD_BITS * (self.nvars + 1 - pos)
+        one = 1 << shift
         out: Blocks = {}
         for d, b in self._blocks.items():
             for key, c in b.items():
-                e = key[pos]
+                e = key >> shift & EXP_MAX
                 if e:  # distinct keys have distinct derivatives, so no sums
-                    out.setdefault(d - shift, {})[key[:pos] + (e - 1,) + key[pos + 1 :]] = c * e
+                    out.setdefault(d - lower, {})[key - one] = c * e
+        if lower:
+            return self._result(out, self._den, {d - 1: b for d, b in self._bounds.items()})
         return self._result(out, self._den)
 
     def _solve(
         self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int
-    ) -> list[Part]:
+    ) -> tuple[list[Part], Bounds]:
         """The blocks Y_n, as parts (n, numerators, den) in lowest terms,
         n = 1..xdeg_max, of
 
             Y_n = (acc[n] + sign * sum_{k<n} (Y_k factor)_n) / den_of(n)
 
-        for integer seed blocks acc[n].  Each solved Y_k is multiplied by
+        for integer seed blocks acc[n], whose keys are those of factor's
+        block n.  Each solved Y_k is multiplied by
         factor in one ``__mul__`` and its share added to acc[m] for every
         later degree m.  The running sum acc[m] is kept over acc_den[m], the
         lcm of the denominators of the Y_k added to it so far, and rescaled
         only when a new one does not divide that, as ``cohomology._push``
-        does."""
+        does.  The field bounds of the Y_n, the largest of their seed's and
+        of the products added to them, are returned with the parts."""
         parts: list[Part] = []
         acc_den: dict[int, int] = {}
+        acc_bounds = dict(factor._bounds)
         for n in range(1, self.xdeg_max + 1):
             block = {k: c for k, c in acc.pop(n, {}).items() if c}
             if not block:
@@ -266,7 +334,9 @@ class MultiPoly:
             block, d = {k: c // g for k, c in block.items()}, d // g
             parts.append((n, block, d))
             if n < self.xdeg_max:
-                for m, b in (self._result({n: block}, 1) * factor)._blocks.items():
+                product = self._result({n: block}, 1, {n: acc_bounds[n]}) * factor
+                for m, b in product._blocks.items():
+                    acc_bounds[m] = max(acc_bounds.get(m, 0), product._bounds[m])
                     into, have = acc.setdefault(m, {}), acc_den.get(m, 1)
                     if have % d:
                         grow = d // gcd(have, d)
@@ -274,21 +344,22 @@ class MultiPoly:
                             into[k] *= grow
                         acc_den[m] = have = have * grow
                     _accumulate(into, b, sign * have // d)
-        return parts
+        return parts, acc_bounds
 
     def log(self) -> MultiPoly:
         """log of a polynomial whose x-degree-0 part is exactly 1: theta L
         is Y_n = (n U_n - sum_{k<n} (Y_k U)_n) / D (module docstring), so
         L_n = Y_n / n."""
         den = self._den
-        if self._blocks.get(0) != {(0,) * (self.nvars + 2): den}:
+        if self._blocks.get(0) != {0: den}:
             raise ValueError("log requires constant term exactly 1")
         u = self._result({j: b for j, b in self._blocks.items() if j}, 1)
         if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
             return u
         acc = {n: {k: n * c for k, c in b.items()} for n, b in u._blocks.items()}
-        parts = self._solve(u, acc, lambda n: den, -1)
-        return MultiPoly._over(self.nvars, self.xdeg_max, [(n, b, n * d) for n, b, d in parts])
+        parts, bounds = self._solve(u, acc, lambda n: den, -1)
+        parts = [(n, b, n * d) for n, b, d in parts]
+        return MultiPoly._over(self.nvars, self.xdeg_max, parts, bounds)
 
     def exp(self) -> MultiPoly:
         """exp of a polynomial all of whose terms have positive x-degree:
@@ -304,9 +375,9 @@ class MultiPoly:
         )
         # the share of E_0 = 1, copied since _solve adds into it
         acc = {n: dict(b) for n, b in theta_g._blocks.items()}
-        parts = self._solve(theta_g, acc, lambda n: n * den, 1)
-        e_0 = (0, {(0,) * (self.nvars + 2): 1}, 1)
-        return MultiPoly._over(self.nvars, self.xdeg_max, [e_0, *parts])
+        parts, bounds = self._solve(theta_g, acc, lambda n: n * den, 1)
+        bounds[0] = 0
+        return MultiPoly._over(self.nvars, self.xdeg_max, [(0, {0: 1}, 1), *parts], bounds)
 
     # -- rendering --------------------------------------------------------------
 

@@ -191,6 +191,25 @@ def test_lemma_no_variables():
     assert r.stdout.endswith("closed-form PASS\n")
 
 
+@pytest.mark.parametrize("which", ["a1", "a2"])
+def test_lemma_builds_each_series_once_a_closed_form_trial(which, monkeypatch, capsys):
+    # with no variables every trial also runs the closed forms, which must
+    # reuse the series the identity check built
+    from gwmirror import cli, loglinear
+
+    calls = {"build_p": 0, "build_q": 0}
+    for name in calls:
+        def counted(cfg, real=getattr(loglinear, name), name=name):
+            calls[name] += 1
+            return real(cfg)
+
+        monkeypatch.setattr(loglinear, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["lemma", which, "--vars", "0", "--trials", "3"]) == 0
+    assert calls == {"build_p": 3, "build_q": 3}
+    assert capsys.readouterr().out.count("closed-form PASS\n") == 3
+
+
 def test_lemma_rejects_bad_flags():
     assert run("lemma", "a1", "--vars", "-1").returncode == 2
     assert run("lemma", "a1", "--trials", "0").returncode == 2

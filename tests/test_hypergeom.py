@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwmirror import CohClass, ambient_I, hyper_factor, naive_series
 
@@ -30,6 +32,15 @@ def test_ambient_constant_term(d):
 )
 def test_ambient_matches_oracle(n, d):
     assert list(ambient_I(n, d).coeffs) == ambient_poly(n, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 60))
+def test_ambient_power_recurrence_matches_power_and_inverse(n, d):
+    # Miller's recurrence against n+1 Fraction products and a long division
+    got = ambient_I(n, d).coeffs
+    assert list(got) == ambient_poly(n, d)
+    assert all(type(c) is Fraction for c in got)
 
 
 def test_hyper_factor_quintic_degree_one():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import MultiPoly
+from gwmirror.multipoly import EXP_MAX, FIELD_BITS
 
 from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial
 from strategies import million, wide_fractions as wide
@@ -169,14 +170,21 @@ def test_log_exp_error_messages():
             bad.exp()
 
 
+def exponents(top):
+    """Small exponents, or exponents up to top, so that a sum of
+    EXP_MAX // top of them lands next to the limit of a field."""
+    return st.integers(0, 2) | st.integers(top - 2, top)
+
+
 def poly_terms(nvars):
-    key = st.tuples(*(st.integers(0, 2),) * (nvars + 2))
+    key = st.tuples(*(exponents(EXP_MAX // 2),) * (nvars + 2))
     return st.dictionaries(key, wide, max_size=8)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.tuples(st.integers(0, 3), st.integers(0, 4)).flatmap(
+    # at x-degree EXP_MAX no x exponent that fits in a field is truncated
+    st.tuples(st.integers(0, 3), st.integers(0, 4) | st.just(EXP_MAX)).flatmap(
         lambda shape: st.tuples(st.just(shape), poly_terms(shape[0]), poly_terms(shape[0]))
     )
 )
@@ -191,8 +199,9 @@ def test_mul_matches_fraction_oracle(data):
 # -- the integer representation against the Fraction oracles ----------------------
 
 @st.composite
-def ring_terms(draw, nvars, xdeg, min_degree=0, max_terms=6, tz=2):
-    """Terms of x-degree min_degree..xdeg (none when that range is empty)."""
+def ring_terms(draw, nvars, xdeg, min_degree=0, max_terms=6, tz=st.integers(0, 2)):
+    """Terms of x-degree min_degree..xdeg (none when that range is empty),
+    with t and z exponents drawn from tz."""
     terms = {}
     if min_degree > xdeg or (nvars == 0 and min_degree > 0):
         return terms
@@ -200,7 +209,7 @@ def ring_terms(draw, nvars, xdeg, min_degree=0, max_terms=6, tz=2):
         x = [0] * nvars
         for _ in range(draw(st.integers(min_degree, xdeg)) if nvars else 0):
             x[draw(st.integers(0, nvars - 1))] += 1
-        terms[tuple(x) + (draw(st.integers(0, tz)), draw(st.integers(0, tz)))] = draw(million)
+        terms[tuple(x) + (draw(tz), draw(tz))] = draw(million)
     return {k: c for k, c in terms.items() if c != 0}
 
 
@@ -219,7 +228,10 @@ def in_lowest_terms(p: MultiPoly) -> bool:
 @given(
     ring_shapes.flatmap(
         lambda shape: st.tuples(
-            st.just(shape), ring_terms(*shape), ring_terms(*shape), million,
+            st.just(shape),
+            ring_terms(*shape, tz=exponents(EXP_MAX // 2)),
+            ring_terms(*shape, tz=exponents(EXP_MAX // 2)),
+            million,
             st.integers(0, shape[0] + 1),
         )
     )
@@ -244,8 +256,10 @@ def test_ring_operations_match_fraction_oracles(data):
 @settings(max_examples=60, deadline=None)
 @given(
     ring_shapes.flatmap(
+        # log and exp form sums of up to xdeg_max <= 8 exponents
         lambda shape: st.tuples(
-            st.just(shape), ring_terms(*shape, min_degree=1, max_terms=4, tz=1)
+            st.just(shape),
+            ring_terms(*shape, min_degree=1, max_terms=4, tz=exponents(EXP_MAX // 8)),
         )
     )
 )
@@ -300,6 +314,69 @@ def test_constant_and_variable_constructors_match_the_validating_one(xdeg):
         assert (got._blocks, got._den) == (want._blocks, want._den)
     with pytest.raises(TypeError):
         MultiPoly.const(0.5, v, xdeg)
+
+
+# -- packed exponent keys ----------------------------------------------------------
+
+
+def test_terms_round_trip_at_the_largest_exponent():
+    top = EXP_MAX
+    terms = {
+        (top, 0, top, 0): Fraction(1, 3),
+        (0, top, 0, top): Fraction(-2),
+        (1, 2, 3, top): Fraction(5, 7),
+        (0, 0, 0, 0): Fraction(1),
+    }
+    p = MultiPoly(2, 2 * top, terms)
+    assert p.terms == terms
+    again = MultiPoly(2, 2 * top, p.terms)
+    assert (again._blocks, again._den) == (p._blocks, p._den)
+    assert p.leading_term_str() == "1 * 1"
+    assert str(p).endswith(f"1/3 * x1^{top}*t^{top}")
+    # the derivative of the top field shifts, masks and subtracts
+    assert p.partial("z").terms == mp_partial(terms, 3)
+    assert p.partial(0).terms == mp_partial(terms, 0)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_constructor_refuses_an_exponent_one_past_the_limit(pos):
+    key = [0, 0, 0]
+    key[pos] = EXP_MAX + 1
+    with pytest.raises(ValueError, match=f"^exponent {EXP_MAX + 1} is above the limit {EXP_MAX}$"):
+        MultiPoly(1, 2 * EXP_MAX, {tuple(key): 1})
+
+
+def test_products_that_could_carry_raise():
+    t = MultiPoly.t(0, 1)
+    p = t
+    for _ in range(FIELD_BITS - 1):
+        p = p * p
+    assert p.terms == {(2 ** (FIELD_BITS - 1), 0): 1}
+    with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
+        p * p
+    # up to the limit itself a product is formed
+    top = MultiPoly(0, 1, {(EXP_MAX - 1, 0): 1}) * t
+    assert top.terms == {(EXP_MAX, 0): 1}
+    with pytest.raises(OverflowError):
+        top * t
+    # log's products: block 2 of log(1 + x t^a) holds t^(2a)
+    half = 2 ** (FIELD_BITS - 1)
+    assert (MultiPoly(1, 1, {(1, half, 0): 1}) + 1).log().terms == {(1, half, 0): 1}
+    with pytest.raises(OverflowError):
+        (MultiPoly(1, 2, {(1, half, 0): 1}) + 1).log()
+
+
+def test_log_exp_round_trips_keep_their_field_bounds():
+    # Q's exponents are at most its x-degree, and so are those of ln Q and
+    # exp ln Q; one bound for the whole polynomial, raised by every solved
+    # block, would grow 144-fold a round trip and refuse the fourth here
+    x = MultiPoly.x(0, 1, 12)
+    t = MultiPoly.t(1, 12)
+    q = (t * (x + 1).log()).exp()
+    p = q
+    for _ in range(4):
+        p = p.log().exp()
+    assert p == q
 
 
 def test_trivial_log_exp_and_products_return_at_once_at_any_xdeg():
