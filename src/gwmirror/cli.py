@@ -51,10 +51,11 @@ LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes 0.5-2.3 s (best of 3 in a fresh
-# process, four runs, x86, Python 3.11): quintic --dmax 150 --crosscheck
-# 1.3-1.8 s, local-p2 --dmax 250 --emit-kd 1.8-2.3 s and naive --ambient
-# 16 --degree 15 --dmax 100 0.5-0.7 s.  A naive request's cost grows with
+# the slowest admitted request takes 0.3-2.3 s (best of 3 in a fresh
+# process, eight runs, shared 2-CPU x86, Python 3.11; the ranges are the
+# machine's load phases, up to 2.4x apart): quintic --dmax 150 --crosscheck
+# 0.70-1.7 s, local-p2 --dmax 250 --emit-kd 1.0-2.3 s and naive --ambient
+# 16 --degree 15 --dmax 100 0.33-0.69 s.  A naive request's cost grows with
 # the ring length as well, hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16

@@ -24,14 +24,17 @@ the powers of a power series (Knuth, TAOCP vol. 2, 4.7):
     b_0 = a_0^p,    m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k},
 
 with b kept as integer numerators over a common denominator, as
-``cohomology._inverse`` keeps its solve.
+``cohomology._inverse`` keeps its solve, and handed to ``CohClass`` as
+they are.  Each degree's class is one ``CohClass`` product of the twist
+numerators and ``ambient_I``; the H-components are assembled from the
+classes' numerators (``_h_components``), with no ``Fraction`` between.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import Sequence
 
-from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
+from .cohomology import CohClass, _common, _int_product, _linear_product, _push
 from .series import DSeries
 
 
@@ -48,13 +51,12 @@ def ambient_I(n: int, d: int) -> CohClass:
     a = _linear_product(n + 1, 1, range(1, d + 1))
     # Miller's recurrence for b = a^p, p = -(n+1):
     # m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k} = -sum (n k + m) a_k b_{m-k}.
-    out = [Fraction(1, a[0] ** (n + 1))]
-    bn, bd = _ints(out)
+    bn: list[int] = []
+    bd = _push(bn, 1, 1, a[0] ** (n + 1))
     for m in range(1, n + 1):
         s = sum((n * k + m) * a[k] * bn[m - k] for k in range(1, m + 1))
-        out.append(Fraction(-s, m * a[0] * bd))
-        bd = _push(bn, bd, out[-1])
-    return CohClass(tuple(out))
+        bd = _push(bn, bd, -s, m * a[0] * bd)
+    return CohClass._new(tuple(bn), bd)
 
 
 def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
@@ -79,6 +81,12 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     >>> [str(h.coeffs[1]) for h in naive_series(4, 5, 1)]
     ['0', '600', '3850', '2875', '-5750']
     """
+    return _h_components(_naive_classes(n, l, dmax), l)
+
+
+def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
+    """The coefficients of ``naive_series(n, l, dmax)`` as classes, index d
+    for degree d, after the same checks."""
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     if not 1 <= l <= n + 1:
@@ -91,7 +99,16 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     for d in range(dmax + 1):
         new = _linear_product(n + 1, l, range(max(0, l * d - l + 1), l * d + 1))
         twist = _int_product(twist, new, n + 1)
-        classes.append(CohClass(twist) * ambient_I(n, d))
+        classes.append(CohClass._new(tuple(twist), 1) * ambient_I(n, d))
+    return classes
+
+
+def _h_components(classes: Sequence[CohClass], step: int) -> tuple[DSeries, ...]:
+    """The H-components of the q-series whose index-d coefficient is
+    classes[d]: entry k is the scalar series of their H^k parts, built
+    from the classes' numerators."""
+    dens = [c._den for c in classes]
     return tuple(
-        DSeries(tuple(c.coeffs[k] for c in classes), step=l) for k in range(n + 1)
+        DSeries._new(*_common([c._nums[k] for c in classes], dens), step)
+        for k in range(classes[0].ring_len)
     )

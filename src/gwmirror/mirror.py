@@ -29,6 +29,15 @@ The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) grows from degree
 to degree as ``naive_series`` grows its own: degree d multiplies the
 previous product by its three new factors, on the integer kernels
 ``cohomology._linear_product`` and ``_int_product``.
+
+From the hypergeometric classes to the solved table every value stays in
+the stored form of ``CohClass`` and ``DSeries``, integer numerators over
+one denominator: the H-components are assembled from the classes'
+numerators, ``quintic_f`` takes out the factor 5 by multiplying the
+denominator, the kernels F_0 exp(d F_1/F_0) come from ``exp_powers`` as
+integer rows over one denominator, and the solver reads those rows and
+the numerators of its base series and makes one ``Fraction`` per solved
+u_d.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CohClass, _int_product, _ints, _linear_product, _push
-from .hypergeom import ambient_I, naive_series
-from .series import DSeries, _kernel_rows
+from .cohomology import CohClass, _int_product, _linear_product, _lowest, _push
+from .hypergeom import _h_components, _naive_classes, ambient_I, naive_series
+from .series import DSeries, Kernels, _kernel_rows
 
 QUINTIC_RING = 5  # cohomology of P^4
 CUBIC_RING = 3  # cohomology of P^2
@@ -78,9 +87,9 @@ class InvariantTable:
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
-def _correction_terms(md: MirrorData) -> tuple[DSeries, list[tuple[Fraction, ...]]]:
-    """F_1^2/(2 F_0) and the coefficients of the kernels F_0 exp(d F_1/F_0)
-    for d = 0..dmax, with F_1/F_0 formed once."""
+def _correction_terms(md: MirrorData) -> tuple[DSeries, Kernels]:
+    """F_1^2/(2 F_0) and the kernels F_0 exp(d F_1/F_0) for d = 0..dmax as
+    integer rows over one denominator, with F_1/F_0 formed once."""
     m = md.f1 if md.f0 is None else md.f1 * md.f0.inv()
     return md.f1 * m * Fraction(1, 2), m.exp_powers(md.f0)
 
@@ -96,9 +105,10 @@ def _solve(md: MirrorData) -> InvariantTable:
 
 def quintic_f(dmax: int) -> MirrorData:
     """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
-    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
+    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k,
+    so F_k is its numerators over five times its denominator."""
     series = naive_series(4, 5, dmax)
-    f0, f1, f2 = (DSeries(tuple(c / 5 for c in h.coeffs), 5) for h in series[1:4])
+    f0, f1, f2 = (DSeries._new(*_lowest(h._nums, 5 * h._den), 5) for h in series[1:4])
     return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
 
 
@@ -137,6 +147,8 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     # Only H^0..H^3 are read, so the quotient stops there.
     quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
+    # The round-trip check of revert_exp builds the kernels of h and keeps
+    # them on h, so exp_powers() here reads them back.
     kernels = (md.f1 * md.f0.inv()).revert_exp().exp_powers()
     corrected = [c.substitute(kernels) for c in quotient]
     entries = []
@@ -177,15 +189,13 @@ def localp2_f(dmax: int) -> MirrorData:
     # stops one factor short of hyper_factor(3, d, 3): the final
     # multiplicity step is the invariant being defined, not a factor of
     # the series.  Degree d multiplies it by its new factors i in [3d-3, 3d).
-    twist, classes = (1,) + (0,) * (CUBIC_RING - 1), []
+    # The series has no degree-0 term.
+    twist, classes = (1,) + (0,) * (CUBIC_RING - 1), [CohClass._new((0,) * CUBIC_RING, 1)]
     for d in range(1, dmax + 1):
         new = _linear_product(CUBIC_RING, 3, range(3 * d - 3, 3 * d))
         twist = _int_product(twist, new, CUBIC_RING)
-        classes.append(CohClass(twist) * ambient_I(2, d))
-    f1, f2 = (
-        DSeries((Fraction(0),) + tuple(c.coeffs[k] for c in classes), step=3)
-        for k in (1, 2)
-    )
+        classes.append(CohClass._new(tuple(twist), 1) * ambient_I(2, d))
+    _, f1, f2 = _h_components(classes, 3)
     return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
@@ -221,8 +231,7 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
             f"degree l={l} out of range: correction terms vanish only for "
             f"hypersurfaces of degree at most n-1={n - 1} in P^{n}"
         )
-    series = naive_series(n, l, dmax)
-    return tuple(CohClass(tuple(h.coeffs[d] for h in series)) for d in range(1, dmax + 1))
+    return tuple(_naive_classes(n, l, dmax)[1:])
 
 
 # -- shared solver -------------------------------------------------------------
@@ -230,28 +239,29 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
 
 def solve_correction_series(
     base: DSeries,
-    kernels: Sequence[Sequence[Fraction]],
+    kernels: Kernels,
     weights: Sequence[Fraction],
 ) -> list[Fraction]:
     """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * kernels[d] for the u_d.
 
-    kernels[d] holds the coefficients of the degree-d kernel up to index
-    dmax - d at least (``_kernel_rows`` reads them: a shorter row raises
-    ValueError naming d, later rows and entries are ignored), and its
-    constant coefficient must be 1, which makes the system triangular:
+    ``kernels`` is (rows, den), as ``DSeries.exp_powers`` returns it: row d
+    holds the integer numerators over den of the degree-d kernel up to
+    index dmax - d at least (``_kernel_rows`` checks them: a shorter row
+    raises ValueError naming d, later rows and entries are ignored), and
+    its constant coefficient must be 1, which makes the system triangular:
     the index-e equation determines u_e from u_1..u_{e-1}.  Returns
     [u_1, ..., u_dmax].
     """
     dmax = base.dmax
     kn, kd = _kernel_rows(kernels, dmax)
-    if any(row[0] != kd for row in kn[1:]):
+    if any(row[0] != kd for row in kn[1 : dmax + 1]):
         raise ValueError("kernels[d] must have constant coefficient 1 for d >= 1")
-    bn, bd = _ints(base.coeffs)
+    bn, bd = base._nums, base._den
     out: list[Fraction] = []
     yn, yd = [], 1  # numerators of w_d * u_d over yd, d = 1..e-1
     for e in range(1, dmax + 1):
         s = sum(yn[d - 1] * kn[d][e - d] for d in range(1, e))
-        y = Fraction(bn[e] * yd * kd - bd * s, bd * yd * kd)
-        out.append(y / weights[e])
-        yd = _push(yn, yd, y)
+        num, den = bn[e] * yd * kd - bd * s, bd * yd * kd
+        out.append(Fraction(num, den) / weights[e])
+        yd = _push(yn, yd, num, den)
     return out

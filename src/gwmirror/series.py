@@ -7,60 +7,81 @@ with an explicit step keeps them dense (no zero gaps to carry around).
 A series with values in the cohomology ring Q[H]/(H^r) is carried as the
 tuple of its r scalar H-components, one ``DSeries`` per power of H.
 Every operation truncates at dmax and never claims precision beyond it.
-The ring operations come from ``cohomology._Truncated``, the base that
-``CohClass`` shares; ``DSeries`` adds ``step``, its shape check, its
-constructors and the series operations below, all of them pure.
+The stored form and the ring operations come from
+``cohomology._Truncated``, the base that ``CohClass`` shares: integer
+numerators over one denominator in lowest common form, with ``coeffs``
+built on first read.  ``DSeries`` adds ``step``, its shape check, its
+constructors and the series operations below, all of them pure and all
+of them on the stored integers.
 
 Algorithms and their costs in coefficient products, with n = dmax:
 
 * product and inverse: the schoolbook convolution and triangular solve
-  (``cohomology._convolve``/``_inverse``), O(n^2);
+  (``cohomology._int_product``/``_inverse``), O(n^2);
 * ``exp``: the recurrence from E' = g'E (Brent & Kung, J. ACM 1978),
   O(n^2); ``log``: theta f / f from L' = f'/f, one inverse and one
   product, O(n^2);
 * ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
-  n-d, each the previous one times exp(g) by one integer product on
-  numerators carried from entry to entry, O(n^3); ``substitute`` adds
+  n-d, each the previous one times exp(g) by one integer product, O(n^3),
+  returned as integer rows over one denominator; ``substitute`` adds
   O(n^2) to them;
 * ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
   per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
   one ``substitute``.
 
-Each kernel multiplies integer numerators over one common denominator per
-operand (``cohomology._ints``/``_push``; substitution kernel rows once, by
-``_kernel_rows``) and makes one ``Fraction`` per output coefficient, so
-``coeffs`` stays a tuple of normalised Fractions.
+The recurrences append each output to their numerators with
+``cohomology._push``, one gcd an output, so they return lowest common
+forms and make no ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import islice
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .cohomology import Rational, _Truncated, _convolve, _int_product, _ints, _inverse, _push
-from .cohomology import as_fraction
+from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
+
+# Substitution kernels: rows of integer numerators over one positive
+# denominator, row d holding the coefficients of the degree-d kernel.
+Kernels = tuple[Sequence[Sequence[int]], int]
 
 
-@dataclass(frozen=True)
 class DSeries(_Truncated):
     """Power series sum_d c_d q^{step*d}, truncated at index dmax."""
 
-    step: int = 1
+    __slots__ = ("_step", "_powers")
 
     # Own entries: perfbench/spans.py wraps cls.__dict__[name] for each class.
     __mul__, inv = _Truncated.__mul__, _Truncated.inv
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.step < 1:
+    def __init__(self, coeffs: Iterable[Rational], step: int = 1) -> None:
+        super().__init__(coeffs)
+        if step < 1:
             raise ValueError("step must be a positive integer")
+        self._step, self._powers = step, None
+
+    @classmethod
+    def _new(cls, nums: tuple[int, ...], den: int, step: int) -> DSeries:
+        new = super()._new(nums, den)
+        new._step, new._powers = step, None
+        return new
+
+    def _like(self, nums: tuple[int, ...], den: int) -> DSeries:
+        return DSeries._new(nums, den, self._step)
+
+    @property
+    def step(self) -> int:
+        return self._step
 
     @property
     def dmax(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
+
+    def _key(self) -> tuple:
+        return self._den, self._nums, self._step
+
+    def __repr__(self) -> str:
+        return f"DSeries(coeffs={self.coeffs!r}, step={self._step})"
 
     def _check(self, other: DSeries) -> None:
         if self.dmax != other.dmax or self.step != other.step:
@@ -80,72 +101,89 @@ class DSeries(_Truncated):
         """The series value * q^{step*d}."""
         if not 0 <= d <= dmax:
             raise ValueError("monomial index out of range")
-        c = [Fraction(0)] * (dmax + 1)
-        c[d] = as_fraction(value)
-        return cls(tuple(c), step)
+        c = [0] * (dmax + 1)
+        c[d] = value
+        return cls(c, step)
 
     # -- series operations -------------------------------------------------
 
     def exp(self) -> DSeries:
         """Exponential of a series with zero constant coefficient, by the
         recurrence n E_n = sum_{k=1..n} k g_k E_{n-k} that E' = g' E gives."""
-        if self.coeffs[0] != 0:
+        if self._nums[0]:
             raise ValueError("exp needs constant coefficient 0")
-        return DSeries(_exp_coeffs(self.coeffs, 1, self.dmax + 1), self.step)
+        nums, den = _exp_coeffs(self._nums, self._den, 1, self.dmax + 1)
+        return self._like(tuple(nums), den)
 
     def log(self) -> DSeries:
         """Logarithm of a series f with constant coefficient 1: n L_n is the
         index-n coefficient of theta f / f, theta = Q d/dQ, since L' = f'/f."""
-        if self.coeffs[0] != 1:
+        fn, fd = self._nums, self._den
+        if fn[0] != fd:
             raise ValueError("log needs constant coefficient 1")
-        theta_f = [n * c for n, c in enumerate(self.coeffs)]
-        theta_l = _convolve(theta_f, _inverse(self.coeffs), self.dmax + 1)
-        return DSeries(tuple(c / (n or 1) for n, c in enumerate(theta_l)), self.step)
+        inv_n, inv_d = _inverse(fn, fd)
+        theta_l = _int_product([n * c for n, c in enumerate(fn)], inv_n, len(fn))
+        nums: list[int] = [0]
+        den = 1
+        for n in range(1, len(fn)):
+            den = _push(nums, den, theta_l[n], n * fd * inv_d)
+        return self._like(tuple(nums), den)
 
-    def exp_powers(self, first: DSeries | None = None) -> list[tuple[Fraction, ...]]:
-        """Coefficients of first * exp(d*g) for d = 0..dmax, with g this
-        series and ``first`` defaulting to 1.  Entry d stops at index
-        dmax - d, the last one a term Q^d times it reaches.  exp(g) is
-        formed once and each entry is the previous one times it, on
-        integer numerators kept from one entry to the next."""
+    def exp_powers(self, first: DSeries | None = None) -> Kernels:
+        """The kernels first * exp(d*g) for d = 0..dmax, with g this series
+        and ``first`` defaulting to 1, as (rows, den): row d holds the
+        integer numerators over den of the kernel's coefficients and stops
+        at index dmax - d, the last one a term Q^d times it reaches.
+        exp(g) is formed once and each row is the previous one times it.
+        Without ``first`` the kernels are built once and kept on the
+        series; the rows are shared, so do not change them."""
         if first is None:
-            first = DSeries.one(self.dmax, self.step)
+            if self._powers is None:
+                self._powers = self._exp_rows(DSeries.one(self.dmax, self.step))
+            return self._powers
         self._check(first)
-        en, ed = _ints(self.exp().coeffs)
-        kn, kd = _ints(first.coeffs)
-        out = [first.coeffs]
-        for d in range(1, self.dmax + 1):
-            kn, kd = _int_product(kn, en, self.dmax + 1 - d), kd * ed
-            out.append(tuple(Fraction(x, kd) for x in kn))
-        return out
+        return self._exp_rows(first)
+
+    def _exp_rows(self, first: DSeries) -> Kernels:
+        e = self.exp()
+        en, ed = e._nums, e._den
+        row, n = first._nums, self.dmax
+        rows = [row]
+        for d in range(1, n + 1):
+            row = _int_product(row, en, n + 1 - d)
+            rows.append(row)
+        # Row d is over first's denominator times ed^d; bring all to ed^n.
+        if ed != 1:
+            rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
+        return tuple(map(tuple, rows)), first._den * ed**n
 
     # -- change of variables -------------------------------------------------
 
-    def substitute(self, g: DSeries | Sequence[tuple[Fraction, ...]]) -> DSeries:
+    def substitute(self, g: DSeries | Kernels) -> DSeries:
         """Apply Q -> Q * exp(g(Q)) where Q = q^step is the index variable.
 
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
         The exponent g must have zero constant term.  Several series that
         share one substitution can pass ``g.exp_powers()`` in place of g,
-        so that the kernels exp(d*g) are built once; kernel row d must
-        reach index dmax - d, and rows past dmax and entries past that
-        index are ignored.
+        as g itself does, so that the kernels exp(d*g) are built once;
+        kernel row d must reach index dmax - d, and rows past dmax and
+        entries past that index are ignored.
         """
         if isinstance(g, DSeries):
             if g.dmax != self.dmax or g.step != self.step:
                 raise ValueError("substitution exponent must share dmax and step")
-            if g.coeffs[0] != 0:
+            if g._nums[0]:
                 raise ValueError("substitution exponent must have zero constant term")
             g = g.exp_powers()
-        kn, kd = _kernel_rows(g, self.dmax)
-        cn, cd = _ints(self.coeffs)
-        out = [0] * (self.dmax + 1)
-        for d, (c, row) in enumerate(zip(cn, kn)):
+        rows, kd = _kernel_rows(g, self.dmax)
+        n = self.dmax
+        out = [0] * (n + 1)
+        for d, (c, row) in enumerate(zip(self._nums, rows)):
             if c:
-                for e, k in enumerate(row, start=d):
+                for e, k in enumerate(row[: n + 1 - d], start=d):
                     out[e] += c * k
-        return DSeries(tuple(Fraction(x, cd * kd) for x in out), self.step)
+        return self._like(*_lowest(out, self._den * kd))
 
     def revert_exp(self) -> DSeries:
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
@@ -159,13 +197,17 @@ class DSeries(_Truncated):
         would be an implementation bug, not a data error.
         """
         g = self
-        if g.coeffs[0] != 0:
+        if g._nums[0]:
             raise ValueError("reversion exponent must have zero constant term")
-        hm = [_exp_coeffs(g.coeffs, -m, m + 1)[m] / m for m in range(1, g.dmax + 1)]
-        h = DSeries((Fraction(0), *hm), g.step)
+        hn, hd = [0], 1
+        for m in range(1, g.dmax + 1):
+            en, ed = _exp_coeffs(g._nums, g._den, -m, m + 1)
+            hd = _push(hn, hd, en[m], ed * m)
+        h = g._like(tuple(hn), hd)
         if g.dmax >= 1:
             ident = DSeries.monomial(1, g.dmax, g.step)
-            q_exp_g = DSeries((Fraction(0),) + g.exp().coeffs[:-1], g.step)
+            e = g.exp()
+            q_exp_g = g._like(*_lowest((0,) + e._nums[:-1], e._den))
             if q_exp_g.substitute(h) != ident:
                 raise RuntimeError(
                     "series reversion failed its round-trip check (internal bug)"
@@ -184,27 +226,26 @@ class DSeries(_Truncated):
 # -- the exp recurrence --------------------------------------------------------
 
 
-def _exp_coeffs(g: Sequence[Fraction], scale: int, length: int) -> tuple[Fraction, ...]:
-    """The first ``length`` coefficients of exp(scale * g) for g_0 = 0:
+def _exp_coeffs(gn: Sequence[int], gd: int, scale: int, length: int) -> tuple[list[int], int]:
+    """Numerators and denominator, in lowest common form, of the first
+    ``length`` coefficients of exp(scale * g) for g = gn/gd with g_0 = 0:
     n E_n = scale * sum_{k=1..n} k g_k E_{n-k}."""
-    gn, gd = _ints(g[:length])
-    dg = [k * c for k, c in enumerate(gn)]
-    out, e, ed = [Fraction(1)], [1], 1  # e: numerators of E_0..E_{n-1} over ed
+    dg = [k * c for k, c in enumerate(gn[:length])]
+    e, ed = [1], 1  # numerators of E_0..E_{n-1} over ed
     for n in range(1, length):
-        out.append(Fraction(scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n))
-        ed = _push(e, ed, out[-1])
-    return tuple(out)
+        ed = _push(e, ed, scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n)
+    return e, ed
 
 
-def _kernel_rows(kernels: Sequence[Sequence[Rational]], dmax: int) -> tuple[list[list[int]], int]:
-    """Rows 0..dmax of ``kernels``, row d cut at index dmax - d, as integer
-    numerators over one common denominator.  Rows past dmax and entries
-    past index dmax - d are ignored; a row that is missing or stops short
-    of that index raises ValueError naming d."""
-    rows = [kernel[: dmax + 1 - d] for d, kernel in enumerate(kernels[: dmax + 1])]
+def _kernel_rows(kernels: Kernels, dmax: int) -> Kernels:
+    """The rows and denominator of ``kernels`` after checking that rows
+    0..dmax are there and row d reaches index dmax - d; a row that is
+    missing or stops short raises ValueError naming d.  Rows past dmax
+    and entries past index dmax - d are left for the reader to ignore."""
+    rows, den = kernels
     for d in range(dmax + 1):
         if d == len(rows) or len(rows[d]) < dmax + 1 - d:
             raise ValueError(f"kernel row {d} must reach index {dmax - d}")
-    nums, den = _ints(x for row in rows for x in row)
-    it = iter(nums)
-    return [list(islice(it, len(row))) for row in rows], den
+    if den < 1:
+        raise ValueError("kernel denominator must be positive")
+    return rows, den

@@ -10,7 +10,7 @@ the correction recursion with the public ``DSeries`` operations only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from gwmirror import DSeries
 
@@ -259,9 +259,9 @@ def mp_exp_by_powers(g: dict, nvars: int, xdeg_max: int) -> dict:
 
 # -- Fraction kernels ---------------------------------------------------------------
 #
-# The package's kernels run their dot products on integer numerators over one
-# common denominator and make one Fraction per output coefficient.  These are
-# the bodies they replaced, with every product and sum done on Fractions.
+# The package's kernels run on integer numerators over one common denominator
+# and make no Fraction.  These are the bodies they replaced, with every
+# product and sum done on Fractions.
 
 
 def convolve_fractions(a: list[Fraction], b: list[Fraction], length: int) -> list[Fraction]:
@@ -295,6 +295,19 @@ def log_fractions(f: list[Fraction]) -> list[Fraction]:
     for n in range(1, len(f)):
         nl.append(n * f[n] - sum((nl[k] * f[n - k] for k in range(1, n)), Fraction(0)))
     return [Fraction(0)] + [c / n for n, c in enumerate(nl) if n]
+
+
+def int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
+    """Kernel rows of rationals as (integer rows, common denominator), the
+    form ``substitute`` and the correction solver read."""
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return [[int(Fraction(x) * den) for x in row] for row in rows], den
+
+
+def fraction_rows(kernels: tuple[list[list[int]], int]) -> list[list[Fraction]]:
+    """The rows of (integer rows, den) as lists of Fractions."""
+    rows, den = kernels
+    return [[Fraction(x, den) for x in row] for row in rows]
 
 
 def substitute_fractions(c: list[Fraction], kernels: list[list[Fraction]]) -> list[Fraction]:

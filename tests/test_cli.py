@@ -67,9 +67,9 @@ def test_quintic_crosscheck_self_check_failure_is_exit_1_with_one_line(monkeypat
     # route is untouched, and revert_exp fails its round-trip check.
     exp_coeffs = series._exp_coeffs
 
-    def broken(g, scale, length):
-        out = exp_coeffs(g, scale, length)
-        return out if scale > 0 else out[:-1] + (out[-1] + 1,)
+    def broken(gn, gd, scale, length):
+        e, ed = exp_coeffs(gn, gd, scale, length)
+        return (e, ed) if scale > 0 else (e[:-1] + [e[-1] + ed], ed)
 
     monkeypatch.setattr(series, "_exp_coeffs", broken)
     assert _crosscheck_in_process(capsys) == (

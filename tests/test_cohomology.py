@@ -1,14 +1,14 @@
 import operator
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import CohClass, DSeries
-from gwmirror.cohomology import _convolve, _ints, _inverse, _linear_product, _push
+from gwmirror.cohomology import _int_product, _ints, _inverse, _linear_product, _push
 
 from oracles import convolve_fractions, inverse_fractions, linear, pinv, pmul, ppow
 from strategies import hpow, wide_fractions as wide
@@ -147,13 +147,19 @@ def test_linear_product_untruncated(shifts):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(wide, max_size=10), st.lists(wide, max_size=10))
+@given(
+    st.lists(wide, max_size=10),
+    st.lists(st.tuples(wide, st.integers(-6, 6).filter(bool)), max_size=10),
+)
 def test_ints_and_push_keep_the_least_common_denominator(head, tail):
+    # _push takes each value as an unreduced numerator and a nonzero
+    # denominator of either sign.
     nums, den = _ints(head)
-    for v in tail:
-        den = _push(nums, den, v)
-    assert den == lcm(*(v.denominator for v in head + tail))
-    assert [Fraction(x, den) for x in nums] == head + tail
+    for v, k in tail:
+        den = _push(nums, den, v.numerator * k, v.denominator * k)
+    values = head + [v for v, _ in tail]
+    assert den == lcm(*(v.denominator for v in values))
+    assert [Fraction(x, den) for x in nums] == values
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,17 +171,19 @@ def test_ints_and_push_keep_the_least_common_denominator(head, tail):
 )
 def test_convolve_and_inverse_match_fraction_oracles(pair, cut):
     a, b = pair
+    (an, ad), (bn, bd) = _ints(a), _ints(b)
     for length in {len(a), min(cut, len(a))}:
-        got = _convolve(a, b, length)
-        assert list(got) == convolve_fractions(a, b, length)
-        assert all(type(c) is Fraction for c in got)
+        got = _int_product(an, bn, length)
+        assert [Fraction(x, ad * bd) for x in got] == convolve_fractions(a, b, length)
+    assert list((DSeries(a) * DSeries(b)).coeffs) == convolve_fractions(a, b, len(a))
     if a[0]:
-        got = _inverse(a)
-        assert list(got) == inverse_fractions(a)
-        assert all(type(c) is Fraction for c in got)
+        nums, den = _inverse(an, ad)
+        assert [Fraction(x, den) for x in nums] == inverse_fractions(a)
+        assert gcd(den, *nums) == 1
+        assert list(CohClass(a).inv().coeffs) == inverse_fractions(a)
     else:
         with pytest.raises(ZeroDivisionError):
-            _inverse(a)
+            _inverse(an, ad)
 
 
 # -- the base CohClass and DSeries share ----------------------------------------
@@ -201,7 +209,8 @@ def test_shared_operations_keep_type_and_fields(kind, fields):
     ]
     for got, want in cases:
         assert type(got) is kind
-        assert vars(got) == {"coeffs": tuple(want), **fields}
+        assert got.coeffs == tuple(want)
+        assert {name: getattr(got, name) for name in fields} == fields
         assert all(type(c) is Fraction for c in got.coeffs)
 
 
@@ -223,3 +232,38 @@ def test_shape_and_empty_messages():
     for kind in (CohClass, DSeries):
         with pytest.raises(ValueError, match="at least the index-0 coefficient"):
             kind(())
+
+
+# -- the stored form ------------------------------------------------------------
+
+
+def stored(x):
+    """The numerators and denominator a class or series keeps."""
+    return x._nums, x._den
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([CohClass, DSeries]),
+    st.integers(1, 6).flatmap(
+        lambda r: st.tuples(*(st.lists(wide, min_size=r, max_size=r),) * 3)
+    ),
+    st.integers(2, 10**6),
+)
+def test_values_reached_by_different_routes_are_equal(kind, triple, k):
+    # The stored form is canonical, so equal values compare and hash equal
+    # whatever route built them, and every stored form is in lowest terms.
+    a_, b_, x_ = triple
+    x_[0] = x_[0] or Fraction(1)
+    a, b, x = kind(a_), kind(b_), kind(x_)
+    unreduced = kind(tuple(Fraction(c.numerator * k, c.denominator * k) for c in a_))
+    scaled = kind(tuple(c * k for c in a_)) * Fraction(1, k)
+    routes = [(a + b) - b, a * x * x.inv(), unreduced, scaled, -(-a)]
+    for got in routes:
+        assert got == a
+        assert hash(got) == hash(a)
+    for value in routes + [a, b, x, a + b, a * x, x.inv(), a * k]:
+        nums, den = stored(value)
+        assert den > 0
+        assert gcd(den, *nums) == 1
+        assert [Fraction(n, den) for n in nums] == list(value.coeffs)

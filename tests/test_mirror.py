@@ -18,7 +18,7 @@ from gwmirror import (
     solve_correction_series,
 )
 
-from oracles import bps_numbers, localp2_coeff, naive_coeff, recursion_rhs, solve_fractions
+from oracles import bps_numbers, int_rows, localp2_coeff, naive_coeff, recursion_rhs, solve_fractions
 from strategies import wide_fractions as wide
 
 QUINTIC_COUNTS = {
@@ -240,7 +240,7 @@ def test_solver_round_trips_on_random_data(data):
         kernels.append(kernels[-1] * e1)
     weights = [Fraction(d, 5) for d in range(dmax + 1)]
     base = f2 - f1 * f1 * f0.inv() * Fraction(1, 2)
-    solved = solve_correction_series(base, [k.coeffs for k in kernels], weights)
+    solved = solve_correction_series(base, int_rows([k.coeffs for k in kernels]), weights)
     acc = f1 * f1 * f0.inv() * Fraction(1, 2)
     for d, u in enumerate(solved, start=1):
         acc = acc + DSeries.monomial(d, dmax, 5, weights[d] * u) * kernels[d]
@@ -252,18 +252,18 @@ def test_solver_rejects_kernel_without_unit_constant():
     # outside the triangular form the solver assumes.
     base, weights = DSeries((0, 1, 0)), [1, 1, 1]
     with pytest.raises(ValueError, match="constant coefficient 1"):
-        solve_correction_series(base, [(1, 0, 0), (2, 0), (2,)], weights)
-    assert solve_correction_series(base, [(1, 0, 0), (1, 0), (1,)], weights) == [1, 0]
+        solve_correction_series(base, ([(1, 0, 0), (2, 0), (2,)], 1), weights)
+    assert solve_correction_series(base, ([(1, 0, 0), (1, 0), (1,)], 1), weights) == [1, 0]
 
 
 def test_solver_kernel_rows_must_reach_dmax_minus_d():
     base, weights = DSeries((0, 1, 0)), [1, 1, 1]
     with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
-        solve_correction_series(base, [(1, 0, 0), (1,), (1,)], weights)
+        solve_correction_series(base, ([(1, 0, 0), (1,), (1,)], 1), weights)
     with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
-        solve_correction_series(base, [(1, 0, 0), (1, 0)], weights)
+        solve_correction_series(base, ([(1, 0, 0), (1, 0)], 1), weights)
     # entries past index dmax - d are ignored
-    assert solve_correction_series(base, [(1, 0, 0, 9), (1, 0, 9), (1, 9)], weights) == [1, 0]
+    assert solve_correction_series(base, ([(1, 0, 0, 9), (1, 0, 9), (1, 9)], 1), weights) == [1, 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,6 +282,6 @@ def test_solver_matches_fraction_oracle(data):
     kernels = [row[: len(base) - d] for d, row in enumerate(rows)]
     for kernel in kernels[1:]:
         kernel[0] = Fraction(1)
-    got = solve_correction_series(DSeries(tuple(base)), kernels, weights)
+    got = solve_correction_series(DSeries(tuple(base)), int_rows(kernels), weights)
     assert got == solve_fractions(base, kernels, weights)
     assert all(type(u) is Fraction for u in got)

@@ -11,6 +11,8 @@ from gwmirror import series as series_mod
 from oracles import (
     exp_by_powers,
     exp_coeffs_fractions,
+    fraction_rows,
+    int_rows,
     lambert_w,
     log_by_powers,
     log_fractions,
@@ -141,9 +143,9 @@ def test_revert_self_check_fires(monkeypatch):
     # coefficient there makes every h_m wrong, and the round trip must say so.
     original = series_mod._exp_coeffs
 
-    def spoiled(g, scale, length):
-        e = original(g, scale, length)
-        return e if scale > 0 else e[:-1] + (e[-1] + 1,)
+    def spoiled(gn, gd, scale, length):
+        e, ed = original(gn, gd, scale, length)
+        return (e, ed) if scale > 0 else (e[:-1] + [e[-1] + ed], ed)
 
     monkeypatch.setattr(series_mod, "_exp_coeffs", spoiled)
     with pytest.raises(RuntimeError, match="round-trip"):
@@ -199,23 +201,42 @@ def test_exp_powers():
     # one a term q^d times the kernel reaches below the truncation.
     full = [ser(*(Fraction(d**k, factorial(k)) for k in range(4))) for d in range(4)]
     g = DSeries.monomial(1, 3)
-    assert g.exp_powers() == [w.coeffs[: 4 - d] for d, w in enumerate(full)]
+    assert fraction_rows(g.exp_powers()) == [list(w.coeffs[: 4 - d]) for d, w in enumerate(full)]
     first = ser(1, 2, 3, 4)
-    assert g.exp_powers(first) == [(first * w).coeffs[: 4 - d] for d, w in enumerate(full)]
+    want = [list((first * w).coeffs[: 4 - d]) for d, w in enumerate(full)]
+    assert fraction_rows(g.exp_powers(first)) == want
     with pytest.raises(ValueError, match="shape"):
         g.exp_powers(ser(1, 2))
 
 
 def test_substitute_kernel_rows_must_reach_dmax_minus_d():
     c = ser(1, 2, 3)
-    kernels = [(1, 0, 0), (1, 5), (1,)]
+    kernels = ([(1, 0, 0), (1, 5), (1,)], 1)
     assert str(c.substitute(kernels)) == "1 + 2*q^1 + 13*q^2"
+    assert str(c.substitute(([(2, 0, 0), (2, 10), (2,)], 2))) == "1 + 2*q^1 + 13*q^2"
     with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
-        c.substitute([(1, 0, 0), (1,), (1,)])
+        c.substitute(([(1, 0, 0), (1,), (1,)], 1))
     with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
-        c.substitute([(1, 0, 0), (1, 5), ()])
+        c.substitute(([(1, 0, 0), (1, 5), ()], 1))
+    with pytest.raises(ValueError, match="kernel denominator must be positive"):
+        c.substitute(([(1, 0, 0), (1, 5), (1,)], 0))
     # entries past index dmax - d are ignored
-    assert c.substitute([(1, 0, 0, 7), (1, 5, 9), (1, 4, 4)]) == c.substitute(kernels)
+    assert c.substitute(([(1, 0, 0, 7), (1, 5, 9), (1, 4, 4)], 1)) == c.substitute(kernels)
+
+
+def test_exp_powers_are_built_once(monkeypatch):
+    # The kernels of g alone are kept on g: substituting g, or passing its
+    # kernels, after the first build forms no second exp(g).
+    g, c = ser(0, 1, 2, 3), ser(1, 2, 3, 4)
+    kernels = g.exp_powers()
+    calls = []
+    exp = DSeries.exp
+    monkeypatch.setattr(DSeries, "exp", lambda self: calls.append(self) or exp(self))
+    assert g.exp_powers() is kernels
+    assert c.substitute(g) == c.substitute(kernels)
+    assert calls == []
+    g.exp_powers(c)  # a first factor builds its own rows
+    assert calls == [g]
 
 
 # One contract for kernel rows, whichever consumer reads them: row d must
@@ -226,8 +247,8 @@ KERNEL_ROW_CASES = {
     "extra": ([(1, 0, 0), (1, 5), (1,), (7, 7, 7)], None),
 }
 KERNEL_ROW_CONSUMERS = {
-    "substitute": (lambda rows: list(ser(0, 1, 0).substitute(rows).coeffs), [0, 1, 5]),
-    "solver": (lambda rows: solve_correction_series(ser(0, 1, 0), rows, [1, 1, 1]), [1, -5]),
+    "substitute": (lambda rows: list(ser(0, 1, 0).substitute((rows, 1)).coeffs), [0, 1, 5]),
+    "solver": (lambda rows: solve_correction_series(ser(0, 1, 0), (rows, 1), [1, 1, 1]), [1, -5]),
 }
 
 
@@ -320,11 +341,11 @@ def test_exp_powers_match_power_sums(a, c0):
     r = a.dmax + 1
     g = with_constant(a, 0)
     first = with_constant(a, c0)
-    kernels = g.exp_powers(first)
+    kernels = fraction_rows(g.exp_powers(first))
     assert len(kernels) == r
     for d, kernel in enumerate(kernels):
         full = exp_by_powers([d * c for c in g.coeffs], r)
-        assert list(kernel) == pmul(list(first.coeffs), full, r)[: r - d]
+        assert kernel == pmul(list(first.coeffs), full, r)[: r - d]
 
 
 @settings(max_examples=40, deadline=None)
@@ -347,8 +368,10 @@ def wide_lists(size):
 def test_exp_and_log_match_fraction_oracles(cs, m):
     r = len(cs)
     g = [Fraction(0)] + cs[1:]
+    gn, gd = int_rows([g])
     for scale in (1, -m):
-        assert list(series_mod._exp_coeffs(g, scale, r)) == exp_coeffs_fractions(g, scale, r)
+        nums, den = series_mod._exp_coeffs(gn[0], gd, scale, r)
+        assert [Fraction(x, den) for x in nums] == exp_coeffs_fractions(g, scale, r)
     f = [Fraction(1)] + cs[1:]
     assert list(DSeries(tuple(f)).log().coeffs) == log_fractions(f)
 
@@ -361,11 +384,11 @@ def test_exp_powers_match_power_sums_on_wide_denominators(pair):
     first, g = pair
     g = [Fraction(0)] + g[1:]
     r = len(g)
-    kernels = DSeries(tuple(g)).exp_powers(DSeries(tuple(first)))
+    kernels = fraction_rows(DSeries(tuple(g)).exp_powers(DSeries(tuple(first))))
     assert len(kernels) == r
     for d, kernel in enumerate(kernels):
         full = exp_by_powers([d * c for c in g], r)
-        assert list(kernel) == pmul(first, full, r)[: r - d]
+        assert kernel == pmul(first, full, r)[: r - d]
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,5 +401,5 @@ def test_substitute_matches_fraction_oracle(data):
     c, rows = data
     # non-integral kernels, entry d cut at index dmax - d as exp_powers cuts them
     kernels = [tuple(row[: len(c) - d]) for d, row in enumerate(rows)]
-    got = DSeries(tuple(c)).substitute(kernels)
+    got = DSeries(tuple(c)).substitute(int_rows(kernels))
     assert list(got.coeffs) == substitute_fractions(c, kernels)
