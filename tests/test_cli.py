@@ -249,6 +249,7 @@ _ALL_PASSED_24 = "22f6af5320de28c80667c88c7068d99aeeefa9dd650ff2902792f70174f3e7
 _ALL_PASSED_8 = "ae37c1a34f652781f4bd35a932cc560505fbbf35321e446da695188b4dab9319"
 _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _REFUSED_2_12 = "5df98015c28bd3e36319eb1a5e475842a5a3bc1f449bfb061a31621d41389c89"
+_ALL_PASSED_3 = "c0f7f10cd64f4ea2ae31f00d31f1ebba8f94f5b9d9e2d12bec1200809f936405"
 
 
 @pytest.mark.parametrize(
@@ -278,6 +279,11 @@ _REFUSED_2_12 = "5df98015c28bd3e36319eb1a5e475842a5a3bc1f449bfb061a31621d41389c8
          "491e6ca94049d9d27b3236a6ae2c53de6e971e24d9d9aa362271dc99799c1a9e", _ALL_PASSED_8),
         (["a2", "--vars", "2", "--xdeg", "12", "--trials", "8"], 0,
          "068454a9343e4df287ddbfcdf9501f969697f8cadd3ee5c41d7e9dd5b514d602", _ALL_PASSED_8),
+        # the widest admitted shape: keys of 66 fields
+        (["a1", "--vars", "64", "--xdeg", "1", "--trials", "3", "--seed", "5"], 0,
+         "8576f00571b116335b66f8e7d51af0029039b3973a97b9ad01eb43cfb9823d76", _ALL_PASSED_3),
+        (["a2", "--vars", "64", "--xdeg", "1", "--trials", "3", "--seed", "5"], 0,
+         "cb0840164c89beae6781ef135d7d1187d678adbc3b683bcd04d7599701daf6fa", _ALL_PASSED_3),
     ],
 )
 def test_lemma_keeps_its_bytes(args, code, out_digest, err_digest):
