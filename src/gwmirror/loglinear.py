@@ -22,12 +22,15 @@ The c_i are sampled as exact rationals rather than carried as formal
 variables; many sampled instances give the same assurance at a fraction
 of the cost, and the checks stay exact for every sample.
 
-The builders make no Fraction: c.k is an integer over the common
-denominator of the c_i, each product over i is expanded on integer
-numerators (``_shifted_product``), the terms of each multi-index are
-reduced once by one gcd, and the numerator blocks go to the polynomial
-over the lcm of those denominators.  ``p_term_bound`` gives the
-worst-case term count of P for a shape without building it.
+The builders make no Fraction, and what depends only on the shape
+(nvars, xdeg_max), the multi-indices with their packed keys and
+factorials and the binomial rows, is one table (``_shape``) built on a
+shape's first trial.  A first pass takes c.k as an integer over the
+common denominator of the c_i, expands each product over i on integer
+numerators (``_shifted_product``) and reduces it by one gcd; a second
+writes each numerator, scaled to the lcm of those denominators, straight
+into its x-degree block.  ``p_term_bound`` gives the worst-case term
+count of P for a shape without building it.
 """
 
 from __future__ import annotations
@@ -35,10 +38,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, prod
+from functools import lru_cache
+from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .cohomology import _ints, _linear_product, as_fraction
+from .cohomology import _ints, _linear_product, _lowest, as_fraction
 from .multipoly import FIELD_BITS, MultiPoly, _pack
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
@@ -142,30 +146,50 @@ def _multi_indices(nvars: int, total_max: int):
         k[j - 1] += 1
 
 
-def _shifted_product(
-    k: tuple[int, ...], cnum: list[int], cden: int, shifts: range
-) -> tuple[list[int], int]:
-    """prod_{i in shifts} (c.k - i + s) / prod_i k_i! in lowest terms, as
-    integers (w, den) with sum_m w[m] s^m / den the product.
+@lru_cache(maxsize=8)
+def _shape(nvars: int, xdeg_max: int):
+    """What every trial of a shape shares: (k, sum(k), the packed key of
+    x^k, prod_i k_i!) for each multi-index k in lexicographic order, and
+    rows m = 0..max sum(k) (0 without variables) of key offsets with
+    multiplicities: t^j z^(m-j) with C(m, j) for P's s^m = (t + z)^m, t^m
+    with 1 for Q's."""
+    table = tuple(
+        (k, sum(k), _pack(k + (0, 0)), prod(map(factorial, k)))
+        for k in _multi_indices(nvars, xdeg_max)
+    )
+    top = max(s for _, s, _, _ in table)
+    p_rows = tuple(
+        tuple(((j << FIELD_BITS) + m - j, comb(m, j)) for j in range(m + 1))
+        for m in range(top + 1)
+    )
+    q_rows = tuple(((m << FIELD_BITS, 1),) for m in range(top + 1))
+    return table, p_rows, q_rows
 
-    With c.k = ck/cden for the integer ck = cnum.k, each factor is
-    (cden s + ck - i cden) / cden, so the integer kernel runs on the
-    numerators ck - i cden with l = cden; the product's denominator
-    cden^len(shifts) prod_i k_i! and its coefficients are then divided by
-    their gcd once.
-    """
-    ck = sum(map(mul, cnum, k))
+
+def _shifted_product(ck: int, cden: int, shifts: range, kfact: int) -> tuple[tuple[int, ...], int]:
+    """prod_{i in shifts} (c.k - i + s) / kfact in lowest terms, as
+    integers (w, den) with sum_m w[m] s^m / den the product.  With
+    c.k = ck/cden each factor is (cden s + ck - i cden) / cden, so the
+    kernel runs on integers and the product is reduced by one gcd."""
     w = _linear_product(len(shifts) + 1, cden, [ck - i * cden for i in shifts])
-    den = cden ** len(shifts) * prod(map(factorial, k))
-    g = gcd(den, *w)
-    return [c // g for c in w], den // g
+    return _lowest(w, cden ** len(shifts) * kfact)
 
 
-def _field_bounds(parts) -> dict[int, int]:
-    """The field bounds of the builders' blocks: each exponent is at most
-    the x-degree, since the factor of a multi-index k has total degree in t
-    and z at most sum(k), and each k_i is at most sum(k) too."""
-    return {n: n for n, _, _ in parts}
+def _assemble(cfg: LemmaConfig, reduced, rows) -> MultiPoly:
+    """The sum over entries (sum(k), base key, w, den) of ``reduced`` of
+    w[m]/den times row m of ``rows`` shifted by the base key, each
+    numerator written once, scaled to the lcm of the dens, into its block.
+    A field is at most the x-degree: k's factor has degree <= sum(k)."""
+    den = lcm(*(d for *_, d in reduced))
+    blocks: dict[int, dict[int, int]] = {}
+    for s, base, w, d in reduced:
+        scale, block = den // d, blocks.setdefault(s, {})
+        for wm, row in zip(w, rows):
+            if wm:
+                c = wm * scale
+                for offset, mult in row:
+                    block[base + offset] = c * mult
+    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den, {s: s for s in blocks})
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:
@@ -177,35 +201,24 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
     """
     cnum, cden = _ints(cfg.cs)
     avec, bvec = [a for a, _ in cfg.pairs], [b for _, b in cfg.pairs]
-    parts = []
-    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
-        ak, bk = sum(map(mul, avec, k)), sum(map(mul, bvec, k))
-        w, den = _shifted_product(k, cnum, cden, range(bk))
-        base = _pack(k + (ak, 0))
-        terms = {
-            base + (j << FIELD_BITS) + (m - j): wm * comb(m, j)
-            for m, wm in enumerate(w)
-            if wm
-            for j in range(m + 1)
-        }
-        parts.append((sum(k), terms, den))
-    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts, _field_bounds(parts))
+    table, p_rows, _ = _shape(cfg.nvars, cfg.xdeg_max)
+    reduced = []
+    for k, s, xkey, kfact in table:
+        bk = sum(map(mul, bvec, k))
+        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(bk), kfact)
+        reduced.append((s, xkey + (sum(map(mul, avec, k)) << FIELD_BITS), w, den))
+    return _assemble(cfg, reduced, p_rows)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
     cnum, cden = _ints(cfg.cs)
-    parts = []
-    for k in _multi_indices(cfg.nvars, cfg.xdeg_max):
-        s = sum(k)
-        if s == 0:
-            parts.append((0, {0: 1}, 1))
-            continue
-        w, den = _shifted_product(k, cnum, cden, range(1, s))
-        # overall factor t
-        base = _pack(k + (1, 0))
-        parts.append((s, {base + (m << FIELD_BITS): wm for m, wm in enumerate(w) if wm}, den))
-    return MultiPoly._over(cfg.nvars, cfg.xdeg_max, parts, _field_bounds(parts))
+    table, _, q_rows = _shape(cfg.nvars, cfg.xdeg_max)
+    reduced = [(0, 0, (1,), 1)]
+    for k, s, xkey, kfact in table[1:]:
+        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(1, s), kfact)
+        reduced.append((s, xkey + (1 << FIELD_BITS), w, den))  # overall factor t
+    return _assemble(cfg, reduced, q_rows)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -237,6 +250,29 @@ def check_a2(cfg: LemmaConfig, q: MultiPoly | None = None) -> CheckReport:
     return CheckReport("a2", cfg, True)
 
 
+@lru_cache(maxsize=16)
+def _closed_forms(pairs: tuple[tuple[int, int], ...], xdeg_max: int) -> tuple[MultiPoly, MultiPoly]:
+    """P and Q at c = 0 (check_closed_forms), built once for every trial
+    with these pairs and this x-degree; a MultiPoly is never changed, so
+    the trials share them."""
+    v, xd = len(pairs), xdeg_max
+    exp_arg = MultiPoly.zero(v, xd)
+    binom_sum = MultiPoly.zero(v, xd)
+    all_sum = MultiPoly.zero(v, xd)
+    t = MultiPoly.t(v, xd)
+    for i, (a, b) in enumerate(pairs):
+        xi = MultiPoly.x(i, v, xd)
+        all_sum = all_sum + xi
+        if (a, b) == (0, 1):
+            binom_sum = binom_sum + xi
+        else:
+            exp_arg = exp_arg + (xi * t if a == 1 else xi)
+    z_plus_t = MultiPoly.z(v, xd) + t
+    p_expected = exp_arg.exp() * (z_plus_t * (binom_sum + 1).log()).exp()
+    q_expected = (t * (all_sum + 1).log()).exp()
+    return p_expected, q_expected
+
+
 def check_closed_forms(
     cfg: LemmaConfig, p: MultiPoly | None = None, q: MultiPoly | None = None
 ) -> CheckReport:
@@ -249,21 +285,7 @@ def check_closed_forms(
     """
     if any(c != 0 for c in cfg.cs):
         raise ValueError("closed forms require all c_i = 0")
-    v, xd = cfg.nvars, cfg.xdeg_max
-    exp_arg = MultiPoly.zero(v, xd)
-    binom_sum = MultiPoly.zero(v, xd)
-    all_sum = MultiPoly.zero(v, xd)
-    t = MultiPoly.t(v, xd)
-    for i, (a, b) in enumerate(cfg.pairs):
-        xi = MultiPoly.x(i, v, xd)
-        all_sum = all_sum + xi
-        if (a, b) == (0, 1):
-            binom_sum = binom_sum + xi
-        else:
-            exp_arg = exp_arg + (xi * t if a == 1 else xi)
-    z_plus_t = MultiPoly.z(v, xd) + t
-    p_expected = exp_arg.exp() * (z_plus_t * (binom_sum + 1).log()).exp()
-    q_expected = (t * (all_sum + 1).log()).exp()
+    p_expected, q_expected = _closed_forms(cfg.pairs, cfg.xdeg_max)
     for name, got, want in (
         ("P", build_p(cfg) if p is None else p, p_expected),
         ("Q", build_q(cfg) if q is None else q, q_expected),

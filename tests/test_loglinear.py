@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -112,6 +113,41 @@ def test_builders_hand_log_the_validated_integers(cfg):
     for built, brute in ((build_p(cfg), brute_force_p(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
+
+
+def _built(cfg):
+    return [(s._blocks, s._den, s._bounds) for s in (build_p(cfg), build_q(cfg))]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        LemmaConfig(((0, 1), (1, 0), (0, 0)), (Fraction(-7, 9), Fraction(5, 6), Fraction(2)), 4),
+        LemmaConfig(((0, 1),), (Fraction(3, 4),), 9),
+        LemmaConfig((), (), 10**9),
+    ],
+)
+def test_builders_do_not_depend_on_the_shape_cache(cfg):
+    # The per-shape table is built on a shape's first trial and shared by
+    # the rest; what the builders hand over must be the same whether the
+    # table is new, was evicted by another shape or is reused, and must be
+    # what the validating constructor makes, with every field bounded by
+    # the x-degree.  Without variables the table has one multi-index and
+    # its binomial rows stop at 0, so even --xdeg 10^9 returns at once.
+    other = LemmaConfig(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(-3)), 3)
+    loglinear._shape.cache_clear()
+    start = time.perf_counter()
+    fresh = _built(cfg)
+    assert time.perf_counter() - start < 1
+    _built(other)
+    assert _built(cfg) == fresh
+    assert _built(cfg) == fresh
+    top = cfg.xdeg_max if cfg.nvars else 0
+    for (blocks, den, bounds), brute in zip(fresh, (brute_force_p, brute_force_q)):
+        terms = brute(cfg).terms if cfg.nvars else {(0, 0): 1}
+        want = MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
+        assert (blocks, den) == (want._blocks, want._den)
+        assert bounds == {n: n for n in range(top + 1)}
 
 
 def test_deep_one_variable_log_and_exp_match_power_sums():
@@ -303,6 +339,23 @@ def test_closed_form_empty_variable_set():
     assert check_closed_forms(cfg).passed
     assert build_p(cfg) == MultiPoly.one(0, 3)
     assert build_q(cfg) == MultiPoly.one(0, 3)
+
+
+def test_closed_forms_survive_a_failing_check():
+    # The expected P and Q are built once per (pairs, xdeg) and shared by
+    # every trial: a check that fails on a tampered P must leave them as
+    # they were, so the honest P still passes.
+    cfg = zero_c_config([(0, 1), (1, 0)], 3)
+    p = build_p(cfg)
+    memo = loglinear._closed_forms(cfg.pairs, cfg.xdeg_max)
+    before = [({d: dict(b) for d, b in e._blocks.items()}, e._den, dict(e._bounds)) for e in memo]
+    tampered = p + MultiPoly(2, 3, {(1, 0, 2, 0): Fraction(1, 3)})
+    report = check_closed_forms(cfg, tampered)
+    assert not report.passed
+    assert report.offending == "P mismatch at 1/3 * x1*t^2"
+    assert check_closed_forms(cfg, p).passed
+    assert loglinear._closed_forms(cfg.pairs, cfg.xdeg_max) is memo
+    assert [(e._blocks, e._den, e._bounds) for e in memo] == before
 
 
 def test_closed_form_requires_zero_c():
