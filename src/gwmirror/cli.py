@@ -37,15 +37,15 @@ FORMATS = ("pretty", "json", "csv")
 
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
-# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.13-0.25 s a
-# trial, and --vars 3 --xdeg 4 0.9-1.2 ms (shared 2-CPU x86, Python 3.11;
+# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.13-0.20 s a
+# trial, and --vars 3 --xdeg 4 0.6-1.1 ms (shared 2-CPU x86, Python 3.11;
 # the ranges are the machine's load phases, up to 1.7x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests,
-# --vars 0 --trials 40000 (90-145 us a trial) and --vars 1 --xdeg 37
-# --trials 4 --seed 481 (every trial (0, 1)), take 3.7-5.8 s and 0.6-1.0 s
-# (fresh process, best of 3, four runs).
+# a1 and a2 --vars 0 --trials 40000 (50-75 us a trial) and a1 --vars 1
+# --xdeg 37 --trials 4 --seed 481 (every trial (0, 1)), take 2.2-3.1 s and
+# 0.8 s (fresh process, best of 3, two or three runs).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000

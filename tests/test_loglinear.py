@@ -140,8 +140,9 @@ def test_builders_do_not_depend_on_the_shape_cache(cfg):
     fresh = _built(cfg)
     assert time.perf_counter() - start < 1
     _built(other)
-    assert _built(cfg) == fresh
-    assert _built(cfg) == fresh
+    after_other = _built(cfg)
+    reused = _built(cfg)
+    assert after_other == fresh and reused == fresh
     top = cfg.xdeg_max if cfg.nvars else 0
     for (blocks, den, bounds), brute in zip(fresh, (brute_force_p, brute_force_q)):
         terms = brute(cfg).terms if cfg.nvars else {(0, 0): 1}
