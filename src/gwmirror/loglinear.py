@@ -290,9 +290,7 @@ def check_closed_forms(
         ("P", build_p(cfg) if p is None else p, p_expected),
         ("Q", build_q(cfg) if q is None else q, q_expected),
     ):
-        diff = got - want
-        if not diff.is_zero:
-            return CheckReport(
-                "closed-form", cfg, False, f"{name} mismatch at {diff.leading_term_str()}"
-            )
+        if got != want:
+            where = (got - want).leading_term_str()
+            return CheckReport("closed-form", cfg, False, f"{name} mismatch at {where}")
     return CheckReport("closed-form", cfg, True)

@@ -33,11 +33,14 @@ previous product by its three new factors, on the integer kernels
 From the hypergeometric classes to the solved table every value stays in
 the stored form of ``CohClass`` and ``DSeries``, integer numerators over
 one denominator: the H-components are assembled from the classes'
-numerators, ``quintic_f`` takes out the factor 5 by multiplying the
-denominator, the kernels F_0 exp(d F_1/F_0) come from ``exp_powers`` as
-integer rows over one denominator, and the solver reads those rows and
-the numerators of its base series and makes one ``Fraction`` per solved
-u_d.
+numerators, and ``quintic_f`` takes out the factor 5 by multiplying the
+denominator.  The recursion, divided once by F_0, reads
+    (F_2 - F_1 m/2)/F_0 = U(Q exp(m)),   m = F_1/F_0,
+with U = sum_{d>0} w_d u_d Q^d, so the solver is ``DSeries.unsubstitute``
+by m followed by one division per weight, and the reversion route is
+``DSeries.substitute`` by the reverted exponent.  The change of
+variables and its kernels belong to ``series``; this module passes it
+series only and reads each u_d from U's coefficients.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CohClass, _int_product, _linear_product, _lowest, _push
+from .cohomology import CohClass, _int_product, _linear_product, _lowest
 from .hypergeom import _h_components, _naive_classes, ambient_I, naive_series
-from .series import DSeries, Kernels, _kernel_rows
+from .series import DSeries
 
 QUINTIC_RING = 5  # cohomology of P^4
 CUBIC_RING = 3  # cohomology of P^2
@@ -87,16 +90,16 @@ class InvariantTable:
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
-def _correction_terms(md: MirrorData) -> tuple[DSeries, Kernels]:
-    """F_1^2/(2 F_0) and the kernels F_0 exp(d F_1/F_0) for d = 0..dmax as
-    integer rows over one denominator, with F_1/F_0 formed once."""
-    m = md.f1 if md.f0 is None else md.f1 * md.f0.inv()
-    return md.f1 * m * Fraction(1, 2), m.exp_powers(md.f0)
-
-
 def _solve(md: MirrorData) -> InvariantTable:
-    half, kernels = _correction_terms(md)
-    solved = solve_correction_series(md.f2 - half, kernels, md.weights)
+    """Solve the recursion divided once by F_0: with m = F_1/F_0 formed
+    once, base = (F_2 - F_1 m/2)/F_0 equals sum_d w_d u_d Q^d exp(d m)."""
+    if md.f0 is None:  # the plane cubic: F_0 = 1
+        m, base = md.f1, md.f2 - md.f1 * md.f1 * Fraction(1, 2)
+    else:
+        inv0 = md.f0.inv()
+        m = md.f1 * inv0
+        base = (md.f2 - md.f1 * m * Fraction(1, 2)) * inv0
+    solved = solve_correction_series(base, m, md.weights)
     return InvariantTable(tuple(enumerate(solved, start=1)))
 
 
@@ -148,9 +151,9 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
     # The round-trip check of revert_exp builds the kernels of h and keeps
-    # them on h, so exp_powers() here reads them back.
-    kernels = (md.f1 * md.f0.inv()).revert_exp().exp_powers()
-    corrected = [c.substitute(kernels) for c in quotient]
+    # them on h, so these substitutions build no second chain.
+    h = (md.f1 * md.f0.inv()).revert_exp()
+    corrected = [c.substitute(h) for c in quotient]
     entries = []
     for d in range(1, dmax + 1):
         residue = [c.coeffs[d] for c in corrected[:3]]
@@ -239,29 +242,21 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
 
 def solve_correction_series(
     base: DSeries,
-    kernels: Kernels,
+    m: DSeries,
     weights: Sequence[Fraction],
 ) -> list[Fraction]:
-    """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * kernels[d] for the u_d.
+    """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * exp(d*m) for the u_d.
 
-    ``kernels`` is (rows, den), as ``DSeries.exp_powers`` returns it: row d
-    holds the integer numerators over den of the degree-d kernel up to
-    index dmax - d at least (``_kernel_rows`` checks them: a shorter row
-    raises ValueError naming d, later rows and entries are ignored), and
-    its constant coefficient must be 1, which makes the system triangular:
-    the index-e equation determines u_e from u_1..u_{e-1}.  Returns
-    [u_1, ..., u_dmax].
+    The right-hand side is U = sum_d weights[d] u_d Q^d after the change
+    of variables Q -> Q exp(m), so U is ``base.unsubstitute(m)``; m must
+    share base's dmax and step and have zero constant term.  ``weights``
+    needs entries 0..dmax, nonzero from 1 on; both are checked before any
+    work.  Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
-    kn, kd = _kernel_rows(kernels, dmax)
-    if any(row[0] != kd for row in kn[1 : dmax + 1]):
-        raise ValueError("kernels[d] must have constant coefficient 1 for d >= 1")
-    bn, bd = base._nums, base._den
-    out: list[Fraction] = []
-    yn, yd = [], 1  # numerators of w_d * u_d over yd, d = 1..e-1
-    for e in range(1, dmax + 1):
-        s = sum(yn[d - 1] * kn[d][e - d] for d in range(1, e))
-        num, den = bn[e] * yd * kd - bd * s, bd * yd * kd
-        out.append(Fraction(num, den) / weights[e])
-        yd = _push(yn, yd, num, den)
-    return out
+    if len(weights) <= dmax:
+        raise ValueError(f"need weights for degrees 0..{dmax}, got {len(weights)}")
+    if not all(weights[1 : dmax + 1]):
+        raise ValueError("weights[d] must be nonzero for d >= 1")
+    u = base.unsubstitute(m)
+    return [c / w for c, w in zip(u.coeffs[1:], weights[1:])]

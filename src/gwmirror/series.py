@@ -14,6 +14,12 @@ built on first read.  ``DSeries`` adds ``step``, its shape check, its
 constructors and the series operations below, all of them pure and all
 of them on the stored integers.
 
+The change of variables Q -> Q exp(g(Q)), g with zero constant term,
+lives here alone: ``substitute(g)`` applies it, ``unsubstitute(g)`` runs
+it backwards and ``revert_exp`` gives the exponent of its inverse.  The
+kernels exp(d*g) they read are integer rows over one denominator, built
+by g's private ``_kernels`` once and kept on g.
+
 Algorithms and their costs in coefficient products, with n = dmax:
 
 * product and inverse: the schoolbook convolution and triangular solve
@@ -21,10 +27,9 @@ Algorithms and their costs in coefficient products, with n = dmax:
 * ``exp``: the recurrence from E' = g'E (Brent & Kung, J. ACM 1978),
   O(n^2); ``log``: theta f / f from L' = f'/f, one inverse and one
   product, O(n^2);
-* ``exp_powers``: the substitution kernels exp(d*g), entry d cut at index
-  n-d, each the previous one times exp(g) by one integer product, O(n^3),
-  returned as integer rows over one denominator; ``substitute`` adds
-  O(n^2) to them;
+* the kernels exp(d*g): row d cut at index n-d, each row from d = 2 on
+  the previous one times exp(g) by one integer product, O(n^3) once per
+  exponent; ``substitute`` and ``unsubstitute`` then cost O(n^2) each;
 * ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
   per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
   one ``substitute``.
@@ -40,10 +45,6 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
-
-# Substitution kernels: rows of integer numerators over one positive
-# denominator, row d holding the coefficients of the degree-d kernel.
-Kernels = tuple[Sequence[Sequence[int]], int]
 
 
 class DSeries(_Truncated):
@@ -129,61 +130,76 @@ class DSeries(_Truncated):
             den = _push(nums, den, theta_l[n], n * fd * inv_d)
         return self._like(tuple(nums), den)
 
-    def exp_powers(self, first: DSeries | None = None) -> Kernels:
-        """The kernels first * exp(d*g) for d = 0..dmax, with g this series
-        and ``first`` defaulting to 1, as (rows, den): row d holds the
-        integer numerators over den of the kernel's coefficients and stops
-        at index dmax - d, the last one a term Q^d times it reaches.
-        exp(g) is formed once and each row is the previous one times it.
-        Without ``first`` the kernels are built once and kept on the
-        series; the rows are shared, so do not change them."""
-        if first is None:
-            if self._powers is None:
-                self._powers = self._exp_rows(DSeries.one(self.dmax, self.step))
-            return self._powers
-        self._check(first)
-        return self._exp_rows(first)
-
-    def _exp_rows(self, first: DSeries) -> Kernels:
-        e = self.exp()
-        en, ed = e._nums, e._den
-        row, n = first._nums, self.dmax
-        rows = [row]
-        for d in range(1, n + 1):
-            row = _int_product(row, en, n + 1 - d)
-            rows.append(row)
-        # Row d is over first's denominator times ed^d; bring all to ed^n.
-        if ed != 1:
-            rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
-        return tuple(map(tuple, rows)), first._den * ed**n
-
     # -- change of variables -------------------------------------------------
 
-    def substitute(self, g: DSeries | Kernels) -> DSeries:
+    def _kernels(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The kernels exp(d*g) for d = 0..dmax, with g this series, as
+        (rows, den): row d holds the integer numerators over den of the
+        kernel's coefficients and stops at index dmax - d, the last one a
+        term Q^d times it reaches.  Row 0 is 1, row 1 is exp(g) and each
+        later row is the previous one times exp(g).  Built on first use
+        and kept on the series; the rows are shared, so do not change them."""
+        if self._powers is None:
+            e = self.exp()
+            en, ed, n = e._nums, e._den, self.dmax
+            rows = [(1,) + (0,) * n]
+            for d in range(1, n + 1):
+                rows.append(en[:n] if d == 1 else _int_product(rows[-1], en, n + 1 - d))
+            # Row d is over ed^d; bring all to ed^n.
+            if ed != 1:
+                rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
+            self._powers = tuple(map(tuple, rows)), ed**n
+        return self._powers
+
+    def _kernels_of(self, g: DSeries) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """The kernels of g, which must share this series' shape and have
+        zero constant term."""
+        if g.dmax != self.dmax or g.step != self.step:
+            raise ValueError("substitution exponent must share dmax and step")
+        if g._nums[0]:
+            raise ValueError("substitution exponent must have zero constant term")
+        return g._kernels()
+
+    def substitute(self, g: DSeries) -> DSeries:
         """Apply Q -> Q * exp(g(Q)) where Q = q^step is the index variable.
 
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
-        The exponent g must have zero constant term.  Several series that
-        share one substitution can pass ``g.exp_powers()`` in place of g,
-        as g itself does, so that the kernels exp(d*g) are built once;
-        kernel row d must reach index dmax - d, and rows past dmax and
-        entries past that index are ignored.
+        The exponent g must share this series' dmax and step and have
+        zero constant term.  Its kernels exp(d*g) are built once and kept
+        on g, so each later substitution by g costs O(dmax^2).
         """
-        if isinstance(g, DSeries):
-            if g.dmax != self.dmax or g.step != self.step:
-                raise ValueError("substitution exponent must share dmax and step")
-            if g._nums[0]:
-                raise ValueError("substitution exponent must have zero constant term")
-            g = g.exp_powers()
-        rows, kd = _kernel_rows(g, self.dmax)
-        n = self.dmax
-        out = [0] * (n + 1)
+        rows, kd = self._kernels_of(g)
+        out = [0] * len(self._nums)
         for d, (c, row) in enumerate(zip(self._nums, rows)):
             if c:
-                for e, k in enumerate(row[: n + 1 - d], start=d):
+                for e, k in enumerate(row, start=d):
                     out[e] += c * k
         return self._like(*_lowest(out, self._den * kd))
+
+    def unsubstitute(self, g: DSeries) -> DSeries:
+        """The series U with ``U.substitute(g) == self``: the change of
+        variables Q -> Q * exp(g(Q)) run backwards, on the same kernels.
+
+        Every kernel exp(d*g) has constant coefficient 1, so the index-e
+        equation self_e = sum_{d<=e} U_d [exp(d*g)]_{e-d} gives U_e from
+        U_0..U_{e-1}; the kernel exp(0*g) = 1 adds nothing past index 0.
+
+        >>> q = DSeries.monomial(1, 3)
+        >>> b = q.substitute(q)
+        >>> str(b)
+        '1*q^1 + 1*q^2 + 1/2*q^3'
+        >>> b.unsubstitute(q) == q
+        True
+        """
+        rows, kd = self._kernels_of(g)
+        bn, bd = self._nums, self._den
+        un: list[int] = []
+        ud = _push(un, 1, bn[0], bd)
+        for e in range(1, len(bn)):
+            s = sum(un[d] * rows[d][e - d] for d in range(1, e))
+            ud = _push(un, ud, bn[e] * ud * kd - bd * s, bd * ud * kd)
+        return self._like(tuple(un), ud)
 
     def revert_exp(self) -> DSeries:
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
@@ -236,16 +252,3 @@ def _exp_coeffs(gn: Sequence[int], gd: int, scale: int, length: int) -> tuple[li
         ed = _push(e, ed, scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n)
     return e, ed
 
-
-def _kernel_rows(kernels: Kernels, dmax: int) -> Kernels:
-    """The rows and denominator of ``kernels`` after checking that rows
-    0..dmax are there and row d reaches index dmax - d; a row that is
-    missing or stops short raises ValueError naming d.  Rows past dmax
-    and entries past index dmax - d are left for the reader to ignore."""
-    rows, den = kernels
-    for d in range(dmax + 1):
-        if d == len(rows) or len(rows[d]) < dmax + 1 - d:
-            raise ValueError(f"kernel row {d} must reach index {dmax - d}")
-    if den < 1:
-        raise ValueError("kernel denominator must be positive")
-    return rows, den

@@ -126,14 +126,14 @@ def bps_numbers(values: list[Fraction]) -> list[Fraction]:
 def recursion_rhs(md, table) -> DSeries:
     """F_1^2/(2 F_0) + sum_d w_d u_d Q^d F_0 exp(d m), m = F_1/F_0, with the
     table's values u_d put back; equals F_2 when the table solves the
-    recursion.  The sum over d is U = sum_d w_d u_d Q^d sent through
-    Q -> Q exp(m) by the kernels F_0 exp(d m); F_0 = 1 when absent."""
+    recursion.  The sum over d is F_0 times U = sum_d w_d u_d Q^d sent
+    through Q -> Q exp(m); F_0 = 1 when absent."""
     f0 = md.f0 if md.f0 is not None else DSeries.one(md.f1.dmax, md.f1.step)
     m = md.f1 * f0.inv()
     u = [Fraction(0)] * (m.dmax + 1)
     for d, v in table.entries:
         u[d] = md.weights[d] * v
-    return md.f1 * m * Fraction(1, 2) + DSeries(tuple(u), m.step).substitute(m.exp_powers(f0))
+    return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u), m.step).substitute(m)
 
 
 # -- power-summing series kernels ------------------------------------------------
@@ -298,8 +298,8 @@ def log_fractions(f: list[Fraction]) -> list[Fraction]:
 
 
 def int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Kernel rows of rationals as (integer rows, common denominator), the
-    form ``substitute`` and the correction solver read."""
+    """Rows of rationals as (integer rows, common denominator), the form
+    of the package's integer kernels."""
     den = lcm(*(Fraction(x).denominator for row in rows for x in row))
     return [[int(Fraction(x) * den) for x in row] for row in rows], den
 

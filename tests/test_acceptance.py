@@ -32,7 +32,7 @@ from gwmirror import (
 )
 from gwmirror.multipoly import MultiPoly
 
-from oracles import int_rows, localp2_coeff, naive_coeff, recursion_rhs
+from oracles import localp2_coeff, naive_coeff, recursion_rhs
 
 
 def report(n: int, name: str) -> None:
@@ -230,8 +230,8 @@ def test_criterion_8_property_suites():
         for _ in range(d):
             kernels.append(kernels[-1] * e1)
         weights = [Fraction(k, 5) for k in range(d + 1)]
-        base = f2 - f1 * f1 * f0.inv() * Fraction(1, 2)
-        solved = solve_correction_series(base, int_rows([k.coeffs for k in kernels]), weights)
+        base = (f2 - f1 * m * Fraction(1, 2)) * f0.inv()
+        solved = solve_correction_series(base, m, weights)
         rebuilt = f1 * f1 * f0.inv() * Fraction(1, 2)
         for k, u in enumerate(solved, start=1):
             rebuilt = rebuilt + DSeries.monomial(k, d, 5, weights[k] * u) * kernels[k]

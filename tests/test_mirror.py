@@ -18,7 +18,14 @@ from gwmirror import (
     solve_correction_series,
 )
 
-from oracles import bps_numbers, int_rows, localp2_coeff, naive_coeff, recursion_rhs, solve_fractions
+from oracles import (
+    bps_numbers,
+    exp_by_powers,
+    localp2_coeff,
+    naive_coeff,
+    recursion_rhs,
+    solve_fractions,
+)
 from strategies import wide_fractions as wide
 
 QUINTIC_COUNTS = {
@@ -227,8 +234,9 @@ fracs = st.fractions(min_value=-3, max_value=3, max_denominator=5)
     )
 )
 def test_solver_round_trips_on_random_data(data):
-    """Solving the triangular system and substituting back reproduces the
-    input series, for arbitrary quintic-shaped F data."""
+    """Solving the recursion divided by F_0 and putting the solution back
+    through the kernels F_0 exp(d m), built here by repeated products,
+    reproduces F_2, for arbitrary quintic-shaped F data."""
     dmax, f1_tail, f2_tail = data
     f0 = DSeries((Fraction(1),) + tuple(f1_tail), 5)
     f1 = DSeries((Fraction(0),) + tuple(f1_tail), 5)
@@ -239,8 +247,8 @@ def test_solver_round_trips_on_random_data(data):
     for _ in range(dmax):
         kernels.append(kernels[-1] * e1)
     weights = [Fraction(d, 5) for d in range(dmax + 1)]
-    base = f2 - f1 * f1 * f0.inv() * Fraction(1, 2)
-    solved = solve_correction_series(base, int_rows([k.coeffs for k in kernels]), weights)
+    base = (f2 - f1 * m * Fraction(1, 2)) * f0.inv()
+    solved = solve_correction_series(base, m, weights)
     acc = f1 * f1 * f0.inv() * Fraction(1, 2)
     for d, u in enumerate(solved, start=1):
         acc = acc + DSeries.monomial(d, dmax, 5, weights[d] * u) * kernels[d]
@@ -248,22 +256,28 @@ def test_solver_round_trips_on_random_data(data):
 
 
 def test_solver_rejects_kernel_without_unit_constant():
-    # u_1 = 1/2 solves this system, but the kernels[1][0] = 2 it needs is
-    # outside the triangular form the solver assumes.
+    # u_1 = 1/2 would solve this system with the kernel exp(1 + q), whose
+    # constant coefficient e is outside the triangular form: the exponent
+    # must have zero constant term.
     base, weights = DSeries((0, 1, 0)), [1, 1, 1]
-    with pytest.raises(ValueError, match="constant coefficient 1"):
-        solve_correction_series(base, ([(1, 0, 0), (2, 0), (2,)], 1), weights)
-    assert solve_correction_series(base, ([(1, 0, 0), (1, 0), (1,)], 1), weights) == [1, 0]
+    with pytest.raises(ValueError, match="zero constant term"):
+        solve_correction_series(base, DSeries((1, 1, 0)), weights)
+    assert solve_correction_series(base, DSeries((0, 0, 0)), weights) == [1, 0]
+    assert solve_correction_series(base, DSeries((0, 1, 0)), weights) == [1, -1]
 
 
-def test_solver_kernel_rows_must_reach_dmax_minus_d():
-    base, weights = DSeries((0, 1, 0)), [1, 1, 1]
-    with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
-        solve_correction_series(base, ([(1, 0, 0), (1,), (1,)], 1), weights)
-    with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
-        solve_correction_series(base, ([(1, 0, 0), (1, 0)], 1), weights)
-    # entries past index dmax - d are ignored
-    assert solve_correction_series(base, ([(1, 0, 0, 9), (1, 0, 9), (1, 9)], 1), weights) == [1, 0]
+def test_solver_needs_a_weight_per_degree(monkeypatch):
+    # Checked before any work: no change of variables is run.
+    monkeypatch.setattr(DSeries, "unsubstitute", lambda *args: pytest.fail("solve started"))
+    with pytest.raises(ValueError, match=r"weights for degrees 0\.\.2, got 2"):
+        solve_correction_series(DSeries((0, 1, 0)), DSeries((0, 1, 0)), [1, 1])
+
+
+def test_solver_refuses_a_zero_weight(monkeypatch):
+    monkeypatch.setattr(DSeries, "unsubstitute", lambda *args: pytest.fail("solve started"))
+    for weights in ([1, 0, 1], [0, 1, 0], [1, 1, Fraction(0)]):
+        with pytest.raises(ValueError, match="nonzero"):
+            solve_correction_series(DSeries((0, 1, 0)), DSeries((0, 1, 0)), weights)
 
 
 @settings(max_examples=100, deadline=None)
@@ -271,17 +285,17 @@ def test_solver_kernel_rows_must_reach_dmax_minus_d():
     st.integers(1, 8).flatmap(
         lambda n: st.tuples(
             st.lists(wide, min_size=n + 1, max_size=n + 1),
-            st.lists(st.lists(wide, min_size=n + 1, max_size=n + 1), min_size=n + 1, max_size=n + 1),
+            st.lists(wide, min_size=n, max_size=n),
             st.lists(wide.filter(bool), min_size=n + 1, max_size=n + 1),
         )
     )
 )
 def test_solver_matches_fraction_oracle(data):
-    base, rows, weights = data
-    # The solver's contract: every kernel from d = 1 on starts with 1.
-    kernels = [row[: len(base) - d] for d, row in enumerate(rows)]
-    for kernel in kernels[1:]:
-        kernel[0] = Fraction(1)
-    got = solve_correction_series(DSeries(tuple(base)), int_rows(kernels), weights)
+    base, m_tail, weights = data
+    m = [Fraction(0)] + m_tail
+    r = len(base)
+    # the oracle's kernels exp(d*m), formed by summing powers
+    kernels = [exp_by_powers([d * x for x in m], r) for d in range(r)]
+    got = solve_correction_series(DSeries(tuple(base)), DSeries(tuple(m)), weights)
     assert got == solve_fractions(base, kernels, weights)
     assert all(type(u) is Fraction for u in got)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import DSeries, ambient_I, hyper_factor, naive_series, solve_correction_series
+from gwmirror import DSeries, ambient_I, hyper_factor, naive_series
 from gwmirror import series as series_mod
 
 from oracles import (
@@ -17,7 +17,6 @@ from oracles import (
     log_by_powers,
     log_fractions,
     naive_coeff,
-    pmul,
     revert_by_fixed_point,
     substitute_fractions,
 )
@@ -197,71 +196,46 @@ def test_str():
 
 
 def test_exp_powers():
-    # [exp(d*q)]_k = d^k / k!; entry d stops at index dmax - d, the last
-    # one a term q^d times the kernel reaches below the truncation.
+    # [exp(d*q)]_k = d^k / k!; row d of the kernels stops at index
+    # dmax - d, the last one a term q^d times the kernel reaches.
     full = [ser(*(Fraction(d**k, factorial(k)) for k in range(4))) for d in range(4)]
     g = DSeries.monomial(1, 3)
-    assert fraction_rows(g.exp_powers()) == [list(w.coeffs[: 4 - d]) for d, w in enumerate(full)]
-    first = ser(1, 2, 3, 4)
-    want = [list((first * w).coeffs[: 4 - d]) for d, w in enumerate(full)]
-    assert fraction_rows(g.exp_powers(first)) == want
-    with pytest.raises(ValueError, match="shape"):
-        g.exp_powers(ser(1, 2))
+    assert fraction_rows(g._kernels()) == [list(w.coeffs[: 4 - d]) for d, w in enumerate(full)]
+    assert fraction_rows(DSeries((0,))._kernels()) == [[1]]
 
 
-def test_substitute_kernel_rows_must_reach_dmax_minus_d():
-    c = ser(1, 2, 3)
-    kernels = ([(1, 0, 0), (1, 5), (1,)], 1)
-    assert str(c.substitute(kernels)) == "1 + 2*q^1 + 13*q^2"
-    assert str(c.substitute(([(2, 0, 0), (2, 10), (2,)], 2))) == "1 + 2*q^1 + 13*q^2"
-    with pytest.raises(ValueError, match="kernel row 1 must reach index 1"):
-        c.substitute(([(1, 0, 0), (1,), (1,)], 1))
-    with pytest.raises(ValueError, match="kernel row 2 must reach index 0"):
-        c.substitute(([(1, 0, 0), (1, 5), ()], 1))
-    with pytest.raises(ValueError, match="kernel denominator must be positive"):
-        c.substitute(([(1, 0, 0), (1, 5), (1,)], 0))
-    # entries past index dmax - d are ignored
-    assert c.substitute(([(1, 0, 0, 7), (1, 5, 9), (1, 4, 4)], 1)) == c.substitute(kernels)
+def test_substitute_needs_the_exponents_shape():
+    g = DSeries.monomial(1, 3)
+    for other in (ser(1, 2), ser(1, 2, 3, 4, step=5)):
+        with pytest.raises(ValueError, match="share dmax and step"):
+            other.substitute(g)
+        with pytest.raises(ValueError, match="share dmax and step"):
+            other.unsubstitute(g)
 
 
 def test_exp_powers_are_built_once(monkeypatch):
-    # The kernels of g alone are kept on g: substituting g, or passing its
-    # kernels, after the first build forms no second exp(g).
+    # The kernels of g are kept on g: substituting or unsubstituting by g
+    # after the first build forms no second exp(g).
     g, c = ser(0, 1, 2, 3), ser(1, 2, 3, 4)
-    kernels = g.exp_powers()
+    kernels = g._kernels()
     calls = []
     exp = DSeries.exp
     monkeypatch.setattr(DSeries, "exp", lambda self: calls.append(self) or exp(self))
-    assert g.exp_powers() is kernels
-    assert c.substitute(g) == c.substitute(kernels)
+    assert g._kernels() is kernels
+    assert c.substitute(g).unsubstitute(g) == c
     assert calls == []
-    g.exp_powers(c)  # a first factor builds its own rows
-    assert calls == [g]
+    h = ser(0, 1, 2, 4)
+    c.substitute(h)
+    c.substitute(h)
+    assert calls == [h]
 
 
-# One contract for kernel rows, whichever consumer reads them: row d must
-# reach index dmax - d, and rows past dmax are ignored.
-KERNEL_ROW_CASES = {
-    "missing": ([(1, 0, 0), (1, 5)], "kernel row 2 must reach index 0"),
-    "short": ([(1, 0, 0), (1,), (1,)], "kernel row 1 must reach index 1"),
-    "extra": ([(1, 0, 0), (1, 5), (1,), (7, 7, 7)], None),
-}
-KERNEL_ROW_CONSUMERS = {
-    "substitute": (lambda rows: list(ser(0, 1, 0).substitute((rows, 1)).coeffs), [0, 1, 5]),
-    "solver": (lambda rows: solve_correction_series(ser(0, 1, 0), (rows, 1), [1, 1, 1]), [1, -5]),
-}
-
-
-@pytest.mark.parametrize("consumer", KERNEL_ROW_CONSUMERS)
-@pytest.mark.parametrize("case", KERNEL_ROW_CASES)
-def test_kernel_row_contract(case, consumer):
-    rows, error = KERNEL_ROW_CASES[case]
-    read, want = KERNEL_ROW_CONSUMERS[consumer]
-    if error is None:
-        assert read(rows) == want
-    else:
-        with pytest.raises(ValueError, match=error):
-            read(rows)
+def test_unsubstitute_undoes_substitute():
+    q = DSeries.monomial(1, 3)
+    assert ser(0, 1, 1, Fraction(1, 2)).unsubstitute(q) == q
+    assert ser(2, 3, 5, 7).unsubstitute(ser(0, 0, 0, 0)) == ser(2, 3, 5, 7)
+    with pytest.raises(ValueError, match="constant"):
+        ser(1, 2).unsubstitute(ser(1, 0))
 
 
 # -- algebraic properties --------------------------------------------------------
@@ -336,16 +310,14 @@ def test_exp_log_match_power_sums(a):
 
 
 @settings(max_examples=60, deadline=None)
-@given(any_series, fracs)
-def test_exp_powers_match_power_sums(a, c0):
+@given(any_series)
+def test_exp_powers_match_power_sums(a):
     r = a.dmax + 1
     g = with_constant(a, 0)
-    first = with_constant(a, c0)
-    kernels = fraction_rows(g.exp_powers(first))
+    kernels = fraction_rows(g._kernels())
     assert len(kernels) == r
     for d, kernel in enumerate(kernels):
-        full = exp_by_powers([d * c for c in g.coeffs], r)
-        assert kernel == pmul(list(first.coeffs), full, r)[: r - d]
+        assert kernel == exp_by_powers([d * c for c in g.coeffs], r)[: r - d]
 
 
 @settings(max_examples=40, deadline=None)
@@ -376,30 +348,41 @@ def test_exp_and_log_match_fraction_oracles(cs, m):
     assert list(DSeries(tuple(f)).log().coeffs) == log_fractions(f)
 
 
+def wide_exponent(n):
+    """A series of dmax n with zero constant term and wide coefficients."""
+    return wide_lists(n).map(lambda cs: DSeries((0, *cs)))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 7).flatmap(lambda n: st.tuples(wide_lists(n + 1), wide_lists(n + 1))))
-def test_exp_powers_match_power_sums_on_wide_denominators(pair):
+@given(st.integers(0, 7).flatmap(wide_exponent))
+def test_exp_powers_match_power_sums_on_wide_denominators(g):
     # exp(g) and the running kernels are far from integral here, unlike
     # the series the pipelines pass in.
-    first, g = pair
-    g = [Fraction(0)] + g[1:]
-    r = len(g)
-    kernels = fraction_rows(DSeries(tuple(g)).exp_powers(DSeries(tuple(first))))
+    r = g.dmax + 1
+    kernels = fraction_rows(g._kernels())
     assert len(kernels) == r
     for d, kernel in enumerate(kernels):
-        full = exp_by_powers([d * c for c in g], r)
-        assert kernel == pmul(first, full, r)[: r - d]
+        assert kernel == exp_by_powers([d * c for c in g.coeffs], r)[: r - d]
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    st.integers(0, 8).flatmap(
-        lambda n: st.tuples(wide_lists(n + 1), st.lists(wide_lists(n + 1), min_size=n + 1, max_size=n + 1))
-    )
-)
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(wide_lists(n + 1), wide_exponent(n))))
 def test_substitute_matches_fraction_oracle(data):
-    c, rows = data
-    # non-integral kernels, entry d cut at index dmax - d as exp_powers cuts them
-    kernels = [tuple(row[: len(c) - d]) for d, row in enumerate(rows)]
-    got = DSeries(tuple(c)).substitute(int_rows(kernels))
+    c, m = data
+    r = len(c)
+    # the oracle's kernels exp(d*m), formed by summing powers
+    kernels = [exp_by_powers([d * x for x in m.coeffs], r) for d in range(r)]
+    got = DSeries(tuple(c)).substitute(m)
     assert list(got.coeffs) == substitute_fractions(c, kernels)
+    assert all(type(x) is Fraction for x in got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(wide_lists(n + 1), wide_exponent(n))))
+def test_unsubstitute_inverts_substitute_on_wide_denominators(data):
+    cs, g = data
+    u = DSeries(tuple(cs))
+    assert u.substitute(g).unsubstitute(g) == u
+    # the reversion route: undoing Q -> Q exp(g) is substituting by the
+    # exponent of the inverse change
+    assert u.unsubstitute(g) == u.substitute(g.revert_exp())
