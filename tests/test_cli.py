@@ -336,12 +336,38 @@ def test_tables_refuse_dmax_above_the_ceiling_before_any_work(tmp_path):
             ["naive", "--ambient", "8", "--degree", "5", "--dmax", "60", "--format", "csv"],
             "6442dbe8b6c06b908e975ee102137b210a38db6af39c339489e57b50aa1415ec",
         ),
+        (
+            ["local-p2", "--dmax", "120", "--emit-kd", "--format", "json"],
+            "09915f9d0f3df6a58cdb62a1350cc965d53708572bcdcc077bda644766b7eb92",
+        ),
+        (
+            ["local-p2", "--dmax", "120", "--emit-kd", "--format", "csv"],
+            "5e1522721ba5b3d43ad93c20947a6bca40fc88c49ca39f2875b8d85cf3758f32",
+        ),
+        (
+            ["quintic", "--dmax", "60", "--crosscheck", "--format", "json"],
+            "dff25c1701d9d7320e8318f1c92664e37206ecd777eb610a0063c89cd6ee37d5",
+        ),
+        (
+            ["quintic", "--dmax", "60", "--crosscheck", "--format", "csv"],
+            "41435a790265d61eb81809afa6d5fc9488c0d35b1996094568add065a82a1120",
+        ),
+        (
+            ["naive", "--ambient", "8", "--degree", "5", "--dmax", "60", "--format", "json"],
+            "45f88fa7425e7e27b00e7c82f418159cdd22331e07381dd0e91ce053b3362a5e",
+        ),
+        (
+            ["naive", "--ambient", "8", "--degree", "5", "--dmax", "60", "--format", "pretty"],
+            "6a322e19aaa57dd1bc02b2a1cafaa4cb71621788f8070775d3c037ff6811e1ef",
+        ),
     ],
 )
 def test_large_tables_keep_their_bytes(args, digest):
     # sha256 of stdout: the first two taken from the Fraction-kernel
-    # implementation, the last two from the one that rebuilt every degree's
-    # twist and ambient products from scratch
+    # implementation, the next two from the one that rebuilt every degree's
+    # twist and ambient products from scratch, the rest (every format of
+    # the three table subcommands) from the one that rendered each
+    # subcommand's table in its own runner
     r = subprocess.run(CMD + args, capture_output=True)
     assert r.returncode == 0
     assert hashlib.sha256(r.stdout).hexdigest() == digest
