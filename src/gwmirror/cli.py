@@ -2,9 +2,13 @@
 
 Subcommands: quintic, local-p2, naive, lemma.  Tables are emitted with
 exact rational values in canonical "a/b" form; JSON, CSV and the default
-pretty rendering carry identical value strings.  Exit codes: 0 success,
-1 mathematical-consistency failure, 2 usage or output error (an --out
-path or a stdout that cannot be written, or a closed stdout pipe).
+pretty rendering carry identical value strings.  A table subcommand only
+computes its table; ``main`` renders and emits it, and reports its
+``RuntimeError`` (a failed self-check or crosscheck) as the one line
+``consistency failure: ...``.  Exit codes: 0 success, 1
+mathematical-consistency failure or failed lemma trial, 2 usage or
+output error (an --out path or a stdout that cannot be written, or a
+closed stdout pipe).
 """
 
 from __future__ import annotations
@@ -215,30 +219,25 @@ def _emit(text: str, out) -> None:
 
 # -- subcommands -----------------------------------------------------------------
 
+# What a table subcommand gives ``main`` to render: (params, rows, columns, crosscheck).
+_Table = tuple[dict, list[dict], list[str], str]
 
-def _run_quintic(args, out) -> int:
+
+def _quintic_table(args) -> _Table:
     table = quintic_invariants(args.dmax)
     crosscheck = "absent"
     if args.crosscheck:
         # The reversion route raises RuntimeError when one of its own
-        # self-checks (round trip, low-H residue) fails; that and a table
-        # that disagrees are both a consistency failure.
-        try:
-            if quintic_crosscheck(args.dmax).entries != table.entries:
-                raise RuntimeError("recursion and reversion tables disagree")
-        except RuntimeError as exc:
-            print(f"consistency failure: {exc}", file=sys.stderr)
-            return 1
+        # self-checks (round trip, low-H residue) fails; a table that
+        # disagrees is the same consistency failure.
+        if quintic_crosscheck(args.dmax).entries != table.entries:
+            raise RuntimeError("recursion and reversion tables disagree")
         crosscheck = "ok"
     rows = [{"d": d, "value": str(v)} for d, v in table.entries]
-    text = _render_table(
-        "quintic", {"dmax": args.dmax}, rows, ["d", "value"], args.format, crosscheck
-    )
-    _emit(text, out)
-    return 0
+    return {"dmax": args.dmax}, rows, ["d", "value"], crosscheck
 
 
-def _run_local_p2(args, out) -> int:
+def _local_p2_table(args) -> _Table:
     table = localp2_invariants(args.dmax)
     rows = [{"d": d, "value": str(v)} for d, v in table.entries]
     columns = ["d", "value"]
@@ -246,40 +245,19 @@ def _run_local_p2(args, out) -> int:
         for row, (_, kd) in zip(rows, localp2_kd(args.dmax).entries):
             row["kd"] = str(kd)
         columns.append("kd")
-    text = _render_table(
-        "local-p2", {"dmax": args.dmax}, rows, columns, args.format, "absent"
-    )
-    _emit(text, out)
-    return 0
+    return {"dmax": args.dmax}, rows, columns, "absent"
 
 
-def _run_naive(args, out) -> int:
+def _naive_table(args) -> _Table:
     n, l = args.ambient, args.degree
-    classes = naive_invariants(n, l, args.dmax)
-    rows = [
-        {"d": d, "value": [str(c) for c in cls.coeffs]}
-        for d, cls in enumerate(classes, start=1)
-    ]
-    if args.format == "csv":
-        flat = []
+    values = [[str(c) for c in cls.coeffs] for cls in naive_invariants(n, l, args.dmax)]
+    if args.format == "csv":  # one column per H-power
         columns = ["d"] + [f"h{k}" for k in range(n + 1)]
-        for row in rows:
-            entry = {"d": row["d"]}
-            entry.update({f"h{k}": v for k, v in enumerate(row["value"])})
-            flat.append(entry)
-        rows = flat
+        rows = [dict(zip(columns, [d] + v)) for d, v in enumerate(values, start=1)]
     else:
         columns = ["d", "value"]
-    text = _render_table(
-        "naive",
-        {"ambient": n, "degree": l, "dmax": args.dmax},
-        rows,
-        columns,
-        args.format,
-        "absent",
-    )
-    _emit(text, out)
-    return 0
+        rows = [{"d": d, "value": v} for d, v in enumerate(values, start=1)]
+    return {"ambient": n, "degree": l, "dmax": args.dmax}, rows, columns, "absent"
 
 
 def _run_lemma(args, out) -> int:
@@ -345,11 +323,10 @@ def _check_usage(args, parser) -> None:
         parser.error(f"--dmax must be at most {ceiling} for {args.command}")
 
 
-_RUN = {
-    "quintic": _run_quintic,
-    "local-p2": _run_local_p2,
-    "naive": _run_naive,
-    "lemma": _run_lemma,
+_TABLES = {
+    "quintic": _quintic_table,
+    "local-p2": _local_p2_table,
+    "naive": _naive_table,
 }
 
 
@@ -359,7 +336,16 @@ def main(argv: list[str] | None = None) -> int:
     _check_usage(args, parser)
     try:
         with _open_out(args.out) as out:
-            return _RUN[args.command](args, out)
+            if args.command == "lemma":
+                return _run_lemma(args, out)
+            try:
+                params, rows, columns, crosscheck = _TABLES[args.command](args)
+            except RuntimeError as exc:
+                print(f"consistency failure: {exc}", file=sys.stderr)
+                return 1
+            text = _render_table(args.command, params, rows, columns, args.format, crosscheck)
+            _emit(text, out)
+            return 0
     except _OutputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,13 +13,14 @@ ingredients are:
   contributed, returned as its n+1 scalar H-components.
 
 Each linear factor is one O(r) integer shift-add in a ring of length r
-(``cohomology._linear_product``).  ``naive_series`` grows the twist
-product from degree to degree: degree d shift-adds its l new factors and
-multiplies them in by one truncated integer product
-(``cohomology._int_product``), O(l*r + r^2) a degree.  ``ambient_I``
-shift-adds a = prod_{i=1}^{d}(H+i) on integers and raises it to the
-power p = -(n+1) in one O(r^2) pass by J. C. P. Miller's recurrence for
-the powers of a power series (Knuth, TAOCP vol. 2, 4.7):
+(``cohomology._linear_product``).  One loop, ``_twist_classes``, grows
+every twist product from degree to degree, for ``naive_series`` and for
+the plane-cubic series, which stops one factor short: degree d shift-adds
+its l new factors and multiplies them in by one truncated integer product
+(``cohomology._int_product``), O(l*r + r^2) a degree.
+``ambient_I`` shift-adds a = prod_{i=1}^{d}(H+i) on integers and raises
+it to the power p = -(n+1) in one O(r^2) pass by J. C. P. Miller's
+recurrence for the powers of a power series (Knuth, TAOCP vol. 2, 4.7):
 
     b_0 = a_0^p,    m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k},
 
@@ -93,12 +94,18 @@ def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    # Degree d multiplies the twist product by its new factors
-    # i in (l(d-1), l*d], and degree 0 by the i = 0 factor l*H.
-    twist, classes = (1,) + (0,) * n, []
-    for d in range(dmax + 1):
-        new = _linear_product(n + 1, l, range(max(0, l * d - l + 1), l * d + 1))
-        twist = _int_product(twist, new, n + 1)
+    return _twist_classes(n, l, 0, range(dmax + 1))
+
+
+def _twist_classes(n: int, l: int, short: int, degrees: range) -> list[CohClass]:
+    """prod_{i=0}^{l*d-short} (l*H + i) * ambient_I(n, d) in Q[H]/(H^{n+1})
+    for each d of the consecutive ``degrees``; each degree multiplies the
+    twist by the factors its predecessor did not reach."""
+    twist, lo, classes = (1,) + (0,) * n, 0, []
+    for d in degrees:
+        hi = l * d - short + 1
+        twist = _int_product(twist, _linear_product(n + 1, l, range(lo, hi)), n + 1)
+        lo = hi
         classes.append(CohClass._new(tuple(twist), 1) * ambient_I(n, d))
     return classes
 

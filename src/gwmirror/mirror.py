@@ -25,20 +25,19 @@ F_0 + F_1 H + F_2 H^2 + ..., each F_k a scalar q-series:
   coefficients, factor l*H included, ARE the invariants of Y.
 
 All recursions are solved strictly order by order in exact arithmetic.
-The plane-cubic twist product prod_{i=0}^{3d-1}(3H+i) grows from degree
-to degree as ``naive_series`` grows its own: degree d multiplies the
-previous product by its three new factors, on the integer kernels
-``cohomology._linear_product`` and ``_int_product``.
+Both twisted series come from one loop in ``hypergeom``, which grows the
+twist product prod_{i=0}^{l*d-s}(l*H+i) from degree to degree: the
+naive series with s = 0, the plane-cubic series with s = 1.
 
-From the hypergeometric classes to the solved table every value stays in
-the stored form of ``CohClass`` and ``DSeries``, integer numerators over
-one denominator: the H-components are assembled from the classes'
-numerators, and ``quintic_f`` takes out the factor 5 by multiplying the
-denominator.  The recursion, divided once by F_0, reads
+This module uses only the public operations of ``CohClass`` and
+``DSeries``; their stored integer form belongs to ``cohomology`` and
+``series``.  ``quintic_f`` takes out the factor 5 by the scalar product
+with 1/5.  The recursion, divided once by F_0, reads
     (F_2 - F_1 m/2)/F_0 = U(Q exp(m)),   m = F_1/F_0,
 with U = sum_{d>0} w_d u_d Q^d, so the solver is ``DSeries.unsubstitute``
 by m followed by one division per weight, and the reversion route is
-``DSeries.substitute`` by the reverted exponent.  The change of
+``DSeries.substitute`` by the reverted exponent, after an H-division
+that shares the inverse of F_0 with that exponent.  The change of
 variables and its kernels belong to ``series``; this module passes it
 series only and reads each u_d from U's coefficients.
 """
@@ -49,8 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CohClass, _int_product, _linear_product, _lowest
-from .hypergeom import _h_components, _naive_classes, ambient_I, naive_series
+from .cohomology import CohClass, as_fraction
+from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_series
 from .series import DSeries
 
 QUINTIC_RING = 5  # cohomology of P^4
@@ -108,10 +107,8 @@ def _solve(md: MirrorData) -> InvariantTable:
 
 def quintic_f(dmax: int) -> MirrorData:
     """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
-    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k,
-    so F_k is its numerators over five times its denominator."""
-    series = naive_series(4, 5, dmax)
-    f0, f1, f2 = (DSeries._new(*_lowest(h._nums, 5 * h._den), 5) for h in series[1:4])
+    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
+    f0, f1, f2 = (h * Fraction(1, 5) for h in naive_series(4, 5, dmax)[1:4])
     return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
 
 
@@ -146,13 +143,19 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     quintic, with H^0..H^2 parts zero and H^3 part d*n_d.
     """
     md = quintic_f(dmax)
-    full = naive_series(4, 5, dmax)
-    # Only H^0..H^3 are read, so the quotient stops there.
-    quotient = _h_divide(full[:4], reconstruct_p_quintic(md))
+    p0, inv0 = reconstruct_p_quintic(md), md.f0.inv()
+    # H-components of the quotient by truncated convolution over H powers,
+    # q_k = (full_k - sum_{j=1..k} p0_j q_{k-j}) / F_0; only H^0..H^3 are
+    # read, so it stops there.
+    quotient: list[DSeries] = []
+    for k, acc in enumerate(naive_series(4, 5, dmax)[:4]):
+        for j in range(1, k + 1):
+            acc = acc - p0[j] * quotient[k - j]
+        quotient.append(acc * inv0)
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
     # The round-trip check of revert_exp builds the kernels of h and keeps
     # them on h, so these substitutions build no second chain.
-    h = (md.f1 * md.f0.inv()).revert_exp()
+    h = (md.f1 * inv0).revert_exp()
     corrected = [c.substitute(h) for c in quotient]
     entries = []
     for d in range(1, dmax + 1):
@@ -166,19 +169,6 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     return InvariantTable(tuple(entries))
 
 
-def _h_divide(num: Sequence[DSeries], den: Sequence[DSeries]) -> list[DSeries]:
-    """H-components of num/den in Q[H]/(H^len(num)), both given by their
-    H-components; den[0] must be invertible.  Truncated convolution over
-    H powers: q_k = (num_k - sum_{j=1..k} den_j q_{k-j}) / den_0."""
-    inv0 = den[0].inv()
-    out: list[DSeries] = []
-    for k, acc in enumerate(num):
-        for j in range(1, k + 1):
-            acc = acc - den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
-
-
 # -- plane cubic / local P^2 --------------------------------------------------
 
 
@@ -188,17 +178,12 @@ def localp2_f(dmax: int) -> MirrorData:
     with weights w_d = 1."""
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
-    # The twist product prod_{i=0}^{3d-1}(3H+i) = 3H prod_{i=1}^{3d-1}(3H+i)
-    # stops one factor short of hyper_factor(3, d, 3): the final
-    # multiplicity step is the invariant being defined, not a factor of
-    # the series.  Degree d multiplies it by its new factors i in [3d-3, 3d).
-    # The series has no degree-0 term.
-    twist, classes = (1,) + (0,) * (CUBIC_RING - 1), [CohClass._new((0,) * CUBIC_RING, 1)]
-    for d in range(1, dmax + 1):
-        new = _linear_product(CUBIC_RING, 3, range(3 * d - 3, 3 * d))
-        twist = _int_product(twist, new, CUBIC_RING)
-        classes.append(CohClass._new(tuple(twist), 1) * ambient_I(2, d))
-    _, f1, f2 = _h_components(classes, 3)
+    # The twist product prod_{i=0}^{3d-1}(3H+i) stops one factor short of
+    # hyper_factor(3, d, 3): the final multiplicity step is the invariant
+    # being defined, not a factor of the series.  The series has no
+    # degree-0 term.
+    zero = CohClass((0,) * CUBIC_RING)
+    _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)), 3)
     return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
@@ -250,13 +235,17 @@ def solve_correction_series(
     The right-hand side is U = sum_d weights[d] u_d Q^d after the change
     of variables Q -> Q exp(m), so U is ``base.unsubstitute(m)``; m must
     share base's dmax and step and have zero constant term.  ``weights``
-    needs entries 0..dmax, nonzero from 1 on; both are checked before any
-    work.  Returns [u_1, ..., u_dmax].
+    needs exact entries 0..dmax, nonzero from 1 on, and base a zero
+    constant term, since U has none; all are checked before any work.
+    Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax
     if len(weights) <= dmax:
         raise ValueError(f"need weights for degrees 0..{dmax}, got {len(weights)}")
-    if not all(weights[1 : dmax + 1]):
+    weights = [as_fraction(w) for w in weights[: dmax + 1]]
+    if not all(weights[1:]):
         raise ValueError("weights[d] must be nonzero for d >= 1")
+    if base.coeffs[0]:
+        raise ValueError("base must have zero constant term")
     u = base.unsubstitute(m)
     return [c / w for c, w in zip(u.coeffs[1:], weights[1:])]

@@ -135,6 +135,23 @@ def test_local_p2_emit_kd():
     assert r.stdout == "d,value,kd\n1,9,-3\n2,135/4,45/8\n"
 
 
+def test_local_p2_consistency_failure_is_exit_1_with_one_line(monkeypatch, capsys):
+    # Every table subcommand shares the quintic's failure path.
+    from gwmirror import cli
+
+    def failing(dmax):
+        raise RuntimeError("cubic recursion left a residue")
+
+    monkeypatch.setattr(cli, "localp2_invariants", failing)
+    code = cli.main(["local-p2", "--dmax", "3", "--emit-kd"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1,
+        "",
+        "consistency failure: cubic recursion left a residue\n",
+    )
+
+
 # -- naive ------------------------------------------------------------------------
 
 

@@ -96,6 +96,22 @@ def test_quintic_crosscheck_empty():
     assert quintic_crosscheck(0).entries == quintic_invariants(0).entries == ()
 
 
+def test_quintic_crosscheck_inverts_f0_twice(monkeypatch):
+    # The H-division and the reversion exponent share one inverse of F_0;
+    # reconstruct_p_quintic forms the other.
+    calls = 0
+    real = DSeries.inv
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return real(self)
+
+    monkeypatch.setattr(DSeries, "inv", counted)
+    quintic_crosscheck(12)
+    assert calls == 2
+
+
 def test_quintic_resubstitution_reproduces_f2():
     md = quintic_f(6)
     table = quintic_invariants(6)
@@ -280,19 +296,34 @@ def test_solver_refuses_a_zero_weight(monkeypatch):
             solve_correction_series(DSeries((0, 1, 0)), DSeries((0, 1, 0)), weights)
 
 
+def test_solver_refuses_a_base_with_a_constant_term(monkeypatch):
+    # sum_{d>=1} w_d u_d Q^d exp(d m) has no constant term, so no u_d
+    # solve this; checked before any work.
+    monkeypatch.setattr(DSeries, "unsubstitute", lambda *args: pytest.fail("solve started"))
+    with pytest.raises(ValueError, match="base must have zero constant term"):
+        solve_correction_series(DSeries((7, 1, 2)), DSeries((0, 1, 1)), [0, 1, 1])
+
+
+def test_solver_refuses_float_weights(monkeypatch):
+    monkeypatch.setattr(DSeries, "unsubstitute", lambda *args: pytest.fail("solve started"))
+    with pytest.raises(TypeError, match="exact rational expected, got float"):
+        solve_correction_series(DSeries((0, 1, 2)), DSeries((0, 1, 1)), [0, 1.5, 2.0])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 8).flatmap(
         lambda n: st.tuples(
-            st.lists(wide, min_size=n + 1, max_size=n + 1),
+            st.lists(wide, min_size=n, max_size=n),
             st.lists(wide, min_size=n, max_size=n),
             st.lists(wide.filter(bool), min_size=n + 1, max_size=n + 1),
         )
     )
 )
 def test_solver_matches_fraction_oracle(data):
-    base, m_tail, weights = data
-    m = [Fraction(0)] + m_tail
+    base_tail, m_tail, weights = data
+    # base and m both have zero constant term; the solver refuses any other
+    base, m = [Fraction(0)] + base_tail, [Fraction(0)] + m_tail
     r = len(base)
     # the oracle's kernels exp(d*m), formed by summing powers
     kernels = [exp_by_powers([d * x for x in m], r) for d in range(r)]
