@@ -145,8 +145,8 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
     md = quintic_f(dmax)
     p0, inv0 = reconstruct_p_quintic(md), md.f0.inv()
     # H-components of the quotient by truncated convolution over H powers,
-    # q_k = (full_k - sum_{j=1..k} p0_j q_{k-j}) / F_0; only H^0..H^3 are
-    # read, so it stops there.
+    # q_k = (N_k - sum_{j=1..k} p0_j q_{k-j}) / F_0 for the naive series N;
+    # only H^0..H^3 are read, so it stops there.
     quotient: list[DSeries] = []
     for k, acc in enumerate(naive_series(4, 5, dmax)[:4]):
         for j in range(1, k + 1):
