@@ -9,8 +9,13 @@ the correction recursion with the public ``DSeries`` operations only.
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import make_dataclass
 from fractions import Fraction
 from math import factorial, lcm
+
+import pytest
 
 from gwmirror import DSeries
 
@@ -134,6 +139,32 @@ def recursion_rhs(md, table) -> DSeries:
     for d, v in table.entries:
         u[d] = md.weights[d] * v
     return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u), m.step).substitute(m)
+
+
+# -- records ----------------------------------------------------------------------
+
+
+def check_record(record, **fields) -> None:
+    """The contract of the package's immutable records, against a frozen
+    dataclass of the same name and fields as the oracle: the fields read
+    back, positional construction, field-wise == and hash, the dataclass
+    repr, no equality with the twin or a plain tuple, AttributeError on
+    assigning or deleting a field, and copy and pickle round trips."""
+    cls, values = type(record), tuple(fields.values())
+    twin = make_dataclass(cls.__name__, list(fields), frozen=True)(*values)
+    assert tuple(getattr(record, name) for name in fields) == values
+    again = cls(*values)
+    assert again == record and not again != record
+    assert hash(again) == hash(record) == hash(twin) == hash(values)
+    assert repr(record) == repr(twin)
+    assert record != twin and record != values
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in fields) == values
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
 
 
 # -- power-summing series kernels ------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwmirror import (
+    CheckReport,
     LemmaConfig,
     MultiPoly,
     build_p,
@@ -22,7 +24,7 @@ from gwmirror import (
 )
 from gwmirror.loglinear import ALLOWED_PAIRS, _multi_indices
 
-from oracles import mp_exp_by_powers, mp_log_by_powers, multi_indices_recursive
+from oracles import check_record, mp_exp_by_powers, mp_log_by_powers, multi_indices_recursive
 from strategies import million
 
 
@@ -376,6 +378,54 @@ def test_mixed_variables_factor():
     lifted_a = MultiPoly(4, 4, {(k[0], 0, k[1], 0, k[2], k[3]): c for k, c in part_a.terms.items()})
     lifted_b = MultiPoly(4, 4, {(0, k[0], 0, k[1], k[2], k[3]): c for k, c in part_b.terms.items()})
     assert p == lifted_a * lifted_b
+
+
+# -- records ---------------------------------------------------------------------
+
+
+def test_lemma_config_is_a_record():
+    pairs, cs = ((0, 1),), (Fraction(3, 4),)
+    cfg = LemmaConfig(pairs, cs, 9)
+    check_record(cfg, pairs=pairs, cs=cs, xdeg_max=9, seed=None)
+    # hypothesis prints this form in its failure reports
+    assert repr(cfg) == "LemmaConfig(pairs=((0, 1),), cs=(Fraction(3, 4),), xdeg_max=9, seed=None)"
+    seeded = LemmaConfig(pairs, cs, 9, seed=4)
+    check_record(seeded, pairs=pairs, cs=cs, xdeg_max=9, seed=4)
+    assert seeded != cfg and seeded == LemmaConfig(pairs, cs, 9, 4)
+    check_record(LemmaConfig((), (), 0), pairs=(), cs=(), xdeg_max=0, seed=None)
+
+
+def test_lemma_config_normalises_its_fields():
+    cfg = LemmaConfig([[1, 0], (0, 0)], [2, Fraction(1, 2)], 3)
+    assert type(cfg.pairs) is tuple and all(type(p) is tuple for p in cfg.pairs)
+    assert type(cfg.cs) is tuple and all(type(c) is Fraction for c in cfg.cs)
+    assert cfg == LemmaConfig(((1, 0), (0, 0)), (Fraction(2), Fraction(1, 2)), 3)
+    assert hash(cfg) == hash((((1, 0), (0, 0)), (Fraction(2), Fraction(1, 2)), 3, None))
+
+
+def test_lemma_config_validation_messages():
+    with pytest.raises(TypeError, match="^exact rational expected, got float$"):
+        LemmaConfig(((0, 1),), (0.5,), 3)
+    with pytest.raises(ValueError, match="^need one c_i per variable$"):
+        LemmaConfig(((0, 1),), (), 3)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'(a_i, b_i) = (1, 1) not in {ALLOWED_PAIRS}')}$"):
+        LemmaConfig(((1, 1),), (Fraction(1),), 3)
+    with pytest.raises(ValueError, match="^xdeg_max must be non-negative$"):
+        LemmaConfig((), (), -1)
+
+
+def test_check_report_is_a_record():
+    cfg = LemmaConfig(((1, 0),), (Fraction(2, 3),), 3, seed=5)
+    passed = CheckReport("a1", cfg, True)
+    check_record(passed, check="a1", config=cfg, passed=True, offending=None)
+    failed = CheckReport("a2", cfg, False, offending="x1")
+    check_record(failed, check="a2", config=cfg, passed=False, offending="x1")
+    assert repr(failed) == (
+        "CheckReport(check='a2', config=LemmaConfig(pairs=((1, 0),), "
+        "cs=(Fraction(2, 3),), xdeg_max=3, seed=5), passed=False, offending='x1')"
+    )
+    assert failed != CheckReport("a2", cfg, False, "x2")
+    assert check_a1(cfg) == passed
 
 
 # -- reports ---------------------------------------------------------------------

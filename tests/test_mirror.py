@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gwmirror import (
     DSeries,
     InvariantTable,
+    MirrorData,
     localp2_f,
     localp2_invariants,
     localp2_kd,
@@ -20,6 +21,7 @@ from gwmirror import (
 
 from oracles import (
     bps_numbers,
+    check_record,
     exp_by_powers,
     localp2_coeff,
     naive_coeff,
@@ -227,11 +229,39 @@ def test_hyperplane_in_p3_case():
 
 
 def test_invariant_table_validates_degrees():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^tables start at degree 1$"):
         InvariantTable(((2, Fraction(1)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degrees must be strictly increasing$"):
         InvariantTable(((1, Fraction(1)), (1, Fraction(2))))
     InvariantTable(())  # empty is fine
+
+
+def test_invariant_table_is_a_record():
+    entries = ((1, Fraction(2875)), (2, Fraction(4876875, 8)))
+    check_record(InvariantTable(entries), entries=entries)
+    check_record(InvariantTable(()), entries=())
+    assert repr(InvariantTable(entries[:1])) == "InvariantTable(entries=((1, Fraction(2875, 1)),))"
+    assert InvariantTable(entries) != InvariantTable(entries[:1])
+    assert quintic_invariants(2) == InvariantTable(entries)
+
+
+def test_mirror_data_is_a_record():
+    f0, f1, f2 = DSeries((1, 2), 5), DSeries((0, 1), 5), DSeries((0, 3), 5)
+    weights = (Fraction(0), Fraction(1, 5))
+    md = MirrorData(f0, f1, f2, weights)
+    check_record(md, f0=f0, f1=f1, f2=f2, weights=weights)
+    check_record(MirrorData(None, f1, f2, weights), f0=None, f1=f1, f2=f2, weights=weights)
+    assert repr(md) == (
+        "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1)), step=5), "
+        "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1)), step=5), "
+        "f2=DSeries(coeffs=(Fraction(0, 1), Fraction(3, 1)), step=5), "
+        "weights=(Fraction(0, 1), Fraction(1, 5)))"
+    )
+    # field by field: equal series and equal values, not the same objects
+    assert md == MirrorData(DSeries((1, 2), 5), f1, f2, (0, Fraction(1, 5)))
+    assert md != MirrorData(f0, f1, f1, weights)
+    assert md != MirrorData(None, f1, f2, weights)
+    assert quintic_f(3) == quintic_f(3) and hash(quintic_f(3)) == hash(quintic_f(3))
 
 
 # -- solver property -------------------------------------------------------------
