@@ -21,7 +21,8 @@ operation runs on the stored integers: a sum over the lcm of the two
 denominators, a product on the integer product ``_int_product`` over the
 product of the denominators, each followed by one gcd reduction
 (``_lowest``).  ``coeffs``, the coefficients as normalised Fractions, is
-built on first read and kept.  The public constructor validates
+built on first read and kept; ``coeff(k)`` reads one coefficient
+without building them.  The public constructor validates
 Fractions and ints; the package builds values from numerators with
 ``_new``, unchecked.
 
@@ -91,6 +92,10 @@ class _Truncated:
             self._coeffs = tuple(Fraction(x, den) for x in self._nums)
         return self._coeffs
 
+    def coeff(self, k: int) -> Fraction:
+        """The index-k coefficient, without building ``coeffs``."""
+        return Fraction(self._nums[k], self._den)
+
     def _key(self) -> tuple:
         """What ``==`` and ``hash`` compare: the stored form is canonical."""
         return self._den, self._nums
@@ -142,6 +147,31 @@ class _Truncated:
         """Multiplicative inverse; the index-0 coefficient must be nonzero."""
         nums, den = _inverse(self._nums, self._den)
         return self._like(tuple(nums), den)
+
+
+class _Record:
+    """An immutable record on ``__slots__`` in place of a frozen dataclass,
+    whose import took half of the command line's start-up: each field is
+    set once, ``==`` and ``hash`` are the stored form's on ``_key()``, the
+    field tuple, and ``repr`` is the dataclass form."""
+
+    __slots__ = ()
+    __eq__, __hash__ = _Truncated.__eq__, _Truncated.__hash__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 class CohClass(_Truncated):

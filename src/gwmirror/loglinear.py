@@ -30,43 +30,47 @@ common denominator of the c_i, expands each product over i on integer
 numerators (``_shifted_product``) and reduces it by one gcd; a second
 writes each numerator, scaled to the lcm of those denominators, straight
 into its x-degree block.  ``p_term_bound`` gives the worst-case term
-count of P for a shape without building it.
+count of P for a shape without building it.  ``LemmaConfig`` and
+``CheckReport`` are immutable records (``cohomology._Record``); a config
+keeps its pairs as tuples and its c_i as Fractions.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import mul
 
-from .cohomology import _ints, _linear_product, _lowest, as_fraction
+from .cohomology import _ints, _linear_product, _lowest, _Record, as_fraction
 from .multipoly import FIELD_BITS, MultiPoly, _pack
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
 
-@dataclass(frozen=True)
-class LemmaConfig:
+class LemmaConfig(_Record):
     """One sampled instance: per-variable (a_i, b_i) pairs and rational c_i."""
 
-    pairs: tuple[tuple[int, int], ...]
-    cs: tuple[Fraction, ...]
-    xdeg_max: int
-    seed: int | None = None
+    __slots__ = ("pairs", "cs", "xdeg_max", "seed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(tuple(p) for p in self.pairs))
-        object.__setattr__(self, "cs", tuple(as_fraction(c) for c in self.cs))
-        if len(self.pairs) != len(self.cs):
+    def __init__(
+        self,
+        pairs: tuple[tuple[int, int], ...],
+        cs: tuple[Fraction, ...],
+        xdeg_max: int,
+        seed: int | None = None,
+    ) -> None:
+        pairs = tuple(tuple(p) for p in pairs)
+        cs = tuple(as_fraction(c) for c in cs)
+        if len(pairs) != len(cs):
             raise ValueError("need one c_i per variable")
-        for p in self.pairs:
+        for p in pairs:
             if p not in ALLOWED_PAIRS:
                 raise ValueError(f"(a_i, b_i) = {p} not in {ALLOWED_PAIRS}")
-        if self.xdeg_max < 0:
+        if xdeg_max < 0:
             raise ValueError("xdeg_max must be non-negative")
+        self.pairs, self.cs, self.xdeg_max, self.seed = pairs, cs, xdeg_max, seed
 
     @property
     def nvars(self) -> int:
@@ -78,14 +82,15 @@ class LemmaConfig:
         return f"xdeg={self.xdeg_max} pairs={pairs} c={cs}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of one identity check on one configuration."""
 
-    check: str
-    config: LemmaConfig
-    passed: bool
-    offending: str | None = None
+    __slots__ = ("check", "config", "passed", "offending")
+
+    def __init__(
+        self, check: str, config: LemmaConfig, passed: bool, offending: str | None = None
+    ) -> None:
+        self.check, self.config, self.passed, self.offending = check, config, passed, offending
 
     def line(self, trial: int | None = None) -> str:
         head = f"trial={trial} " if trial is not None else ""

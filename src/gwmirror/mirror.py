@@ -39,16 +39,16 @@ by m followed by one division per weight, and the reversion route is
 ``DSeries.substitute`` by the reverted exponent, after an H-division
 that shares the inverse of F_0 with that exponent.  The change of
 variables and its kernels belong to ``series``; this module passes it
-series only and reads each u_d from U's coefficients.
+series only and reads each u_d from U's coefficients.  ``MirrorData``
+and ``InvariantTable`` are immutable records (``cohomology._Record``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cohomology import CohClass, as_fraction
+from .cohomology import CohClass, _Record, as_fraction
 from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_series
 from .series import DSeries
 
@@ -56,8 +56,7 @@ QUINTIC_RING = 5  # cohomology of P^4
 CUBIC_RING = 3  # cohomology of P^2
 
 
-@dataclass(frozen=True)
-class MirrorData:
+class MirrorData(_Record):
     """Scalar H-components of a naive series and the weights of the
     correction recursion.
 
@@ -66,24 +65,26 @@ class MirrorData:
     ``weights[d]`` is w_d, the factor of the degree-d unknown.
     """
 
-    f0: DSeries | None
-    f1: DSeries
-    f2: DSeries
-    weights: tuple[Fraction, ...]
+    __slots__ = ("f0", "f1", "f2", "weights")
+
+    def __init__(
+        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...]
+    ) -> None:
+        self.f0, self.f1, self.f2, self.weights = f0, f1, f2, weights
 
 
-@dataclass(frozen=True)
-class InvariantTable:
+class InvariantTable(_Record):
     """Ordered exact table degree -> invariant."""
 
-    entries: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        degrees = [d for d, _ in self.entries]
+    def __init__(self, entries: tuple[tuple[int, Fraction], ...]) -> None:
+        degrees = [d for d, _ in entries]
         if degrees and degrees[0] != 1:
             raise ValueError("tables start at degree 1")
         if any(b <= a for a, b in zip(degrees, degrees[1:])):
             raise ValueError("degrees must be strictly increasing")
+        self.entries = entries
 
 
 # -- the correction recursion shared by the quintic and the plane cubic --------
@@ -245,7 +246,7 @@ def solve_correction_series(
     weights = [as_fraction(w) for w in weights[: dmax + 1]]
     if not all(weights[1:]):
         raise ValueError("weights[d] must be nonzero for d >= 1")
-    if base.coeffs[0]:
+    if base.coeff(0):
         raise ValueError("base must have zero constant term")
     u = base.unsubstitute(m)
     return [c / w for c, w in zip(u.coeffs[1:], weights[1:])]

@@ -476,6 +476,26 @@ def test_tracer_installs_on_a_fresh_cli_import():
     assert r.returncode == 0, r.stderr
 
 
+# -- start-up --------------------------------------------------------------------------
+
+
+def test_cli_import_loads_no_introspection_modules():
+    # Every request starts a fresh interpreter, so the import is part of its
+    # cost: dataclasses and what it pulls in (inspect, ast, dis, tokenize)
+    # took about half of it.  Only the modules the import itself loads
+    # count; site may have loaded others before.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
+        "import gwmirror.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "gwmirror.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
 # -- README examples -----------------------------------------------------------------
 
 

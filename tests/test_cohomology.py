@@ -267,3 +267,13 @@ def test_values_reached_by_different_routes_are_equal(kind, triple, k):
         assert den > 0
         assert gcd(den, *nums) == 1
         assert [Fraction(n, den) for n in nums] == list(value.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([CohClass, DSeries]), st.lists(wide, min_size=1, max_size=6))
+def test_coeff_reads_one_coefficient_without_building_the_rest(kind, values):
+    x = kind(values) * Fraction(3, 7)
+    got = [x.coeff(k) for k in range(len(values))]
+    assert x._coeffs is None
+    assert got == list(x.coeffs) == [v * Fraction(3, 7) for v in values]
+    assert all(type(c) is Fraction for c in got)

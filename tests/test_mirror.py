@@ -334,6 +334,14 @@ def test_solver_refuses_a_base_with_a_constant_term(monkeypatch):
         solve_correction_series(DSeries((7, 1, 2)), DSeries((0, 1, 1)), [0, 1, 1])
 
 
+def test_solver_reads_only_the_constant_term_of_base():
+    # The refusal above reads base's index-0 coefficient alone: a solve
+    # builds no Fraction for the other coefficients of base.
+    base = DSeries((0, 1, 2))
+    assert solve_correction_series(base, DSeries((0, 1, 1)), [0, 1, 1]) == [1, 1]
+    assert base._coeffs is None
+
+
 def test_solver_refuses_float_weights(monkeypatch):
     monkeypatch.setattr(DSeries, "unsubstitute", lambda *args: pytest.fail("solve started"))
     with pytest.raises(TypeError, match="exact rational expected, got float"):
