@@ -39,12 +39,12 @@ keeps numerators over one denominator.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 
 def as_fraction(x: Rational) -> Fraction:

@@ -17,25 +17,21 @@ Each linear factor is one O(r) integer shift-add in a ring of length r
 every twist product from degree to degree, for ``naive_series`` and for
 the plane-cubic series, which stops one factor short: degree d shift-adds
 its l new factors and multiplies them in by one truncated integer product
-(``cohomology._int_product``), O(l*r + r^2) a degree.
-``ambient_I`` shift-adds a = prod_{i=1}^{d}(H+i) on integers and raises
-it to the power p = -(n+1) in one O(r^2) pass by J. C. P. Miller's
-recurrence for the powers of a power series (Knuth, TAOCP vol. 2, 4.7):
-
-    b_0 = a_0^p,    m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k},
-
-with b kept as integer numerators over a common denominator, as
-``cohomology._inverse`` keeps its solve, and handed to ``CohClass`` as
-they are.  Each degree's class is one ``CohClass`` product of the twist
-numerators and ``ambient_I``; the H-components are assembled from the
-classes' numerators (``_h_components``), with no ``Fraction`` between.
+(``cohomology._int_product``), O(l*r + r^2) a degree.  ``ambient_I``
+multiplies degree d-1, kept in a bounded cache (``_ambient``), by
+(H+d)^{-(n+1)} = sum_k (-1)^k C(n+k, k) d^{n-k} H^k / d^{2n+1}, one
+such product.  Each degree's class is one ``CohClass`` product of the
+twist numerators and ``ambient_I``, and the H-components are assembled
+from the numerators (``_h_components``), with no ``Fraction`` between.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
+from functools import lru_cache
+from math import comb
 
-from .cohomology import CohClass, _common, _int_product, _linear_product, _push
+from .cohomology import CohClass, _common, _int_product, _linear_product, _lowest
 from .series import DSeries
 
 
@@ -49,15 +45,19 @@ def ambient_I(n: int, d: int) -> CohClass:
         raise ValueError("ambient projective space needs n >= 2")
     if d < 0:
         raise ValueError("curve degree must be non-negative")
-    a = _linear_product(n + 1, 1, range(1, d + 1))
-    # Miller's recurrence for b = a^p, p = -(n+1):
-    # m a_0 b_m = sum_{k=1..m} ((p+1)k - m) a_k b_{m-k} = -sum (n k + m) a_k b_{m-k}.
-    bn: list[int] = []
-    bd = _push(bn, 1, 1, a[0] ** (n + 1))
-    for m in range(1, n + 1):
-        s = sum((n * k + m) * a[k] * bn[m - k] for k in range(1, m + 1))
-        bd = _push(bn, bd, -s, m * a[0] * bd)
-    return CohClass._new(tuple(bn), bd)
+    for e in range(64, d, 64):  # a cold cache fills upward, recursing 64 degrees at most
+        _ambient(n, e)
+    return CohClass._new(*_ambient(n, d))
+
+
+@lru_cache(maxsize=256, typed=True)  # typed: n = 2.0 must raise, not find n = 2
+def _ambient(n: int, d: int) -> tuple[tuple[int, ...], int]:
+    """The stored form (nums, den) of ambient_I(n, d), one step from d-1."""
+    if d == 0:
+        return (1,) + (0,) * n, 1
+    nums, den = _ambient(n, d - 1)
+    step = [(-1) ** k * comb(n + k, k) * d ** (n - k) for k in range(n + 1)]
+    return _lowest(_int_product(nums, step, n + 1), den * d ** (2 * n + 1))
 
 
 def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:

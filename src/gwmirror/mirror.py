@@ -45,8 +45,8 @@ and ``InvariantTable`` are immutable records (``cohomology._Record``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .cohomology import CohClass, _Record, as_fraction
 from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_series

@@ -49,10 +49,10 @@ about as large as the blocks it sums.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Mapping, Optional, Union
 
 from .cohomology import Rational, as_fraction
 
@@ -86,7 +86,7 @@ def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None
 class MultiPoly:
     __hash__ = None  # equality compares the dict of terms
 
-    def __init__(self, nvars: int, xdeg_max: int, terms: Optional[Mapping[Key, Rational]] = None):
+    def __init__(self, nvars: int, xdeg_max: int, terms: Mapping[Key, Rational] | None = None):
         parts: list[Part] = []
         bounds: Bounds = {}
         for key, c in (terms or {}).items():
@@ -127,7 +127,7 @@ class MultiPoly:
         )
         return poly
 
-    def _result(self, blocks: Blocks, den: int, bounds: Optional[Bounds] = None) -> MultiPoly:
+    def _result(self, blocks: Blocks, den: int, bounds: Bounds | None = None) -> MultiPoly:
         """A polynomial in this ring from numerator blocks over den, with
         the given field bounds or, by default, this polynomial's."""
         bounds = self._bounds if bounds is None else bounds
@@ -218,7 +218,7 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def __add__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:
+    def __add__(self, other: MultiPoly | Rational) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(other, self.nvars, self.xdeg_max)
         if not isinstance(other, MultiPoly):
@@ -237,7 +237,7 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __sub__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:
+    def __sub__(self, other: MultiPoly | Rational) -> MultiPoly:
         return self + (-other if isinstance(other, MultiPoly) else -as_fraction(other))
 
     def __neg__(self) -> MultiPoly:
@@ -245,7 +245,7 @@ class MultiPoly:
             {d: {k: -c for k, c in b.items()} for d, b in self._blocks.items()}, self._den
         )
 
-    def __mul__(self, other: Union[MultiPoly, Rational]) -> MultiPoly:
+    def __mul__(self, other: MultiPoly | Rational) -> MultiPoly:
         if isinstance(other, (int, Fraction)):
             f = as_fraction(other)
             return self._result(
@@ -283,7 +283,7 @@ class MultiPoly:
 
     # -- calculus -------------------------------------------------------------
 
-    def partial(self, var: Union[str, int]) -> MultiPoly:
+    def partial(self, var: str | int) -> MultiPoly:
         """Formal partial derivative; var is 't', 'z', or an x index."""
         if var == "t":
             pos = self.nvars

@@ -41,8 +41,8 @@ forms and make no ``Fraction``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
 

@@ -482,18 +482,19 @@ def test_tracer_installs_on_a_fresh_cli_import():
 def test_cli_import_loads_no_introspection_modules():
     # Every request starts a fresh interpreter, so the import is part of its
     # cost: dataclasses and what it pulls in (inspect, ast, dis, tokenize)
-    # took about half of it.  Only the modules the import itself loads
-    # count; site may have loaded others before.
+    # took about half of it, and typing, which annotations do not need, is
+    # the largest module left.  -S keeps site from loading any of them
+    # first (a .pth file may import typing), where they would not count.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); before = set(sys.modules); "
         "import gwmirror.cli; print(*sorted(set(sys.modules) - before))"
     )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     loaded = set(r.stdout.split())
     assert "gwmirror.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
 # -- README examples -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import CohClass, ambient_I, hyper_factor, naive_series
+from gwmirror import CohClass, ambient_I, hyper_factor, hypergeom, naive_series
 
 from oracles import ambient_poly, hyper_poly, linear, naive_coeff, pmul
 from strategies import hpow
@@ -37,10 +37,41 @@ def test_ambient_matches_oracle(n, d):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 60))
 def test_ambient_power_recurrence_matches_power_and_inverse(n, d):
-    # Miller's recurrence against n+1 Fraction products and a long division
+    # the step from the cached degree d-1 against d Fraction products,
+    # their (n+1)-th power and a long division
     got = ambient_I(n, d).coeffs
     assert list(got) == ambient_poly(n, d)
     assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(2, 16), st.integers(0, 60)), min_size=1, max_size=6))
+def test_ambient_in_any_call_order_matches_oracle(calls):
+    # Each degree is built from the cached one below it: calls that go down,
+    # repeat or jump ahead from a cold cache must give the same classes.
+    hypergeom._ambient.cache_clear()
+    for n, d in calls + calls[::-1]:
+        assert list(ambient_I(n, d).coeffs) == ambient_poly(n, d)
+
+
+def test_ambient_cold_at_large_degree_fills_without_recursing():
+    # 1500 degrees from a cold cache, more than it holds, and far deeper
+    # than the interpreter's recursion limit.
+    hypergeom._ambient.cache_clear()
+    assert ambient_I(2, 1500).coeffs[0] == Fraction(1, factorial(1500) ** 3)
+    assert ambient_I(2, 3) == CohClass(ambient_poly(2, 3))
+
+
+def test_ambient_errors():
+    ambient_I(2, 2)  # a cached (2, 2) must not answer for (2.0, 2)
+    with pytest.raises(TypeError):
+        ambient_I(2, 2.5)
+    with pytest.raises(TypeError):
+        ambient_I(2.0, 2)
+    with pytest.raises(ValueError, match="n >= 2"):
+        ambient_I(1, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        ambient_I(2, -1)
 
 
 def test_hyper_factor_quintic_degree_one():
