@@ -476,6 +476,68 @@ def test_tracer_installs_on_a_fresh_cli_import():
     assert r.returncode == 0, r.stderr
 
 
+# -- help and usage errors ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "args,code,out_digest,err_digest",
+    [
+        (["--help"], 0,
+         "92d7a0c5b6021a134ac83af8890af22e3392fd27fa60d3784f15deef74c4b13b", _EMPTY),
+        (["quintic", "--help"], 0,
+         "8f201ad2cbb8dbfa1845bebce5e498703153b3ecc45f0507463ff82d22f26563", _EMPTY),
+        (["local-p2", "--help"], 0,
+         "6fc7f17e5347c9be44facd206fa018c06fbe499ca73dc5feb5ed381442cb31fb", _EMPTY),
+        (["naive", "--help"], 0,
+         "1aecd62b61469fa0bf97f64f7d1f60d200089c0f6bf3b904c841e57d825faf91", _EMPTY),
+        (["lemma", "--help"], 0,
+         "f4868110f4cbdc8524b738c586951f9b91a9a1bd14561eee5325637e5a082b39", _EMPTY),
+        # forms argparse accepts that are not the plain `--option value`
+        (["quintic", "--dm", "3"], 0,
+         "9207e9da80eb51dcc8e3f78a32d064892b2582ab177c544a6f036857d87fa861", _EMPTY),
+        (["quintic", "--dmax=3"], 0,
+         "9207e9da80eb51dcc8e3f78a32d064892b2582ab177c544a6f036857d87fa861", _EMPTY),
+        (["quintic", "--dmax", "3", "--dmax", "4"], 0,
+         "4e4ca57734e3c86cc1ce78a7ecc871a6b46f629fef48f7fac74bae3363b352dc", _EMPTY),
+        (["lemma", "a1", "--seed", "-5", "--trials", "2"], 0,
+         "3a03422b162580daef7f18772fad3c3b7db186b4de91a3df3e4b54e5eb7c96cb",
+         "a81cb6cef7468fd39b9dc4dfe5728d625cf48a8a374e1b87b3fb2c4b11d8c99b"),
+        # usage errors, from argparse and from the checks it cannot make
+        (["quintic", "--dmax", "0"], 2, _EMPTY,
+         "293cd7e3e0b58433a4199a8f7f3d3a689a1b43107bcbdd7700ef346fee2ebcee"),
+        (["quintic", "--dmax", "x"], 2, _EMPTY,
+         "1eb635bcf48fb6dbf018cc7e4a2521c8a4a5cef57e18b8637fcd26305104f1f6"),
+        ([], 2, _EMPTY,
+         "8fcb4884f1f54eaaa197fd7494d6e7fd7a437f9afcc742b559047103d83aa49b"),
+        (["bogus"], 2, _EMPTY,
+         "ae7f7e05dac8f734841bf0ccd185aa7964319a75e3ab6027c96fb05ee0c74159"),
+        (["naive", "--ambient", "4"], 2, _EMPTY,
+         "136830c8d32f647524c022d866e022c676aa483c4aa0bdf8bca70968f858d23a"),
+        (["naive", "--ambient", "17", "--degree", "2"], 2, _EMPTY,
+         "cfffaff08dbc9290140fbb6dc68ab16bb5e6bfbe2afe38b8553dc1e470ee6efb"),
+        (["lemma"], 2, _EMPTY,
+         "a9c9fbba995071ac8a504117b8d97a595d105dc6d518dafff93cb4e45e1031c9"),
+        (["lemma", "a1", "a2"], 2, _EMPTY,
+         "7fc77aba2c78feb36f465751bf53d6af311e1c7ec6f5800a42e1ce489ec12b24"),
+        (["lemma", "a1", "--vars", "65"], 2, _EMPTY,
+         "6b5ab727f72907c8f9860ceb046ab7b9856c1ad9c052deb219ea706608273ea6"),
+        (["quintic", "--dmax", "151"], 2, _EMPTY,
+         "1cb3a02726b09ff3ab7d6f338305b96131d4b70e74d2cd45c6f6e1d01d540288"),
+        (["local-p2", "--out"], 2, _EMPTY,
+         "9d700fa1ca8dd05c979d01f5bafe6c54c2473a6ea9fb522d9f6847753185c809"),
+    ],
+)
+def test_help_and_usage_errors_keep_their_bytes(args, code, out_digest, err_digest):
+    # sha256 of stdout and stderr with help wrapped at 80 columns, taken
+    # from the command line that built argparse for every request; Python
+    # 3.10.13, 3.11.7, 3.12.1 and 3.13.0 print the same bytes
+    env = dict(os.environ, COLUMNS="80")
+    r = subprocess.run(CMD + args, capture_output=True, env=env, timeout=60)
+    assert r.returncode == code
+    assert hashlib.sha256(r.stdout).hexdigest() == out_digest
+    assert hashlib.sha256(r.stderr).hexdigest() == err_digest
+
+
 # -- start-up --------------------------------------------------------------------------
 
 
