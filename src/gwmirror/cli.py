@@ -8,17 +8,18 @@ computes its table; ``main`` renders and emits it, and reports its
 ``consistency failure: ...``.  Exit codes: 0 success, 1
 mathematical-consistency failure or failed lemma trial, 2 usage or
 output error (an --out path or a stdout that cannot be written, or a
-closed stdout pipe).
+closed stdout pipe).  ``main`` parses a plain request itself (``_parse``);
+argparse is built only for help, usage errors and any other argv.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import os
 import random
 import sys
+from types import SimpleNamespace
 
 from .loglinear import (
     build_p,
@@ -46,20 +47,20 @@ FORMATS = ("pretty", "json", "csv")
 # the ranges are the machine's load phases, up to 1.7x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
-# Trials times terms is bounded too: the slowest admitted requests,
-# a1 and a2 --vars 0 --trials 40000 (50-75 us a trial) and a1 --vars 1
-# --xdeg 37 --trials 4 --seed 481 (every trial (0, 1)), take 2.2-3.1 s and
-# 0.8 s (fresh process, best of 3, two or three runs).
+# Trials times terms is bounded too: the slowest admitted requests, a1 and
+# a2 --vars 0 --trials 40000 and a1 --vars 1 --xdeg 37 --trials 4 --seed 481
+# (every trial (0, 1)), take 1.9-3.6 s and 0.8 s (fresh process, best of 3;
+# six runs in one load phase read 1.9-2.6 s, two in a slower one 3.2-3.6 s).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes 0.4-1.9 s (best of 3 in a fresh
-# process, five runs, shared 2-CPU x86, Python 3.11; the machine's load
+# the slowest admitted request takes 0.37-1.9 s (best of 3 in a fresh
+# process, eleven runs, shared 2-CPU x86, Python 3.11; the machine's load
 # phases have moved such times up to 2.4x): quintic --dmax 150 --crosscheck
-# 1.0-1.3 s, local-p2 --dmax 250 --emit-kd 1.4-1.9 s and naive --ambient
-# 16 --degree 15 --dmax 100 0.43-0.55 s.  A naive request's cost grows with
+# 0.85-1.3 s, local-p2 --dmax 250 --emit-kd 1.2-1.9 s and naive --ambient
+# 16 --degree 15 --dmax 100 0.37-0.59 s.  A naive request's cost grows with
 # the ring length as well, hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16
@@ -68,17 +69,61 @@ NAIVE_MAX_AMBIENT = 16
 def _positive(name: str):
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            if (value := int(text)) >= 1:
+                return value
+            message = f"{name} must be >= 1"
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
-        return value
+            message = f"{name} must be an integer"
+        import argparse
+
+        raise argparse.ArgumentTypeError(message)
 
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _table_arguments(dmax: int) -> list:
+    return [
+        ("--dmax", dict(type=_positive("--dmax"), default=dmax,
+                        help=f"maximum curve degree (default {dmax})")),
+        ("--format", dict(choices=FORMATS, default="pretty")),
+        _OUT,
+    ]
+
+
+# Each subcommand's help and its arguments in the order its help lists them,
+# as the name and the keyword arguments of ``add_argument``; a flag states
+# its default too.  ``_build_parser`` and ``_parse`` both read this table.
+_OUT = ("--out", dict(metavar="PATH", help="also write the output to PATH"))
+_COMMANDS = {
+    "quintic": ("rational-curve counts on the quintic threefold", [
+        *_table_arguments(5),
+        ("--crosscheck", dict(action="store_true", default=False,
+                              help="also run the independent reversion route and compare")),
+    ]),
+    "local-p2": ("maximal-contact counts for a plane cubic / local P^2", [
+        *_table_arguments(8),
+        ("--emit-kd", dict(action="store_true", default=False,
+                           help="also emit the local invariants K_d")),
+    ]),
+    "naive": ("correction-free 1-point classes for low-degree hypersurfaces", [
+        ("--ambient", dict(type=_positive("--ambient"), required=True, metavar="N")),
+        ("--degree", dict(type=_positive("--degree"), required=True, metavar="L")),
+        *_table_arguments(4),
+    ]),
+    "lemma": ("sampled log-linearity identity checks", [
+        ("which", dict(choices=("a1", "a2"))),
+        ("--vars", dict(type=int, default=2, help="number of x variables (>= 0)")),
+        ("--xdeg", dict(type=_positive("--xdeg"), default=4)),
+        ("--trials", dict(type=_positive("--trials"), default=20)),
+        ("--seed", dict(type=int, default=0)),
+        _OUT,
+    ]),
+}
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gwmirror",
         description=(
@@ -87,50 +132,44 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, default_dmax: int) -> None:
-        p.add_argument(
-            "--dmax",
-            type=_positive("--dmax"),
-            default=default_dmax,
-            help=f"maximum curve degree (default {default_dmax})",
-        )
-        p.add_argument("--format", choices=FORMATS, default="pretty")
-        p.add_argument("--out", metavar="PATH", help="also write the output to PATH")
-
-    p = sub.add_parser("quintic", help="rational-curve counts on the quintic threefold")
-    add_common(p, 5)
-    p.add_argument(
-        "--crosscheck",
-        action="store_true",
-        help="also run the independent reversion route and compare",
-    )
-
-    p = sub.add_parser(
-        "local-p2", help="maximal-contact counts for a plane cubic / local P^2"
-    )
-    add_common(p, 8)
-    p.add_argument(
-        "--emit-kd",
-        action="store_true",
-        help="also emit the local invariants K_d",
-    )
-
-    p = sub.add_parser(
-        "naive", help="correction-free 1-point classes for low-degree hypersurfaces"
-    )
-    p.add_argument("--ambient", type=_positive("--ambient"), required=True, metavar="N")
-    p.add_argument("--degree", type=_positive("--degree"), required=True, metavar="L")
-    add_common(p, 4)
-
-    p = sub.add_parser("lemma", help="sampled log-linearity identity checks")
-    p.add_argument("which", choices=("a1", "a2"))
-    p.add_argument("--vars", type=int, default=2, help="number of x variables (>= 0)")
-    p.add_argument("--xdeg", type=_positive("--xdeg"), default=4)
-    p.add_argument("--trials", type=_positive("--trials"), default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", metavar="PATH", help="also write the output to PATH")
+    for command, (summary, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name, spec in arguments:
+            p.add_argument(name, **spec)
     return parser
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The fields argparse parses from ``argv`` if argv is a command and then
+    its arguments, each at most once and by exact name, an option's value in
+    its own token, not led by '-' and valid.  None for any other argv."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = dict(_COMMANDS[argv[0]][1])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name = token if token.startswith("-") else "which"  # lemma's positional
+        spec = arguments.get(name)
+        if spec is None or name in given:
+            return None
+        if spec.get("action"):  # store_true
+            given[name] = True
+            continue
+        text = token if name == "which" else next(tokens, "-")
+        try:
+            value = None if text.startswith("-") else spec.get("type", str)(text)
+        except Exception:  # int's ValueError or _positive's ArgumentTypeError
+            return None
+        if value is None or value not in spec.get("choices", (value,)):
+            return None
+        given[name] = value
+    fields = {"command": argv[0]}
+    for name, spec in arguments.items():
+        if name not in given and spec.get("required", name == "which"):
+            return None
+        fields[name.lstrip("-").replace("-", "_")] = given.get(name, spec.get("default"))
+    return SimpleNamespace(**fields)
 
 
 # -- rendering ------------------------------------------------------------------
@@ -286,41 +325,41 @@ def _run_lemma(args, out) -> int:
     return 0 if all_passed else 1
 
 
-def _check_usage(args, parser) -> None:
-    """Usage errors argparse cannot see; parser.error exits 2 before the
-    --out file is touched."""
+def _check_usage(args) -> str | None:
+    """The message of a usage error argparse cannot see, which ``main``
+    reports through argparse before the --out file is touched."""
     if args.command == "naive":
         n, l = args.ambient, args.degree
         if n < 2:
-            parser.error("--ambient must be at least 2")
+            return "--ambient must be at least 2"
         if n > NAIVE_MAX_AMBIENT:
-            parser.error(f"--ambient must be at most {NAIVE_MAX_AMBIENT}")
+            return f"--ambient must be at most {NAIVE_MAX_AMBIENT}"
         if not 1 <= l <= n - 1:
-            parser.error(
+            return (
                 f"--degree must be at most ambient-1={n - 1}: only degrees up to "
                 "n-1 are correction-free"
             )
     if args.command == "lemma":
         if args.vars < 0:
-            parser.error("--vars must be >= 0")
+            return "--vars must be >= 0"
         if args.vars > LEMMA_MAX_VARS:
-            parser.error(f"--vars must be at most {LEMMA_MAX_VARS}")
+            return f"--vars must be at most {LEMMA_MAX_VARS}"
         # Every x-degree adds at least one term, so the sum may stop at the
         # ceiling; a huge --xdeg costs nothing to refuse.
         terms = p_term_bound(args.vars, min(args.xdeg, LEMMA_MAX_TERMS))
         if terms > LEMMA_MAX_TERMS:
-            parser.error(
+            return (
                 f"--vars {args.vars} --xdeg {args.xdeg} allows more than "
                 f"{LEMMA_MAX_TERMS} terms per series"
             )
         if args.trials * terms > LEMMA_MAX_TERM_TRIALS:
-            parser.error(
+            return (
                 f"--trials {args.trials} times {terms} terms per series is more "
                 f"than {LEMMA_MAX_TERM_TRIALS}"
             )
     ceiling = DMAX_CEILING.get(args.command)
     if ceiling is not None and args.dmax > ceiling:
-        parser.error(f"--dmax must be at most {ceiling} for {args.command}")
+        return f"--dmax must be at most {ceiling} for {args.command}"
 
 
 _TABLES = {
@@ -331,9 +370,10 @@ _TABLES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _check_usage(args, parser)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse(argv) or _build_parser().parse_args(argv)
+    if message := _check_usage(args):
+        _build_parser().error(message)
     try:
         with _open_out(args.out) as out:
             if args.command == "lemma":

@@ -1,12 +1,16 @@
 import hashlib
+import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 CMD = [sys.executable, "-m", "gwmirror"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -538,6 +542,90 @@ def test_help_and_usage_errors_keep_their_bytes(args, code, out_digest, err_dige
     assert hashlib.sha256(r.stderr).hexdigest() == err_digest
 
 
+# -- the command line's own parse -----------------------------------------------------
+
+# Each command's options that take a value, its flags and its positionals.
+_ARGUMENTS = {
+    "quintic": (("--dmax", "--format", "--out"), ("--crosscheck",), ()),
+    "local-p2": (("--dmax", "--format", "--out"), ("--emit-kd",), ()),
+    "naive": (("--ambient", "--degree", "--dmax", "--format", "--out"), (), ()),
+    "lemma": (("--vars", "--xdeg", "--trials", "--seed", "--out"), (), ("a1", "a2")),
+}
+_OPTIONS = sorted({o for valued, flags, _ in _ARGUMENTS.values() for o in valued + flags})
+_VALUES = ("0", "1", "30", "-5", "+3", " 3", "3_0", "٣", "json", "bogus", "a1", "a2", "")
+_TOKENS = st.sampled_from(
+    [*_ARGUMENTS, *_VALUES, "-h", "--"]
+    + [o[:k] for o in _OPTIONS for k in range(1, len(o) + 1)]
+    + [f"{o}={v}" for o in _OPTIONS for v in _VALUES]
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command and a subset of its own arguments in any order, an option
+    with a value; a third of them with one more item put in, any tokens or
+    one of its arguments again, with or without a value.  Or any tokens."""
+    command = draw(st.sampled_from([*_ARGUMENTS, None]))
+    if command is None:
+        return draw(st.lists(_TOKENS, max_size=8))
+    valued, flags, positionals = _ARGUMENTS[command]
+    value = st.sampled_from(_VALUES + ("-h", "--"))
+    chosen = draw(st.lists(st.sampled_from(valued + flags), unique=True))
+    items = [[o, draw(value)] if o in valued else [o] for o in chosen]
+    if positionals and draw(st.integers(0, 3)):
+        items.append([draw(st.sampled_from(positionals))])
+    items = draw(st.permutations(items))
+    if not draw(st.integers(0, 2)):
+        own = st.sampled_from(valued + flags + positionals)
+        extra = st.one_of(st.lists(_TOKENS, max_size=2), st.tuples(own), st.tuples(own, value))
+        items.insert(draw(st.integers(0, len(items))), draw(extra))
+    return [command] + [token for item in items for token in item]
+
+
+@given(_argv())
+@settings(max_examples=1000, deadline=None)
+def test_direct_parse_agrees_with_argparse(argv):
+    # Where the command line parses argv itself it must give argparse's
+    # fields; any other argv goes to argparse.
+    from gwmirror import cli
+
+    args = cli._parse(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
+def _plain_requests():
+    """The benchmark's requests in every format, CI's ceiling requests and
+    the README's examples: argv that must not need argparse."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        if isinstance(w, workloads.TableWorkload):
+            yield from (w.base_argv + ["--format", fmt] for fmt in workloads.FORMATS)
+        else:
+            yield from (w.argv(random.Random(seed)) for seed in range(3))
+    ci = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    ceilings = re.findall(r"^ +ceiling [0-9a-f]{64} (.+)$", ci, flags=re.M)
+    assert len(ceilings) == 5
+    yield from (line.split() for line in ceilings)
+    examples = re.findall(r"^\$ gwmirror (.+)$", _readme_block("text", "Examples:"), flags=re.M)
+    assert len(examples) == 2
+    yield from (line.split() for line in examples)
+
+
+def test_plain_requests_need_no_argparse():
+    from gwmirror import cli
+
+    requests = list(_plain_requests())
+    assert len(requests) == 3 * 3 + 3 + 5 + 2
+    for argv in requests:
+        args = cli._parse(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli._build_parser().parse_args(argv))
+
+
 # -- start-up --------------------------------------------------------------------------
 
 
@@ -557,6 +645,30 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(r.stdout.split())
     assert "gwmirror.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+@pytest.mark.parametrize(
+    "args,parser_built",
+    [(["quintic", "--dmax", "3"], False), (["lemma", "a1", "--trials", "2"], False),
+     (["--help"], True)],
+)
+def test_a_plain_request_loads_no_argparse_and_help_does(args, parser_built):
+    # Importing and building argparse, whose first use imports gettext and
+    # locale, took 2-3 ms of each request, about as long as computing a
+    # benchmark table.  -S as above.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import gwmirror.cli\n"
+        "try:\n    gwmirror.cli.main(sys.argv[1:])\n"
+        "finally:\n    print(*sorted(sys.modules), file=sys.stderr)"
+    )
+    r = subprocess.run([sys.executable, "-S", "-c", code, *args], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stderr.splitlines()[-1].split())
+    assert "gwmirror.cli" in loaded
+    assert ("argparse" in loaded) == parser_built
+    if not parser_built:
+        assert not loaded & {"gettext", "locale"}
 
 
 # -- README examples -----------------------------------------------------------------
