@@ -15,7 +15,6 @@ argparse is built only for help, usage errors and any other argv.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import random
 import sys
@@ -42,15 +41,18 @@ FORMATS = ("pretty", "json", "csv")
 
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
-# shape, --vars 1 --xdeg 37 with (a_1, b_1) = (0, 1), takes 0.13-0.20 s a
-# trial, and --vars 3 --xdeg 4 0.6-1.1 ms (shared 2-CPU x86, Python 3.11;
-# the ranges are the machine's load phases, up to 1.7x apart).
+# shapes, --vars 1 --xdeg 37 and --vars 2 --xdeg 15 with every pair (0, 1),
+# take 12-35 ms a trial for a1, which takes its log in (t, s = t + z), and
+# 8-21 ms for a2; --vars 3 --xdeg 4 takes 0.2-1.5 ms (fresh process,
+# shared 2-CPU x86, Python 3.11; the ranges include the machine's load
+# phases, up to 1.7x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests, a1 and
-# a2 --vars 0 --trials 40000 and a1 --vars 1 --xdeg 37 --trials 4 --seed 481
-# (every trial (0, 1)), take 1.9-3.6 s and 0.8 s (fresh process, best of 3;
-# six runs in one load phase read 1.9-2.6 s, two in a slower one 3.2-3.6 s).
+# a2 --vars 0 --trials 40000, take 1.6-3.6 s, and a1 and a2 --vars 1 --xdeg
+# 37 --trials 4 --seed 481 (every trial (0, 1)) 0.11-0.14 s (fresh process,
+# best of 3; runs in one load phase read 1.6-2.6 s, two in a slower one
+# 3.2-3.6 s).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
@@ -184,6 +186,8 @@ def _render_table(
     crosscheck: str,
 ) -> str:
     if fmt == "json":
+        import json  # only a json table loads it
+
         record = {
             "case": case,
             "params": params,

@@ -22,12 +22,23 @@ The c_i are sampled as exact rationals rather than carried as formal
 variables; many sampled instances give the same assurance at a fraction
 of the cost, and the checks stay exact for every sample.
 
+P is built, and its log taken, in the coordinates (t, s) with s = t + z.
+There term k of P'(t, s) = P(t, s - t) is t^{a.k} times a polynomial in
+s of degree b.k, b.k + 1 terms where P has (b.k + 1)(b.k + 2)/2.  The
+substitution z -> s - t is a ring automorphism that keeps the x-degree,
+so it commutes with the truncated log, and ln P is affine in (t, z)
+exactly when ln P' is affine in (t, s).  ``build_p`` writes P' and
+returns P = P'.shear(1) (``MultiPoly.shear``), which keeps P';
+``check_a1`` takes log(P.shear(-1)), which costs no shear for such a P,
+and shears the log back, so its residuals, and every FAIL line, are
+those of ln P.  The closed form of P at c = 0 is formed in s as well.
+
 The builders make no Fraction, and what depends only on the shape
 (nvars, xdeg_max), the multi-indices with their packed keys and
-factorials and the binomial rows, is one table (``_shape``) built on a
-shape's first trial.  A first pass takes c.k as an integer over the
-common denominator of the c_i, expands each product over i on integer
-numerators (``_shifted_product``) and reduces it by one gcd; a second
+factorials, is one table (``_shape``) built on a shape's first trial.
+A first pass takes c.k as an integer over the common denominator of the
+c_i, expands each product over i on integer numerators
+(``cohomology._linear_product``) and reduces it by one gcd; a second
 writes each numerator, scaled to the lcm of those denominators, straight
 into its x-degree block.  ``p_term_bound`` gives the worst-case term
 count of P for a shape without building it.  ``LemmaConfig`` and
@@ -154,46 +165,26 @@ def _multi_indices(nvars: int, total_max: int):
 @lru_cache(maxsize=8)
 def _shape(nvars: int, xdeg_max: int):
     """What every trial of a shape shares: (k, sum(k), the packed key of
-    x^k, prod_i k_i!) for each multi-index k in lexicographic order, and
-    rows m = 0..max sum(k) (0 without variables) of key offsets with
-    multiplicities: t^j z^(m-j) with C(m, j) for P's s^m = (t + z)^m, t^m
-    with 1 for Q's."""
-    table = tuple(
+    x^k, prod_i k_i!) for each multi-index k in lexicographic order."""
+    return tuple(
         (k, sum(k), _pack(k + (0, 0)), prod(map(factorial, k)))
         for k in _multi_indices(nvars, xdeg_max)
     )
-    top = max(s for _, s, _, _ in table)
-    p_rows = tuple(
-        tuple(((j << FIELD_BITS) + m - j, comb(m, j)) for j in range(m + 1))
-        for m in range(top + 1)
-    )
-    q_rows = tuple(((m << FIELD_BITS, 1),) for m in range(top + 1))
-    return table, p_rows, q_rows
 
 
-def _shifted_product(ck: int, cden: int, shifts: range, kfact: int) -> tuple[tuple[int, ...], int]:
-    """prod_{i in shifts} (c.k - i + s) / kfact in lowest terms, as
-    integers (w, den) with sum_m w[m] s^m / den the product.  With
-    c.k = ck/cden each factor is (cden s + ck - i cden) / cden, so the
-    kernel runs on integers and the product is reduced by one gcd."""
-    w = _linear_product(len(shifts) + 1, cden, [ck - i * cden for i in shifts])
-    return _lowest(w, cden ** len(shifts) * kfact)
-
-
-def _assemble(cfg: LemmaConfig, reduced, rows) -> MultiPoly:
+def _assemble(cfg: LemmaConfig, reduced, shift: int) -> MultiPoly:
     """The sum over entries (sum(k), base key, w, den) of ``reduced`` of
-    w[m]/den times row m of ``rows`` shifted by the base key, each
-    numerator written once, scaled to the lcm of the dens, into its block.
-    A field is at most the x-degree: k's factor has degree <= sum(k)."""
+    w[m]/den times the base monomial times s^m, s the variable whose field
+    is ``shift`` bits up (z's for P's s = t + z, t's for Q), each numerator
+    written once, scaled to the lcm of the dens, into its block.  A field
+    is at most the x-degree: k's factor has degree <= sum(k)."""
     den = lcm(*(d for *_, d in reduced))
     blocks: dict[int, dict[int, int]] = {}
     for s, base, w, d in reduced:
         scale, block = den // d, blocks.setdefault(s, {})
-        for wm, row in zip(w, rows):
+        for m, wm in enumerate(w):
             if wm:
-                c = wm * scale
-                for offset, mult in row:
-                    block[base + offset] = c * mult
+                block[base + (m << shift)] = wm * scale
     return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den, {s: s for s in blocks})
 
 
@@ -201,29 +192,38 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
 
     The product over i is collected in s = t + z on integer numerators and
-    s^m splits binomially.  The terms of k share the product's reduced
-    denominator, which is the lcm of their own since C(m, 0) = 1.
+    written as P'(t, s) = P(t, s - t), the power of s in z's field; P is
+    P'.shear(1), which keeps P' for check_a1.  The terms of k share the
+    product's reduced denominator, which is the lcm of their own in P as
+    in P': the coefficient of t^{a.k} z^m in P is that of t^{a.k} s^m in
+    P', since C(m, 0) = 1.
     """
     cnum, cden = _ints(cfg.cs)
-    avec, bvec = [a for a, _ in cfg.pairs], [b for _, b in cfg.pairs]
-    table, p_rows, _ = _shape(cfg.nvars, cfg.xdeg_max)
+    pairs = cfg.pairs
     reduced = []
-    for k, s, xkey, kfact in table:
-        bk = sum(map(mul, bvec, k))
-        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(bk), kfact)
-        reduced.append((s, xkey + (sum(map(mul, avec, k)) << FIELD_BITS), w, den))
-    return _assemble(cfg, reduced, p_rows)
+    for k, s, xkey, kfact in _shape(cfg.nvars, cfg.xdeg_max):
+        ak = bk = ck = 0
+        for ki, (a, b), c in zip(k, pairs, cnum):
+            if ki:
+                ak += a * ki
+                bk += b * ki
+                ck += c * ki
+        w = _linear_product(bk + 1, cden, [ck - i * cden for i in range(bk)])
+        w, den = _lowest(w, cden**bk * kfact)
+        reduced.append((s, xkey + (ak << FIELD_BITS), w, den))
+    return _assemble(cfg, reduced, 0).shear(1)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
     cnum, cden = _ints(cfg.cs)
-    table, _, q_rows = _shape(cfg.nvars, cfg.xdeg_max)
     reduced = [(0, 0, (1,), 1)]
-    for k, s, xkey, kfact in table[1:]:
-        w, den = _shifted_product(sum(map(mul, cnum, k)), cden, range(1, s), kfact)
+    for k, s, xkey, kfact in _shape(cfg.nvars, cfg.xdeg_max)[1:]:
+        ck = sum(map(mul, cnum, k))
+        w = _linear_product(s, cden, [ck - i * cden for i in range(1, s)])
+        w, den = _lowest(w, cden ** (s - 1) * kfact)
         reduced.append((s, xkey + (1 << FIELD_BITS), w, den))  # overall factor t
-    return _assemble(cfg, reduced, q_rows)
+    return _assemble(cfg, reduced, FIELD_BITS)
 
 
 # -- identity checks -----------------------------------------------------------
@@ -231,8 +231,9 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
 
 def check_a1(cfg: LemmaConfig, p: MultiPoly | None = None) -> CheckReport:
     """All three second derivatives of ln P vanish identically; p is
-    build_p(cfg) when the caller has built it already."""
-    ln_p = (build_p(cfg) if p is None else p).log()
+    build_p(cfg) when the caller has built it already.  The log is taken
+    in (t, s = t + z) and brought back (module docstring)."""
+    ln_p = (build_p(cfg) if p is None else p).shear(-1).log().shear(1)
     d_t = ln_p.partial("t")
     for name, residual in (
         ("d2t(lnP)", d_t.partial("t")),
@@ -272,8 +273,10 @@ def _closed_forms(pairs: tuple[tuple[int, int], ...], xdeg_max: int) -> tuple[Mu
             binom_sum = binom_sum + xi
         else:
             exp_arg = exp_arg + (xi * t if a == 1 else xi)
-    z_plus_t = MultiPoly.z(v, xd) + t
-    p_expected = exp_arg.exp() * (z_plus_t * (binom_sum + 1).log()).exp()
+    # (1 + sum_j x_j)^(z+t) = exp(s log(1 + sum_j x_j)) is formed in s, z's
+    # field, and sheared to (t, z); the exponential factor has no z.
+    s = MultiPoly.z(v, xd)
+    p_expected = (exp_arg.exp() * (s * (binom_sum + 1).log()).exp()).shear(1)
     q_expected = (t * (all_sum + 1).log()).exp()
     return p_expected, q_expected
 

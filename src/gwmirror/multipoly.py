@@ -10,7 +10,8 @@ as normalised Fractions, is built on first read: with two variables
 Fraction(-1, 2)}``.  The public constructor validates its input; the
 constants and variables, the lemma builders and every operation build
 numerator blocks without that check, make no Fraction and may leave the
-common denominator unreduced, so ``==`` compares ``terms``.
+common denominator unreduced, so ``==`` compares each numerator times
+the other side's denominator, block by block.
 
 A key packs the exponent vector (k_1, ..., k_v, t_exp, z_exp) into one
 int, FIELD_BITS bits a field with k_1 most significant and z_exp least:
@@ -30,6 +31,18 @@ OverflowError before it multiplies two blocks whose bounds add up past
 EXP_MAX: one addition and comparison a pair of blocks, no scan of the
 keys.  A block bound is exact enough to compose: where every field is at
 most the x-degree, as in the lemma's P and Q, log and exp keep that bound.
+
+``shear(c)`` is the change of variables q(x, t, z) = p(x, t, z + c t) for
+an integer c.  It keeps the x-degree and is a ring automorphism, so it
+commutes with the truncated log and exp: the lemma takes the log of its
+P in the coordinates (t, s = t + z), where P is sparse, and shears the
+log back.  A key t^a z^b becomes the signed binomial row
+sum_j C(b, j) c^j t^(a+j) z^(b-j); moving j from the z field to the t
+field adds j * EXP_MAX to the key.  The total degree in t and z is kept,
+so a block's bound becomes the larger of its own and the largest a + b,
+and the shear raises OverflowError before it writes a key whose a + b
+passes EXP_MAX.  A sheared result keeps its source, so
+p.shear(c).shear(-c) returns p itself and does no work.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -51,8 +64,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import comb, gcd, lcm
 
 from .cohomology import Rational, as_fraction
 
@@ -77,6 +90,14 @@ def _unpack(packed: int, nfields: int) -> Key:
     return struct.unpack(f">{nfields}I", packed.to_bytes(FIELD_BITS // 8 * nfields, "big"))
 
 
+@lru_cache(maxsize=256)
+def _shear_row(b: int, c: int) -> tuple[tuple[int, int], ...]:
+    """(key offset, C(b, j) c^j) for j = 0..b: z^b -> (z + c t)^b.  Moving
+    j from the z field to the t field adds j << FIELD_BITS and subtracts j,
+    j * EXP_MAX in all."""
+    return tuple((j * EXP_MAX, comb(b, j) * c**j) for j in range(b + 1))
+
+
 def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None:
     """into += scale * block."""
     for k, c in block.items():
@@ -84,7 +105,8 @@ def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None
 
 
 class MultiPoly:
-    __hash__ = None  # equality compares the dict of terms
+    __hash__ = None  # equality compares the terms
+    _source = None  # (c, p) when this is p.shear(c)
 
     def __init__(self, nvars: int, xdeg_max: int, terms: Mapping[Key, Rational] | None = None):
         parts: list[Part] = []
@@ -163,10 +185,24 @@ class MultiPoly:
         }
 
     def __eq__(self, other: object) -> bool:
+        """Same ring and the same terms: the same keys in each block, with
+        numerators in the ratio of the two common denominators."""
         if type(other) is not MultiPoly:
             return NotImplemented
-        same_ring = (self.nvars, self.xdeg_max) == (other.nvars, other.xdeg_max)
-        return same_ring and self.terms == other.terms
+        if (self.nvars, self.xdeg_max) != (other.nvars, other.xdeg_max):
+            return False
+        mine, theirs = self._blocks, other._blocks
+        if mine.keys() != theirs.keys():
+            return False
+        den, other_den = self._den, other._den
+        for d, block in mine.items():
+            other_block = theirs[d]
+            if block.keys() != other_block.keys():
+                return False
+            for k, c in block.items():
+                if c * other_den != other_block[k] * den:
+                    return False
+        return True
 
     def __repr__(self) -> str:
         return f"MultiPoly(nvars={self.nvars}, xdeg_max={self.xdeg_max}, terms={self.terms!r})"
@@ -305,6 +341,43 @@ class MultiPoly:
         if lower:
             return self._result(out, self._den, {d - 1: b for d, b in self._bounds.items()})
         return self._result(out, self._den)
+
+    def shear(self, c: int) -> MultiPoly:
+        """q(x, t, z) = p(x, t, z + c t) for an integer c (module docstring):
+        t^a z^b becomes sum_j C(b, j) c^j t^(a+j) z^(b-j), one signed
+        binomial row on the packed key.  q keeps p as its source, so
+        q.shear(-c) is p again and does no work."""
+        if type(c) is not int:
+            raise TypeError("shear takes an integer c")
+        source = self._source
+        if source is not None and source[0] == -c:
+            return source[1]
+        if not c:
+            return self
+        out: Blocks = {}
+        bounds: Bounds = {}
+        for d, block in self._blocks.items():
+            into, bound = out.setdefault(d, {}), self._bounds[d]
+            get = into.get
+            for key, coeff in block.items():
+                b = key & EXP_MAX
+                if not b:  # z-free: kept as it is
+                    into[key] = get(key, 0) + coeff
+                    continue
+                top = (key >> FIELD_BITS & EXP_MAX) + b  # the t field of t^(a+b)
+                if top > bound:
+                    if top > EXP_MAX:
+                        raise OverflowError(
+                            f"a shear could reach exponent {top}, above the limit {EXP_MAX}"
+                        )
+                    bound = top
+                for offset, mult in _shear_row(b, c):
+                    k = key + offset
+                    into[k] = get(k, 0) + coeff * mult
+            bounds[d] = bound
+        q = self._result(out, self._den, bounds)
+        q.__dict__["_source"] = (c, self)
+        return q
 
     def _solve(
         self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int

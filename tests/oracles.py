@@ -13,7 +13,7 @@ import copy
 import pickle
 from dataclasses import make_dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -258,6 +258,17 @@ def mp_partial(a: dict, pos: int) -> dict:
             out[nk] = out.get(nk, Fraction(0)) + c * k[pos]
     return {k: c for k, c in out.items() if c != 0}
 
+
+def mp_shear(a: dict, c: int) -> dict:
+    """p(x, t, z + c t): t^a z^b -> sum_j C(b, j) c^j t^(a+j) z^(b-j), term
+    by term, with no limit on an exponent."""
+    out: dict = {}
+    for k, v in a.items():
+        *x, te, ze = k
+        for j in range(ze + 1):
+            nk = (*x, te + j, ze - j)
+            out[nk] = out.get(nk, Fraction(0)) + v * comb(ze, j) * c**j
+    return {k: v for k, v in out.items() if v != 0}
 
 def mp_log_by_powers(p: dict, nvars: int, xdeg_max: int) -> dict:
     """log p = sum_{m=1..xdeg_max} (-1)^(m+1) u^m / m with u = p - 1; the

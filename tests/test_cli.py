@@ -608,7 +608,7 @@ def _plain_requests():
             yield from (w.argv(random.Random(seed)) for seed in range(3))
     ci = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     ceilings = re.findall(r"^ +ceiling [0-9a-f]{64} (.+)$", ci, flags=re.M)
-    assert len(ceilings) == 5
+    assert len(ceilings) == 7
     yield from (line.split() for line in ceilings)
     examples = re.findall(r"^\$ gwmirror (.+)$", _readme_block("text", "Examples:"), flags=re.M)
     assert len(examples) == 2
@@ -619,7 +619,7 @@ def test_plain_requests_need_no_argparse():
     from gwmirror import cli
 
     requests = list(_plain_requests())
-    assert len(requests) == 3 * 3 + 3 + 5 + 2
+    assert len(requests) == 3 * 3 + 3 + 7 + 2
     for argv in requests:
         args = cli._parse(argv)
         assert args is not None, argv
@@ -647,15 +647,9 @@ def test_cli_import_loads_no_introspection_modules():
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
 
 
-@pytest.mark.parametrize(
-    "args,parser_built",
-    [(["quintic", "--dmax", "3"], False), (["lemma", "a1", "--trials", "2"], False),
-     (["--help"], True)],
-)
-def test_a_plain_request_loads_no_argparse_and_help_does(args, parser_built):
-    # Importing and building argparse, whose first use imports gettext and
-    # locale, took 2-3 ms of each request, about as long as computing a
-    # benchmark table.  -S as above.
+def _modules_after_main(args: list[str]) -> set[str]:
+    """The modules loaded once cli.main(args) has run in a fresh
+    interpreter under -S (as above)."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import gwmirror.cli\n"
@@ -666,9 +660,34 @@ def test_a_plain_request_loads_no_argparse_and_help_does(args, parser_built):
     assert r.returncode == 0, r.stderr
     loaded = set(r.stderr.splitlines()[-1].split())
     assert "gwmirror.cli" in loaded
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "args,parser_built",
+    [(["quintic", "--dmax", "3"], False), (["lemma", "a1", "--trials", "2"], False),
+     (["--help"], True)],
+)
+def test_a_plain_request_loads_no_argparse_and_help_does(args, parser_built):
+    # Importing and building argparse, whose first use imports gettext and
+    # locale, took 2-3 ms of each request, about as long as computing a
+    # benchmark table.
+    loaded = _modules_after_main(args)
     assert ("argparse" in loaded) == parser_built
     if not parser_built:
         assert not loaded & {"gettext", "locale"}
+
+
+@pytest.mark.parametrize(
+    "args,loads_json",
+    [(["quintic", "--dmax", "3"], False), (["quintic", "--dmax", "3", "--format", "csv"], False),
+     (["lemma", "a1", "--trials", "2"], False), (["lemma", "a2", "--trials", "2"], False),
+     (["quintic", "--dmax", "3", "--format", "json"], True)],
+)
+def test_only_a_json_table_loads_json(args, loads_json):
+    # json was the largest stdlib module of the import after fractions, and
+    # only --format json uses it.
+    assert ("json" in _modules_after_main(args)) == loads_json
 
 
 # -- README examples -----------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -115,6 +116,14 @@ def test_builders_hand_log_the_validated_integers(cfg):
     for built, brute in ((build_p(cfg), brute_force_p(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
+    # P keeps the P(t, s - t) it was sheared from, which check_a1 takes
+    # without any work: the integers a fresh shear of the validated P gives
+    p = build_p(cfg)
+    validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
+    kept, fresh = p.shear(-1), validated.shear(-1)
+    assert (kept._blocks, kept._den) == (fresh._blocks, fresh._den)
+    assert p.shear(-1) is kept and kept.shear(1) == p
+    assert check_a1(cfg, p) == check_a1(cfg, validated)
 
 
 def _built(cfg):
@@ -337,6 +346,25 @@ def test_closed_form_single_binomial_variable():
     assert got_x3 == {k[1:]: c for k, c in binom3.terms.items()}
 
 
+
+@pytest.mark.parametrize(
+    "pairs,xdeg", [(((0, 1),), 6), (((0, 1), (1, 0)), 4), (((0, 0), (0, 1), (0, 1)), 3)]
+)
+def test_closed_form_p_matches_its_product_in_t_and_z(pairs, xdeg):
+    # The expected P is formed in s = t + z and sheared back; formed in t
+    # and z themselves, through z + t, it must be the same polynomial
+    v = len(pairs)
+    t, z = MultiPoly.t(v, xdeg), MultiPoly.z(v, xdeg)
+    exp_arg = binom = MultiPoly.zero(v, xdeg)
+    for i, (a, b) in enumerate(pairs):
+        xi = MultiPoly.x(i, v, xdeg)
+        if b:
+            binom = binom + xi
+        else:
+            exp_arg = exp_arg + (xi * t if a else xi)
+    want = exp_arg.exp() * ((z + t) * (binom + 1).log()).exp()
+    assert loglinear._closed_forms(pairs, xdeg)[0].terms == want.terms
+
 def test_closed_form_empty_variable_set():
     cfg = zero_c_config([], 3)
     assert check_closed_forms(cfg).passed
@@ -448,6 +476,59 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
     assert not report.passed
     assert report.offending == "d2t(lnP) = 2/3 * x1^2"
     assert report.line(trial=1).endswith("a1 FAIL d2t(lnP) = 2/3 * x1^2")
+
+
+# (t, z) exponents of the term added to P in the tampered trials below: t^2,
+# z^2 and t z each break one residual, t^3 z several.
+_TAMPER_TZ = ((2, 0), (0, 2), (1, 1), (3, 1))
+
+
+def _tampered_a1_lines(nvars, xdeg, count):
+    """check_a1's lines on count sampled P of the shape, each with one term
+    of random x-part, coefficient and x-degree added."""
+    lines = []
+    for i in range(count):
+        seed = 100 * nvars + 10 * xdeg + i
+        rng = random.Random(seed)
+        cfg = sample_config(rng, nvars, xdeg, seed=seed)
+        x = [0] * nvars
+        for _ in range(rng.randint(1, xdeg)):
+            x[rng.randrange(nvars)] += 1
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        bad = MultiPoly(nvars, xdeg, {(*x, *_TAMPER_TZ[i % 4]): coeff})
+        lines.append(check_a1(cfg, build_p(cfg) + bad).line(trial=i + 1))
+    return lines
+
+
+def test_a1_fail_lines_of_tampered_p_keep_their_bytes():
+    # check_a1 takes the log in other coordinates than P's own; a P it did
+    # not build must come back to (t, z) with the same residuals, so every
+    # FAIL line keeps its bytes.  The lines were taken from the (t, z) log.
+    assert _tampered_a1_lines(1, 2, 4) + _tampered_a1_lines(2, 5, 4) + _tampered_a1_lines(
+        3, 3, 4
+    ) == [
+        "trial=1 seed=120 xdeg=2 pairs=(0,1) c=-1/2 a1 FAIL d2t(lnP) = -8/5 * x1^2",
+        "trial=2 seed=121 xdeg=2 pairs=(0,0) c=-3/7 a1 FAIL d2z(lnP) = 10/3 * x1",
+        "trial=3 seed=122 xdeg=2 pairs=(0,1) c=-3/5 a1 FAIL d2t(lnP) = 16/3 * x1^2*z",
+        "trial=4 seed=123 xdeg=2 pairs=(0,0) c=-1/2 a1 FAIL d2t(lnP) = -14/3 * x1^2*t*z",
+        "trial=1 seed=250 xdeg=5 pairs=(1,0),(1,0) c=-4/9,-7 a1 FAIL d2t(lnP) = 16/9 * x1^2*x2^3",
+        "trial=2 seed=251 xdeg=5 pairs=(1,0),(0,1) c=3/8,-2/7 a1 FAIL d2z(lnP) = 8/9 * x1^2*x2^2",
+        "trial=3 seed=252 xdeg=5 pairs=(0,1),(0,0) c=0,-5/4 a1 FAIL d2t(lnP) = -1 * x1*x2^3*z",
+        "trial=4 seed=253 xdeg=5 pairs=(0,1),(0,1) c=3/7,-5/4 a1 FAIL d2t(lnP) = -18/5 * x2*t*z",
+        "trial=1 seed=330 xdeg=3 pairs=(0,1),(0,0),(0,0) c=1/3,-3/2,7/6 a1 FAIL"
+        " d2t(lnP) = -3 * x1*x3^2",
+        "trial=2 seed=331 xdeg=3 pairs=(0,1),(1,0),(0,0) c=-1,3/4,1/7 a1 FAIL"
+        " d2z(lnP) = 2/7 * x2*x3^2",
+        "trial=3 seed=332 xdeg=3 pairs=(0,0),(0,1),(0,1) c=9/7,9/7,-4 a1 FAIL"
+        " d2t(lnP) = 1 * x3^2*z",
+        "trial=4 seed=333 xdeg=3 pairs=(0,1),(1,0),(1,0) c=-3/7,-7/5,8/9 a1 FAIL"
+        " d2t(lnP) = -4 * x2^2*t*z",
+    ]
+    # 20 a shape, every one a FAIL, pinned by the sha256 of their lines
+    lines = [line for shape in ((1, 2), (2, 5), (3, 3)) for line in _tampered_a1_lines(*shape, 20)]
+    assert all(" a1 FAIL d" in line for line in lines)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "0677631677ede3b76a836c1131f1c853dbf3d6828bba169c931cf38489981f7c"
 
 
 def test_failing_report_names_offending_term():

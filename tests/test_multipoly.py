@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gwmirror import MultiPoly
 from gwmirror.multipoly import EXP_MAX, FIELD_BITS
 
-from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial
+from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial, mp_shear
 from strategies import million, wide_fractions as wide
 
 
@@ -296,6 +296,46 @@ def test_equality_is_equality_of_normalised_terms(data, n):
         hash(p)
 
 
+def _over(p: MultiPoly, m: int) -> MultiPoly:
+    """p with its numerators and common denominator multiplied by m."""
+    blocks = {d: {k: c * m for k, c in b.items()} for d, b in p._blocks.items()}
+    return MultiPoly._from_blocks(p.nvars, p.xdeg_max, blocks, p._den * m, p._bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(st.just(shape), ring_terms(*shape), ring_terms(*shape))
+    ),
+    st.integers(1, 10**6),
+    st.integers(1, 10**6),
+    st.data(),
+)
+def test_equality_cross_multiplies_unreduced_denominators(data, m, n, draw):
+    # == compares the stored numerators over two common denominators that
+    # neither side has reduced; it must agree with the normalised terms,
+    # also where one numerator, one key or one block differs
+    (nvars, xdeg), a, b = data
+    p, q = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
+    variants = [q, p + q, p * 2, p - p]
+    if a:
+        key = draw.draw(st.sampled_from(sorted(a)))
+        variants.append(MultiPoly(nvars, xdeg, {**a, key: a[key] + Fraction(1, m)}))
+        rest = {k: c for k, c in a.items() if k != key}
+        variants.append(MultiPoly(nvars, xdeg, rest))
+        moved = key[:-1] + (key[-1] + 1,)
+        if moved not in a:
+            variants.append(MultiPoly(nvars, xdeg, {**rest, moved: a[key]}))
+    for other in variants:
+        for left, right in ((_over(p, m), _over(other, n)), (p, _over(other, n))):
+            assert (left == right) == (p.terms == other.terms)
+            assert (right == left) == (left == right)
+    assert _over(p, m) == _over(p, n) == p
+    # another ring, or another type, is never equal
+    assert MultiPoly(nvars, xdeg + 1, a) != p
+    assert p != p.terms and not (p == 1)
+
+
 @pytest.mark.parametrize("xdeg", [0, 3])
 def test_constant_and_variable_constructors_match_the_validating_one(xdeg):
     # They skip the validating constructor; at xdeg 0 an x variable is
@@ -365,6 +405,126 @@ def test_products_that_could_carry_raise():
     with pytest.raises(OverflowError):
         (MultiPoly(1, 2, {(1, half, 0): 1}) + 1).log()
 
+
+
+# -- the change of variables z -> z + c t ------------------------------------------
+
+shears = st.integers(-3, 3)
+
+
+def _fresh(p: MultiPoly) -> MultiPoly:
+    """p without the source a shear keeps, so that shearing it does the work."""
+    return MultiPoly._from_blocks(p.nvars, p.xdeg_max, p._blocks, p._den, p._bounds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(st.just(shape), ring_terms(*shape, tz=st.integers(0, 4)))
+    ),
+    shears,
+)
+def test_shear_matches_the_fraction_oracle_and_round_trips(data, c):
+    (nvars, xdeg), a = data
+    p = MultiPoly(nvars, xdeg, a)
+    for d in (c, -c):
+        q = p.shear(d)
+        assert q.terms == mp_shear(a, d)
+        assert in_lowest_terms(q)
+        # the kept source costs nothing; a fresh shear back does the work
+        assert q.shear(-d) is p
+        back = _fresh(q).shear(-d)
+        assert back == p and back.terms == a
+        assert (back._blocks, back._den) == (p._blocks, p._den)
+        # every field of a sheared key is within its block's bound
+        for deg, block in q._blocks.items():
+            for key in block:
+                assert max(_unpack_key(key, nvars)) <= q._bounds[deg]
+    assert p.shear(0) is p
+    with pytest.raises(TypeError):
+        p.shear(Fraction(1, 2))
+
+
+def _unpack_key(key: int, nvars: int) -> tuple:
+    return tuple(key >> FIELD_BITS * (nvars + 1 - j) & EXP_MAX for j in range(nvars + 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(0, 3), st.integers(0, 5)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            ring_terms(*shape, min_degree=1, max_terms=4, tz=st.integers(0, 3)),
+            st.lists(wide, min_size=4, max_size=4),
+        )
+    ),
+    shears,
+)
+def test_shear_commutes_with_log_on_wide_denominators(data, c):
+    # z -> z + c t is a ring automorphism that keeps the x-degree, so it
+    # commutes with the truncated log; the lemma's check rests on this
+    (nvars, xdeg), g, wides = data
+    g = {k: v * w for (k, v), w in zip(g.items(), wides * len(g)) if v * w}
+    p = MultiPoly(nvars, xdeg, {**g, (0,) * (nvars + 2): Fraction(1)})
+    assert p.shear(c).log() == p.log().shear(c)
+    assert _fresh(p.shear(c)).log().shear(-c) == p.log()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ring_shapes.flatmap(
+        lambda shape: st.tuples(st.just(shape), ring_terms(*shape, tz=st.integers(0, 4)))
+    ),
+    st.lists(shears, min_size=1, max_size=4),
+)
+def test_a_kept_source_equals_a_fresh_shear(data, cs):
+    # a chain of shears, where a step may undo the last and return its
+    # kept source, and the same chain with every source dropped give the
+    # same polynomial
+    (nvars, xdeg), a = data
+    kept = fresh = MultiPoly(nvars, xdeg, a)
+    for c in cs:
+        before = kept
+        kept, fresh = kept.shear(c), _fresh(fresh).shear(c)
+        assert kept == fresh
+        assert (kept._blocks, kept._den) == (fresh._blocks, fresh._den)
+        assert kept.shear(-c) == before
+    assert kept.terms == mp_shear(a, sum(cs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2).flatmap(
+        lambda nvars: st.dictionaries(
+            # t exponents next to the limit, and z exponents small enough
+            # that (z + c t)^b has few terms
+            st.tuples(*(st.integers(0, 2),) * nvars, exponents(EXP_MAX), st.integers(0, 3)),
+            wide,
+            max_size=4,
+        )
+    ),
+    st.sampled_from((-1, 1, 2)),
+)
+def test_shear_near_the_limit_raises_or_is_exact(a, c):
+    # A sheared key's t field is at most a + b; past EXP_MAX it would carry
+    # into the field above, so the shear raises first and never returns one
+    a = {k: v for k, v in a.items() if v}
+    nvars = len(next(iter(a), (0, 0))) - 2
+    p = MultiPoly(nvars, 2 * nvars, a)
+    if any(k[-2] + k[-1] > EXP_MAX for k in a):
+        with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
+            p.shear(c)
+    else:
+        assert p.shear(c).terms == mp_shear(a, c)
+
+
+def test_shear_at_the_limit():
+    # t^a z^b with a + b = EXP_MAX goes through, one more raises
+    p = MultiPoly(1, 1, {(1, EXP_MAX - 2, 2): 1})
+    assert p.shear(1).terms == {(1, EXP_MAX - 2, 2): 1, (1, EXP_MAX - 1, 1): 2, (1, EXP_MAX, 0): 1}
+    assert p.shear(1)._bounds == {1: EXP_MAX}
+    with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
+        MultiPoly(1, 1, {(1, EXP_MAX - 1, 2): 1}).shear(-1)
 
 def test_log_exp_round_trips_keep_their_field_bounds():
     # Q's exponents are at most its x-degree, and so are those of ln Q and
