@@ -608,7 +608,7 @@ def _plain_requests():
             yield from (w.argv(random.Random(seed)) for seed in range(3))
     ci = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     ceilings = re.findall(r"^ +ceiling [0-9a-f]{64} (.+)$", ci, flags=re.M)
-    assert len(ceilings) == 7
+    assert len(ceilings) == 9
     yield from (line.split() for line in ceilings)
     examples = re.findall(r"^\$ gwmirror (.+)$", _readme_block("text", "Examples:"), flags=re.M)
     assert len(examples) == 2
@@ -619,7 +619,7 @@ def test_plain_requests_need_no_argparse():
     from gwmirror import cli
 
     requests = list(_plain_requests())
-    assert len(requests) == 3 * 3 + 3 + 7 + 2
+    assert len(requests) == 3 * 3 + 3 + 9 + 2
     for argv in requests:
         args = cli._parse(argv)
         assert args is not None, argv

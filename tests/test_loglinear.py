@@ -25,7 +25,15 @@ from gwmirror import (
 )
 from gwmirror.loglinear import ALLOWED_PAIRS, _multi_indices
 
-from oracles import check_record, mp_exp_by_powers, mp_log_by_powers, multi_indices_recursive
+from oracles import (
+    check_record,
+    mp_add,
+    mp_exp_by_powers,
+    mp_log_by_powers,
+    mp_mul,
+    mp_partial,
+    multi_indices_recursive,
+)
 from strategies import million
 
 
@@ -481,11 +489,15 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
 # (t, z) exponents of the term added to P in the tampered trials below: t^2,
 # z^2 and t z each break one residual, t^3 z several.
 _TAMPER_TZ = ((2, 0), (0, 2), (1, 1), (3, 1))
+# and to Q: t^0, t^2 and t^3 break (t d/dt - 1) at once, t z only through
+# its products with Q's terms.
+_TAMPER_A2_TZ = ((0, 0), (2, 0), (3, 0), (1, 1))
 
 
-def _tampered_a1_lines(nvars, xdeg, count):
-    """check_a1's lines on count sampled P of the shape, each with one term
-    of random x-part, coefficient and x-degree added."""
+def _tampered_lines(check, build, tamper, nvars, xdeg, count):
+    """check's lines on count sampled series of the shape, each built and
+    one term added, of random x-part, coefficient and x-degree and of (t, z)
+    exponents from tamper in turn."""
     lines = []
     for i in range(count):
         seed = 100 * nvars + 10 * xdeg + i
@@ -495,9 +507,17 @@ def _tampered_a1_lines(nvars, xdeg, count):
         for _ in range(rng.randint(1, xdeg)):
             x[rng.randrange(nvars)] += 1
         coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-        bad = MultiPoly(nvars, xdeg, {(*x, *_TAMPER_TZ[i % 4]): coeff})
-        lines.append(check_a1(cfg, build_p(cfg) + bad).line(trial=i + 1))
+        bad = MultiPoly(nvars, xdeg, {(*x, *tamper[i % len(tamper)]): coeff})
+        lines.append(check(cfg, build(cfg) + bad).line(trial=i + 1))
     return lines
+
+
+def _tampered_a1_lines(nvars, xdeg, count):
+    return _tampered_lines(check_a1, build_p, _TAMPER_TZ, nvars, xdeg, count)
+
+
+def _tampered_a2_lines(nvars, xdeg, count):
+    return _tampered_lines(check_a2, build_q, _TAMPER_A2_TZ, nvars, xdeg, count)
 
 
 def test_a1_fail_lines_of_tampered_p_keep_their_bytes():
@@ -530,6 +550,86 @@ def test_a1_fail_lines_of_tampered_p_keep_their_bytes():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "0677631677ede3b76a836c1131f1c853dbf3d6828bba169c931cf38489981f7c"
 
+
+
+def test_a2_fail_lines_of_tampered_q_keep_their_bytes():
+    # check_a2 passes ln Q by its keys and forms the residual only on a
+    # failure; every line must keep its bytes, PASS where the tamper term
+    # has no room for a product that breaks linearity in t.  The lines were
+    # taken from the residual (t d/dt - 1) ln Q formed on every trial.
+    assert _tampered_a2_lines(1, 2, 4) + _tampered_a2_lines(2, 5, 4) + _tampered_a2_lines(
+        3, 3, 4
+    ) == [
+        "trial=1 seed=120 xdeg=2 pairs=(0,1) c=-1/2 a2 FAIL (t*dt-1)lnQ = 4/5 * x1^2",
+        "trial=2 seed=121 xdeg=2 pairs=(0,0) c=-3/7 a2 FAIL (t*dt-1)lnQ = 5/3 * x1*t^2",
+        "trial=3 seed=122 xdeg=2 pairs=(0,1) c=-3/5 a2 FAIL (t*dt-1)lnQ = -16/3 * x1*t^3",
+        "trial=4 seed=123 xdeg=2 pairs=(0,0) c=-1/2 a2 PASS",
+        "trial=1 seed=250 xdeg=5 pairs=(1,0),(1,0) c=-4/9,-7 a2 FAIL"
+        " (t*dt-1)lnQ = -8/9 * x1^2*x2^3",
+        "trial=2 seed=251 xdeg=5 pairs=(1,0),(0,1) c=3/8,-2/7 a2 FAIL"
+        " (t*dt-1)lnQ = 4/9 * x1^2*x2^2*t^2",
+        "trial=3 seed=252 xdeg=5 pairs=(0,1),(0,0) c=0,-5/4 a2 FAIL (t*dt-1)lnQ = 1 * x2^3*t^3",
+        "trial=4 seed=253 xdeg=5 pairs=(0,1),(0,1) c=3/7,-5/4 a2 FAIL"
+        " (t*dt-1)lnQ = 3/5 * x2^2*t^2*z",
+        "trial=1 seed=330 xdeg=3 pairs=(0,1),(0,0),(0,0) c=1/3,-3/2,7/6 a2 FAIL"
+        " (t*dt-1)lnQ = 3/2 * x1*x3^2",
+        "trial=2 seed=331 xdeg=3 pairs=(0,1),(1,0),(0,0) c=-1,3/4,1/7 a2 FAIL"
+        " (t*dt-1)lnQ = 1/7 * x2*x3^2*t^2",
+        "trial=3 seed=332 xdeg=3 pairs=(0,0),(0,1),(0,1) c=9/7,9/7,-4 a2 FAIL"
+        " (t*dt-1)lnQ = -1 * x3*t^3",
+        "trial=4 seed=333 xdeg=3 pairs=(0,1),(1,0),(1,0) c=-3/7,-7/5,8/9 a2 FAIL"
+        " (t*dt-1)lnQ = 2/3 * x2^2*x3*t^2*z",
+    ]
+    # 20 a shape, 4 of them PASS, pinned by the sha256 of their lines
+    lines = [line for shape in ((1, 2), (2, 5), (3, 3)) for line in _tampered_a2_lines(*shape, 20)]
+    assert sum(line.endswith(" a2 PASS") for line in lines) == 4
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "948dba1fc558762c4aa12b63c72f8b34daa2c214880d8ca2e95356f41a096927"
+
+
+
+@st.composite
+def tampered(draw, build):
+    """(cfg, build(cfg) plus 0-2 random terms of positive x-degree and t, z
+    exponents up to 3), on shapes small enough for the power-sum log."""
+    nvars, xdeg = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cfg = LemmaConfig(
+        draw(st.lists(st.sampled_from(ALLOWED_PAIRS), min_size=nvars, max_size=nvars)),
+        draw(st.lists(st.fractions(-9, 9, max_denominator=9), min_size=nvars, max_size=nvars)),
+        xdeg,
+    )
+    terms = {}
+    for _ in range(draw(st.integers(0, 2))):
+        x = [0] * nvars
+        for _ in range(draw(st.integers(1, xdeg))):
+            x[draw(st.integers(0, nvars - 1))] += 1
+        tz = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        terms[(*x, *tz)] = draw(st.fractions(-9, 9, max_denominator=9).filter(bool))
+    return cfg, build(cfg) + MultiPoly(nvars, xdeg, terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tampered(build_p))
+def test_a1_passes_exactly_when_the_second_derivatives_vanish(case):
+    # check_a1 may decide on the keys of the log in (t, s); the decision
+    # must be that of the three (t, z) second derivatives of ln P
+    cfg, p = case
+    v = cfg.nvars
+    ln_p = mp_log_by_powers(p.terms, v, cfg.xdeg_max)
+    d_t, d_z = mp_partial(ln_p, v), mp_partial(ln_p, v + 1)
+    affine = not (mp_partial(d_t, v) or mp_partial(d_z, v + 1) or mp_partial(d_t, v + 1))
+    assert check_a1(cfg, p).passed == affine
+
+
+@settings(max_examples=40, deadline=None)
+@given(tampered(build_q))
+def test_a2_passes_exactly_when_the_residual_vanishes(case):
+    cfg, q = case
+    v, xd = cfg.nvars, cfg.xdeg_max
+    ln_q = mp_log_by_powers(q.terms, v, xd)
+    t = {(0,) * v + (1, 0): Fraction(1)}
+    residual = mp_add(mp_mul(t, mp_partial(ln_q, v), xd), ln_q, Fraction(-1))
+    assert check_a2(cfg, q).passed == (not residual)
 
 def test_failing_report_names_offending_term():
     # feed check_a2 a configuration-shaped lie: Q built with a tampered term
