@@ -42,17 +42,17 @@ FORMATS = ("pretty", "json", "csv")
 # Lemma requests above these are refused before any work.  A trial's cost
 # grows with the term count of P: at the term ceiling the slowest admitted
 # shapes, --vars 1 --xdeg 37 and --vars 2 --xdeg 15 with every pair (0, 1),
-# take 12-35 ms a trial for a1, which takes its log in (t, s = t + z), and
-# 8-21 ms for a2; --vars 3 --xdeg 4 takes 0.2-1.5 ms (fresh process,
-# shared 2-CPU x86, Python 3.11; the ranges include the machine's load
-# phases, up to 1.7x apart).
+# take 13-33 ms a trial for a1, which passes its log in (t, s = t + z) by
+# its keys, and 10-23 ms for a2; --vars 3 --xdeg 4 takes 0.1-1.3 ms (in
+# process, shared 2-CPU x86, Python 3.11; the ranges include the machine's
+# load phases, up to 1.7x apart).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests, a1 and
-# a2 --vars 0 --trials 40000, take 1.6-3.6 s, and a1 and a2 --vars 1 --xdeg
-# 37 --trials 4 --seed 481 (every trial (0, 1)) 0.11-0.14 s (fresh process,
-# best of 3; runs in one load phase read 1.6-2.6 s, two in a slower one
-# 3.2-3.6 s).
+# a2 --vars 0 --trials 40000, take 2.0-2.9 s, and a1 and a2 --vars 1 --xdeg
+# 37 --trials 4 --seed 481 and --vars 2 --xdeg 15 --trials 4 --seed 37
+# (trial 1 every pair (0, 1)) 0.09-0.21 s (fresh process, 8 runs each,
+# same machine).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000

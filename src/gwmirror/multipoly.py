@@ -42,7 +42,10 @@ field adds j * EXP_MAX to the key.  The total degree in t and z is kept,
 so a block's bound becomes the larger of its own and the largest a + b,
 and the shear raises OverflowError before it writes a key whose a + b
 passes EXP_MAX.  A sheared result keeps its source, so
-p.shear(c).shear(-c) returns p itself and does no work.
+p.shear(c).shear(-c) returns p itself and does no work.  Where every
+block bound of p is at most EXP_MAX // 2, no a + b can pass EXP_MAX and
+the result's blocks and bounds are formed on their first read; above
+that they are formed at once, so any OverflowError comes from ``shear``.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -346,7 +349,8 @@ class MultiPoly:
         """q(x, t, z) = p(x, t, z + c t) for an integer c (module docstring):
         t^a z^b becomes sum_j C(b, j) c^j t^(a+j) z^(b-j), one signed
         binomial row on the packed key.  q keeps p as its source, so
-        q.shear(-c) is p again and does no work."""
+        q.shear(-c) is p again and does no work; q's blocks may be formed
+        only when first read (``__getattr__``, module docstring)."""
         if type(c) is not int:
             raise TypeError("shear takes an integer c")
         source = self._source
@@ -354,6 +358,24 @@ class MultiPoly:
             return source[1]
         if not c:
             return self
+        if 2 * max(self._bounds.values(), default=0) > EXP_MAX:
+            q = self._sheared(c)
+        else:
+            q = object.__new__(MultiPoly)
+            q.__dict__.update(nvars=self.nvars, xdeg_max=self.xdeg_max, _den=self._den)
+        q.__dict__["_source"] = (c, self)
+        return q
+
+    def __getattr__(self, name: str) -> Blocks | Bounds:
+        """A shear's blocks or bounds, both formed on the first read."""
+        if name not in ("_blocks", "_bounds") or self._source is None:
+            raise AttributeError(name)
+        q = self._source[1]._sheared(self._source[0])
+        self.__dict__.update(_blocks=q._blocks, _bounds=q._bounds)
+        return self.__dict__[name]
+
+    def _sheared(self, c: int) -> MultiPoly:
+        """The work of shear(c), with no source kept."""
         out: Blocks = {}
         bounds: Bounds = {}
         for d, block in self._blocks.items():
@@ -375,9 +397,7 @@ class MultiPoly:
                     k = key + offset
                     into[k] = get(k, 0) + coeff * mult
             bounds[d] = bound
-        q = self._result(out, self._den, bounds)
-        q.__dict__["_source"] = (c, self)
-        return q
+        return self._result(out, self._den, bounds)
 
     def _solve(
         self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int

@@ -486,6 +486,21 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
     assert report.line(trial=1).endswith("a1 FAIL d2t(lnP) = 2/3 * x1^2")
 
 
+@pytest.mark.parametrize(
+    "tz, offending",
+    [
+        # x1 z (t + z) is x1 (s^2 - t s) in (t, s = t + z): no t exponent passes 1
+        (((1, 1), (0, 2)), "d2z(lnP) = 2 * x1"),
+        # x1 t (t + z) is x1 t s: no exponent passes 1, their sum does
+        (((2, 0), (1, 1)), "d2t(lnP) = 2 * x1"),
+    ],
+)
+def test_a1_fails_on_a_term_of_degree_two_in_t_and_s_together(tz, offending):
+    cfg = LemmaConfig(((0, 1),), (Fraction(1, 2),), 1)
+    p = build_p(cfg) + MultiPoly(1, 1, {(1, *e): 1 for e in tz})
+    assert check_a1(cfg, p).line() == f"seed=- xdeg=1 pairs=(0,1) c=1/2 a1 FAIL {offending}"
+
+
 # (t, z) exponents of the term added to P in the tampered trials below: t^2,
 # z^2 and t z each break one residual, t^3 z several.
 _TAMPER_TZ = ((2, 0), (0, 2), (1, 1), (3, 1))
@@ -551,7 +566,6 @@ def test_a1_fail_lines_of_tampered_p_keep_their_bytes():
     assert digest == "0677631677ede3b76a836c1131f1c853dbf3d6828bba169c931cf38489981f7c"
 
 
-
 def test_a2_fail_lines_of_tampered_q_keep_their_bytes():
     # check_a2 passes ln Q by its keys and forms the residual only on a
     # failure; every line must keep its bytes, PASS where the tamper term
@@ -585,7 +599,6 @@ def test_a2_fail_lines_of_tampered_q_keep_their_bytes():
     assert sum(line.endswith(" a2 PASS") for line in lines) == 4
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "948dba1fc558762c4aa12b63c72f8b34daa2c214880d8ca2e95356f41a096927"
-
 
 
 @st.composite
@@ -630,6 +643,7 @@ def test_a2_passes_exactly_when_the_residual_vanishes(case):
     t = {(0,) * v + (1, 0): Fraction(1)}
     residual = mp_add(mp_mul(t, mp_partial(ln_q, v), xd), ln_q, Fraction(-1))
     assert check_a2(cfg, q).passed == (not residual)
+
 
 def test_failing_report_names_offending_term():
     # feed check_a2 a configuration-shaped lie: Q built with a tampered term
