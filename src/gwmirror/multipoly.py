@@ -35,8 +35,8 @@ most the x-degree, as in the lemma's P and Q, log and exp keep that bound.
 ``shear(c)`` is the change of variables q(x, t, z) = p(x, t, z + c t) for
 an integer c.  It keeps the x-degree and is a ring automorphism, so it
 commutes with the truncated log and exp: the lemma takes the log of its
-P in the coordinates (t, s = t + z), where P is sparse, and shears the
-log back.  A key t^a z^b becomes the signed binomial row
+P in the coordinates (t, s = t + z), where P is sparse, and shears a
+failing log back.  A key t^a z^b becomes the signed binomial row
 sum_j C(b, j) c^j t^(a+j) z^(b-j); moving j from the z field to the t
 field adds j * EXP_MAX to the key.  The total degree in t and z is kept,
 so a block's bound becomes the larger of its own and the largest a + b,
