@@ -22,20 +22,20 @@ The c_i are sampled as exact rationals rather than carried as formal
 variables; many sampled instances give the same assurance at a fraction
 of the cost, and the checks stay exact for every sample.
 
-P is built, and its log taken, in the coordinates (t, s) with s = t + z.
-There term k of P'(t, s) = P(t, s - t) is t^{a.k} times a polynomial in
-s of degree b.k, b.k + 1 terms where P has (b.k + 1)(b.k + 2)/2.  The
-substitution z -> s - t is a ring automorphism that keeps the x-degree,
-so it commutes with the truncated log; it keeps each term's degree in
-(t, z), so ln P is affine exactly when no key of ln P' has t and s
-exponents adding up to more than 1.  ``build_p`` writes P' (a b.k = 0
-term as 1/k!, with no product) and returns P = P'.shear(1)
-(``MultiPoly.shear``), which keeps P' and is formed only when read.
-``check_a1`` passes log(P.shear(-1)) by its keys and shears it back for
-the three residuals only on a failure, so every FAIL line is that of
-ln P.  ``check_a2`` likewise forms (t d/dt - 1) ln Q, which multiplies
-t^e by e - 1, only when a key of ln Q has a t exponent other than 1.
-The closed form of P at c = 0 is formed in s as well.
+P lives in the coordinates (t, s) with s = t + z.  There term k of
+P'(t, s) = P(t, s - t) is t^{a.k} times a polynomial in s of degree b.k,
+b.k + 1 terms where P has (b.k + 1)(b.k + 2)/2.  The substitution
+z -> s - t is a ring automorphism that keeps the x-degree, so it
+commutes with the truncated log; it keeps each term's degree in (t, z),
+so ln P is affine exactly when no key of ln P' has t and s exponents
+adding up to more than 1.  ``build_p`` returns P' (a b.k = 0 term as
+1/k!, with no product), and P(t, z) is ``build_p(cfg).shear(1)``
+(``MultiPoly.shear``).  ``check_a1`` passes log P' by its keys and
+shears it back for the three residuals only on a failure, so every FAIL
+line is that of ln P.  ``check_a2`` likewise forms (t d/dt - 1) ln Q,
+which multiplies t^e by e - 1, only when a key of ln Q has a t exponent
+other than 1.  The closed form of P at c = 0 is formed in s as well, and
+a mismatch is named in (t, z).
 
 The builders make no Fraction, and what depends only on the shape
 (nvars, xdeg_max), the multi-indices with their packed keys and
@@ -193,14 +193,14 @@ def _assemble(cfg: LemmaConfig, reduced, shift: int) -> MultiPoly:
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:
-    """Exact truncated expansion of P(t, z) over all k with sum(k) <= xdeg_max.
+    """Exact truncated expansion of P over all k with sum(k) <= xdeg_max,
+    in (t, s = t + z): P'(t, s) = P(t, s - t), the power of s in z's field.
+    P(t, z) itself is ``build_p(cfg).shear(1)``.
 
-    The product over i is collected in s = t + z on integer numerators and
-    written as P'(t, s) = P(t, s - t), the power of s in z's field; P is
-    P'.shear(1), which keeps P' for check_a1.  The terms of k share the
-    product's reduced denominator, which is the lcm of their own in P as
-    in P': the coefficient of t^{a.k} z^m in P is that of t^{a.k} s^m in
-    P', since C(m, 0) = 1.
+    The product over i is collected in s on integer numerators.  The terms
+    of k share the product's reduced denominator, which is the lcm of their
+    own in P as in P': the coefficient of t^{a.k} z^m in P is that of
+    t^{a.k} s^m in P', since C(m, 0) = 1.
     """
     cnum, cden = _ints(cfg.cs)
     pairs = cfg.pairs
@@ -218,7 +218,7 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
         else:  # the empty product: 1/k!
             w, den = (1,), kfact
         reduced.append((s, xkey + (ak << FIELD_BITS), w, den))
-    return _assemble(cfg, reduced, 0).shear(1)
+    return _assemble(cfg, reduced, 0)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
@@ -238,9 +238,10 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
 
 def check_a1(cfg: LemmaConfig, p: MultiPoly | None = None) -> CheckReport:
     """All three second derivatives of ln P vanish identically; p is
-    build_p(cfg) when the caller has built it already.  The log is taken
-    in (t, s = t + z), and brought back only to fail (module docstring)."""
-    ln_p = (build_p(cfg) if p is None else p).shear(-1).log()
+    build_p(cfg), P in (t, s = t + z), when the caller has built it
+    already.  The log is taken in (t, s), and sheared back to (t, z) only
+    to name a failure (module docstring)."""
+    ln_p = (build_p(cfg) if p is None else p).log()
     keys = (k for b in ln_p._blocks.values() for k in b)
     if all((k >> FIELD_BITS & EXP_MAX) + (k & EXP_MAX) <= 1 for k in keys):
         return CheckReport("a1", cfg, True)
@@ -270,9 +271,9 @@ def check_a2(cfg: LemmaConfig, q: MultiPoly | None = None) -> CheckReport:
 
 @lru_cache(maxsize=16)
 def _closed_forms(pairs: tuple[tuple[int, int], ...], xdeg_max: int) -> tuple[MultiPoly, MultiPoly]:
-    """P and Q at c = 0 (check_closed_forms), built once for every trial
-    with these pairs and this x-degree; a MultiPoly is never changed, so
-    the trials share them."""
+    """P in (t, s = t + z) and Q at c = 0 (check_closed_forms), built
+    once for every trial with these pairs and this x-degree; a MultiPoly
+    is never changed, so the trials share them."""
     v, xd = len(pairs), xdeg_max
     exp_arg = MultiPoly.zero(v, xd)
     binom_sum = MultiPoly.zero(v, xd)
@@ -285,10 +286,9 @@ def _closed_forms(pairs: tuple[tuple[int, int], ...], xdeg_max: int) -> tuple[Mu
             binom_sum = binom_sum + xi
         else:
             exp_arg = exp_arg + (xi * t if a == 1 else xi)
-    # (1 + sum_j x_j)^(z+t) = exp(s log(1 + sum_j x_j)) is formed in s, z's
-    # field, and sheared to (t, z); the exponential factor has no z.
+    # (1 + sum_j x_j)^(z+t) = exp(s log(1 + sum_j x_j)), s in z's field
     s = MultiPoly.z(v, xd)
-    p_expected = (exp_arg.exp() * (s * (binom_sum + 1).log()).exp()).shear(1)
+    p_expected = exp_arg.exp() * (s * (binom_sum + 1).log()).exp()
     q_expected = (t * (all_sum + 1).log()).exp()
     return p_expected, q_expected
 
@@ -301,16 +301,18 @@ def check_closed_forms(
         P = exp(sum_i x_i t^{a_i}) * (1 + sum_j x_j)^{z+t}
     (the first factor over the b_i = 0 variables, the second over the
     (0,1) variables), and Q = (1 + sum_i x_i)^t.  p and q are build_p(cfg)
-    and build_q(cfg) when the caller has built them already.
+    and build_q(cfg) when the caller has built them already; P is compared
+    in (t, s = t + z), where the second factor is (1 + sum_j x_j)^s, and a
+    mismatch is named in (t, z).
     """
     if any(c != 0 for c in cfg.cs):
         raise ValueError("closed forms require all c_i = 0")
     p_expected, q_expected = _closed_forms(cfg.pairs, cfg.xdeg_max)
-    for name, got, want in (
-        ("P", build_p(cfg) if p is None else p, p_expected),
-        ("Q", build_q(cfg) if q is None else q, q_expected),
+    for name, got, want, back in (
+        ("P", build_p(cfg) if p is None else p, p_expected, 1),
+        ("Q", build_q(cfg) if q is None else q, q_expected, 0),
     ):
         if got != want:
-            where = (got - want).leading_term_str()
+            where = (got - want).shear(back).leading_term_str()
             return CheckReport("closed-form", cfg, False, f"{name} mismatch at {where}")
     return CheckReport("closed-form", cfg, True)

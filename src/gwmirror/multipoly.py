@@ -34,18 +34,15 @@ most the x-degree, as in the lemma's P and Q, log and exp keep that bound.
 
 ``shear(c)`` is the change of variables q(x, t, z) = p(x, t, z + c t) for
 an integer c.  It keeps the x-degree and is a ring automorphism, so it
-commutes with the truncated log and exp: the lemma takes the log of its
-P in the coordinates (t, s = t + z), where P is sparse, and shears a
-failing log back.  A key t^a z^b becomes the signed binomial row
-sum_j C(b, j) c^j t^(a+j) z^(b-j); moving j from the z field to the t
-field adds j * EXP_MAX to the key.  The total degree in t and z is kept,
-so a block's bound becomes the larger of its own and the largest a + b,
-and the shear raises OverflowError before it writes a key whose a + b
-passes EXP_MAX.  A sheared result keeps its source, so
-p.shear(c).shear(-c) returns p itself and does no work.  Where every
-block bound of p is at most EXP_MAX // 2, no a + b can pass EXP_MAX and
-the result's blocks and bounds are formed on their first read; above
-that they are formed at once, so any OverflowError comes from ``shear``.
+commutes with the truncated log and exp: the lemma builds its P in the
+coordinates (t, s = t + z), where P is sparse, takes its log there and
+shears only a failing log back.  A key t^a z^b becomes the signed
+binomial row sum_j C(b, j) c^j t^(a+j) z^(b-j), each coefficient the one
+before it times (b - j) c / (j + 1), an exact division; moving j from
+the z field to the t field adds j * EXP_MAX to the key.  The total degree
+in t and z is kept, so a block's bound becomes the larger of its own and
+the largest a + b, and the shear raises OverflowError before it writes a
+key whose a + b passes EXP_MAX.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -67,8 +64,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, gcd, lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .cohomology import Rational, as_fraction
 
@@ -93,14 +90,6 @@ def _unpack(packed: int, nfields: int) -> Key:
     return struct.unpack(f">{nfields}I", packed.to_bytes(FIELD_BITS // 8 * nfields, "big"))
 
 
-@lru_cache(maxsize=256)
-def _shear_row(b: int, c: int) -> tuple[tuple[int, int], ...]:
-    """(key offset, C(b, j) c^j) for j = 0..b: z^b -> (z + c t)^b.  Moving
-    j from the z field to the t field adds j << FIELD_BITS and subtracts j,
-    j * EXP_MAX in all."""
-    return tuple((j * EXP_MAX, comb(b, j) * c**j) for j in range(b + 1))
-
-
 def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None:
     """into += scale * block."""
     for k, c in block.items():
@@ -109,7 +98,6 @@ def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None
 
 class MultiPoly:
     __hash__ = None  # equality compares the terms
-    _source = None  # (c, p) when this is p.shear(c)
 
     def __init__(self, nvars: int, xdeg_max: int, terms: Mapping[Key, Rational] | None = None):
         parts: list[Part] = []
@@ -348,34 +336,11 @@ class MultiPoly:
     def shear(self, c: int) -> MultiPoly:
         """q(x, t, z) = p(x, t, z + c t) for an integer c (module docstring):
         t^a z^b becomes sum_j C(b, j) c^j t^(a+j) z^(b-j), one signed
-        binomial row on the packed key.  q keeps p as its source, so
-        q.shear(-c) is p again and does no work; q's blocks may be formed
-        only when first read (``__getattr__``, module docstring)."""
+        binomial row on the packed key."""
         if type(c) is not int:
             raise TypeError("shear takes an integer c")
-        source = self._source
-        if source is not None and source[0] == -c:
-            return source[1]
         if not c:
             return self
-        if 2 * max(self._bounds.values(), default=0) > EXP_MAX:
-            q = self._sheared(c)
-        else:
-            q = object.__new__(MultiPoly)
-            q.__dict__.update(nvars=self.nvars, xdeg_max=self.xdeg_max, _den=self._den)
-        q.__dict__["_source"] = (c, self)
-        return q
-
-    def __getattr__(self, name: str) -> Blocks | Bounds:
-        """A shear's blocks or bounds, both formed on the first read."""
-        if name not in ("_blocks", "_bounds") or self._source is None:
-            raise AttributeError(name)
-        q = self._source[1]._sheared(self._source[0])
-        self.__dict__.update(_blocks=q._blocks, _bounds=q._bounds)
-        return self.__dict__[name]
-
-    def _sheared(self, c: int) -> MultiPoly:
-        """The work of shear(c), with no source kept."""
         out: Blocks = {}
         bounds: Bounds = {}
         for d, block in self._blocks.items():
@@ -393,9 +358,11 @@ class MultiPoly:
                             f"a shear could reach exponent {top}, above the limit {EXP_MAX}"
                         )
                     bound = top
-                for offset, mult in _shear_row(b, c):
-                    k = key + offset
-                    into[k] = get(k, 0) + coeff * mult
+                m = coeff  # coeff C(b, j) c^j at t^(a+j) z^(b-j), j = 0..b
+                for j in range(b + 1):
+                    into[key] = get(key, 0) + m
+                    m = m * (b - j) * c // (j + 1)
+                    key += EXP_MAX  # the t field up by 1, the z field down by 1
             bounds[d] = bound
         return self._result(out, self._den, bounds)
 

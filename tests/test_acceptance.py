@@ -137,7 +137,7 @@ def test_criterion_6_closed_form_factorization():
         cfg = LemmaConfig(pairs, (Fraction(0),) * nvars, rng.randint(2, 5))
         result = check_closed_forms(cfg)
         assert result.passed, result.line()
-        assert build_p(cfg) == _p_closed_form(cfg)
+        assert build_p(cfg).shear(1) == _p_closed_form(cfg)
         done += 1
     report(6, "P factors as exp(sum x_i t^a_i) * (1+sum x_j)^(z+t) at c=0")
 

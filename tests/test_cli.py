@@ -231,6 +231,24 @@ def test_lemma_builds_each_series_once_a_closed_form_trial(which, monkeypatch, c
     assert capsys.readouterr().out.count("closed-form PASS\n") == 3
 
 
+@pytest.mark.parametrize("which", ["a1", "a2"])
+def test_passing_lemma_requests_never_shear(which, monkeypatch, capsys):
+    # P is built, logged and compared with its closed form in (t, s = t + z);
+    # only a failure is sheared back to (t, z) to be named.  Trial 1 has
+    # pairs (0,1),(1,0) and c = 0,0, so it runs the closed forms too.
+    from gwmirror import MultiPoly, cli
+
+    shears = []
+    real = MultiPoly.shear
+    monkeypatch.setattr(MultiPoly, "shear", lambda p, c: shears.append(c) or real(p, c))
+    argv = ["lemma", which, "--vars", "2", "--xdeg", "5", "--trials", "4", "--seed", "17"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.count(" PASS\n") == 5
+    assert "trial=1 seed=17 xdeg=5 pairs=(0,1),(1,0) c=0,0 closed-form PASS\n" in out
+    assert shears == []
+
+
 def test_lemma_rejects_bad_flags():
     assert run("lemma", "a1", "--vars", "-1").returncode == 2
     assert run("lemma", "a1", "--trials", "0").returncode == 2
@@ -608,7 +626,7 @@ def _plain_requests():
             yield from (w.argv(random.Random(seed)) for seed in range(3))
     ci = (root / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     ceilings = re.findall(r"^ +ceiling [0-9a-f]{64} (.+)$", ci, flags=re.M)
-    assert len(ceilings) == 9
+    assert len(ceilings) == 12
     yield from (line.split() for line in ceilings)
     examples = re.findall(r"^\$ gwmirror (.+)$", _readme_block("text", "Examples:"), flags=re.M)
     assert len(examples) == 2
@@ -619,7 +637,7 @@ def test_plain_requests_need_no_argparse():
     from gwmirror import cli
 
     requests = list(_plain_requests())
-    assert len(requests) == 3 * 3 + 3 + 9 + 2
+    assert len(requests) == 3 * 3 + 3 + 12 + 2
     for argv in requests:
         args = cli._parse(argv)
         assert args is not None, argv

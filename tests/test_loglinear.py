@@ -32,6 +32,7 @@ from oracles import (
     mp_log_by_powers,
     mp_mul,
     mp_partial,
+    mp_shear,
     multi_indices_recursive,
 )
 from strategies import million
@@ -69,6 +70,11 @@ def brute_force_p(cfg):
     return total
 
 
+def brute_force_p_ts(cfg):
+    """P'(t, s) = P(t, s - t), the brute-force P sheared term by term."""
+    return MultiPoly(cfg.nvars, cfg.xdeg_max, mp_shear(brute_force_p(cfg).terms, -1))
+
+
 def brute_force_q(cfg):
     """sum_k x^k/k! t prod_{i=1}^{sum(k)-1} (c.k + t - i), with 1 at k = 0."""
     v, xd = cfg.nvars, cfg.xdeg_max
@@ -101,7 +107,7 @@ lemma_configs = st.integers(0, 3).flatmap(
 @example(LemmaConfig(((1, 0), (0, 0)), (Fraction(4, 7), Fraction(-2, 3)), 4))  # b.k = 0
 @example(LemmaConfig(((0, 1), (1, 0), (0, 0)), (Fraction(0),) * 3, 4))  # c = 0
 def test_builders_match_brute_force_expansion(cfg):
-    assert build_p(cfg).terms == brute_force_p(cfg).terms
+    assert build_p(cfg).shear(1).terms == brute_force_p(cfg).terms
     assert build_q(cfg).terms == brute_force_q(cfg).terms
 
 
@@ -117,20 +123,24 @@ wide_lemma_configs = st.integers(0, 4).flatmap(
 
 @settings(max_examples=40, deadline=None)
 @given(wide_lemma_configs)
+def test_build_p_is_p_in_t_and_s(cfg):
+    # build_p returns P'(t, s) = P(t, s - t); its shear by 1 is P itself
+    p, brute = build_p(cfg), brute_force_p(cfg).terms
+    assert p.shear(1).terms == brute
+    assert p.terms == mp_shear(brute, -1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_lemma_configs)
 def test_builders_hand_log_the_validated_integers(cfg):
     # The builders skip the validating constructor; the numerator blocks and
     # the common denominator they hand over, which log and exp read, must be
     # those the constructor makes from the same terms.
-    for built, brute in ((build_p(cfg), brute_force_p(cfg)), (build_q(cfg), brute_force_q(cfg))):
+    for built, brute in ((build_p(cfg), brute_force_p_ts(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
-    # P keeps the P(t, s - t) it was sheared from, which check_a1 takes
-    # without any work: the integers a fresh shear of the validated P gives
     p = build_p(cfg)
     validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
-    kept, fresh = p.shear(-1), validated.shear(-1)
-    assert (kept._blocks, kept._den) == (fresh._blocks, fresh._den)
-    assert p.shear(-1) is kept and kept.shear(1) == p
     assert check_a1(cfg, p) == check_a1(cfg, validated)
 
 
@@ -163,7 +173,7 @@ def test_builders_do_not_depend_on_the_shape_cache(cfg):
     reused = _built(cfg)
     assert after_other == fresh and reused == fresh
     top = cfg.xdeg_max if cfg.nvars else 0
-    for (blocks, den, bounds), brute in zip(fresh, (brute_force_p, brute_force_q)):
+    for (blocks, den, bounds), brute in zip(fresh, (brute_force_p_ts, brute_force_q)):
         terms = brute(cfg).terms if cfg.nvars else {(0, 0): 1}
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
         assert (blocks, den) == (want._blocks, want._den)
@@ -181,7 +191,7 @@ def test_deep_one_variable_log_and_exp_match_power_sums():
     ln_q = q.log()
     assert ln_q.terms == mp_log_by_powers(q.terms, 1, 20)
     assert ln_q.exp() == q
-    p = build_p(cfg)
+    p = build_p(cfg).shear(1)
     ln_p = p.log()
     exp_ln_p = ln_p.exp()
     assert exp_ln_p.terms == mp_exp_by_powers(ln_p.terms, 1, 20)
@@ -202,7 +212,7 @@ def test_build_p_pure_t_variable():
         + x * x * t * t * Fraction(1, 2)
         + x * x * x * t * t * t * Fraction(1, 6)
     )
-    assert build_p(cfg) == expected
+    assert build_p(cfg).shear(1) == expected
 
 
 def test_build_p_binomial_variable_c0():
@@ -214,7 +224,7 @@ def test_build_p_binomial_variable_c0():
         + x * expand_tz([0], 1, 2)
         + x * x * expand_tz([0, -1], 1, 2) * Fraction(1, 2)
     )
-    assert build_p(cfg) == expected
+    assert build_p(cfg).shear(1) == expected
 
 
 def test_build_p_binomial_variable_c2():
@@ -226,14 +236,15 @@ def test_build_p_binomial_variable_c2():
         + x * expand_tz([2], 1, 2)
         + x * x * expand_tz([4, 3], 1, 2) * Fraction(1, 2)
     )
-    assert build_p(cfg) == expected
+    assert build_p(cfg).shear(1) == expected
 
 
 def test_build_p_term_degrees_bounded_by_x_degree():
     rng = random.Random(3)
     for _ in range(20):
         cfg = sample_config(rng, rng.randint(0, 4), rng.randint(1, 5))
-        for key in build_p(cfg).terms:
+        p = build_p(cfg)
+        for key in [*p.terms, *p.shear(1).terms]:
             assert key[-2] + key[-1] <= sum(key[:-2])
 
 
@@ -283,7 +294,7 @@ def test_build_q_term_degrees_bounded_by_x_degree():
 
 def test_a1_hand_checked_instance():
     cfg = LemmaConfig(((0, 1),), (Fraction(2),), 2)
-    ln_p = build_p(cfg).log()
+    ln_p = build_p(cfg).shear(1).log()
     # x^2 coefficient of ln P is [(4+z+t)(3+z+t) - (2+z+t)^2]/2 = (3(z+t)+8)/2
     assert ln_p.terms.get((2, 0, 0), 0) == 4
     assert ln_p.terms.get((2, 1, 0), 0) == Fraction(3, 2)
@@ -347,7 +358,7 @@ def test_closed_form_single_binomial_variable():
     assert check_closed_forms(cfg).passed
     # cross-check the binomial series from first principles:
     # (1+x)^{z+t} = sum_s C(z+t, s) x^s
-    p = build_p(cfg)
+    p = build_p(cfg).shear(1)
     s = MultiPoly.t(1, 4) + MultiPoly.z(1, 4)
     binom3 = s * (s - 1) * (s - 2) * Fraction(1, factorial(3))
     got_x3 = {k[1:]: c for k, c in p.terms.items() if k[0] == 3}
@@ -359,8 +370,8 @@ def test_closed_form_single_binomial_variable():
     "pairs,xdeg", [(((0, 1),), 6), (((0, 1), (1, 0)), 4), (((0, 0), (0, 1), (0, 1)), 3)]
 )
 def test_closed_form_p_matches_its_product_in_t_and_z(pairs, xdeg):
-    # The expected P is formed in s = t + z and sheared back; formed in t
-    # and z themselves, through z + t, it must be the same polynomial
+    # The expected P is formed in s = t + z; sheared back to (t, z), it
+    # must be the product formed there, through z + t
     v = len(pairs)
     t, z = MultiPoly.t(v, xdeg), MultiPoly.z(v, xdeg)
     exp_arg = binom = MultiPoly.zero(v, xdeg)
@@ -371,7 +382,7 @@ def test_closed_form_p_matches_its_product_in_t_and_z(pairs, xdeg):
         else:
             exp_arg = exp_arg + (xi * t if a else xi)
     want = exp_arg.exp() * ((z + t) * (binom + 1).log()).exp()
-    assert loglinear._closed_forms(pairs, xdeg)[0].terms == want.terms
+    assert loglinear._closed_forms(pairs, xdeg)[0].shear(1).terms == want.terms
 
 def test_closed_form_empty_variable_set():
     cfg = zero_c_config([], 3)
@@ -388,13 +399,38 @@ def test_closed_forms_survive_a_failing_check():
     p = build_p(cfg)
     memo = loglinear._closed_forms(cfg.pairs, cfg.xdeg_max)
     before = [({d: dict(b) for d, b in e._blocks.items()}, e._den, dict(e._bounds)) for e in memo]
-    tampered = p + MultiPoly(2, 3, {(1, 0, 2, 0): Fraction(1, 3)})
+    tampered = (p.shear(1) + MultiPoly(2, 3, {(1, 0, 2, 0): Fraction(1, 3)})).shear(-1)
     report = check_closed_forms(cfg, tampered)
     assert not report.passed
     assert report.offending == "P mismatch at 1/3 * x1*t^2"
     assert check_closed_forms(cfg, p).passed
     assert loglinear._closed_forms(cfg.pairs, cfg.xdeg_max) is memo
     assert [(e._blocks, e._den, e._bounds) for e in memo] == before
+
+
+@pytest.mark.parametrize(
+    "pairs, bad, line",
+    [
+        (
+            ((0, 1), (0, 1)),
+            {(1, 1, 0, 2): Fraction(-2, 5), (0, 2, 1, 1): Fraction(3, 7)},
+            "trial=1 seed=- xdeg=3 pairs=(0,1),(0,1) c=0,0 closed-form FAIL"
+            " P mismatch at 3/7 * x2^2*t*z",
+        ),
+        (
+            ((0, 1), (1, 0)),
+            {(1, 1, 0, 3): Fraction(-2, 5), (1, 1, 1, 1): Fraction(1, 2)},
+            "trial=1 seed=- xdeg=3 pairs=(0,1),(1,0) c=0,0 closed-form FAIL"
+            " P mismatch at -2/5 * x1*x2*z^3",
+        ),
+    ],
+)
+def test_closed_form_mismatch_line_keeps_its_bytes(pairs, bad, line):
+    # P is compared in (t, s) and the mismatch named in (t, z); the lines
+    # were taken from a comparison in (t, z)
+    cfg = zero_c_config(pairs, 3)
+    tampered = (build_p(cfg).shear(1) + MultiPoly(2, 3, bad)).shear(-1)
+    assert check_closed_forms(cfg, tampered).line(trial=1) == line
 
 
 def test_closed_form_requires_zero_c():
@@ -479,7 +515,7 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
     cfg = LemmaConfig(((0, 1),), (Fraction(2),), 2)
     honest = loglinear.build_p
     bad = MultiPoly(1, 2, {(2, 2, 0): Fraction(1, 3)})
-    monkeypatch.setattr(loglinear, "build_p", lambda c: honest(c) + bad)
+    monkeypatch.setattr(loglinear, "build_p", lambda c: (honest(c).shear(1) + bad).shear(-1))
     report = check_a1(cfg)
     assert not report.passed
     assert report.offending == "d2t(lnP) = 2/3 * x1^2"
@@ -497,8 +533,8 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
 )
 def test_a1_fails_on_a_term_of_degree_two_in_t_and_s_together(tz, offending):
     cfg = LemmaConfig(((0, 1),), (Fraction(1, 2),), 1)
-    p = build_p(cfg) + MultiPoly(1, 1, {(1, *e): 1 for e in tz})
-    assert check_a1(cfg, p).line() == f"seed=- xdeg=1 pairs=(0,1) c=1/2 a1 FAIL {offending}"
+    p = _p_tz(cfg) + MultiPoly(1, 1, {(1, *e): 1 for e in tz})
+    assert _check_a1_tz(cfg, p).line() == f"seed=- xdeg=1 pairs=(0,1) c=1/2 a1 FAIL {offending}"
 
 
 # (t, z) exponents of the term added to P in the tampered trials below: t^2,
@@ -527,8 +563,18 @@ def _tampered_lines(check, build, tamper, nvars, xdeg, count):
     return lines
 
 
+def _p_tz(cfg):
+    """P(t, z), the shear of build_p's P(t, s - t)."""
+    return build_p(cfg).shear(1)
+
+
+def _check_a1_tz(cfg, p):
+    """check_a1 on a P given in (t, z)."""
+    return check_a1(cfg, p.shear(-1))
+
+
 def _tampered_a1_lines(nvars, xdeg, count):
-    return _tampered_lines(check_a1, build_p, _TAMPER_TZ, nvars, xdeg, count)
+    return _tampered_lines(_check_a1_tz, _p_tz, _TAMPER_TZ, nvars, xdeg, count)
 
 
 def _tampered_a2_lines(nvars, xdeg, count):
@@ -622,7 +668,7 @@ def tampered(draw, build):
 
 
 @settings(max_examples=40, deadline=None)
-@given(tampered(build_p))
+@given(tampered(_p_tz))
 def test_a1_passes_exactly_when_the_second_derivatives_vanish(case):
     # check_a1 may decide on the keys of the log in (t, s); the decision
     # must be that of the three (t, z) second derivatives of ln P
@@ -631,7 +677,7 @@ def test_a1_passes_exactly_when_the_second_derivatives_vanish(case):
     ln_p = mp_log_by_powers(p.terms, v, cfg.xdeg_max)
     d_t, d_z = mp_partial(ln_p, v), mp_partial(ln_p, v + 1)
     affine = not (mp_partial(d_t, v) or mp_partial(d_z, v + 1) or mp_partial(d_t, v + 1))
-    assert check_a1(cfg, p).passed == affine
+    assert _check_a1_tz(cfg, p).passed == affine
 
 
 @settings(max_examples=40, deadline=None)

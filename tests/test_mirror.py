@@ -171,6 +171,50 @@ def test_localp2_resubstitution_reproduces_f2():
     assert recursion_rhs(md, table) == md.f2
 
 
+# -- the Yukawa coupling -----------------------------------------------------------
+#
+# The 3-point function <H, H, H> read from a table, kappa + sum_d d^3 N_d Q^d,
+# equals kappa / (Delta F_0^2 (1 + theta m)^3) with theta = z d/dz and
+# m = F_1/F_0, under Q = z exp(m) (Candelas, de la Ossa, Green and Parkes,
+# Nucl. Phys. B 359, 1991); local P^2 has d^2 in place of d^3 and F_0 = 1
+# (CKYZ 1999).  The right-hand side reads F_0 and F_1 only, not the solve.
+
+YUKAWA_DMAX = 60
+
+
+def _theta(s: DSeries) -> DSeries:
+    return DSeries([d * c for d, c in enumerate(s.coeffs)], s.step)
+
+
+def _yukawa_holds(entries, power, kappa, delta, f0, m):
+    one = DSeries.one(m.dmax, m.step)
+    table = DSeries([kappa] + [d**power * v for d, v in entries], m.step)
+    w = one + _theta(m)
+    denominator = (one - DSeries.monomial(1, m.dmax, m.step, delta)) * w * w * w
+    if f0 is not None:
+        denominator = denominator * f0 * f0
+    return table.substitute(m) == denominator.inv() * kappa
+
+
+def test_quintic_table_satisfies_the_yukawa_identity():
+    md = quintic_f(YUKAWA_DMAX)
+    m = md.f1 * md.f0.inv()
+    entries = list(quintic_invariants(YUKAWA_DMAX).entries)
+    assert _yukawa_holds(entries, 3, 5, 3125, md.f0, m)
+    d, v = entries[6]
+    entries[6] = (d, v + 1)
+    assert not _yukawa_holds(entries, 3, 5, 3125, md.f0, m)
+
+
+def test_localp2_table_satisfies_the_yukawa_identity():
+    md = localp2_f(YUKAWA_DMAX)
+    entries = list(localp2_invariants(YUKAWA_DMAX).entries)
+    assert _yukawa_holds(entries, 2, 1, 27, None, md.f1)
+    d, v = entries[6]
+    entries[6] = (d, v + 1)
+    assert not _yukawa_holds(entries, 2, 1, 27, None, md.f1)
+
+
 # -- correction-free low degrees ---------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import MultiPoly, build_p, check_a1, sample_config
+from gwmirror import MultiPoly
 from gwmirror.multipoly import EXP_MAX, FIELD_BITS
 
 from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial, mp_shear
@@ -412,11 +412,6 @@ def test_products_that_could_carry_raise():
 shears = st.integers(-3, 3)
 
 
-def _fresh(p: MultiPoly) -> MultiPoly:
-    """p without the source a shear keeps, so that shearing it does the work."""
-    return MultiPoly._from_blocks(p.nvars, p.xdeg_max, p._blocks, p._den, p._bounds)
-
-
 @settings(max_examples=100, deadline=None)
 @given(
     ring_shapes.flatmap(
@@ -431,9 +426,7 @@ def test_shear_matches_the_fraction_oracle_and_round_trips(data, c):
         q = p.shear(d)
         assert q.terms == mp_shear(a, d)
         assert in_lowest_terms(q)
-        # the kept source costs nothing; a fresh shear back does the work
-        assert q.shear(-d) is p
-        back = _fresh(q).shear(-d)
+        back = q.shear(-d)
         assert back == p and back.terms == a
         assert (back._blocks, back._den) == (p._blocks, p._den)
         # every field of a sheared key is within its block's bound
@@ -467,29 +460,7 @@ def test_shear_commutes_with_log_on_wide_denominators(data, c):
     g = {k: v * w for (k, v), w in zip(g.items(), wides * len(g)) if v * w}
     p = MultiPoly(nvars, xdeg, {**g, (0,) * (nvars + 2): Fraction(1)})
     assert p.shear(c).log() == p.log().shear(c)
-    assert _fresh(p.shear(c)).log().shear(-c) == p.log()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    ring_shapes.flatmap(
-        lambda shape: st.tuples(st.just(shape), ring_terms(*shape, tz=st.integers(0, 4)))
-    ),
-    st.lists(shears, min_size=1, max_size=4),
-)
-def test_a_kept_source_equals_a_fresh_shear(data, cs):
-    # a chain of shears, where a step may undo the last and return its
-    # kept source, and the same chain with every source dropped give the
-    # same polynomial
-    (nvars, xdeg), a = data
-    kept = fresh = MultiPoly(nvars, xdeg, a)
-    for c in cs:
-        before = kept
-        kept, fresh = kept.shear(c), _fresh(fresh).shear(c)
-        assert kept == fresh
-        assert (kept._blocks, kept._den) == (fresh._blocks, fresh._den)
-        assert kept.shear(-c) == before
-    assert kept.terms == mp_shear(a, sum(cs))
+    assert p.shear(c).log().shear(-c) == p.log()
 
 
 @settings(max_examples=100, deadline=None)
@@ -525,47 +496,6 @@ def test_shear_at_the_limit():
     assert p.shear(1)._bounds == {1: EXP_MAX}
     with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
         MultiPoly(1, 1, {(1, EXP_MAX - 1, 2): 1}).shear(-1)
-
-
-def _formed(p: MultiPoly) -> bool:
-    """Whether p's blocks and bounds are stored; a shear forms its own on
-    their first read."""
-    return "_blocks" in p.__dict__ and "_bounds" in p.__dict__
-
-
-def test_a_shear_is_formed_at_once_only_where_a_key_could_pass_the_limit():
-    half = EXP_MAX // 2
-    # every field at most half: a + b cannot pass EXP_MAX, so nothing is
-    # formed until the blocks or bounds are read
-    p = MultiPoly(1, 1, {(1, half, 3): 1, (0, 2, 0): 5})
-    q = p.shear(2)
-    assert not hasattr(q, "coeffs") and not _formed(q)
-    assert q.terms == mp_shear(p.terms, 2) and _formed(q)
-    # a field above half: formed, and any OverflowError raised, in shear()
-    p = MultiPoly(1, 1, {(1, half + 1, 3): 1, (0, 2, 0): 5})
-    q = p.shear(2)
-    assert _formed(q) and q.terms == mp_shear(p.terms, 2)
-    p = MultiPoly(1, 1, {(1, EXP_MAX, 1): 1, (0, 2, 0): 5})
-    with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
-        p.shear(-1)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.integers(0, 3), st.integers(0, 5), st.booleans())
-def test_a_passing_a1_check_never_forms_p(seed, nvars, xdeg, bounds_first):
-    # build_p returns P as the shear of P(t, s - t), which check_a1 takes
-    # back; P's own blocks are formed only when read, and then equal those
-    # of an eager shear of a copy with no kept source
-    cfg = sample_config(random.Random(seed), nvars, xdeg)
-    p = build_p(cfg)
-    assert check_a1(cfg, p).passed
-    assert not _formed(p)
-    eager = _fresh(p.shear(-1))._sheared(1)
-    if bounds_first:
-        assert p._bounds == eager._bounds and p.terms == eager.terms
-    else:
-        assert p.terms == eager.terms and p._bounds == eager._bounds
-    assert (p._blocks, p._den) == (eager._blocks, eager._den)
 
 
 def test_log_exp_round_trips_keep_their_field_bounds():
