@@ -61,9 +61,10 @@ LEMMA_MAX_TERM_TRIALS = 40_000
 # the slowest admitted request takes 0.37-1.9 s (best of 3 in a fresh
 # process, eleven runs, shared 2-CPU x86, Python 3.11; the machine's load
 # phases have moved such times up to 2.4x): quintic --dmax 150 --crosscheck
-# 0.85-1.3 s, local-p2 --dmax 250 --emit-kd 1.2-1.9 s and naive --ambient
-# 16 --degree 15 --dmax 100 0.37-0.59 s.  A naive request's cost grows with
-# the ring length as well, hence its --ambient ceiling.
+# 0.73-0.87 s (five runs, Xeon, Python 3.11.7), local-p2 --dmax 250
+# --emit-kd 1.2-1.9 s and naive --ambient 16 --degree 15 --dmax 100
+# 0.37-0.59 s.  A naive request's cost grows with the ring length as well,
+# hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16
 

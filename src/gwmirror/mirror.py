@@ -154,8 +154,8 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
             acc = acc - p0[j] * quotient[k - j]
         quotient.append(acc * inv0)
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
-    # The round-trip check of revert_exp builds the kernels of h and keeps
-    # them on h, so these substitutions build no second chain.
+    # revert_exp runs on the kernels of F_1/F_0, and its round trip builds
+    # and keeps those of h, so these substitutions build no further chain.
     h = (md.f1 * inv0).revert_exp()
     corrected = [c.substitute(h) for c in quotient]
     entries = []

@@ -30,9 +30,9 @@ Algorithms and their costs in coefficient products, with n = dmax:
 * the kernels exp(d*g): row d cut at index n-d, each row from d = 2 on
   the previous one times exp(g) by one integer product, O(n^3) once per
   exponent; ``substitute`` and ``unsubstitute`` then cost O(n^2) each;
-* ``revert_exp``: Lagrange-Buermann inversion, one O(m^2) exp recurrence
-  per coefficient h_m, O(n^3); its round-trip check is one ``exp`` and
-  one ``substitute``.
+* ``revert_exp``: h = (-g).unsubstitute(g) on g's kernels, and a
+  round-trip check of two substitutions, by g and by h, that builds h's
+  kernels too, so O(n^3) in all.
 
 The recurrences append each output to their numerators with
 ``cohomology._push``, one gcd an output, so they return lowest common
@@ -41,7 +41,7 @@ forms and make no ``Fraction``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import mul
 
 from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
@@ -111,10 +111,14 @@ class DSeries(_Truncated):
     def exp(self) -> DSeries:
         """Exponential of a series with zero constant coefficient, by the
         recurrence n E_n = sum_{k=1..n} k g_k E_{n-k} that E' = g' E gives."""
-        if self._nums[0]:
+        gn, gd = self._nums, self._den
+        if gn[0]:
             raise ValueError("exp needs constant coefficient 0")
-        nums, den = _exp_coeffs(self._nums, self._den, 1, self.dmax + 1)
-        return self._like(tuple(nums), den)
+        dg = [k * c for k, c in enumerate(gn)]
+        e, ed = [1], 1  # numerators of E_0..E_{n-1} over ed
+        for n in range(1, len(gn)):
+            ed = _push(e, ed, sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n)
+        return self._like(tuple(e), ed)
 
     def log(self) -> DSeries:
         """Logarithm of a series f with constant coefficient 1: n L_n is the
@@ -205,26 +209,24 @@ class DSeries(_Truncated):
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
         series g: returns h with Q = Qt * exp(h(Qt)).
 
-        Lagrange-Buermann inversion gives each coefficient on its own:
-        h_m = -(1/m) [Q^{m-1}] g'(Q) exp(-m*g(Q)), which is the last step
-        of the exp recurrence for exp(-m*g), so h_m = [Q^m] exp(-m*g) / m.
-        The round trip is verified before returning: Q exp(g), which is
-        Q -> Q exp(g) applied to Q, must go back to Q under h.  A failure
-        would be an implementation bug, not a data error.
+        With Qt = Q exp(g(Q)), Q = Qt exp(h(Qt)) holds exactly when
+        h(Q exp(g(Q))) = -g(Q), so h is -g with the change of variables
+        run backwards: ``(-g).unsubstitute(g)``.  The round trip is
+        verified before returning: Q -> Q exp(g) and then Qt -> Qt exp(h)
+        must take Q back to Q.  A failure would be an implementation bug,
+        not a data error.  The reversion of g = Q is -W, W the Lambert
+        series:
+
+        >>> str(DSeries.monomial(1, 3).revert_exp())
+        '-1*q^1 + 1*q^2 + -3/2*q^3'
         """
         g = self
         if g._nums[0]:
             raise ValueError("reversion exponent must have zero constant term")
-        hn, hd = [0], 1
-        for m in range(1, g.dmax + 1):
-            en, ed = _exp_coeffs(g._nums, g._den, -m, m + 1)
-            hd = _push(hn, hd, en[m], ed * m)
-        h = g._like(tuple(hn), hd)
+        h = (-g).unsubstitute(g)
         if g.dmax >= 1:
             ident = DSeries.monomial(1, g.dmax, g.step)
-            e = g.exp()
-            q_exp_g = g._like(*_lowest((0,) + e._nums[:-1], e._den))
-            if q_exp_g.substitute(h) != ident:
+            if ident.substitute(g).substitute(h) != ident:
                 raise RuntimeError(
                     "series reversion failed its round-trip check (internal bug)"
                 )
@@ -237,18 +239,4 @@ class DSeries(_Truncated):
             if c != 0
         ]
         return " + ".join(parts) if parts else "0"
-
-
-# -- the exp recurrence --------------------------------------------------------
-
-
-def _exp_coeffs(gn: Sequence[int], gd: int, scale: int, length: int) -> tuple[list[int], int]:
-    """Numerators and denominator, in lowest common form, of the first
-    ``length`` coefficients of exp(scale * g) for g = gn/gd with g_0 = 0:
-    n E_n = scale * sum_{k=1..n} k g_k E_{n-k}."""
-    dg = [k * c for k, c in enumerate(gn[:length])]
-    e, ed = [1], 1  # numerators of E_0..E_{n-1} over ed
-    for n in range(1, length):
-        ed = _push(e, ed, scale * sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n)
-    return e, ed
 

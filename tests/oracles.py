@@ -13,7 +13,7 @@ import copy
 import pickle
 from dataclasses import make_dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 import pytest
 
@@ -170,10 +170,10 @@ def check_record(record, **fields) -> None:
 # -- power-summing series kernels ------------------------------------------------
 #
 # The package computes exp by its O(n^2) derivative recurrence and log as
-# theta f / f, and reverts a change of variables by Lagrange-Buermann
-# inversion.  These are the textbook definitions they replaced: sums of
-# truncated powers, and a fixed-point iteration that gains one coefficient
-# per pass.
+# theta f / f, and reverts a change of variables by running it backwards on
+# the kernels exp(d*g).  These are the textbook definitions they replaced:
+# sums of truncated powers, and a fixed-point iteration that gains one
+# coefficient per pass.
 
 
 def exp_by_powers(g: list[Fraction], r: int) -> list[Fraction]:
@@ -331,19 +331,19 @@ def exp_coeffs_fractions(g: list[Fraction], scale: int, length: int) -> list[Fra
     return e
 
 
+def revert_by_lagrange(g: list[Fraction], r: int) -> list[Fraction]:
+    """The first r coefficients of h with Q = Qt exp(h(Qt)) when
+    Qt = Q exp(g(Q)), by Lagrange-Buermann inversion (Brent & Kung, J. ACM
+    1978): h_m = -(1/m) [Q^(m-1)] g'(Q) exp(-m g(Q)) = [Q^m] exp(-m g) / m."""
+    return [Fraction(0)] + [exp_coeffs_fractions(g, -m, m + 1)[m] / m for m in range(1, r)]
+
+
 def log_fractions(f: list[Fraction]) -> list[Fraction]:
     """log(f) for f_0 = 1: n L_n = n f_n - sum_{k=1..n-1} k L_k f_{n-k}."""
     nl = [Fraction(0)]
     for n in range(1, len(f)):
         nl.append(n * f[n] - sum((nl[k] * f[n - k] for k in range(1, n)), Fraction(0)))
     return [Fraction(0)] + [c / n for n, c in enumerate(nl) if n]
-
-
-def int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], int]:
-    """Rows of rationals as (integer rows, common denominator), the form
-    of the package's integer kernels."""
-    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
-    return [[int(Fraction(x) * den) for x in row] for row in rows], den
 
 
 def fraction_rows(kernels: tuple[list[list[int]], int]) -> list[list[Fraction]]:

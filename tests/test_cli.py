@@ -64,23 +64,42 @@ def _crosscheck_in_process(capsys):
     return code, captured.out, captured.err
 
 
+def _off_by_one_at_2(method):
+    """``method`` with 1 added to index 2 of the series it returns."""
+    from gwmirror import DSeries
+
+    def spoiled(self, *args):
+        c = list(method(self, *args).coeffs)
+        c[2] += 1
+        return DSeries(c, self.step)
+
+    return spoiled
+
+
+ROUND_TRIP_FAILURE = (
+    1,
+    "",
+    "consistency failure: series reversion failed its round-trip check (internal bug)\n",
+)
+
+
 def test_quintic_crosscheck_self_check_failure_is_exit_1_with_one_line(monkeypatch, capsys):
-    from gwmirror import series
+    from gwmirror import DSeries
 
-    # Off by one in the last coefficient of exp(-m*g) only: the recursion
-    # route is untouched, and revert_exp fails its round-trip check.
-    exp_coeffs = series._exp_coeffs
+    # Off by one at index 2 of -g, which only the reversion forms: the
+    # recursion route is untouched, and revert_exp fails its round-trip check.
+    monkeypatch.setattr(DSeries, "__neg__", _off_by_one_at_2(DSeries.__neg__))
+    assert _crosscheck_in_process(capsys) == ROUND_TRIP_FAILURE
 
-    def broken(gn, gd, scale, length):
-        e, ed = exp_coeffs(gn, gd, scale, length)
-        return (e, ed) if scale > 0 else (e[:-1] + [e[-1] + ed], ed)
 
-    monkeypatch.setattr(series, "_exp_coeffs", broken)
-    assert _crosscheck_in_process(capsys) == (
-        1,
-        "",
-        "consistency failure: series reversion failed its round-trip check (internal bug)\n",
-    )
+def test_quintic_crosscheck_unsubstitute_fault_is_exit_1_with_one_line(monkeypatch, capsys):
+    from gwmirror import DSeries
+
+    # The recursion route and the reversion both run unsubstitute, so a
+    # fault there can spoil both tables; the round trip, which runs only
+    # substitute, must still refuse it.
+    monkeypatch.setattr(DSeries, "unsubstitute", _off_by_one_at_2(DSeries.unsubstitute))
+    assert _crosscheck_in_process(capsys) == ROUND_TRIP_FAILURE
 
 
 def test_quintic_crosscheck_residue_failure_is_exit_1(monkeypatch, capsys):

@@ -6,18 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import DSeries, ambient_I, hyper_factor, naive_series
-from gwmirror import series as series_mod
 
 from oracles import (
     exp_by_powers,
     exp_coeffs_fractions,
     fraction_rows,
-    int_rows,
     lambert_w,
     log_by_powers,
     log_fractions,
     naive_coeff,
     revert_by_fixed_point,
+    revert_by_lagrange,
     substitute_fractions,
 )
 from strategies import hpow, wide_fractions as wide
@@ -137,16 +136,17 @@ def test_revert_against_lambert_series():
 
 
 def test_revert_self_check_fires(monkeypatch):
-    # Only the Lagrange step calls the exp recurrence with a negative scale;
-    # the check's own exp and substitution use scale 1.  Spoiling the last
-    # coefficient there makes every h_m wrong, and the round trip must say so.
-    original = series_mod._exp_coeffs
+    # Only the reversion's own step negates a series; the round trip's
+    # substitutions do not.  Spoiling -g at index 2 makes h wrong from
+    # index 2 on, and the round trip must say so.
+    negate = DSeries.__neg__
 
-    def spoiled(gn, gd, scale, length):
-        e, ed = original(gn, gd, scale, length)
-        return (e, ed) if scale > 0 else (e[:-1] + [e[-1] + ed], ed)
+    def spoiled(self):
+        c = list(negate(self).coeffs)
+        c[2] += 1
+        return DSeries(c, self.step)
 
-    monkeypatch.setattr(series_mod, "_exp_coeffs", spoiled)
+    monkeypatch.setattr(DSeries, "__neg__", spoiled)
     with pytest.raises(RuntimeError, match="round-trip"):
         ser(0, 1, 2, 3).revert_exp()
 
@@ -340,10 +340,8 @@ def wide_lists(size):
 def test_exp_and_log_match_fraction_oracles(cs, m):
     r = len(cs)
     g = [Fraction(0)] + cs[1:]
-    gn, gd = int_rows([g])
     for scale in (1, -m):
-        nums, den = series_mod._exp_coeffs(gn[0], gd, scale, r)
-        assert [Fraction(x, den) for x in nums] == exp_coeffs_fractions(g, scale, r)
+        assert list((DSeries(g) * scale).exp().coeffs) == exp_coeffs_fractions(g, scale, r)
     f = [Fraction(1)] + cs[1:]
     assert list(DSeries(tuple(f)).log().coeffs) == log_fractions(f)
 
@@ -363,6 +361,15 @@ def test_exp_powers_match_power_sums_on_wide_denominators(g):
     assert len(kernels) == r
     for d, kernel in enumerate(kernels):
         assert kernel == exp_by_powers([d * c for c in g.coeffs], r)[: r - d]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7).flatmap(wide_exponent))
+def test_revert_exp_matches_lagrange_on_wide_denominators(g):
+    # The round trip cannot see h's top coefficient, which a term Q^dmax
+    # of h sends to index dmax + 1; only an oracle pins it.
+    h = g.revert_exp()
+    assert list(h.coeffs) == revert_by_lagrange(list(g.coeffs), g.dmax + 1)
 
 
 @settings(max_examples=100, deadline=None)
