@@ -39,20 +39,20 @@ from .mirror import (
 
 FORMATS = ("pretty", "json", "csv")
 
-# Lemma requests above these are refused before any work.  A trial's cost
-# grows with the term count of P: at the term ceiling the slowest admitted
-# shapes, --vars 1 --xdeg 37 and --vars 2 --xdeg 15 with every pair (0, 1),
-# take 13-33 ms a trial for a1, which passes its log in (t, s = t + z) by
-# its keys, and 10-23 ms for a2; --vars 3 --xdeg 4 takes 0.1-1.3 ms (in
-# process, shared 2-CPU x86, Python 3.11; the ranges include the machine's
-# load phases, up to 1.7x apart).
+# Lemma requests above these are refused before any work.  The term ceiling
+# counts P(t, z) (p_term_bound), which a passing a1 trial never forms: it
+# builds P'(t, s = t + z), 727 terms at --vars 1 --xdeg 37 and c = 1/3
+# against a bound of 9,880.  The slowest admitted shapes, --vars 1 --xdeg 37
+# and --vars 2 --xdeg 15 with every pair (0, 1), take 7-25 ms a trial for
+# a1 and 6-16 ms for a2; --vars 3 --xdeg 4 takes 0.07-0.9 ms (in process,
+# shared 2-CPU x86, Python 3.11; the ranges include load phases up to 1.7x).
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests, a1 and
-# a2 --vars 0 --trials 40000, take 2.0-2.9 s, and a1 and a2 --vars 1 --xdeg
+# a2 --vars 0 --trials 40000, take 1.4-2.2 s, and a1 and a2 --vars 1 --xdeg
 # 37 --trials 4 --seed 481 and --vars 2 --xdeg 15 --trials 4 --seed 37
-# (trial 1 every pair (0, 1)) 0.09-0.21 s (fresh process, 8 runs each,
-# same machine).
+# (trial 1 every pair (0, 1)) 0.12-0.24 s (fresh process, best of 3, six
+# rounds each, same machine).
 LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000

@@ -23,7 +23,8 @@ from gwmirror import (
     loglinear,
     sample_config,
 )
-from gwmirror.loglinear import ALLOWED_PAIRS, _multi_indices
+from gwmirror.loglinear import ALLOWED_PAIRS
+from gwmirror.multipoly import _unpack
 
 from oracles import (
     check_record,
@@ -132,13 +133,27 @@ def test_build_p_is_p_in_t_and_s(cfg):
 
 @settings(max_examples=40, deadline=None)
 @given(wide_lemma_configs)
+# The builders write every numerator over D = cden^B L (cden the common
+# denominator of the c_i, B the most factors, L the lcm of the k!) and
+# reduce by one gcd at the end:
+# integer c_i, so cden = 1 and D = L = 5! must come out unreduced;
+@example(LemmaConfig(((0, 1),) * 3, (Fraction(2), Fraction(-3), Fraction(5)), 5))
+# c_i over one denominator, where the gcd is 12 for P and for Q;
+@example(
+    LemmaConfig(((0, 1), (0, 1), (1, 0)), (Fraction(1, 6), Fraction(5, 6), Fraction(-7, 6)), 6)
+)
+# no (0, 1) variable, so B = 0 and P is over L alone, while Q's gcd is 6.
+@example(LemmaConfig(((1, 0), (0, 0)), (Fraction(1, 6), Fraction(5, 4)), 6))
 def test_builders_hand_log_the_validated_integers(cfg):
     # The builders skip the validating constructor; the numerator blocks and
     # the common denominator they hand over, which log and exp read, must be
-    # those the constructor makes from the same terms.
+    # those the constructor makes from the same terms, and every field of
+    # block n is bounded by n.
+    top = cfg.xdeg_max if cfg.nvars else 0
     for built, brute in ((build_p(cfg), brute_force_p_ts(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
+        assert built._bounds == {n: n for n in range(top + 1)}
     p = build_p(cfg)
     validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
     assert check_a1(cfg, p) == check_a1(cfg, validated)
@@ -705,12 +720,39 @@ def test_failing_report_names_offending_term():
 # -- multi-indices -------------------------------------------------------------------
 
 
-def test_multi_indices_match_the_recursive_order():
+def _shape_indices(nvars, xdeg):
+    """The multi-indices of the shape table's rows, unpacked from their keys."""
+    rows, _ = loglinear._shape(nvars, xdeg)
+    return [_unpack(xkey, nvars + 2)[:nvars] for _, xkey, *_ in rows]
+
+
+def test_shape_rows_follow_the_recursive_order():
     for nvars in range(6):
         for total in range(7):
-            assert list(_multi_indices(nvars, total)) == list(
-                multi_indices_recursive(nvars, total)
-            )
+            assert _shape_indices(nvars, total) == list(multi_indices_recursive(nvars, total))
+
+
+@pytest.mark.parametrize("nvars, xdeg", [(0, 10**9), (1, 37), (2, 15), (3, 4), (64, 1)])
+def test_shape_rows_step_from_their_parents(nvars, xdeg):
+    # Every row is one step from an earlier row, its parent k - e_j with j
+    # the last nonzero entry of k, so a trial fills each k's a.k, b.k and
+    # c.k by one addition; L // k! must be exact.  Without variables the
+    # table has one row, and even --xdeg 10^9 returns at once.
+    loglinear._shape.cache_clear()
+    start = time.perf_counter()
+    rows, big_l = loglinear._shape(nvars, xdeg)
+    assert time.perf_counter() - start < 1
+    ks = _shape_indices(nvars, xdeg)
+    assert ks == list(multi_indices_recursive(nvars, xdeg))
+    assert big_l == math.lcm(*(math.prod(map(factorial, k)) for k in ks))
+    for r, ((s, _, kfact, lk, parent, j), k) in enumerate(zip(rows, ks)):
+        assert s == sum(k) and kfact == math.prod(map(factorial, k))
+        assert lk * kfact == big_l
+        if r == 0:
+            assert not any(k) and parent is None and j is None
+            continue
+        assert j == max(i for i, e in enumerate(k) if e)
+        assert parent < r and ks[parent] == k[:j] + (k[j] - 1,) + k[j + 1 :]
 
 
 def test_build_p_at_a_thousand_variables():
