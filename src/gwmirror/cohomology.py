@@ -8,10 +8,11 @@ output and golden files.
 
 Both factors of H^*(P^n)[[q]] are truncated univariate polynomials.  The
 private base ``_Truncated`` owns what ``CohClass`` and ``series.DSeries``
-share: the stored form, +, -, scalar and truncated products and the
-inverse.  ``CohClass`` models Q[H]/(H^r), the cohomology ring of P^{r-1}
-with H the hyperplane class, and adds only its ring-length check and
-``str()``.  All values are immutable and all operations are pure.
+share: the stored form, the length check, +, -, scalar and truncated
+products and the inverse.  ``CohClass`` models Q[H]/(H^r), the
+cohomology ring of P^{r-1} with H the hyperplane class, and adds only
+``ring_len`` and ``str()``.  All values are immutable and all
+operations are pure.
 
 A value is stored as integer numerators over one positive denominator in
 lowest common form, gcd(den, *nums) = 1, which is the lcm of the
@@ -59,10 +60,9 @@ def as_fraction(x: Rational) -> Fraction:
 class _Truncated:
     """A truncated univariate polynomial as numerators ``_nums`` over
     ``_den`` in lowest common form: the ring operations that ``CohClass``
-    and ``DSeries`` share.  Results are built by ``_like``, so
-    ``DSeries.step`` carries over; an operand of another type gives
-    NotImplemented, so classes and series never mix, and each subclass's
-    ``_check(other)`` refuses operands of another shape."""
+    and ``DSeries`` share.  Results are built by ``_new``; an operand of
+    another type gives NotImplemented, so classes and series never mix,
+    and ``_check(other)`` refuses an operand of another length."""
 
     __slots__ = ("_nums", "_den", "_coeffs")
 
@@ -79,10 +79,6 @@ class _Truncated:
         new = object.__new__(cls)
         new._nums, new._den, new._coeffs = nums, den, None
         return new
-
-    def _like(self, nums: tuple[int, ...], den: int):
-        """A value of this type and shape from numerators in lowest common form."""
-        return self._new(nums, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -111,13 +107,18 @@ class _Truncated:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(coeffs={self.coeffs!r})"
 
+    def _check(self, other) -> None:
+        a, b = len(self._nums), len(other._nums)
+        if a != b:
+            raise ValueError(f"{type(self).__name__} length mismatch: {a} vs {b}")
+
     def _sum(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         den = lcm(self._den, other._den)
         sa, sb = den // self._den, sign * (den // other._den)
-        return self._like(*_lowest([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den))
+        return self._new(*_lowest([a * sa + b * sb for a, b in zip(self._nums, other._nums)], den))
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -126,17 +127,17 @@ class _Truncated:
         return self._sum(other, -1)
 
     def __neg__(self):
-        return self._like(tuple(-a for a in self._nums), self._den)
+        return self._new(tuple(-a for a in self._nums), self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             p, q = other.numerator, other.denominator
-            return self._like(*_lowest([a * p for a in self._nums], self._den * q))
+            return self._new(*_lowest([a * p for a in self._nums], self._den * q))
         if type(other) is not type(self):
             return NotImplemented
         self._check(other)
         nums = _int_product(self._nums, other._nums, len(self._nums))
-        return self._like(*_lowest(nums, self._den * other._den))
+        return self._new(*_lowest(nums, self._den * other._den))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -146,7 +147,7 @@ class _Truncated:
     def inv(self):
         """Multiplicative inverse; the index-0 coefficient must be nonzero."""
         nums, den = _inverse(self._nums, self._den)
-        return self._like(tuple(nums), den)
+        return self._new(tuple(nums), den)
 
 
 class _Record:
@@ -193,10 +194,6 @@ class CohClass(_Truncated):
     @property
     def ring_len(self) -> int:
         return len(self._nums)
-
-    def _check(self, other: CohClass) -> None:
-        if self.ring_len != other.ring_len:
-            raise ValueError(f"ring length mismatch: {self.ring_len} vs {other.ring_len}")
 
     # -- rendering ---------------------------------------------------------
 

@@ -70,9 +70,9 @@ def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
 
 def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     """The q-series with index-d coefficient
-    hyper_factor(l, d, n+1) * ambient_I(n, d), graded with step l,
-    as its H-components: entry k is the scalar series of H^k parts,
-    for k = 0..n.
+    hyper_factor(l, d, n+1) * ambient_I(n, d), index d standing for
+    q^{l*d}, as its H-components: entry k is the scalar series of H^k
+    parts, for k = 0..n.
 
     Requires 1 <= l <= n+1: for larger l the anticanonical class of the
     hypersurface fails to be nef and the construction does not apply.
@@ -82,7 +82,7 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     >>> [str(h.coeffs[1]) for h in naive_series(4, 5, 1)]
     ['0', '600', '3850', '2875', '-5750']
     """
-    return _h_components(_naive_classes(n, l, dmax), l)
+    return _h_components(_naive_classes(n, l, dmax))
 
 
 def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
@@ -110,12 +110,12 @@ def _twist_classes(n: int, l: int, short: int, degrees: range) -> list[CohClass]
     return classes
 
 
-def _h_components(classes: Sequence[CohClass], step: int) -> tuple[DSeries, ...]:
+def _h_components(classes: Sequence[CohClass]) -> tuple[DSeries, ...]:
     """The H-components of the q-series whose index-d coefficient is
     classes[d]: entry k is the scalar series of their H^k parts, built
     from the classes' numerators."""
     dens = [c._den for c in classes]
     return tuple(
-        DSeries._new(*_common([c._nums[k] for c in classes], dens), step)
+        DSeries._new(*_common([c._nums[k] for c in classes], dens))
         for k in range(classes[0].ring_len)
     )

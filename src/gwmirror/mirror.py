@@ -184,7 +184,7 @@ def localp2_f(dmax: int) -> MirrorData:
     # being defined, not a factor of the series.  The series has no
     # degree-0 term.
     zero = CohClass((0,) * CUBIC_RING)
-    _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)), 3)
+    _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)))
     return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
@@ -235,9 +235,9 @@ def solve_correction_series(
 
     The right-hand side is U = sum_d weights[d] u_d Q^d after the change
     of variables Q -> Q exp(m), so U is ``base.unsubstitute(m)``; m must
-    share base's dmax and step and have zero constant term.  ``weights``
-    needs exact entries 0..dmax, nonzero from 1 on, and base a zero
-    constant term, since U has none; all are checked before any work.
+    share base's dmax and have zero constant term.  ``weights`` needs
+    exact entries 0..dmax, nonzero from 1 on, and base a zero constant
+    term, since U has none; all are checked before any work.
     Returns [u_1, ..., u_dmax].
     """
     dmax = base.dmax

@@ -1,18 +1,18 @@
-"""Truncated power series in the curve-degree variable.
+"""Truncated power series in one formal variable.
 
-A ``DSeries`` stores rational coefficients c_0..c_dmax where index d
-stands for the monomial q^{step*d}.  Generating series of a degree-l
-hypersurface only involve powers of q^l, so grading by the curve degree d
-with an explicit step keeps them dense (no zero gaps to carry around).
-A series with values in the cohomology ring Q[H]/(H^r) is carried as the
-tuple of its r scalar H-components, one ``DSeries`` per power of H.
-Every operation truncates at dmax and never claims precision beyond it.
-The stored form and the ring operations come from
-``cohomology._Truncated``, the base that ``CohClass`` shares: integer
-numerators over one denominator in lowest common form, with ``coeffs``
-built on first read.  ``DSeries`` adds ``step``, its shape check, its
-constructors and the series operations below, all of them pure and all
-of them on the stored integers.
+A ``DSeries`` stores rational coefficients c_0..c_dmax of sum_d c_d Q^d,
+which ``str()`` prints in q.  The series knows only the index d: a case
+that grades a degree-l hypersurface's generating series by the curve
+degree reads Q as q^l, so its series stay dense, and that l belongs to
+the case.  A series with values in the cohomology ring Q[H]/(H^r) is
+carried as the tuple of its r scalar H-components, one ``DSeries`` per
+power of H.  Every operation truncates at dmax and never claims
+precision beyond it.  The stored form, the ring operations and the
+length check come from ``cohomology._Truncated``, the base that
+``CohClass`` shares: integer numerators over one denominator in lowest
+common form, with ``coeffs`` built on first read.  ``DSeries`` adds its
+constructor ``monomial`` and the series operations below, all of them
+pure and all of them on the stored integers.
 
 The change of variables Q -> Q exp(g(Q)), g with zero constant term,
 lives here alone: ``substitute(g)`` applies it, ``unsubstitute(g)`` runs
@@ -48,63 +48,37 @@ from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Trunc
 
 
 class DSeries(_Truncated):
-    """Power series sum_d c_d q^{step*d}, truncated at index dmax."""
+    """Power series sum_d c_d Q^d, truncated at index dmax."""
 
-    __slots__ = ("_step", "_powers")
+    __slots__ = ("_powers",)
 
     # Own entries: perfbench/spans.py wraps cls.__dict__[name] for each class.
     __mul__, inv = _Truncated.__mul__, _Truncated.inv
 
-    def __init__(self, coeffs: Iterable[Rational], step: int = 1) -> None:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
         super().__init__(coeffs)
-        if step < 1:
-            raise ValueError("step must be a positive integer")
-        self._step, self._powers = step, None
+        self._powers = None
 
     @classmethod
-    def _new(cls, nums: tuple[int, ...], den: int, step: int) -> DSeries:
+    def _new(cls, nums: tuple[int, ...], den: int) -> DSeries:
         new = super()._new(nums, den)
-        new._step, new._powers = step, None
+        new._powers = None
         return new
-
-    def _like(self, nums: tuple[int, ...], den: int) -> DSeries:
-        return DSeries._new(nums, den, self._step)
-
-    @property
-    def step(self) -> int:
-        return self._step
 
     @property
     def dmax(self) -> int:
         return len(self._nums) - 1
 
-    def _key(self) -> tuple:
-        return self._den, self._nums, self._step
-
-    def __repr__(self) -> str:
-        return f"DSeries(coeffs={self.coeffs!r}, step={self._step})"
-
-    def _check(self, other: DSeries) -> None:
-        if self.dmax != other.dmax or self.step != other.step:
-            raise ValueError(
-                f"series shape mismatch: (dmax={self.dmax}, step={self.step}) vs "
-                f"(dmax={other.dmax}, step={other.step})"
-            )
-
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def one(cls, dmax: int, step: int = 1) -> DSeries:
-        return cls.monomial(0, dmax, step)
-
-    @classmethod
-    def monomial(cls, d: int, dmax: int, step: int = 1, value: Rational = 1) -> DSeries:
-        """The series value * q^{step*d}."""
+    def monomial(cls, d: int, dmax: int, value: Rational = 1) -> DSeries:
+        """The series value * Q^d."""
         if not 0 <= d <= dmax:
             raise ValueError("monomial index out of range")
         c = [0] * (dmax + 1)
         c[d] = value
-        return cls(c, step)
+        return cls(c)
 
     # -- series operations -------------------------------------------------
 
@@ -118,7 +92,7 @@ class DSeries(_Truncated):
         e, ed = [1], 1  # numerators of E_0..E_{n-1} over ed
         for n in range(1, len(gn)):
             ed = _push(e, ed, sum(map(mul, dg[1 : n + 1], reversed(e))), gd * ed * n)
-        return self._like(tuple(e), ed)
+        return self._new(tuple(e), ed)
 
     def log(self) -> DSeries:
         """Logarithm of a series f with constant coefficient 1: n L_n is the
@@ -132,7 +106,7 @@ class DSeries(_Truncated):
         den = 1
         for n in range(1, len(fn)):
             den = _push(nums, den, theta_l[n], n * fd * inv_d)
-        return self._like(tuple(nums), den)
+        return self._new(tuple(nums), den)
 
     # -- change of variables -------------------------------------------------
 
@@ -156,21 +130,21 @@ class DSeries(_Truncated):
         return self._powers
 
     def _kernels_of(self, g: DSeries) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The kernels of g, which must share this series' shape and have
+        """The kernels of g, which must share this series' dmax and have
         zero constant term."""
-        if g.dmax != self.dmax or g.step != self.step:
-            raise ValueError("substitution exponent must share dmax and step")
+        if g.dmax != self.dmax:
+            raise ValueError("substitution exponent must share dmax")
         if g._nums[0]:
             raise ValueError("substitution exponent must have zero constant term")
         return g._kernels()
 
     def substitute(self, g: DSeries) -> DSeries:
-        """Apply Q -> Q * exp(g(Q)) where Q = q^step is the index variable.
+        """Apply Q -> Q * exp(g(Q)) to the series variable Q.
 
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
-        The exponent g must share this series' dmax and step and have
-        zero constant term.  Its kernels exp(d*g) are built once and kept
+        The exponent g must share this series' dmax and have zero
+        constant term.  Its kernels exp(d*g) are built once and kept
         on g, so each later substitution by g costs O(dmax^2).
         """
         rows, kd = self._kernels_of(g)
@@ -179,7 +153,7 @@ class DSeries(_Truncated):
             if c:
                 for e, k in enumerate(row, start=d):
                     out[e] += c * k
-        return self._like(*_lowest(out, self._den * kd))
+        return self._new(*_lowest(out, self._den * kd))
 
     def unsubstitute(self, g: DSeries) -> DSeries:
         """The series U with ``U.substitute(g) == self``: the change of
@@ -203,7 +177,7 @@ class DSeries(_Truncated):
         for e in range(1, len(bn)):
             s = sum(un[d] * rows[d][e - d] for d in range(1, e))
             ud = _push(un, ud, bn[e] * ud * kd - bd * s, bd * ud * kd)
-        return self._like(tuple(un), ud)
+        return self._new(tuple(un), ud)
 
     def revert_exp(self) -> DSeries:
         """Invert the change of variables Qt = Q * exp(g(Q)) defined by this
@@ -211,21 +185,19 @@ class DSeries(_Truncated):
 
         With Qt = Q exp(g(Q)), Q = Qt exp(h(Qt)) holds exactly when
         h(Q exp(g(Q))) = -g(Q), so h is -g with the change of variables
-        run backwards: ``(-g).unsubstitute(g)``.  The round trip is
-        verified before returning: Q -> Q exp(g) and then Qt -> Qt exp(h)
-        must take Q back to Q.  A failure would be an implementation bug,
-        not a data error.  The reversion of g = Q is -W, W the Lambert
-        series:
+        run backwards: ``(-g).unsubstitute(g)``, which refuses a g with a
+        nonzero constant term.  The round trip is verified before
+        returning: Q -> Q exp(g) and then Qt -> Qt exp(h) must take Q back
+        to Q.  A failure would be an implementation bug, not a data error.
+        The reversion of g = Q is -W, W the Lambert series:
 
         >>> str(DSeries.monomial(1, 3).revert_exp())
         '-1*q^1 + 1*q^2 + -3/2*q^3'
         """
         g = self
-        if g._nums[0]:
-            raise ValueError("reversion exponent must have zero constant term")
         h = (-g).unsubstitute(g)
         if g.dmax >= 1:
-            ident = DSeries.monomial(1, g.dmax, g.step)
+            ident = DSeries.monomial(1, g.dmax)
             if ident.substitute(g).substitute(h) != ident:
                 raise RuntimeError(
                     "series reversion failed its round-trip check (internal bug)"
@@ -234,7 +206,7 @@ class DSeries(_Truncated):
 
     def __str__(self) -> str:
         parts = [
-            str(c) if d == 0 else f"{c}*q^{self.step * d}"
+            str(c) if d == 0 else f"{c}*q^{d}"
             for d, c in enumerate(self.coeffs)
             if c != 0
         ]

@@ -133,12 +133,12 @@ def recursion_rhs(md, table) -> DSeries:
     table's values u_d put back; equals F_2 when the table solves the
     recursion.  The sum over d is F_0 times U = sum_d w_d u_d Q^d sent
     through Q -> Q exp(m); F_0 = 1 when absent."""
-    f0 = md.f0 if md.f0 is not None else DSeries.one(md.f1.dmax, md.f1.step)
+    f0 = md.f0 if md.f0 is not None else DSeries.monomial(0, md.f1.dmax)
     m = md.f1 * f0.inv()
     u = [Fraction(0)] * (m.dmax + 1)
     for d, v in table.entries:
         u[d] = md.weights[d] * v
-    return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u), m.step).substitute(m)
+    return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u)).substitute(m)
 
 
 # -- records ----------------------------------------------------------------------

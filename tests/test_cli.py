@@ -71,7 +71,7 @@ def _off_by_one_at_2(method):
     def spoiled(self, *args):
         c = list(method(self, *args).coeffs)
         c[2] += 1
-        return DSeries(c, self.step)
+        return DSeries(c)
 
     return spoiled
 
@@ -113,6 +113,31 @@ def test_quintic_crosscheck_residue_failure_is_exit_1(monkeypatch, capsys):
         1,
         "",
         "consistency failure: reversion route left a low H-power residue at degree 2\n",
+    )
+
+
+def test_quintic_crosscheck_residue_check_fires(monkeypatch, capsys):
+    from gwmirror import DSeries, cli, mirror
+
+    # Only the reversion route reads P_0: off by one at index 2 of its H^1
+    # part leaves a residue there that the route itself must refuse.
+    reconstruct = mirror.reconstruct_p_quintic
+
+    def spoiled(md):
+        p0 = list(reconstruct(md))
+        c = list(p0[1].coeffs)
+        c[2] += 1
+        p0[1] = DSeries(c)
+        return tuple(p0)
+
+    monkeypatch.setattr(mirror, "reconstruct_p_quintic", spoiled)
+    code = cli.main(["quintic", "--dmax", "5", "--crosscheck"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        1,
+        "",
+        "consistency failure: reversion route left a low H-power residue at degree 2: "
+        "H^0..H^2 parts 0, 0, -5\n",
     )
 
 
@@ -661,6 +686,7 @@ def test_plain_requests_need_no_argparse():
         args = cli._parse(argv)
         assert args is not None, argv
         assert vars(args) == vars(cli._build_parser().parse_args(argv))
+        assert cli._check_usage(args) is None, argv
 
 
 # -- start-up --------------------------------------------------------------------------

@@ -59,9 +59,9 @@ def test_inv_scalar():
 
 
 def test_ring_len_mismatch_rejected():
-    with pytest.raises(ValueError, match="ring length"):
+    with pytest.raises(ValueError, match=re.escape("CohClass length mismatch: 3 vs 4")):
         hpow(0, 3) * hpow(0, 4)
-    with pytest.raises(ValueError, match="ring length"):
+    with pytest.raises(ValueError, match=re.escape("CohClass length mismatch: 3 vs 4")):
         hpow(0, 3) + hpow(0, 4)
 
 
@@ -189,12 +189,11 @@ def test_convolve_and_inverse_match_fraction_oracles(pair, cut):
 # -- the base CohClass and DSeries share ----------------------------------------
 
 
-@pytest.mark.parametrize("kind, fields", [(CohClass, {}), (DSeries, {"step": 5})])
-def test_shared_operations_keep_type_and_fields(kind, fields):
-    # fields beyond coeffs (DSeries.step) must carry over to every result
+@pytest.mark.parametrize("kind", [CohClass, DSeries])
+def test_shared_operations_keep_type(kind):
     a = [Fraction(3, 2), Fraction(-1), Fraction(2, 7), Fraction(5)]
     b = [Fraction(-4), Fraction(1, 3), Fraction(0), Fraction(-9, 4)]
-    x, y = kind(tuple(a), **fields), kind(tuple(b), **fields)
+    x, y = kind(tuple(a)), kind(tuple(b))
     s = Fraction(-2, 3)
     cases = [
         (x + y, [p + q for p, q in zip(a, b)]),
@@ -210,7 +209,6 @@ def test_shared_operations_keep_type_and_fields(kind, fields):
     for got, want in cases:
         assert type(got) is kind
         assert got.coeffs == tuple(want)
-        assert {name: getattr(got, name) for name in fields} == fields
         assert all(type(c) is Fraction for c in got.coeffs)
 
 
@@ -224,11 +222,10 @@ def test_classes_and_series_never_mix(op):
 
 
 def test_shape_and_empty_messages():
-    with pytest.raises(ValueError, match=re.escape("ring length mismatch: 3 vs 4")):
+    with pytest.raises(ValueError, match=re.escape("CohClass length mismatch: 3 vs 4")):
         hpow(0, 3) - hpow(0, 4)
-    shape = "series shape mismatch: (dmax=1, step=5) vs (dmax=2, step=5)"
-    with pytest.raises(ValueError, match=re.escape(shape)):
-        DSeries((1, 2), 5) - DSeries((1, 2, 3), 5)
+    with pytest.raises(ValueError, match=re.escape("DSeries length mismatch: 2 vs 3")):
+        DSeries((1, 2)) - DSeries((1, 2, 3))
     for kind in (CohClass, DSeries):
         with pytest.raises(ValueError, match="at least the index-0 coefficient"):
             kind(())

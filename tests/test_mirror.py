@@ -12,12 +12,14 @@ from gwmirror import (
     localp2_invariants,
     localp2_kd,
     naive_invariants,
+    naive_series,
     quintic_crosscheck,
     quintic_f,
     quintic_invariants,
     reconstruct_p_quintic,
     solve_correction_series,
 )
+from gwmirror.mirror import _solve
 
 from oracles import (
     bps_numbers,
@@ -183,14 +185,14 @@ YUKAWA_DMAX = 60
 
 
 def _theta(s: DSeries) -> DSeries:
-    return DSeries([d * c for d, c in enumerate(s.coeffs)], s.step)
+    return DSeries([d * c for d, c in enumerate(s.coeffs)])
 
 
 def _yukawa_holds(entries, power, kappa, delta, f0, m):
-    one = DSeries.one(m.dmax, m.step)
-    table = DSeries([kappa] + [d**power * v for d, v in entries], m.step)
+    one = DSeries.monomial(0, m.dmax)
+    table = DSeries([kappa] + [d**power * v for d, v in entries])
     w = one + _theta(m)
-    denominator = (one - DSeries.monomial(1, m.dmax, m.step, delta)) * w * w * w
+    denominator = (one - DSeries.monomial(1, m.dmax, delta)) * w * w * w
     if f0 is not None:
         denominator = denominator * f0 * f0
     return table.substitute(m) == denominator.inv() * kappa
@@ -213,6 +215,36 @@ def test_localp2_table_satisfies_the_yukawa_identity():
     d, v = entries[6]
     entries[6] = (d, v + 1)
     assert not _yukawa_holds(entries, 2, 1, 27, None, md.f1)
+
+
+# -- structural identities ---------------------------------------------------------
+
+
+def test_quartic_k3_has_no_corrections():
+    # K3 surfaces have vanishing Gromov-Witten invariants: Clausen's identity
+    # F_0 F_2 = F_1^2 / 2 makes every u_d of the quartic's recursion zero.
+    dmax = 100
+    f0, f1, f2 = (h * Fraction(1, 4) for h in naive_series(3, 4, dmax)[1:4])
+    md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)))
+    assert _solve(md).entries == tuple((d, 0) for d in range(1, dmax + 1))
+
+
+def _integral_with_head(series, head):
+    """Whether every coefficient is an integer and the first ones are head:
+    a mirror map exp(F_1/F_0) is integral to every degree (Lian-Yau 1995;
+    Krattenthaler-Rivoal, Duke 2010)."""
+    coeffs = series.coeffs
+    return all(c.denominator == 1 for c in coeffs) and list(coeffs[: len(head)]) == head
+
+
+def test_quintic_mirror_map_is_integral():
+    md = quintic_f(150)
+    assert _integral_with_head((md.f1 * md.f0.inv()).exp(), [1, 770, 1014275, 1703916750])
+
+
+def test_localp2_mirror_map_is_integral():
+    # F_0 = 1 here
+    assert _integral_with_head(localp2_f(250).f1.exp(), [1, 6, 63, 866])
 
 
 # -- correction-free low degrees ---------------------------------------------------
@@ -290,19 +322,19 @@ def test_invariant_table_is_a_record():
 
 
 def test_mirror_data_is_a_record():
-    f0, f1, f2 = DSeries((1, 2), 5), DSeries((0, 1), 5), DSeries((0, 3), 5)
+    f0, f1, f2 = DSeries((1, 2)), DSeries((0, 1)), DSeries((0, 3))
     weights = (Fraction(0), Fraction(1, 5))
     md = MirrorData(f0, f1, f2, weights)
     check_record(md, f0=f0, f1=f1, f2=f2, weights=weights)
     check_record(MirrorData(None, f1, f2, weights), f0=None, f1=f1, f2=f2, weights=weights)
     assert repr(md) == (
-        "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1)), step=5), "
-        "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1)), step=5), "
-        "f2=DSeries(coeffs=(Fraction(0, 1), Fraction(3, 1)), step=5), "
+        "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1))), "
+        "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))), "
+        "f2=DSeries(coeffs=(Fraction(0, 1), Fraction(3, 1))), "
         "weights=(Fraction(0, 1), Fraction(1, 5)))"
     )
     # field by field: equal series and equal values, not the same objects
-    assert md == MirrorData(DSeries((1, 2), 5), f1, f2, (0, Fraction(1, 5)))
+    assert md == MirrorData(DSeries((1, 2)), f1, f2, (0, Fraction(1, 5)))
     assert md != MirrorData(f0, f1, f1, weights)
     assert md != MirrorData(None, f1, f2, weights)
     assert quintic_f(3) == quintic_f(3) and hash(quintic_f(3)) == hash(quintic_f(3))
@@ -328,9 +360,9 @@ def test_solver_round_trips_on_random_data(data):
     through the kernels F_0 exp(d m), built here by repeated products,
     reproduces F_2, for arbitrary quintic-shaped F data."""
     dmax, f1_tail, f2_tail = data
-    f0 = DSeries((Fraction(1),) + tuple(f1_tail), 5)
-    f1 = DSeries((Fraction(0),) + tuple(f1_tail), 5)
-    f2 = DSeries((Fraction(0),) + tuple(f2_tail), 5)
+    f0 = DSeries((Fraction(1),) + tuple(f1_tail))
+    f1 = DSeries((Fraction(0),) + tuple(f1_tail))
+    f2 = DSeries((Fraction(0),) + tuple(f2_tail))
     m = f1 * f0.inv()
     e1 = m.exp()
     kernels = [f0]
@@ -341,7 +373,7 @@ def test_solver_round_trips_on_random_data(data):
     solved = solve_correction_series(base, m, weights)
     acc = f1 * f1 * f0.inv() * Fraction(1, 2)
     for d, u in enumerate(solved, start=1):
-        acc = acc + DSeries.monomial(d, dmax, 5, weights[d] * u) * kernels[d]
+        acc = acc + DSeries.monomial(d, dmax, weights[d] * u) * kernels[d]
     assert acc == f2
 
 

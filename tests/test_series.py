@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -22,13 +23,13 @@ from oracles import (
 from strategies import hpow, wide_fractions as wide
 
 
-def ser(*coeffs, step=1):
-    return DSeries(tuple(Fraction(c) for c in coeffs), step)
+def ser(*coeffs):
+    return DSeries(tuple(Fraction(c) for c in coeffs))
 
 
 def with_constant(a, c0):
     """``a`` with its index-0 coefficient replaced by c0."""
-    return DSeries((Fraction(c0),) + a.coeffs[1:], a.step)
+    return DSeries((Fraction(c0),) + a.coeffs[1:])
 
 
 # -- multiplication ------------------------------------------------------------
@@ -40,12 +41,12 @@ def test_mul_difference_of_squares():
 
 def test_mul_identity():
     a = ser(3, Fraction(1, 2), -7)
-    assert a * DSeries.one(2) == a
+    assert a * DSeries.monomial(0, 2) == a
 
 
 def test_geometric_telescope():
     geom = ser(1, 1, 1, 1, 1)
-    assert geom * ser(1, -1, 0, 0, 0) == DSeries.one(4)
+    assert geom * ser(1, -1, 0, 0, 0) == DSeries.monomial(0, 4)
 
 
 # -- inversion -----------------------------------------------------------------
@@ -56,15 +57,15 @@ def test_inv_geometric():
 
 
 def test_inv_quintic_f0_head():
-    f0 = ser(1, 120, 0, step=5)
-    expected = ser(1, -120, 14400, step=5)  # frozen; verified by multiplying back
+    f0 = ser(1, 120, 0)
+    expected = ser(1, -120, 14400)  # frozen; verified by multiplying back
     inv = f0.inv()
     assert inv == expected
-    assert f0 * inv == DSeries.one(2, step=5)
+    assert f0 * inv == DSeries.monomial(0, 2)
 
 
 def test_inv_one():
-    assert DSeries.one(3).inv() == DSeries.one(3)
+    assert DSeries.monomial(0, 3).inv() == DSeries.monomial(0, 3)
 
 
 def test_inv_nonunit_rejected():
@@ -112,12 +113,18 @@ def test_substitute_q_by_q_exp_q():
 
 
 def test_substitute_fixes_constants():
-    assert DSeries.one(3).substitute(DSeries.monomial(1, 3)) == DSeries.one(3)
+    one = DSeries.monomial(0, 3)
+    assert one.substitute(DSeries.monomial(1, 3)) == one
 
 
 def test_substitute_needs_zero_constant_exponent():
-    with pytest.raises(ValueError, match="constant"):
-        ser(1, 2).substitute(ser(1, 0))
+    # revert_exp has no check of its own: its unsubstitute refuses g.
+    message = "substitution exponent must have zero constant term"
+    for g in (ser(1), ser(1, 2, 3)):
+        c = DSeries.monomial(0, g.dmax)
+        for call in (lambda: c.substitute(g), lambda: c.unsubstitute(g), g.revert_exp):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_revert_zero():
@@ -132,7 +139,7 @@ def test_revert_against_lambert_series():
     g = DSeries.monomial(1, dmax)
     h = g.revert_exp()
     w = DSeries.monomial(1, dmax) * h.exp()
-    assert w == DSeries(tuple(lambert_w(dmax)), 1)
+    assert w == DSeries(tuple(lambert_w(dmax)))
 
 
 def test_revert_self_check_fires(monkeypatch):
@@ -144,7 +151,7 @@ def test_revert_self_check_fires(monkeypatch):
     def spoiled(self):
         c = list(negate(self).coeffs)
         c[2] += 1
-        return DSeries(c, self.step)
+        return DSeries(c)
 
     monkeypatch.setattr(DSeries, "__neg__", spoiled)
     with pytest.raises(RuntimeError, match="round-trip"):
@@ -162,7 +169,6 @@ def test_extract_h_components():
     for d in range(4):
         cls = hyper_factor(2, d, 4) * ambient_I(3, d)
         assert [c.coeffs[d] for c in comps] == list(cls.coeffs)
-    assert {c.step for c in comps} == {2}
 
 
 def test_extract_h_quintic_spot_value():
@@ -180,14 +186,14 @@ def test_cohomology_coefficients_rejected():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match=re.escape("DSeries length mismatch: 2 vs 3")):
         ser(1, 2) * ser(1, 2, 3)
-    with pytest.raises(ValueError, match="shape"):
-        ser(1, 2, step=5) + ser(1, 2, step=3)
+    with pytest.raises(ValueError, match=re.escape("DSeries length mismatch: 3 vs 2")):
+        ser(1, 2, 3) + ser(1, 2)
 
 
 def test_str():
-    assert str(DSeries((1, 0, Fraction(-1, 2)), step=5)) == "1 + -1/2*q^10"
+    assert str(DSeries((1, 0, Fraction(-1, 2)))) == "1 + -1/2*q^2"
     assert str(ser(0, 3, 0, Fraction(7, 3))) == "3*q^1 + 7/3*q^3"
     assert str(ser(0, 0)) == "0"
 
@@ -206,11 +212,11 @@ def test_exp_powers():
 
 def test_substitute_needs_the_exponents_shape():
     g = DSeries.monomial(1, 3)
-    for other in (ser(1, 2), ser(1, 2, 3, 4, step=5)):
-        with pytest.raises(ValueError, match="share dmax and step"):
-            other.substitute(g)
-        with pytest.raises(ValueError, match="share dmax and step"):
-            other.unsubstitute(g)
+    other = ser(1, 2)
+    with pytest.raises(ValueError, match="substitution exponent must share dmax"):
+        other.substitute(g)
+    with pytest.raises(ValueError, match="substitution exponent must share dmax"):
+        other.unsubstitute(g)
 
 
 def test_exp_powers_are_built_once(monkeypatch):
@@ -243,16 +249,13 @@ def test_unsubstitute_undoes_substitute():
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-def series_of(dmax, step=1):
+def series_of(dmax):
     return st.lists(fracs, min_size=dmax + 1, max_size=dmax + 1).map(
-        lambda cs: DSeries(tuple(cs), step)
+        lambda cs: DSeries(tuple(cs))
     )
 
 
-# dmax 0..10 and step 1..5: the kernels must not depend on the step.
-any_series = st.tuples(st.integers(0, 10), st.integers(1, 5)).flatmap(
-    lambda shape: series_of(*shape)
-)
+any_series = st.integers(0, 10).flatmap(series_of)
 
 
 @settings(max_examples=120, deadline=None)
@@ -268,7 +271,7 @@ def test_series_ring_axioms(triple):
 @given(st.integers(0, 5).flatmap(series_of), fracs.filter(lambda f: f != 0))
 def test_series_mul_inv(a, c0):
     a = with_constant(a, c0)
-    assert a * a.inv() == DSeries.one(a.dmax)
+    assert a * a.inv() == DSeries.monomial(0, a.dmax)
 
 
 @settings(max_examples=120, deadline=None)
@@ -276,7 +279,8 @@ def test_series_mul_inv(a, c0):
 def test_series_exp_log_inverse(a):
     a = with_constant(a, 0)
     assert a.exp().log() == a
-    assert (a + DSeries.one(a.dmax)).log().exp() == a + DSeries.one(a.dmax)
+    one = DSeries.monomial(0, a.dmax)
+    assert (a + one).log().exp() == a + one
 
 
 @settings(max_examples=120, deadline=None)
@@ -304,9 +308,9 @@ def test_substitution_is_ring_homomorphism(triple):
 def test_exp_log_match_power_sums(a):
     r = a.dmax + 1
     nil = with_constant(a, 0)
-    assert nil.exp() == DSeries(tuple(exp_by_powers(list(nil.coeffs), r)), a.step)
+    assert nil.exp() == DSeries(tuple(exp_by_powers(list(nil.coeffs), r)))
     unit = with_constant(a, 1)
-    assert unit.log() == DSeries(tuple(log_by_powers(list(unit.coeffs), r)), a.step)
+    assert unit.log() == DSeries(tuple(log_by_powers(list(unit.coeffs), r)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,7 +329,7 @@ def test_exp_powers_match_power_sums(a):
 def test_revert_exp_matches_fixed_point(a):
     g = with_constant(a, 0)
     h = g.revert_exp()
-    assert h == DSeries(tuple(revert_by_fixed_point(list(g.coeffs), g.dmax + 1)), g.step)
+    assert h == DSeries(tuple(revert_by_fixed_point(list(g.coeffs), g.dmax + 1)))
 
 
 # -- integer-numerator kernels on non-integral data ------------------------------
