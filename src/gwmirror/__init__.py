@@ -6,7 +6,6 @@ behind it.  Everything is exact rational arithmetic; no floats anywhere.
 from .cohomology import CohClass
 from .hypergeom import ambient_I, hyper_factor, naive_series
 from .loglinear import (
-    CheckReport,
     LemmaConfig,
     build_p,
     build_q,
@@ -16,7 +15,6 @@ from .loglinear import (
     sample_config,
 )
 from .mirror import (
-    InvariantTable,
     MirrorData,
     localp2_f,
     localp2_invariants,
@@ -37,10 +35,8 @@ __all__ = [
     "CohClass",
     "DSeries",
     "MultiPoly",
-    "InvariantTable",
     "MirrorData",
     "LemmaConfig",
-    "CheckReport",
     "ambient_I",
     "hyper_factor",
     "naive_series",

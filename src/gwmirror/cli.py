@@ -274,19 +274,19 @@ def _quintic_table(args) -> _Table:
         # The reversion route raises RuntimeError when one of its own
         # self-checks (round trip, low-H residue) fails; a table that
         # disagrees is the same consistency failure.
-        if quintic_crosscheck(args.dmax).entries != table.entries:
+        if quintic_crosscheck(args.dmax) != table:
             raise RuntimeError("recursion and reversion tables disagree")
         crosscheck = "ok"
-    rows = [{"d": d, "value": str(v)} for d, v in table.entries]
+    rows = [{"d": d, "value": str(v)} for d, v in enumerate(table, start=1)]
     return {"dmax": args.dmax}, rows, ["d", "value"], crosscheck
 
 
 def _local_p2_table(args) -> _Table:
     table = localp2_invariants(args.dmax)
-    rows = [{"d": d, "value": str(v)} for d, v in table.entries]
+    rows = [{"d": d, "value": str(v)} for d, v in enumerate(table, start=1)]
     columns = ["d", "value"]
     if args.emit_kd:
-        for row, (_, kd) in zip(rows, localp2_kd(args.dmax).entries):
+        for row, kd in zip(rows, localp2_kd(args.dmax)):
             row["kd"] = str(kd)
         columns.append("kd")
     return {"dmax": args.dmax}, rows, columns, "absent"
@@ -304,6 +304,15 @@ def _naive_table(args) -> _Table:
     return {"ambient": n, "degree": l, "dmax": args.dmax}, rows, columns, "absent"
 
 
+def _trial_line(trial: int, seed: int, cfg, check: str, finding: str | None) -> str:
+    """One lemma line: the trial, its request's seed, the sampled
+    configuration, the check and PASS, or FAIL and the check's finding."""
+    pairs = ",".join(f"({a},{b})" for a, b in cfg.pairs) or "-"
+    cs = ",".join(map(str, cfg.cs)) or "-"
+    tail = "PASS" if finding is None else f"FAIL {finding}"
+    return f"trial={trial} seed={seed} xdeg={cfg.xdeg_max} pairs={pairs} c={cs} {check} {tail}"
+
+
 def _run_lemma(args, out) -> int:
     rng = random.Random(args.seed)
     a1 = args.which == "a1"
@@ -311,16 +320,17 @@ def _run_lemma(args, out) -> int:
     lines = []
     all_passed = True
     for trial in range(1, args.trials + 1):
-        cfg = sample_config(rng, args.vars, args.xdeg, seed=args.seed)
-        # The checked series is built once and handed to the closed forms too.
+        cfg = sample_config(rng, args.vars, args.xdeg)
+        # Each series is built once: the checked one, and on a closed-form
+        # trial the other one too.
         series = build(cfg)
-        reports = [check(cfg, series)]
-        if all(c == 0 for c in cfg.cs):
-            p, q = (series, None) if a1 else (None, series)
-            reports.append(check_closed_forms(cfg, p, q))
-        for report in reports:
-            lines.append(report.line(trial))
-            all_passed = all_passed and report.passed
+        findings = [(args.which, check(series))]
+        if not any(cfg.cs):
+            p, q = (series, build_q(cfg)) if a1 else (build_p(cfg), series)
+            findings.append(("closed-form", check_closed_forms(cfg, p, q)))
+        for name, finding in findings:
+            lines.append(_trial_line(trial, args.seed, cfg, name, finding))
+            all_passed = all_passed and finding is None
     text = "\n".join(lines) + "\n"
     _emit(text, out)
     print(

@@ -47,9 +47,10 @@ denominator cden of the c_i, as its parent's plus one variable's, and
 B the most factors, straight into its x-degree block; one gcd over D
 and all numerators gives the lowest common form.  ``p_term_bound``
 bounds the term count of P(t, z) for a shape without building it.
-``LemmaConfig`` and ``CheckReport`` are immutable records
-(``cohomology._Record``); a config keeps its pairs as tuples and its c_i
-as Fractions.
+``LemmaConfig`` is an immutable record (``cohomology._Record``) that
+keeps its pairs as tuples and its c_i as Fractions.  A check returns
+its finding, the text of the first offending term or None on a pass;
+``cli`` writes the trial lines.
 """
 
 from __future__ import annotations
@@ -68,14 +69,10 @@ ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 class LemmaConfig(_Record):
     """One sampled instance: per-variable (a_i, b_i) pairs and rational c_i."""
 
-    __slots__ = ("pairs", "cs", "xdeg_max", "seed")
+    __slots__ = ("pairs", "cs", "xdeg_max")
 
     def __init__(
-        self,
-        pairs: tuple[tuple[int, int], ...],
-        cs: tuple[Fraction, ...],
-        xdeg_max: int,
-        seed: int | None = None,
+        self, pairs: tuple[tuple[int, int], ...], cs: tuple[Fraction, ...], xdeg_max: int
     ) -> None:
         pairs = tuple(tuple(p) for p in pairs)
         cs = tuple(as_fraction(c) for c in cs)
@@ -86,45 +83,21 @@ class LemmaConfig(_Record):
                 raise ValueError(f"(a_i, b_i) = {p} not in {ALLOWED_PAIRS}")
         if xdeg_max < 0:
             raise ValueError("xdeg_max must be non-negative")
-        self.pairs, self.cs, self.xdeg_max, self.seed = pairs, cs, xdeg_max, seed
+        self.pairs, self.cs, self.xdeg_max = pairs, cs, xdeg_max
 
     @property
     def nvars(self) -> int:
         return len(self.pairs)
 
-    def summary(self) -> str:
-        pairs = ",".join(f"({a},{b})" for a, b in self.pairs) or "-"
-        cs = ",".join(str(c) for c in self.cs) or "-"
-        return f"xdeg={self.xdeg_max} pairs={pairs} c={cs}"
 
-
-class CheckReport(_Record):
-    """Outcome of one identity check on one configuration."""
-
-    __slots__ = ("check", "config", "passed", "offending")
-
-    def __init__(
-        self, check: str, config: LemmaConfig, passed: bool, offending: str | None = None
-    ) -> None:
-        self.check, self.config, self.passed, self.offending = check, config, passed, offending
-
-    def line(self, trial: int | None = None) -> str:
-        head = f"trial={trial} " if trial is not None else ""
-        seed = "-" if self.config.seed is None else self.config.seed
-        tail = "PASS" if self.passed else f"FAIL {self.offending}"
-        return f"{head}seed={seed} {self.config.summary()} {self.check} {tail}"
-
-
-def sample_config(
-    rng: random.Random, nvars: int, xdeg_max: int, seed: int | None = None
-) -> LemmaConfig:
+def sample_config(rng: random.Random, nvars: int, xdeg_max: int) -> LemmaConfig:
     """Draw (a_i, b_i) uniformly from the allowed pairs and c_i with
     numerator in [-9, 9], denominator in [1, 9]."""
     pairs = tuple(ALLOWED_PAIRS[rng.randrange(3)] for _ in range(nvars))
     cs = tuple(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(nvars)
     )
-    return LemmaConfig(pairs, cs, xdeg_max, seed)
+    return LemmaConfig(pairs, cs, xdeg_max)
 
 
 def p_term_bound(nvars: int, xdeg_max: int) -> int:
@@ -236,15 +209,15 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
 # -- identity checks -----------------------------------------------------------
 
 
-def check_a1(cfg: LemmaConfig, p: MultiPoly | None = None) -> CheckReport:
-    """All three second derivatives of ln P vanish identically; p is
-    build_p(cfg), P in (t, s = t + z), when the caller has built it
-    already.  The log is taken in (t, s), and sheared back to (t, z) only
-    to name a failure (module docstring)."""
-    ln_p = (build_p(cfg) if p is None else p).log()
+def check_a1(p: MultiPoly) -> str | None:
+    """All three second derivatives of ln P vanish identically, for p =
+    build_p(cfg), P in (t, s = t + z): None, or the first residual's
+    leading term.  The log is taken in (t, s), and sheared back to (t, z)
+    only to name a failure (module docstring)."""
+    ln_p = p.log()
     keys = (k for b in ln_p._blocks.values() for k in b)
     if all((k >> FIELD_BITS & EXP_MAX) + (k & EXP_MAX) <= 1 for k in keys):
-        return CheckReport("a1", cfg, True)
+        return None
     ln_p = ln_p.shear(1)
     d_t = ln_p.partial("t")
     for name, residual in (
@@ -253,20 +226,19 @@ def check_a1(cfg: LemmaConfig, p: MultiPoly | None = None) -> CheckReport:
         ("dtdz(lnP)", d_t.partial("z")),
     ):
         if not residual.is_zero:
-            return CheckReport("a1", cfg, False, f"{name} = {residual.leading_term_str()}")
-    return CheckReport("a1", cfg, True)
+            return f"{name} = {residual.leading_term_str()}"
+    return None
 
 
-def check_a2(cfg: LemmaConfig, q: MultiPoly | None = None) -> CheckReport:
-    """(t d/dt - 1) ln Q vanishes identically, i.e. ln Q is linear in t; q
-    is build_q(cfg) when the caller has built it already."""
-    ln_q = (build_q(cfg) if q is None else q).log()
+def check_a2(q: MultiPoly) -> str | None:
+    """(t d/dt - 1) ln Q vanishes identically, i.e. ln Q is linear in t,
+    for q = build_q(cfg): None, or the residual's leading term."""
+    ln_q = q.log()
     keys = (k for b in ln_q._blocks.values() for k in b)
     if all(k >> FIELD_BITS & EXP_MAX == 1 for k in keys):
-        return CheckReport("a2", cfg, True)
-    t = MultiPoly.t(cfg.nvars, cfg.xdeg_max)
-    residual = t * ln_q.partial("t") - ln_q
-    return CheckReport("a2", cfg, False, f"(t*dt-1)lnQ = {residual.leading_term_str()}")
+        return None
+    residual = MultiPoly.t(q.nvars, q.xdeg_max) * ln_q.partial("t") - ln_q
+    return f"(t*dt-1)lnQ = {residual.leading_term_str()}"
 
 
 @lru_cache(maxsize=16)
@@ -293,26 +265,23 @@ def _closed_forms(pairs: tuple[tuple[int, int], ...], xdeg_max: int) -> tuple[Mu
     return p_expected, q_expected
 
 
-def check_closed_forms(
-    cfg: LemmaConfig, p: MultiPoly | None = None, q: MultiPoly | None = None
-) -> CheckReport:
+def check_closed_forms(cfg: LemmaConfig, p: MultiPoly, q: MultiPoly) -> str | None:
     """At c = 0 the series factor into elementary closed forms:
 
         P = exp(sum_i x_i t^{a_i}) * (1 + sum_j x_j)^{z+t}
     (the first factor over the b_i = 0 variables, the second over the
     (0,1) variables), and Q = (1 + sum_i x_i)^t.  p and q are build_p(cfg)
-    and build_q(cfg) when the caller has built them already; P is compared
-    in (t, s = t + z), where the second factor is (1 + sum_j x_j)^s, and a
+    and build_q(cfg): None, or the first mismatch.  P is compared in
+    (t, s = t + z), where the second factor is (1 + sum_j x_j)^s, and a
     mismatch is named in (t, z).
     """
     if any(c != 0 for c in cfg.cs):
         raise ValueError("closed forms require all c_i = 0")
     p_expected, q_expected = _closed_forms(cfg.pairs, cfg.xdeg_max)
     for name, got, want, back in (
-        ("P", build_p(cfg) if p is None else p, p_expected, 1),
-        ("Q", build_q(cfg) if q is None else q, q_expected, 0),
+        ("P", p, p_expected, 1),
+        ("Q", q, q_expected, 0),
     ):
         if got != want:
-            where = (got - want).shear(back).leading_term_str()
-            return CheckReport("closed-form", cfg, False, f"{name} mismatch at {where}")
-    return CheckReport("closed-form", cfg, True)
+            return f"{name} mismatch at {(got - want).shear(back).leading_term_str()}"
+    return None

@@ -40,7 +40,8 @@ by m followed by one division per weight, and the reversion route is
 that shares the inverse of F_0 with that exponent.  The change of
 variables and its kernels belong to ``series``; this module passes it
 series only and reads each u_d from U's coefficients.  ``MirrorData``
-and ``InvariantTable`` are immutable records (``cohomology._Record``).
+is an immutable record (``cohomology._Record``); a table is a tuple of
+exact values whose entry i belongs to curve degree i + 1.
 """
 
 from __future__ import annotations
@@ -73,24 +74,10 @@ class MirrorData(_Record):
         self.f0, self.f1, self.f2, self.weights = f0, f1, f2, weights
 
 
-class InvariantTable(_Record):
-    """Ordered exact table degree -> invariant."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[int, Fraction], ...]) -> None:
-        degrees = [d for d, _ in entries]
-        if degrees and degrees[0] != 1:
-            raise ValueError("tables start at degree 1")
-        if any(b <= a for a, b in zip(degrees, degrees[1:])):
-            raise ValueError("degrees must be strictly increasing")
-        self.entries = entries
-
-
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
-def _solve(md: MirrorData) -> InvariantTable:
+def _solve(md: MirrorData) -> tuple[Fraction, ...]:
     """Solve the recursion divided once by F_0: with m = F_1/F_0 formed
     once, base = (F_2 - F_1 m/2)/F_0 equals sum_d w_d u_d Q^d exp(d m)."""
     if md.f0 is None:  # the plane cubic: F_0 = 1
@@ -99,8 +86,7 @@ def _solve(md: MirrorData) -> InvariantTable:
         inv0 = md.f0.inv()
         m = md.f1 * inv0
         base = (md.f2 - md.f1 * m * Fraction(1, 2)) * inv0
-    solved = solve_correction_series(base, m, md.weights)
-    return InvariantTable(tuple(enumerate(solved, start=1)))
+    return tuple(solve_correction_series(base, m, md.weights))
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -129,13 +115,17 @@ def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
     return tuple(out)
 
 
-def quintic_invariants(dmax: int) -> InvariantTable:
-    """Virtual counts n_d of degree-d rational curves on the quintic,
-    solved degree by degree from the H^3 component of the corrected series."""
+def quintic_invariants(dmax: int) -> tuple[Fraction, ...]:
+    """Virtual counts n_1..n_dmax of rational curves on the quintic,
+    solved degree by degree from the H^3 component of the corrected series.
+
+    >>> quintic_invariants(3)
+    (Fraction(2875, 1), Fraction(4876875, 8), Fraction(8564575000, 27))
+    """
     return _solve(quintic_f(dmax))
 
 
-def quintic_crosscheck(dmax: int) -> InvariantTable:
+def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
     """The same table by the reversion route.
 
     Divide the naive series (which carries the factor 5H) by the
@@ -166,8 +156,8 @@ def quintic_crosscheck(dmax: int) -> InvariantTable:
                 "reversion route left a low H-power residue at degree "
                 f"{d}: H^0..H^2 parts {', '.join(map(str, residue))}"
             )
-        entries.append((d, corrected[3].coeffs[d] / d))
-    return InvariantTable(tuple(entries))
+        entries.append(corrected[3].coeffs[d] / d)
+    return tuple(entries)
 
 
 # -- plane cubic / local P^2 --------------------------------------------------
@@ -188,20 +178,19 @@ def localp2_f(dmax: int) -> MirrorData:
     return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
-def localp2_invariants(dmax: int) -> InvariantTable:
+def localp2_invariants(dmax: int) -> tuple[Fraction, ...]:
     """Virtual counts of degree-d rational plane curves with a single point
     of multiplicity-3d contact with a smooth cubic."""
     return _solve(localp2_f(dmax))
 
 
-def localp2_kd(dmax: int) -> InvariantTable:
+def localp2_kd(dmax: int) -> tuple[Fraction, ...]:
     """Local invariants K_d of the canonical bundle of P^2, repackaging the
     contact counts via K_d = (-1)^d v_d / (3d)."""
-    table = localp2_invariants(dmax)
-    entries = tuple(
-        (d, Fraction((-1) ** d) * v / (3 * d)) for d, v in table.entries
+    return tuple(
+        Fraction((-1) ** d) * v / (3 * d)
+        for d, v in enumerate(localp2_invariants(dmax), start=1)
     )
-    return InvariantTable(entries)
 
 
 # -- correction-free low degrees ----------------------------------------------

@@ -41,7 +41,6 @@ forms and make no ``Fraction``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from operator import mul
 
 from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
@@ -54,16 +53,6 @@ class DSeries(_Truncated):
 
     # Own entries: perfbench/spans.py wraps cls.__dict__[name] for each class.
     __mul__, inv = _Truncated.__mul__, _Truncated.inv
-
-    def __init__(self, coeffs: Iterable[Rational]) -> None:
-        super().__init__(coeffs)
-        self._powers = None
-
-    @classmethod
-    def _new(cls, nums: tuple[int, ...], den: int) -> DSeries:
-        new = super()._new(nums, den)
-        new._powers = None
-        return new
 
     @property
     def dmax(self) -> int:
@@ -115,9 +104,12 @@ class DSeries(_Truncated):
         (rows, den): row d holds the integer numerators over den of the
         kernel's coefficients and stops at index dmax - d, the last one a
         term Q^d times it reaches.  Row 0 is 1, row 1 is exp(g) and each
-        later row is the previous one times exp(g).  Built on first use
-        and kept on the series; the rows are shared, so do not change them."""
-        if self._powers is None:
+        later row is the previous one times exp(g).  Built on first use,
+        when the ``_powers`` slot is still unset, and kept on the series;
+        the rows are shared, so do not change them."""
+        try:
+            return self._powers
+        except AttributeError:
             e = self.exp()
             en, ed, n = e._nums, e._den, self.dmax
             rows = [(1,) + (0,) * n]
@@ -127,7 +119,7 @@ class DSeries(_Truncated):
             if ed != 1:
                 rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
             self._powers = tuple(map(tuple, rows)), ed**n
-        return self._powers
+            return self._powers
 
     def _kernels_of(self, g: DSeries) -> tuple[tuple[tuple[int, ...], ...], int]:
         """The kernels of g, which must share this series' dmax and have

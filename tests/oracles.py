@@ -136,7 +136,7 @@ def recursion_rhs(md, table) -> DSeries:
     f0 = md.f0 if md.f0 is not None else DSeries.monomial(0, md.f1.dmax)
     m = md.f1 * f0.inv()
     u = [Fraction(0)] * (m.dmax + 1)
-    for d, v in table.entries:
+    for d, v in enumerate(table, start=1):
         u[d] = md.weights[d] * v
     return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u)).substitute(m)
 

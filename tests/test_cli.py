@@ -102,20 +102,6 @@ def test_quintic_crosscheck_unsubstitute_fault_is_exit_1_with_one_line(monkeypat
     assert _crosscheck_in_process(capsys) == ROUND_TRIP_FAILURE
 
 
-def test_quintic_crosscheck_residue_failure_is_exit_1(monkeypatch, capsys):
-    from gwmirror import cli
-
-    def residue(dmax):
-        raise RuntimeError("reversion route left a low H-power residue at degree 2")
-
-    monkeypatch.setattr(cli, "quintic_crosscheck", residue)
-    assert _crosscheck_in_process(capsys) == (
-        1,
-        "",
-        "consistency failure: reversion route left a low H-power residue at degree 2\n",
-    )
-
-
 def test_quintic_crosscheck_residue_check_fires(monkeypatch, capsys):
     from gwmirror import DSeries, cli, mirror
 
@@ -144,10 +130,10 @@ def test_quintic_crosscheck_residue_check_fires(monkeypatch, capsys):
 def test_quintic_crosscheck_disagreement_is_exit_1(monkeypatch, capsys):
     from fractions import Fraction
 
-    from gwmirror import InvariantTable, cli
+    from gwmirror import cli
 
     def wrong(dmax):
-        return InvariantTable(tuple((d, Fraction(d)) for d in range(1, dmax + 1)))
+        return tuple(Fraction(d) for d in range(1, dmax + 1))
 
     monkeypatch.setattr(cli, "quintic_crosscheck", wrong)
     assert _crosscheck_in_process(capsys) == (
@@ -247,8 +233,14 @@ def test_lemma_a2_passes():
 def test_lemma_no_variables():
     r = run("lemma", "a1", "--vars", "0", "--trials", "2", "--seed", "1")
     assert r.returncode == 0
-    # with no variables every c vector is trivially zero: closed forms run too
-    assert "closed-form PASS" in r.stdout
+    # with no variables every c vector is trivially zero: closed forms run
+    # too, and an empty pair and c list is written as "-"
+    assert r.stdout == (
+        "trial=1 seed=1 xdeg=4 pairs=- c=- a1 PASS\n"
+        "trial=1 seed=1 xdeg=4 pairs=- c=- closed-form PASS\n"
+        "trial=2 seed=1 xdeg=4 pairs=- c=- a1 PASS\n"
+        "trial=2 seed=1 xdeg=4 pairs=- c=- closed-form PASS\n"
+    )
     # P = Q = 1 has one term at any --xdeg, so the shape bound admits it
     # and the run must not loop over the x-degrees
     r = run("lemma", "a2", "--vars", "0", "--xdeg", "1000000000", "--trials", "1", timeout=10)
@@ -779,6 +771,6 @@ def test_readme_library_example_matches_the_program():
     namespace: dict = {}
     exec("\n".join(l for l in lines if l.startswith(("from ", "import "))), namespace)
     shown = [(expr, out[2:]) for expr, out in zip(lines, lines[1:]) if out.startswith("# ")]
-    assert [expr for expr, _ in shown] == ["quintic_invariants(3).entries"]
+    assert [expr for expr, _ in shown] == ["quintic_invariants(3)", "localp2_invariants(3)"]
     for expr, text in shown:
         assert repr(eval(expr, namespace)) == text

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwmirror import (
-    CheckReport,
     LemmaConfig,
     MultiPoly,
     build_p,
@@ -23,6 +22,7 @@ from gwmirror import (
     loglinear,
     sample_config,
 )
+from gwmirror.cli import _trial_line
 from gwmirror.loglinear import ALLOWED_PAIRS
 from gwmirror.multipoly import _unpack
 
@@ -156,7 +156,7 @@ def test_builders_hand_log_the_validated_integers(cfg):
         assert built._bounds == {n: n for n in range(top + 1)}
     p = build_p(cfg)
     validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
-    assert check_a1(cfg, p) == check_a1(cfg, validated)
+    assert p.log() == validated.log()
 
 
 def _built(cfg):
@@ -315,20 +315,20 @@ def test_a1_hand_checked_instance():
     assert ln_p.terms.get((2, 1, 0), 0) == Fraction(3, 2)
     assert ln_p.terms.get((2, 0, 1), 0) == Fraction(3, 2)
     assert ln_p.terms.get((2, 2, 0), 0) == 0
-    assert check_a1(cfg).passed
+    assert check_a1(build_p(cfg)) is None
 
 
 def test_a1_trivial_when_no_binomial_variables():
     cfg = LemmaConfig(((1, 0), (0, 0)), (Fraction(3), Fraction(-1, 2)), 4)
-    assert check_a1(cfg).passed
+    assert check_a1(build_p(cfg)) is None
 
 
 def test_a1_sampled_configurations():
     rng = random.Random(7)
     for _ in range(20):
-        cfg = sample_config(rng, rng.randint(0, 4), rng.randint(1, 5), seed=7)
-        report = check_a1(cfg)
-        assert report.passed, report.line()
+        cfg = sample_config(rng, rng.randint(0, 4), rng.randint(1, 5))
+        finding = check_a1(build_p(cfg))
+        assert finding is None, f"{cfg!r}: {finding}"
 
 
 def test_a2_closed_form_instance():
@@ -337,7 +337,7 @@ def test_a2_closed_form_instance():
     x = MultiPoly.x(0, 1, 3)
     t = MultiPoly.t(1, 3)
     assert ln_q == t * (x + 1).log()
-    assert check_a2(cfg).passed
+    assert check_a2(build_q(cfg)) is None
 
 
 def test_a2_hand_checked_instance():
@@ -346,15 +346,15 @@ def test_a2_hand_checked_instance():
     # x^2 coefficient is t(t+1)/2 - t^2/2 = t/2
     assert ln_q.terms.get((2, 1, 0), 0) == Fraction(1, 2)
     assert ln_q.terms.get((2, 2, 0), 0) == 0
-    assert check_a2(cfg).passed
+    assert check_a2(build_q(cfg)) is None
 
 
 def test_a2_sampled_configurations():
     rng = random.Random(7)
     for _ in range(20):
-        cfg = sample_config(rng, rng.randint(0, 4), rng.randint(1, 5), seed=7)
-        report = check_a2(cfg)
-        assert report.passed, report.line()
+        cfg = sample_config(rng, rng.randint(0, 4), rng.randint(1, 5))
+        finding = check_a2(build_q(cfg))
+        assert finding is None, f"{cfg!r}: {finding}"
 
 
 # -- closed forms at c = 0 ----------------------------------------------------------
@@ -364,13 +364,18 @@ def zero_c_config(pairs, xdeg):
     return LemmaConfig(tuple(pairs), (Fraction(0),) * len(pairs), xdeg)
 
 
+def closed_forms(cfg, p=None):
+    """check_closed_forms on cfg's own series, or on p in place of P."""
+    return check_closed_forms(cfg, build_p(cfg) if p is None else p, build_q(cfg))
+
+
 def test_closed_form_single_exponential_variable():
-    assert check_closed_forms(zero_c_config([(1, 0)], 4)).passed
+    assert closed_forms(zero_c_config([(1, 0)], 4)) is None
 
 
 def test_closed_form_single_binomial_variable():
     cfg = zero_c_config([(0, 1)], 4)
-    assert check_closed_forms(cfg).passed
+    assert closed_forms(cfg) is None
     # cross-check the binomial series from first principles:
     # (1+x)^{z+t} = sum_s C(z+t, s) x^s
     p = build_p(cfg).shear(1)
@@ -401,7 +406,7 @@ def test_closed_form_p_matches_its_product_in_t_and_z(pairs, xdeg):
 
 def test_closed_form_empty_variable_set():
     cfg = zero_c_config([], 3)
-    assert check_closed_forms(cfg).passed
+    assert closed_forms(cfg) is None
     assert build_p(cfg) == MultiPoly.one(0, 3)
     assert build_q(cfg) == MultiPoly.one(0, 3)
 
@@ -415,50 +420,52 @@ def test_closed_forms_survive_a_failing_check():
     memo = loglinear._closed_forms(cfg.pairs, cfg.xdeg_max)
     before = [({d: dict(b) for d, b in e._blocks.items()}, e._den, dict(e._bounds)) for e in memo]
     tampered = (p.shear(1) + MultiPoly(2, 3, {(1, 0, 2, 0): Fraction(1, 3)})).shear(-1)
-    report = check_closed_forms(cfg, tampered)
-    assert not report.passed
-    assert report.offending == "P mismatch at 1/3 * x1*t^2"
-    assert check_closed_forms(cfg, p).passed
+    assert closed_forms(cfg, tampered) == "P mismatch at 1/3 * x1*t^2"
+    assert closed_forms(cfg, p) is None
     assert loglinear._closed_forms(cfg.pairs, cfg.xdeg_max) is memo
     assert [(e._blocks, e._den, e._bounds) for e in memo] == before
 
 
 @pytest.mark.parametrize(
-    "pairs, bad, line",
+    "seed, pairs, bad, line",
     [
         (
+            580,
             ((0, 1), (0, 1)),
             {(1, 1, 0, 2): Fraction(-2, 5), (0, 2, 1, 1): Fraction(3, 7)},
-            "trial=1 seed=- xdeg=3 pairs=(0,1),(0,1) c=0,0 closed-form FAIL"
+            "trial=1 seed=580 xdeg=3 pairs=(0,1),(0,1) c=0,0 closed-form FAIL"
             " P mismatch at 3/7 * x2^2*t*z",
         ),
         (
+            17,
             ((0, 1), (1, 0)),
             {(1, 1, 0, 3): Fraction(-2, 5), (1, 1, 1, 1): Fraction(1, 2)},
-            "trial=1 seed=- xdeg=3 pairs=(0,1),(1,0) c=0,0 closed-form FAIL"
+            "trial=1 seed=17 xdeg=3 pairs=(0,1),(1,0) c=0,0 closed-form FAIL"
             " P mismatch at -2/5 * x1*x2*z^3",
         ),
     ],
 )
-def test_closed_form_mismatch_line_keeps_its_bytes(pairs, bad, line):
-    # P is compared in (t, s) and the mismatch named in (t, z); the lines
-    # were taken from a comparison in (t, z)
-    cfg = zero_c_config(pairs, 3)
+def test_closed_form_mismatch_line_keeps_its_bytes(seed, pairs, bad, line):
+    # P is compared in (t, s) and the mismatch named in (t, z); the
+    # mismatches were taken from a comparison in (t, z).  Trial 1 of
+    # `lemma --vars 2 --xdeg 3 --seed <seed>` draws the configuration.
+    cfg = sample_config(random.Random(seed), 2, 3)
+    assert cfg == zero_c_config(pairs, 3)
     tampered = (build_p(cfg).shear(1) + MultiPoly(2, 3, bad)).shear(-1)
-    assert check_closed_forms(cfg, tampered).line(trial=1) == line
+    assert _trial_line(1, seed, cfg, "closed-form", closed_forms(cfg, tampered)) == line
 
 
 def test_closed_form_requires_zero_c():
     cfg = LemmaConfig(((0, 1),), (Fraction(1),), 2)
     with pytest.raises(ValueError, match="c_i = 0"):
-        check_closed_forms(cfg)
+        closed_forms(cfg)
 
 
 def test_mixed_variables_factor():
     # P splits as (pure a-part) * (pure b-part) when c = 0
     pairs = ((1, 0), (0, 1), (0, 0), (0, 1))
     cfg = zero_c_config(pairs, 4)
-    assert check_closed_forms(cfg).passed
+    assert closed_forms(cfg) is None
     p = build_p(cfg)
     part_a = build_p(zero_c_config([(1, 0), (0, 0)], 4))
     part_b = build_p(zero_c_config([(0, 1), (0, 1)], 4))
@@ -473,13 +480,11 @@ def test_mixed_variables_factor():
 def test_lemma_config_is_a_record():
     pairs, cs = ((0, 1),), (Fraction(3, 4),)
     cfg = LemmaConfig(pairs, cs, 9)
-    check_record(cfg, pairs=pairs, cs=cs, xdeg_max=9, seed=None)
+    check_record(cfg, pairs=pairs, cs=cs, xdeg_max=9)
     # hypothesis prints this form in its failure reports
-    assert repr(cfg) == "LemmaConfig(pairs=((0, 1),), cs=(Fraction(3, 4),), xdeg_max=9, seed=None)"
-    seeded = LemmaConfig(pairs, cs, 9, seed=4)
-    check_record(seeded, pairs=pairs, cs=cs, xdeg_max=9, seed=4)
-    assert seeded != cfg and seeded == LemmaConfig(pairs, cs, 9, 4)
-    check_record(LemmaConfig((), (), 0), pairs=(), cs=(), xdeg_max=0, seed=None)
+    assert repr(cfg) == "LemmaConfig(pairs=((0, 1),), cs=(Fraction(3, 4),), xdeg_max=9)"
+    assert cfg != LemmaConfig(pairs, cs, 8)
+    check_record(LemmaConfig((), (), 0), pairs=(), cs=(), xdeg_max=0)
 
 
 def test_lemma_config_normalises_its_fields():
@@ -487,7 +492,7 @@ def test_lemma_config_normalises_its_fields():
     assert type(cfg.pairs) is tuple and all(type(p) is tuple for p in cfg.pairs)
     assert type(cfg.cs) is tuple and all(type(c) is Fraction for c in cfg.cs)
     assert cfg == LemmaConfig(((1, 0), (0, 0)), (Fraction(2), Fraction(1, 2)), 3)
-    assert hash(cfg) == hash((((1, 0), (0, 0)), (Fraction(2), Fraction(1, 2)), 3, None))
+    assert hash(cfg) == hash((((1, 0), (0, 0)), (Fraction(2), Fraction(1, 2)), 3))
 
 
 def test_lemma_config_validation_messages():
@@ -501,40 +506,24 @@ def test_lemma_config_validation_messages():
         LemmaConfig((), (), -1)
 
 
-def test_check_report_is_a_record():
-    cfg = LemmaConfig(((1, 0),), (Fraction(2, 3),), 3, seed=5)
-    passed = CheckReport("a1", cfg, True)
-    check_record(passed, check="a1", config=cfg, passed=True, offending=None)
-    failed = CheckReport("a2", cfg, False, offending="x1")
-    check_record(failed, check="a2", config=cfg, passed=False, offending="x1")
-    assert repr(failed) == (
-        "CheckReport(check='a2', config=LemmaConfig(pairs=((1, 0),), "
-        "cs=(Fraction(2, 3),), xdeg_max=3, seed=5), passed=False, offending='x1')"
-    )
-    assert failed != CheckReport("a2", cfg, False, "x2")
-    assert check_a1(cfg) == passed
-
-
-# -- reports ---------------------------------------------------------------------
+# -- trial lines -----------------------------------------------------------------
 
 
 def test_report_line_format():
-    cfg = LemmaConfig(((1, 0),), (Fraction(2, 3),), 3, seed=5)
-    line = check_a1(cfg).line(trial=2)
+    # The checks return their finding, None on a pass; cli writes the line.
+    cfg = LemmaConfig(((1, 0),), (Fraction(2, 3),), 3)
+    line = _trial_line(2, 5, cfg, "a1", check_a1(build_p(cfg)))
     assert line == "trial=2 seed=5 xdeg=3 pairs=(1,0) c=2/3 a1 PASS"
 
 
-def test_a1_fails_on_a_non_affine_term(monkeypatch):
+def test_a1_fails_on_a_non_affine_term():
     # an x1^2 t^2 term in P puts 2/3 x1^2 into d2/dt2 ln P; a log that
     # assumed the affine shape of ln P would hide it
     cfg = LemmaConfig(((0, 1),), (Fraction(2),), 2)
-    honest = loglinear.build_p
     bad = MultiPoly(1, 2, {(2, 2, 0): Fraction(1, 3)})
-    monkeypatch.setattr(loglinear, "build_p", lambda c: (honest(c).shear(1) + bad).shear(-1))
-    report = check_a1(cfg)
-    assert not report.passed
-    assert report.offending == "d2t(lnP) = 2/3 * x1^2"
-    assert report.line(trial=1).endswith("a1 FAIL d2t(lnP) = 2/3 * x1^2")
+    finding = check_a1((build_p(cfg).shear(1) + bad).shear(-1))
+    assert finding == "d2t(lnP) = 2/3 * x1^2"
+    assert _trial_line(1, 0, cfg, "a1", finding).endswith("a1 FAIL d2t(lnP) = 2/3 * x1^2")
 
 
 @pytest.mark.parametrize(
@@ -547,9 +536,12 @@ def test_a1_fails_on_a_non_affine_term(monkeypatch):
     ],
 )
 def test_a1_fails_on_a_term_of_degree_two_in_t_and_s_together(tz, offending):
-    cfg = LemmaConfig(((0, 1),), (Fraction(1, 2),), 1)
+    # Trial 1 of `lemma a1 --vars 1 --xdeg 1 --seed 211` draws the configuration.
+    cfg = sample_config(random.Random(211), 1, 1)
+    assert cfg == LemmaConfig(((0, 1),), (Fraction(1, 2),), 1)
     p = _p_tz(cfg) + MultiPoly(1, 1, {(1, *e): 1 for e in tz})
-    assert _check_a1_tz(cfg, p).line() == f"seed=- xdeg=1 pairs=(0,1) c=1/2 a1 FAIL {offending}"
+    line = _trial_line(1, 211, cfg, "a1", _check_a1_tz(p))
+    assert line == f"trial=1 seed=211 xdeg=1 pairs=(0,1) c=1/2 a1 FAIL {offending}"
 
 
 # (t, z) exponents of the term added to P in the tampered trials below: t^2,
@@ -560,21 +552,21 @@ _TAMPER_TZ = ((2, 0), (0, 2), (1, 1), (3, 1))
 _TAMPER_A2_TZ = ((0, 0), (2, 0), (3, 0), (1, 1))
 
 
-def _tampered_lines(check, build, tamper, nvars, xdeg, count):
-    """check's lines on count sampled series of the shape, each built and
-    one term added, of random x-part, coefficient and x-degree and of (t, z)
-    exponents from tamper in turn."""
+def _tampered_lines(name, check, build, tamper, nvars, xdeg, count):
+    """The trial lines of check, named name, on count sampled series of the
+    shape, each built and one term added, of random x-part, coefficient and
+    x-degree and of (t, z) exponents from tamper in turn."""
     lines = []
     for i in range(count):
         seed = 100 * nvars + 10 * xdeg + i
         rng = random.Random(seed)
-        cfg = sample_config(rng, nvars, xdeg, seed=seed)
+        cfg = sample_config(rng, nvars, xdeg)
         x = [0] * nvars
         for _ in range(rng.randint(1, xdeg)):
             x[rng.randrange(nvars)] += 1
         coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
         bad = MultiPoly(nvars, xdeg, {(*x, *tamper[i % len(tamper)]): coeff})
-        lines.append(check(cfg, build(cfg) + bad).line(trial=i + 1))
+        lines.append(_trial_line(i + 1, seed, cfg, name, check(build(cfg) + bad)))
     return lines
 
 
@@ -583,17 +575,17 @@ def _p_tz(cfg):
     return build_p(cfg).shear(1)
 
 
-def _check_a1_tz(cfg, p):
+def _check_a1_tz(p):
     """check_a1 on a P given in (t, z)."""
-    return check_a1(cfg, p.shear(-1))
+    return check_a1(p.shear(-1))
 
 
 def _tampered_a1_lines(nvars, xdeg, count):
-    return _tampered_lines(_check_a1_tz, _p_tz, _TAMPER_TZ, nvars, xdeg, count)
+    return _tampered_lines("a1", _check_a1_tz, _p_tz, _TAMPER_TZ, nvars, xdeg, count)
 
 
 def _tampered_a2_lines(nvars, xdeg, count):
-    return _tampered_lines(check_a2, build_q, _TAMPER_A2_TZ, nvars, xdeg, count)
+    return _tampered_lines("a2", check_a2, build_q, _TAMPER_A2_TZ, nvars, xdeg, count)
 
 
 def test_a1_fail_lines_of_tampered_p_keep_their_bytes():
@@ -692,7 +684,7 @@ def test_a1_passes_exactly_when_the_second_derivatives_vanish(case):
     ln_p = mp_log_by_powers(p.terms, v, cfg.xdeg_max)
     d_t, d_z = mp_partial(ln_p, v), mp_partial(ln_p, v + 1)
     affine = not (mp_partial(d_t, v) or mp_partial(d_z, v + 1) or mp_partial(d_t, v + 1))
-    assert _check_a1_tz(cfg, p).passed == affine
+    assert (_check_a1_tz(p) is None) == affine
 
 
 @settings(max_examples=40, deadline=None)
@@ -703,7 +695,7 @@ def test_a2_passes_exactly_when_the_residual_vanishes(case):
     ln_q = mp_log_by_powers(q.terms, v, xd)
     t = {(0,) * v + (1, 0): Fraction(1)}
     residual = mp_add(mp_mul(t, mp_partial(ln_q, v), xd), ln_q, Fraction(-1))
-    assert check_a2(cfg, q).passed == (not residual)
+    assert (check_a2(q) is None) == (not residual)
 
 
 def test_failing_report_names_offending_term():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from gwmirror import (
     DSeries,
-    InvariantTable,
     MirrorData,
     localp2_f,
     localp2_invariants,
@@ -83,21 +82,20 @@ def test_reconstruct_p_h_expansion():
 
 
 def test_quintic_counts():
-    table = quintic_invariants(2)
-    assert dict(table.entries) == QUINTIC_COUNTS
+    assert dict(enumerate(quintic_invariants(2), start=1)) == QUINTIC_COUNTS
 
 
 def test_quintic_empty_table():
-    assert quintic_invariants(0).entries == ()
+    assert quintic_invariants(0) == ()
 
 
 def test_quintic_crosscheck_agrees():
     for dmax in (1, 2, 4, 12, 30):
-        assert quintic_crosscheck(dmax).entries == quintic_invariants(dmax).entries
+        assert quintic_crosscheck(dmax) == quintic_invariants(dmax)
 
 
 def test_quintic_crosscheck_empty():
-    assert quintic_crosscheck(0).entries == quintic_invariants(0).entries == ()
+    assert quintic_crosscheck(0) == quintic_invariants(0) == ()
 
 
 def test_quintic_crosscheck_inverts_f0_twice(monkeypatch):
@@ -124,7 +122,7 @@ def test_quintic_resubstitution_reproduces_f2():
 
 def test_quintic_bps_numbers_are_integers():
     # Moebius-inverting the multiple-cover formula must give integers.
-    bps = bps_numbers([v for _, v in quintic_invariants(60).entries])
+    bps = bps_numbers(list(quintic_invariants(60)))
     assert all(n.denominator == 1 for n in bps)
     assert bps[:5] == [2875, 609250, 317206375, 242467530000, 229305888887625]
 
@@ -147,22 +145,21 @@ def test_localp2_series_has_no_h0_part():
 
 
 def test_localp2_table_matches_reference():
-    table = localp2_invariants(8)
-    assert [v for _, v in table.entries] == CUBIC_CONTACT_COUNTS
+    assert list(localp2_invariants(8)) == CUBIC_CONTACT_COUNTS
 
 
 def test_localp2_kd():
     table = localp2_invariants(3)
     kd = localp2_kd(3)
     # relation applied independently of the pipeline's own arithmetic
-    for (d, v), (dk, k) in zip(table.entries, kd.entries):
-        assert d == dk
+    assert len(kd) == len(table) == 3
+    for d, (v, k) in enumerate(zip(table, kd), start=1):
         assert k == Fraction((-1) ** d) * v / (3 * d)
-    assert [v for _, v in kd.entries] == [Fraction(-3), Fraction(45, 8), Fraction(-244, 9)]
+    assert kd == (Fraction(-3), Fraction(45, 8), Fraction(-244, 9))
 
 
 def test_localp2_bps_numbers_are_integers():
-    bps = bps_numbers([v for _, v in localp2_kd(120).entries])
+    bps = bps_numbers(list(localp2_kd(120)))
     assert all(n.denominator == 1 for n in bps)
     assert bps[:8] == [-3, 6, -27, 192, -1695, 17064, -188454, 2228160]
 
@@ -188,9 +185,9 @@ def _theta(s: DSeries) -> DSeries:
     return DSeries([d * c for d, c in enumerate(s.coeffs)])
 
 
-def _yukawa_holds(entries, power, kappa, delta, f0, m):
+def _yukawa_holds(values, power, kappa, delta, f0, m):
     one = DSeries.monomial(0, m.dmax)
-    table = DSeries([kappa] + [d**power * v for d, v in entries])
+    table = DSeries([kappa] + [d**power * v for d, v in enumerate(values, start=1)])
     w = one + _theta(m)
     denominator = (one - DSeries.monomial(1, m.dmax, delta)) * w * w * w
     if f0 is not None:
@@ -201,20 +198,18 @@ def _yukawa_holds(entries, power, kappa, delta, f0, m):
 def test_quintic_table_satisfies_the_yukawa_identity():
     md = quintic_f(YUKAWA_DMAX)
     m = md.f1 * md.f0.inv()
-    entries = list(quintic_invariants(YUKAWA_DMAX).entries)
-    assert _yukawa_holds(entries, 3, 5, 3125, md.f0, m)
-    d, v = entries[6]
-    entries[6] = (d, v + 1)
-    assert not _yukawa_holds(entries, 3, 5, 3125, md.f0, m)
+    values = list(quintic_invariants(YUKAWA_DMAX))
+    assert _yukawa_holds(values, 3, 5, 3125, md.f0, m)
+    values[6] += 1
+    assert not _yukawa_holds(values, 3, 5, 3125, md.f0, m)
 
 
 def test_localp2_table_satisfies_the_yukawa_identity():
     md = localp2_f(YUKAWA_DMAX)
-    entries = list(localp2_invariants(YUKAWA_DMAX).entries)
-    assert _yukawa_holds(entries, 2, 1, 27, None, md.f1)
-    d, v = entries[6]
-    entries[6] = (d, v + 1)
-    assert not _yukawa_holds(entries, 2, 1, 27, None, md.f1)
+    values = list(localp2_invariants(YUKAWA_DMAX))
+    assert _yukawa_holds(values, 2, 1, 27, None, md.f1)
+    values[6] += 1
+    assert not _yukawa_holds(values, 2, 1, 27, None, md.f1)
 
 
 # -- structural identities ---------------------------------------------------------
@@ -226,7 +221,7 @@ def test_quartic_k3_has_no_corrections():
     dmax = 100
     f0, f1, f2 = (h * Fraction(1, 4) for h in naive_series(3, 4, dmax)[1:4])
     md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)))
-    assert _solve(md).entries == tuple((d, 0) for d in range(1, dmax + 1))
+    assert _solve(md) == (0,) * dmax
 
 
 def _integral_with_head(series, head):
@@ -301,24 +296,21 @@ def test_hyperplane_in_p3_case():
         assert entry == hyper_factor(1, d, 4) * ambient_I(3, d)
 
 
-# -- invariant table contract ---------------------------------------------------
+# -- results -------------------------------------------------------------------
 
 
-def test_invariant_table_validates_degrees():
-    with pytest.raises(ValueError, match="^tables start at degree 1$"):
-        InvariantTable(((2, Fraction(1)),))
-    with pytest.raises(ValueError, match="^degrees must be strictly increasing$"):
-        InvariantTable(((1, Fraction(1)), (1, Fraction(2))))
-    InvariantTable(())  # empty is fine
+@pytest.mark.parametrize(
+    "table", [quintic_invariants, quintic_crosscheck, localp2_invariants, localp2_kd]
+)
+def test_tables_are_tuples_of_fractions(table):
+    # Entry i belongs to degree i + 1; an empty request gives ().
+    assert table(0) == ()
+    values = table(3)
+    assert type(values) is tuple and len(values) == 3
+    assert all(type(v) is Fraction for v in values)
 
 
-def test_invariant_table_is_a_record():
-    entries = ((1, Fraction(2875)), (2, Fraction(4876875, 8)))
-    check_record(InvariantTable(entries), entries=entries)
-    check_record(InvariantTable(()), entries=())
-    assert repr(InvariantTable(entries[:1])) == "InvariantTable(entries=((1, Fraction(2875, 1)),))"
-    assert InvariantTable(entries) != InvariantTable(entries[:1])
-    assert quintic_invariants(2) == InvariantTable(entries)
+# -- records --------------------------------------------------------------------
 
 
 def test_mirror_data_is_a_record():

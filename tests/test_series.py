@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwmirror import DSeries, ambient_I, hyper_factor, naive_series
@@ -276,6 +276,9 @@ def test_series_mul_inv(a, c0):
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 5).flatmap(series_of))
+# The pipeline never reads exp's top coefficient, and the draws stop at
+# dmax 5: one case past dmax 40 holds exp to its last index there.
+@example(DSeries.monomial(1, 45))
 def test_series_exp_log_inverse(a):
     a = with_constant(a, 0)
     assert a.exp().log() == a
