@@ -36,12 +36,13 @@ with 1/5.  The recursion, divided once by F_0, reads
     (F_2 - F_1 m/2)/F_0 = U(Q exp(m)),   m = F_1/F_0,
 with U = sum_{d>0} w_d u_d Q^d, so the solver is ``DSeries.unsubstitute``
 by m followed by one division per weight, and the reversion route is
-``DSeries.substitute`` by the reverted exponent, after an H-division
-that shares the inverse of F_0 with that exponent.  The change of
-variables and its kernels belong to ``series``; this module passes it
-series only and reads each u_d from U's coefficients.  ``MirrorData``
-is an immutable record (``cohomology._Record``); a table is a tuple of
-exact values whose entry i belongs to curve degree i + 1.
+``DSeries.substitute`` by the reverted exponent of m, after an
+H-division by F_0.  The change of variables and its kernels belong to
+``series``; this module passes it series only and reads each u_d from
+U's coefficients.  ``MirrorData`` is an immutable record
+(``cohomology._Record``) that carries 1/F_0 and m, formed once by its
+builder; a table is a tuple of exact values whose entry i belongs to
+curve degree i + 1.
 """
 
 from __future__ import annotations
@@ -63,30 +64,31 @@ class MirrorData(_Record):
 
     ``f0`` is None for the plane-cubic case, whose series has no H^0 part;
     the recursion then reads with F_0 = 1, which is never multiplied in.
-    ``weights[d]`` is w_d, the factor of the degree-d unknown.
+    ``weights[d]`` is w_d, the factor of the degree-d unknown.  The
+    builder forms ``inv0`` = 1/F_0 and ``m`` = F_1/F_0 once for every
+    route that reads them; without F_0, ``inv0`` is None and ``m`` is F_1.
     """
 
-    __slots__ = ("f0", "f1", "f2", "weights")
+    __slots__ = ("f0", "f1", "f2", "weights", "inv0", "m")
 
     def __init__(
-        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...]
+        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...],
+        inv0: DSeries | None, m: DSeries,
     ) -> None:
         self.f0, self.f1, self.f2, self.weights = f0, f1, f2, weights
+        self.inv0, self.m = inv0, m
 
 
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
 def _solve(md: MirrorData) -> tuple[Fraction, ...]:
-    """Solve the recursion divided once by F_0: with m = F_1/F_0 formed
-    once, base = (F_2 - F_1 m/2)/F_0 equals sum_d w_d u_d Q^d exp(d m)."""
-    if md.f0 is None:  # the plane cubic: F_0 = 1
-        m, base = md.f1, md.f2 - md.f1 * md.f1 * Fraction(1, 2)
-    else:
-        inv0 = md.f0.inv()
-        m = md.f1 * inv0
-        base = (md.f2 - md.f1 * m * Fraction(1, 2)) * inv0
-    return tuple(solve_correction_series(base, m, md.weights))
+    """Solve the recursion divided once by F_0: with m = F_1/F_0,
+    base = (F_2 - F_1 m/2)/F_0 equals sum_d w_d u_d Q^d exp(d m)."""
+    base = md.f2 - md.f1 * md.m * Fraction(1, 2)
+    if md.inv0 is not None:  # the plane cubic has F_0 = 1
+        base = base * md.inv0
+    return tuple(solve_correction_series(base, md.m, md.weights))
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -96,7 +98,8 @@ def quintic_f(dmax: int) -> MirrorData:
     """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
     out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
     f0, f1, f2 = (h * Fraction(1, 5) for h in naive_series(4, 5, dmax)[1:4])
-    return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
+    weights, inv0 = tuple(Fraction(d, 5) for d in range(dmax + 1)), f0.inv()
+    return MirrorData(f0, f1, f2, weights, inv0, f1 * inv0)
 
 
 def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
@@ -108,10 +111,9 @@ def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
     """
     if md.f0 is None:
         raise ValueError("needs quintic-style mirror data (F_0 present)")
-    m = md.f1 * md.f0.inv()
     out = [md.f0]
     for k in range(1, QUINTIC_RING):
-        out.append(out[-1] * m * Fraction(1, k))
+        out.append(out[-1] * md.m * Fraction(1, k))
     return tuple(out)
 
 
@@ -134,7 +136,7 @@ def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
     quintic, with H^0..H^2 parts zero and H^3 part d*n_d.
     """
     md = quintic_f(dmax)
-    p0, inv0 = reconstruct_p_quintic(md), md.f0.inv()
+    p0 = reconstruct_p_quintic(md)
     # H-components of the quotient by truncated convolution over H powers,
     # q_k = (N_k - sum_{j=1..k} p0_j q_{k-j}) / F_0 for the naive series N;
     # only H^0..H^3 are read, so it stops there.
@@ -142,21 +144,21 @@ def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
     for k, acc in enumerate(naive_series(4, 5, dmax)[:4]):
         for j in range(1, k + 1):
             acc = acc - p0[j] * quotient[k - j]
-        quotient.append(acc * inv0)
+        quotient.append(acc * md.inv0)
     # In Q = q^5 the change q -> q exp(F_1/(5 F_0)) reads Q -> Q exp(F_1/F_0).
-    # revert_exp runs on the kernels of F_1/F_0, and its round trip builds
-    # and keeps those of h, so these substitutions build no further chain.
-    h = (md.f1 * inv0).revert_exp()
+    # revert_exp runs on the kernels of m, and its round trip builds and
+    # keeps those of h, so these substitutions build no further chain.
+    h = md.m.revert_exp()
     corrected = [c.substitute(h) for c in quotient]
     entries = []
     for d in range(1, dmax + 1):
-        residue = [c.coeffs[d] for c in corrected[:3]]
+        residue = [c.coeff(d) for c in corrected[:3]]
         if any(residue):
             raise RuntimeError(
                 "reversion route left a low H-power residue at degree "
                 f"{d}: H^0..H^2 parts {', '.join(map(str, residue))}"
             )
-        entries.append(corrected[3].coeffs[d] / d)
+        entries.append(corrected[3].coeff(d) / d)
     return tuple(entries)
 
 
@@ -175,7 +177,7 @@ def localp2_f(dmax: int) -> MirrorData:
     # degree-0 term.
     zero = CohClass((0,) * CUBIC_RING)
     _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)))
-    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
+    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1), None, f1)
 
 
 def localp2_invariants(dmax: int) -> tuple[Fraction, ...]:

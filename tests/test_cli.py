@@ -64,6 +64,18 @@ def _crosscheck_in_process(capsys):
     return code, captured.out, captured.err
 
 
+def test_quintic_crosscheck_warm_repeat_is_byte_identical(capsys):
+    # The second request reads the naive series the first one cached.
+    from gwmirror import cli
+
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["quintic", "--dmax", "12", "--crosscheck"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].err == "" and outputs[0].out.endswith("crosscheck: ok\n")
+
+
 def _off_by_one_at_2(method):
     """``method`` with 1 added to index 2 of the series it returns."""
     from gwmirror import DSeries

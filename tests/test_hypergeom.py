@@ -1,3 +1,4 @@
+import doctest
 from fractions import Fraction
 from math import factorial
 
@@ -176,3 +177,20 @@ def test_naive_series_rejects_non_nef():
     with pytest.raises(ValueError, match="nef"):
         naive_series(4, 6, 2)
     naive_series(4, 5, 2)  # l = n+1 is the boundary case and is allowed
+
+
+def test_naive_series_is_cached_by_typed_key():
+    # Both quintic routes of a crosscheck read one series from the cache;
+    # a float n keys apart from the int and still fails to build.
+    first = naive_series(4, 5, 2)
+    assert naive_series(4, 5, 2) is first
+    with pytest.raises(TypeError):
+        naive_series(4.0, 5, 2)
+    assert naive_series(4, 5, 3) is not first
+
+
+def test_naive_series_keeps_its_docstring_example():
+    # The "Docstring examples" CI step runs what DocTestFinder finds; the
+    # cache's wrapper must not hide the example from it.
+    names = {t.name for t in doctest.DocTestFinder().find(hypergeom) if t.examples}
+    assert "gwmirror.hypergeom.naive_series" in names

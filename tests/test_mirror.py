@@ -98,20 +98,29 @@ def test_quintic_crosscheck_empty():
     assert quintic_crosscheck(0) == quintic_invariants(0) == ()
 
 
-def test_quintic_crosscheck_inverts_f0_twice(monkeypatch):
-    # The H-division and the reversion exponent share one inverse of F_0;
-    # reconstruct_p_quintic forms the other.
-    calls = 0
-    real = DSeries.inv
+def test_crosscheck_request_twists_once_and_inverts_f0_twice(monkeypatch, capsys):
+    # Both routes of one request read one cached naive series, and each
+    # quintic_f forms the single 1/F_0 that its MirrorData hands to every
+    # reader: _solve, reconstruct_p_quintic and the reversion route.
+    from gwmirror import cli, hypergeom
 
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return real(self)
+    naive_series.cache_clear()
+    calls = {"_twist_classes": 0, "inv": 0}
 
-    monkeypatch.setattr(DSeries, "inv", counted)
-    quintic_crosscheck(12)
-    assert calls == 2
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        hypergeom, "_twist_classes", counted("_twist_classes", hypergeom._twist_classes)
+    )
+    monkeypatch.setattr(DSeries, "inv", counted("inv", DSeries.inv))
+    assert cli.main(["quintic", "--dmax", "12", "--crosscheck"]) == 0
+    assert "crosscheck: ok" in capsys.readouterr().out
+    assert calls == {"_twist_classes": 1, "inv": 2}
 
 
 def test_quintic_resubstitution_reproduces_f2():
@@ -220,7 +229,8 @@ def test_quartic_k3_has_no_corrections():
     # F_0 F_2 = F_1^2 / 2 makes every u_d of the quartic's recursion zero.
     dmax = 100
     f0, f1, f2 = (h * Fraction(1, 4) for h in naive_series(3, 4, dmax)[1:4])
-    md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)))
+    inv0 = f0.inv()
+    md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)), inv0, f1 * inv0)
     assert _solve(md) == (0,) * dmax
 
 
@@ -316,19 +326,30 @@ def test_tables_are_tuples_of_fractions(table):
 def test_mirror_data_is_a_record():
     f0, f1, f2 = DSeries((1, 2)), DSeries((0, 1)), DSeries((0, 3))
     weights = (Fraction(0), Fraction(1, 5))
-    md = MirrorData(f0, f1, f2, weights)
-    check_record(md, f0=f0, f1=f1, f2=f2, weights=weights)
-    check_record(MirrorData(None, f1, f2, weights), f0=None, f1=f1, f2=f2, weights=weights)
+    inv0, m = DSeries((1, -2)), DSeries((0, 1))
+    md = MirrorData(f0, f1, f2, weights, inv0, m)
+    check_record(md, f0=f0, f1=f1, f2=f2, weights=weights, inv0=inv0, m=m)
+    check_record(
+        MirrorData(None, f1, f2, weights, None, f1),
+        f0=None, f1=f1, f2=f2, weights=weights, inv0=None, m=f1,
+    )
     assert repr(md) == (
         "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1))), "
         "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))), "
         "f2=DSeries(coeffs=(Fraction(0, 1), Fraction(3, 1))), "
-        "weights=(Fraction(0, 1), Fraction(1, 5)))"
+        "weights=(Fraction(0, 1), Fraction(1, 5)), "
+        "inv0=DSeries(coeffs=(Fraction(1, 1), Fraction(-2, 1))), "
+        "m=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))))"
     )
     # field by field: equal series and equal values, not the same objects
-    assert md == MirrorData(DSeries((1, 2)), f1, f2, (0, Fraction(1, 5)))
-    assert md != MirrorData(f0, f1, f1, weights)
-    assert md != MirrorData(None, f1, f2, weights)
+    assert md == MirrorData(DSeries((1, 2)), f1, f2, (0, Fraction(1, 5)), f0.inv(), f1 * f0.inv())
+    assert md != MirrorData(f0, f1, f1, weights, inv0, m)
+    assert md != MirrorData(None, f1, f2, weights, None, f1)
+    # the builders form 1/F_0 and m = F_1/F_0 once, from the fields beside them
+    q = quintic_f(4)
+    assert q.inv0 * q.f0 == DSeries.monomial(0, 4) and q.m == q.f1 * q.f0.inv()
+    cubic = localp2_f(4)
+    assert cubic.inv0 is None and cubic.m is cubic.f1
     assert quintic_f(3) == quintic_f(3) and hash(quintic_f(3)) == hash(quintic_f(3))
 
 
