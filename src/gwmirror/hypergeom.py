@@ -23,9 +23,9 @@ multiplies degree d-1, kept in a bounded cache (``_ambient``), by
 such product.  Each degree's class is one ``CohClass`` product of the
 twist numerators and ``ambient_I``, and the H-components are assembled
 from the numerators (``_h_components``), with no ``Fraction`` between.
-``naive_series`` keeps its last results in a bounded, typed cache like
-``_ambient``'s, so the two quintic routes of a crosscheck run the twist
-loop once.
+``naive_series`` keeps its last result in a typed one-entry cache, so
+the two quintic routes of a crosscheck, which ask for the same
+(n, l, dmax), run the twist loop once.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
     return CohClass(_linear_product(ring_len, l, range(l * d + 1)))
 
 
-@lru_cache(maxsize=8, typed=True)  # typed: n = 4.0 must raise, not find n = 4
+@lru_cache(maxsize=1, typed=True)  # typed: n = 4.0 must raise, not find n = 4
 def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     """The q-series with index-d coefficient
     hyper_factor(l, d, n+1) * ambient_I(n, d), index d standing for
@@ -80,9 +80,9 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
 
     Requires 1 <= l <= n+1: for larger l the anticanonical class of the
     hypersurface fails to be nef and the construction does not apply.
-    The result is kept in a bounded cache, so every caller that asks for
-    the same (n, l, dmax) shares one tuple of series: build new series
-    from it and never write to its fields.
+    The last result is kept in a one-entry cache, so callers that ask for
+    the same (n, l, dmax) in a row share one tuple of series: build new
+    series from it and never write to its fields.
 
     The quintic's degree-1 coefficient, H^0..H^4 parts:
 

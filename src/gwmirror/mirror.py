@@ -40,9 +40,9 @@ by m followed by one division per weight, and the reversion route is
 H-division by F_0.  The change of variables and its kernels belong to
 ``series``; this module passes it series only and reads each u_d from
 U's coefficients.  ``MirrorData`` is an immutable record
-(``cohomology._Record``) that carries 1/F_0 and m, formed once by its
-builder; a table is a tuple of exact values whose entry i belongs to
-curve degree i + 1.
+(``cohomology._Record``) that forms 1/F_0 and m once, from its fields;
+a table is a tuple of exact values whose entry i belongs to curve
+degree i + 1.
 """
 
 from __future__ import annotations
@@ -64,19 +64,23 @@ class MirrorData(_Record):
 
     ``f0`` is None for the plane-cubic case, whose series has no H^0 part;
     the recursion then reads with F_0 = 1, which is never multiplied in.
-    ``weights[d]`` is w_d, the factor of the degree-d unknown.  The
-    builder forms ``inv0`` = 1/F_0 and ``m`` = F_1/F_0 once for every
-    route that reads them; without F_0, ``inv0`` is None and ``m`` is F_1.
+    ``weights[d]`` is w_d, the factor of the degree-d unknown.  ``inv0`` =
+    1/F_0 (None without F_0) and ``m`` = F_1/F_0 are formed here, once for
+    every reader; they follow from the fields and are not fields.
     """
 
     __slots__ = ("f0", "f1", "f2", "weights", "inv0", "m")
 
     def __init__(
-        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...],
-        inv0: DSeries | None, m: DSeries,
+        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...]
     ) -> None:
         self.f0, self.f1, self.f2, self.weights = f0, f1, f2, weights
-        self.inv0, self.m = inv0, m
+        self.inv0 = None if f0 is None else f0.inv()
+        self.m = f1 if f0 is None else f1 * self.inv0
+
+    def _key(self) -> tuple:
+        # the four fields lead __slots__, so _Record's repr shows just them
+        return self.f0, self.f1, self.f2, self.weights
 
 
 # -- the correction recursion shared by the quintic and the plane cubic --------
@@ -98,8 +102,7 @@ def quintic_f(dmax: int) -> MirrorData:
     """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
     out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
     f0, f1, f2 = (h * Fraction(1, 5) for h in naive_series(4, 5, dmax)[1:4])
-    weights, inv0 = tuple(Fraction(d, 5) for d in range(dmax + 1)), f0.inv()
-    return MirrorData(f0, f1, f2, weights, inv0, f1 * inv0)
+    return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
 
 
 def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
@@ -177,7 +180,7 @@ def localp2_f(dmax: int) -> MirrorData:
     # degree-0 term.
     zero = CohClass((0,) * CUBIC_RING)
     _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)))
-    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1), None, f1)
+    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
 
 
 def localp2_invariants(dmax: int) -> tuple[Fraction, ...]:

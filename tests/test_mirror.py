@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -229,8 +231,7 @@ def test_quartic_k3_has_no_corrections():
     # F_0 F_2 = F_1^2 / 2 makes every u_d of the quartic's recursion zero.
     dmax = 100
     f0, f1, f2 = (h * Fraction(1, 4) for h in naive_series(3, 4, dmax)[1:4])
-    inv0 = f0.inv()
-    md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)), inv0, f1 * inv0)
+    md = MirrorData(f0, f1, f2, tuple(Fraction(d, 4) for d in range(dmax + 1)))
     assert _solve(md) == (0,) * dmax
 
 
@@ -326,30 +327,26 @@ def test_tables_are_tuples_of_fractions(table):
 def test_mirror_data_is_a_record():
     f0, f1, f2 = DSeries((1, 2)), DSeries((0, 1)), DSeries((0, 3))
     weights = (Fraction(0), Fraction(1, 5))
-    inv0, m = DSeries((1, -2)), DSeries((0, 1))
-    md = MirrorData(f0, f1, f2, weights, inv0, m)
-    check_record(md, f0=f0, f1=f1, f2=f2, weights=weights, inv0=inv0, m=m)
-    check_record(
-        MirrorData(None, f1, f2, weights, None, f1),
-        f0=None, f1=f1, f2=f2, weights=weights, inv0=None, m=f1,
-    )
+    md = MirrorData(f0, f1, f2, weights)
+    check_record(md, f0=f0, f1=f1, f2=f2, weights=weights)
+    check_record(MirrorData(None, f1, f2, weights), f0=None, f1=f1, f2=f2, weights=weights)
     assert repr(md) == (
         "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1))), "
         "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))), "
         "f2=DSeries(coeffs=(Fraction(0, 1), Fraction(3, 1))), "
-        "weights=(Fraction(0, 1), Fraction(1, 5)), "
-        "inv0=DSeries(coeffs=(Fraction(1, 1), Fraction(-2, 1))), "
-        "m=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))))"
+        "weights=(Fraction(0, 1), Fraction(1, 5)))"
     )
     # field by field: equal series and equal values, not the same objects
-    assert md == MirrorData(DSeries((1, 2)), f1, f2, (0, Fraction(1, 5)), f0.inv(), f1 * f0.inv())
-    assert md != MirrorData(f0, f1, f1, weights, inv0, m)
-    assert md != MirrorData(None, f1, f2, weights, None, f1)
-    # the builders form 1/F_0 and m = F_1/F_0 once, from the fields beside them
-    q = quintic_f(4)
-    assert q.inv0 * q.f0 == DSeries.monomial(0, 4) and q.m == q.f1 * q.f0.inv()
-    cubic = localp2_f(4)
-    assert cubic.inv0 is None and cubic.m is cubic.f1
+    assert md == MirrorData(DSeries((1, 2)), f1, f2, (0, Fraction(1, 5)))
+    assert md != MirrorData(f0, f1, f1, weights)
+    assert md != MirrorData(None, f1, f2, weights)
+    # 1/F_0 and m = F_1/F_0 are formed from the fields, and copies keep them
+    assert md.inv0 == DSeries((1, -2)) and md.m == f1 * DSeries((1, -2))
+    assert pickle.loads(pickle.dumps(md)).m == copy.copy(md).m == md.m
+    with pytest.raises(AttributeError):
+        md.m = f1
+    cubic = MirrorData(None, f1, f2, weights)
+    assert cubic.inv0 is None and cubic.m is f1
     assert quintic_f(3) == quintic_f(3) and hash(quintic_f(3)) == hash(quintic_f(3))
 
 
