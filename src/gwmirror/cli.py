@@ -58,13 +58,13 @@ LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
 # Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes 0.37-1.9 s (best of 3 in a fresh
-# process, eleven runs, shared 2-CPU x86, Python 3.11; the machine's load
-# phases have moved such times up to 2.4x): quintic --dmax 150 --crosscheck
-# 0.73-0.87 s (five runs, Xeon, Python 3.11.7), local-p2 --dmax 250
-# --emit-kd 1.2-1.9 s and naive --ambient 16 --degree 15 --dmax 100
-# 0.37-0.59 s.  A naive request's cost grows with the ring length as well,
-# hence its --ambient ceiling.
+# the slowest admitted request takes 0.37-1.1 s (best of 3 in a fresh
+# process, shared 2-CPU x86, Python 3.11; the machine's load phases have
+# moved such times up to 2.4x): quintic --dmax 150 --crosscheck 0.56-0.85 s
+# and local-p2 --dmax 250 --emit-kd 0.72-1.08 s (five runs each, Xeon,
+# Python 3.11.7), naive --ambient 16 --degree 15 --dmax 100 0.37-0.59 s
+# (eleven runs).  A naive request's cost grows with the ring length as
+# well, hence its --ambient ceiling.
 DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
 NAIVE_MAX_AMBIENT = 16
 

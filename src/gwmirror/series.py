@@ -17,8 +17,9 @@ pure and all of them on the stored integers.
 The change of variables Q -> Q exp(g(Q)), g with zero constant term,
 lives here alone: ``substitute(g)`` applies it, ``unsubstitute(g)`` runs
 it backwards and ``revert_exp`` gives the exponent of its inverse.  The
-kernels exp(d*g) they read are integer rows over one denominator, built
-by g's private ``_kernels`` once and kept on g.
+kernels exp(d*g) they read are integer rows over one denominator, which
+g's private ``_kernels`` reads from ``_power_rows`` of exp(g) and keeps on
+g; ``_power_rows`` keeps the last chain, so equal exponents share it.
 
 Algorithms and their costs in coefficient products, with n = dmax:
 
@@ -29,7 +30,7 @@ Algorithms and their costs in coefficient products, with n = dmax:
   product, O(n^2);
 * the kernels exp(d*g): row d cut at index n-d, each row from d = 2 on
   the previous one times exp(g) by one integer product, O(n^3) once per
-  exponent; ``substitute`` and ``unsubstitute`` then cost O(n^2) each;
+  exponent value; ``substitute`` and ``unsubstitute`` then cost O(n^2) each;
 * ``revert_exp``: h = (-g).unsubstitute(g) on g's kernels, and a
   round-trip check of two substitutions, by g and by h, that builds h's
   kernels too, so O(n^3) in all.
@@ -41,9 +42,32 @@ forms and make no ``Fraction``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import mul
 
 from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
+
+
+@lru_cache(maxsize=1)
+def _power_rows(en: tuple[int, ...], ed: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The powers e^d, d = 0..n, of the series e with stored form
+    (en, ed) and n = len(en) - 1, as (rows, ed^n): row d holds the integer
+    numerators of e^d over ed^n, cut at index n - d.  Row 0 is 1, row 1
+    is e and each later row is the previous one times e.
+
+    The stored form is canonical and its length carries n, so the last
+    chain is kept in a one-entry cache keyed by it.  ``DSeries._kernels``
+    passes exp(g), so exponents of equal value share one immutable chain,
+    and a request that solves or reverts twice with an equal m builds it
+    once."""
+    n = len(en) - 1
+    rows = [(1,) + (0,) * n]
+    for d in range(1, n + 1):
+        rows.append(en[:n] if d == 1 else _int_product(rows[-1], en, n + 1 - d))
+    # Row d is over ed^d; bring all to ed^n.
+    if ed != 1:
+        rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
+    return tuple(map(tuple, rows)), ed**n
 
 
 class DSeries(_Truncated):
@@ -103,22 +127,15 @@ class DSeries(_Truncated):
         """The kernels exp(d*g) for d = 0..dmax, with g this series, as
         (rows, den): row d holds the integer numerators over den of the
         kernel's coefficients and stops at index dmax - d, the last one a
-        term Q^d times it reaches.  Row 0 is 1, row 1 is exp(g) and each
-        later row is the previous one times exp(g).  Built on first use,
-        when the ``_powers`` slot is still unset, and kept on the series;
-        the rows are shared, so do not change them."""
+        term Q^d times it reaches.  Read on first use, when the ``_powers``
+        slot is still unset, from ``_power_rows`` of exp(g), and kept on
+        the series; equal exponents have equal exp(g), so they share one
+        chain of rows.  The rows are shared, so do not change them."""
         try:
             return self._powers
         except AttributeError:
             e = self.exp()
-            en, ed, n = e._nums, e._den, self.dmax
-            rows = [(1,) + (0,) * n]
-            for d in range(1, n + 1):
-                rows.append(en[:n] if d == 1 else _int_product(rows[-1], en, n + 1 - d))
-            # Row d is over ed^d; bring all to ed^n.
-            if ed != 1:
-                rows = [[x * s for x in r] for r, s in zip(rows, [ed ** (n - d) for d in range(n + 1)])]
-            self._powers = tuple(map(tuple, rows)), ed**n
+            self._powers = _power_rows(e._nums, e._den)
             return self._powers
 
     def _kernels_of(self, g: DSeries) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -136,8 +153,8 @@ class DSeries(_Truncated):
         Sends the index-d term c_d Q^d to c_d Q^d exp(d*g), so the index-e
         coefficient of the result is sum_{d<=e} c_d * [exp(d*g)]_{e-d}.
         The exponent g must share this series' dmax and have zero
-        constant term.  Its kernels exp(d*g) are built once and kept
-        on g, so each later substitution by g costs O(dmax^2).
+        constant term.  Its kernels exp(d*g) are kept on g and shared by
+        equal exponents, so each later substitution by g costs O(dmax^2).
         """
         rows, kd = self._kernels_of(g)
         out = [0] * len(self._nums)

@@ -2,10 +2,11 @@
 ``pythonpath`` setting only reaches this process, so hand the checkout's
 ``src`` to the children through PYTHONPATH as well.
 
-``naive_series`` keeps its results in a cache shared by the whole
-process.  Each test starts with it empty, so that a test which spoils
-code beneath it computes the series anew and never reads a series that
-an earlier test cached."""
+``naive_series`` and the kernel chain ``series._power_rows`` keep their
+results in caches shared by the whole process.  Each test starts with
+both empty, so that a test which spoils code beneath them (say
+``_int_product`` or ``DSeries.exp``) computes anew and never reads a
+series or a chain that an earlier test cached."""
 
 import os
 from pathlib import Path
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from gwmirror.hypergeom import naive_series
+from gwmirror.series import _power_rows
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
@@ -21,5 +23,6 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 @pytest.fixture(autouse=True)
-def _empty_naive_series_cache():
+def _empty_caches():
     naive_series.cache_clear()
+    _power_rows.cache_clear()

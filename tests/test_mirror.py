@@ -125,6 +125,32 @@ def test_crosscheck_request_twists_once_and_inverts_f0_twice(monkeypatch, capsys
     assert calls == {"_twist_classes": 1, "inv": 2}
 
 
+@pytest.mark.parametrize(
+    "argv,exps,chains",
+    [
+        # localp2_invariants and localp2_kd each solve on their own m of
+        # one value: two exp(m), one chain
+        (["local-p2", "--dmax", "30", "--emit-kd"], 2, 1),
+        # the two routes' equal m share a chain; the reversion's h builds one
+        (["quintic", "--dmax", "12", "--crosscheck"], 3, 2),
+    ],
+    ids=["local-p2-emit-kd", "quintic-crosscheck"],
+)
+def test_request_builds_one_kernel_chain_per_exponent_value(
+    argv, exps, chains, monkeypatch, capsys
+):
+    from gwmirror import cli
+    from gwmirror.series import _power_rows
+
+    calls = []
+    exp = DSeries.exp
+    monkeypatch.setattr(DSeries, "exp", lambda self: calls.append(self) or exp(self))
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == exps
+    assert _power_rows.cache_info().misses == chains
+
+
 def test_quintic_resubstitution_reproduces_f2():
     md = quintic_f(6)
     table = quintic_invariants(6)
@@ -251,6 +277,18 @@ def test_quintic_mirror_map_is_integral():
 def test_localp2_mirror_map_is_integral():
     # F_0 = 1 here
     assert _integral_with_head(localp2_f(250).f1.exp(), [1, 6, 63, 866])
+
+
+@pytest.mark.parametrize(
+    "n,head",
+    [(3, [1, 104, 15188]), (5, [1, 6264, 87103188]), (6, [1, 56196, 9646450758])],
+    ids=["n=3", "n=5", "n=6"],
+)
+def test_hypersurface_mirror_map_is_integral(n, head):
+    # the degree-(n+1) hypersurface in P^n: its H^1 and H^2 parts are
+    # (n+1) F_0 and (n+1) F_1, so their quotient is m = F_1/F_0
+    _, h1, h2 = naive_series(n, n + 1, 60)[:3]
+    assert _integral_with_head((h2 * h1.inv()).exp(), head)
 
 
 # -- correction-free low degrees ---------------------------------------------------

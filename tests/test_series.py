@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwmirror import DSeries, ambient_I, hyper_factor, naive_series
+from gwmirror.series import _power_rows
 
 from oracles import (
     exp_by_powers,
@@ -234,6 +235,22 @@ def test_exp_powers_are_built_once(monkeypatch):
     c.substitute(h)
     c.substitute(h)
     assert calls == [h]
+
+
+def test_kernel_chain_is_shared_by_equal_exponents_only():
+    # Equal exponents read one chain; a different dmax, or the same
+    # numerators over another denominator, gets its own.
+    g = ser(0, 1, 1)
+    assert ser(0, 1, 1)._kernels() is g._kernels()
+    for other in (ser(0, 1, 1, 0), ser(0, Fraction(1, 2), Fraction(1, 2))):
+        r = len(other.coeffs)
+        kernels = [exp_by_powers([d * c for c in other.coeffs], r)[: r - d] for d in range(r)]
+        assert fraction_rows(other._kernels()) == kernels
+    # exp(g) has constant coefficient 1, so its numerators fix its
+    # denominator; the chain of any stored form still reads both.
+    half = Fraction(1, 2)
+    assert fraction_rows(_power_rows((1, 1, 1), 1)) == [[1, 0, 0], [1, 1], [1]]
+    assert fraction_rows(_power_rows((1, 1, 1), 2)) == [[1, 0, 0], [half, half], [half * half]]
 
 
 def test_unsubstitute_undoes_substitute():
