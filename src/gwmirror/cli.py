@@ -57,17 +57,6 @@ LEMMA_MAX_TERMS = 10_000
 LEMMA_MAX_VARS = 64
 LEMMA_MAX_TERM_TRIALS = 40_000
 
-# Table requests above these are refused before any work.  At each ceiling
-# the slowest admitted request takes 0.37-1.1 s (best of 3 in a fresh
-# process, shared 2-CPU x86, Python 3.11; the machine's load phases have
-# moved such times up to 2.4x): quintic --dmax 150 --crosscheck 0.56-0.85 s
-# and local-p2 --dmax 250 --emit-kd 0.72-1.08 s (five runs each, Xeon,
-# Python 3.11.7), naive --ambient 16 --degree 15 --dmax 100 0.37-0.59 s
-# (eleven runs).  A naive request's cost grows with the ring length as
-# well, hence its --ambient ceiling.
-DMAX_CEILING = {"quintic": 150, "local-p2": 250, "naive": 100}
-NAIVE_MAX_AMBIENT = 16
-
 
 def _positive(name: str):
     def parse(text: str) -> int:
@@ -84,46 +73,6 @@ def _positive(name: str):
     return parse
 
 
-def _table_arguments(dmax: int) -> list:
-    return [
-        ("--dmax", dict(type=_positive("--dmax"), default=dmax,
-                        help=f"maximum curve degree (default {dmax})")),
-        ("--format", dict(choices=FORMATS, default="pretty")),
-        _OUT,
-    ]
-
-
-# Each subcommand's help and its arguments in the order its help lists them,
-# as the name and the keyword arguments of ``add_argument``; a flag states
-# its default too.  ``_build_parser`` and ``_parse`` both read this table.
-_OUT = ("--out", dict(metavar="PATH", help="also write the output to PATH"))
-_COMMANDS = {
-    "quintic": ("rational-curve counts on the quintic threefold", [
-        *_table_arguments(5),
-        ("--crosscheck", dict(action="store_true", default=False,
-                              help="also run the independent reversion route and compare")),
-    ]),
-    "local-p2": ("maximal-contact counts for a plane cubic / local P^2", [
-        *_table_arguments(8),
-        ("--emit-kd", dict(action="store_true", default=False,
-                           help="also emit the local invariants K_d")),
-    ]),
-    "naive": ("correction-free 1-point classes for low-degree hypersurfaces", [
-        ("--ambient", dict(type=_positive("--ambient"), required=True, metavar="N")),
-        ("--degree", dict(type=_positive("--degree"), required=True, metavar="L")),
-        *_table_arguments(4),
-    ]),
-    "lemma": ("sampled log-linearity identity checks", [
-        ("which", dict(choices=("a1", "a2"))),
-        ("--vars", dict(type=int, default=2, help="number of x variables (>= 0)")),
-        ("--xdeg", dict(type=_positive("--xdeg"), default=4)),
-        ("--trials", dict(type=_positive("--trials"), default=20)),
-        ("--seed", dict(type=int, default=0)),
-        _OUT,
-    ]),
-}
-
-
 def _build_parser():
     import argparse
 
@@ -135,7 +84,7 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, arguments) in _COMMANDS.items():
+    for command, (summary, arguments, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for name, spec in arguments:
             p.add_argument(name, **spec)
@@ -340,6 +289,56 @@ def _run_lemma(args, out) -> int:
     return 0 if all_passed else 1
 
 
+def _table_arguments(dmax: int) -> list:
+    return [
+        ("--dmax", dict(type=_positive("--dmax"), default=dmax,
+                        help=f"maximum curve degree (default {dmax})")),
+        ("--format", dict(choices=FORMATS, default="pretty")),
+        _OUT,
+    ]
+
+
+# Each subcommand's help, its arguments in the order its help lists them (as
+# the name and the keyword arguments of ``add_argument``; a flag states its
+# default too), the function that computes its table and its --dmax ceiling,
+# both None for lemma.  ``_build_parser``, ``_parse``, ``_check_usage`` and
+# ``main`` read this table.  A table request above its ceiling is refused
+# before any work.  At each ceiling the slowest admitted request takes
+# 0.37-1.1 s (best of 3 in a fresh process, shared 2-CPU x86, Python 3.11;
+# the machine's load phases have moved such times up to 2.4x): quintic
+# --dmax 150 --crosscheck 0.56-0.85 s and local-p2 --dmax 250 --emit-kd
+# 0.72-1.08 s (five runs each, Xeon, Python 3.11.7), naive --ambient 16
+# --degree 15 --dmax 100 0.37-0.59 s (eleven runs).  A naive request's cost
+# grows with the ring length as well, hence its --ambient ceiling.
+NAIVE_MAX_AMBIENT = 16
+_OUT = ("--out", dict(metavar="PATH", help="also write the output to PATH"))
+_COMMANDS = {
+    "quintic": ("rational-curve counts on the quintic threefold", [
+        *_table_arguments(5),
+        ("--crosscheck", dict(action="store_true", default=False,
+                              help="also run the independent reversion route and compare")),
+    ], _quintic_table, 150),
+    "local-p2": ("maximal-contact counts for a plane cubic / local P^2", [
+        *_table_arguments(8),
+        ("--emit-kd", dict(action="store_true", default=False,
+                           help="also emit the local invariants K_d")),
+    ], _local_p2_table, 250),
+    "naive": ("correction-free 1-point classes for low-degree hypersurfaces", [
+        ("--ambient", dict(type=_positive("--ambient"), required=True, metavar="N")),
+        ("--degree", dict(type=_positive("--degree"), required=True, metavar="L")),
+        *_table_arguments(4),
+    ], _naive_table, 100),
+    "lemma": ("sampled log-linearity identity checks", [
+        ("which", dict(choices=("a1", "a2"))),
+        ("--vars", dict(type=int, default=2, help="number of x variables (>= 0)")),
+        ("--xdeg", dict(type=_positive("--xdeg"), default=4)),
+        ("--trials", dict(type=_positive("--trials"), default=20)),
+        ("--seed", dict(type=int, default=0)),
+        _OUT,
+    ], None, None),
+}
+
+
 def _check_usage(args) -> str | None:
     """The message of a usage error argparse cannot see, which ``main``
     reports through argparse before the --out file is touched."""
@@ -372,16 +371,9 @@ def _check_usage(args) -> str | None:
                 f"--trials {args.trials} times {terms} terms per series is more "
                 f"than {LEMMA_MAX_TERM_TRIALS}"
             )
-    ceiling = DMAX_CEILING.get(args.command)
+    ceiling = _COMMANDS[args.command][3]
     if ceiling is not None and args.dmax > ceiling:
         return f"--dmax must be at most {ceiling} for {args.command}"
-
-
-_TABLES = {
-    "quintic": _quintic_table,
-    "local-p2": _local_p2_table,
-    "naive": _naive_table,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -394,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "lemma":
                 return _run_lemma(args, out)
             try:
-                params, rows, columns, crosscheck = _TABLES[args.command](args)
+                params, rows, columns, crosscheck = _COMMANDS[args.command][2](args)
             except RuntimeError as exc:
                 print(f"consistency failure: {exc}", file=sys.stderr)
                 return 1

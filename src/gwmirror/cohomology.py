@@ -30,7 +30,7 @@ Fractions and ints; the package builds values from numerators with
 This module also holds the integer kernels that ``CohClass``,
 ``DSeries`` and the twist and lemma products share: ``_int_product``
 (schoolbook product, O(r^2)), ``_inverse`` (triangular solve, O(r^2);
-Brent & Kung, J. ACM 1978) and ``_linear_product`` (prod (l*H + i), one
+Brent & Kung, J. ACM 1978) and ``_linear_product`` (c * prod (l*H + i), one
 O(r) shift-add per factor).  A recurrence appends each output to its
 numerators with ``_push``, which reduces it by one gcd and rescales the
 earlier numerators only when its denominator does not divide the common
@@ -284,14 +284,13 @@ def _inverse(an: Sequence[int], ad: int) -> tuple[list[int], int]:
     return bn, bd
 
 
-def _linear_product(ring_len: int, l: Rational, shifts: Iterable[Rational]) -> tuple[Rational, ...]:
-    """Coefficients of prod_{i in shifts} (l*H + i) mod H^ring_len, one
-    shift-add c_k <- i*c_k + l*c_{k-1} per factor; integer data stays
-    integer.  After n factors only c_0..c_n can be nonzero, so the
-    shift-add stops there."""
-    c: list[Rational] = [1] + [0] * (ring_len - 1)
-    for n, i in enumerate(shifts, start=1):
-        for k in range(min(n, ring_len - 1), 0, -1):
+def _linear_product(c: Sequence[Rational], l: Rational, shifts: Iterable[Rational]) -> list[Rational]:
+    """The coefficients of c * prod_{i in shifts} (l*H + i) mod H^len(c),
+    one shift-add c_k <- i*c_k + l*c_{k-1} per factor; integer data stays
+    integer."""
+    c = list(c)
+    for i in shifts:
+        for k in range(len(c) - 1, 0, -1):
             c[k] = i * c[k] + l * c[k - 1]
         c[0] *= i
-    return tuple(c)
+    return c

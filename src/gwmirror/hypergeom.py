@@ -16,13 +16,13 @@ Each linear factor is one O(r) integer shift-add in a ring of length r
 (``cohomology._linear_product``).  One loop, ``_twist_classes``, grows
 every twist product from degree to degree, for ``naive_series`` and for
 the plane-cubic series, which stops one factor short: degree d shift-adds
-its l new factors and multiplies them in by one truncated integer product
-(``cohomology._int_product``), O(l*r + r^2) a degree.  ``ambient_I``
-multiplies degree d-1, kept in a bounded cache (``_ambient``), by
-(H+d)^{-(n+1)} = sum_k (-1)^k C(n+k, k) d^{n-k} H^k / d^{2n+1}, one
-such product.  Each degree's class is one ``CohClass`` product of the
-twist numerators and ``ambient_I``, and the H-components are assembled
-from the numerators (``_h_components``), with no ``Fraction`` between.
+its l new factors into the running twist in place, O(l*r) a degree.
+``ambient_I`` multiplies degree d-1, kept in a bounded cache
+(``_ambient``), by (H+d)^{-(n+1)} = sum_k (-1)^k C(n+k, k) d^{n-k} H^k /
+d^{2n+1}, one truncated integer product (``cohomology._int_product``).
+Each degree's class is one ``CohClass`` product of the twist numerators
+and ``ambient_I``, and the H-components are assembled from the
+numerators (``_h_components``), with no ``Fraction`` between.
 ``naive_series`` keeps its last result in a typed one-entry cache, so
 the two quintic routes of a crosscheck, which ask for the same
 (n, l, dmax), run the twist loop once.
@@ -68,7 +68,7 @@ def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
     single factor l*H."""
     if l < 1 or d < 0 or ring_len < 1:
         raise ValueError("need l >= 1, d >= 0, ring_len >= 1")
-    return CohClass(_linear_product(ring_len, l, range(l * d + 1)))
+    return CohClass(_linear_product((1,) + (0,) * (ring_len - 1), l, range(l * d + 1)))
 
 
 @lru_cache(maxsize=1, typed=True)  # typed: n = 4.0 must raise, not find n = 4
@@ -106,13 +106,12 @@ def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
 
 def _twist_classes(n: int, l: int, short: int, degrees: range) -> list[CohClass]:
     """prod_{i=0}^{l*d-short} (l*H + i) * ambient_I(n, d) in Q[H]/(H^{n+1})
-    for each d of the consecutive ``degrees``; each degree multiplies the
-    twist by the factors its predecessor did not reach."""
+    for each d of the consecutive ``degrees``; each degree shift-adds
+    into the twist the factors its predecessor did not reach."""
     twist, lo, classes = (1,) + (0,) * n, 0, []
     for d in degrees:
         hi = l * d - short + 1
-        twist = _int_product(twist, _linear_product(n + 1, l, range(lo, hi)), n + 1)
-        lo = hi
+        twist, lo = _linear_product(twist, l, range(lo, hi)), hi
         classes.append(CohClass._new(tuple(twist), 1) * ambient_I(n, d))
     return classes
 

@@ -40,7 +40,7 @@ a mismatch is named in (t, z).
 The builders make no Fraction.  What depends only on the shape
 (nvars, xdeg_max) is one table (``_shape``), built on a shape's first
 trial: the multi-indices k as a tree, each a row one step from its
-parent k - e_j, with its packed key, k! and L // k! for L the lcm of all
+parent k - e_j, with its packed key and L // k! for L the lcm of all
 k!.  A trial takes each k's a.k, b.k and c.k, an integer over the common
 denominator cden of the c_i, as its parent's plus one variable's, and
 ``_write`` expands each product over i on integers over D = cden^B L,
@@ -122,8 +122,8 @@ def p_term_bound(nvars: int, xdeg_max: int) -> int:
 @lru_cache(maxsize=8)
 def _shape(nvars: int, xdeg_max: int):
     """What every trial of a shape shares: (rows, L), a row (sum(k), the
-    packed key of x^k, k! = prod_i k_i!, L // k!, parent, j) for each
-    multi-index k with sum(k) <= xdeg_max, and L the lcm of all k!; j is
+    packed key of x^k, L // k!, parent, j) for each multi-index k with
+    sum(k) <= xdeg_max, and L the lcm of all k! = prod_i k_i!; j is
     the last nonzero entry of k and parent the row of k - e_j (both None
     for k = 0).  The rows walk down the tree of parents, k's children
     k + e_i for i >= j in decreasing i, so they come in lexicographic
@@ -138,24 +138,25 @@ def _shape(nvars: int, xdeg_max: int):
                 ki = kj + 1 if i == j else 1
                 todo.append((s + 1, xkey + units[i], kfact * ki, ki, len(rows) - 1, i))
     big_l = lcm(*(f for _, _, f, _, _ in rows))
-    return tuple((s, x, f, big_l // f, p, j) for s, x, f, p, j in rows), big_l
+    return tuple((s, x, big_l // f, p, j) for s, x, f, p, j in rows), big_l
 
 
-def _write(cfg: LemmaConfig, cden: int, heads, shift: int) -> MultiPoly:
-    """The sum over the rows k of cfg's shape, heads[k] = (off, n, u), of
-    x^k/k! times the monomial of key off times prod_{i<n} (u - i cden +
-    cden v) / cden^n, v the variable ``shift`` bits up (z's for P's s,
-    t's for Q), each product expanded over D = cden^B L, B the largest n,
-    straight into its block, then reduced by one gcd (module docstring).
-    A field is at most the x-degree: k's factor has degree <= sum(k)."""
-    rows, big_l = _shape(cfg.nvars, cfg.xdeg_max)
+def _write(cfg: LemmaConfig, shape, cden: int, heads, shift: int) -> MultiPoly:
+    """The sum over the rows k of ``shape``, cfg's ``_shape`` table, with
+    heads[k] = (off, n, u), of x^k/k! times the monomial of key off times
+    prod_{i<n} (u - i cden + cden v) / cden^n, v the variable ``shift``
+    bits up (z's for P's s, t's for Q), each product expanded over
+    D = cden^B L, B the largest n, straight into its block, then reduced
+    by one gcd (module docstring).  A field is at most the x-degree: k's
+    factor has degree <= sum(k)."""
+    rows, big_l = shape
     top = max([n for _, n, _ in heads])
     pows = [1]  # cden^0 .. cden^B
     for _ in range(top):
         pows.append(pows[-1] * cden)
     den = g = pows[top] * big_l
     blocks: dict[int, dict[int, int]] = {}
-    for (s, xkey, _, lk, _, _), (off, n, u) in zip(rows, heads):
+    for (s, xkey, lk, _, _), (off, n, u) in zip(rows, heads):
         w = [pows[top - n] * lk]
         for _ in range(n):  # w times (u + cden v), then the next factor
             w.append(cden * w[-1])
@@ -189,11 +190,12 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
     cnum, cden = _ints(cfg.cs)
     pairs = cfg.pairs
     heads = [(0, 0, 0)]  # (t^{a.k}'s key, b.k, c.k over cden)
-    for _, _, _, _, parent, j in _shape(cfg.nvars, cfg.xdeg_max)[0][1:]:
+    shape = _shape(cfg.nvars, cfg.xdeg_max)
+    for _, _, _, parent, j in shape[0][1:]:
         ak, bk, ck = heads[parent]
         a, b = pairs[j]
         heads.append((ak + (a << FIELD_BITS), bk + b, ck + cnum[j]))
-    return _write(cfg, cden, heads, 0)
+    return _write(cfg, shape, cden, heads, 0)
 
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
@@ -201,9 +203,10 @@ def build_q(cfg: LemmaConfig) -> MultiPoly:
     cnum, cden = _ints(cfg.cs)
     t = 1 << FIELD_BITS  # the overall factor t of every k but 0
     heads = [(0, 0, -cden)]  # (t, sum(k) - 1, c.k - 1 over cden)
-    for s, _, _, _, parent, j in _shape(cfg.nvars, cfg.xdeg_max)[0][1:]:
+    shape = _shape(cfg.nvars, cfg.xdeg_max)
+    for s, _, _, parent, j in shape[0][1:]:
         heads.append((t, s - 1, heads[parent][2] + cnum[j]))
-    return _write(cfg, cden, heads, FIELD_BITS)
+    return _write(cfg, shape, cden, heads, FIELD_BITS)
 
 
 # -- identity checks -----------------------------------------------------------

@@ -18,8 +18,8 @@ The change of variables Q -> Q exp(g(Q)), g with zero constant term,
 lives here alone: ``substitute(g)`` applies it, ``unsubstitute(g)`` runs
 it backwards and ``revert_exp`` gives the exponent of its inverse.  The
 kernels exp(d*g) they read are integer rows over one denominator, which
-g's private ``_kernels`` reads from ``_power_rows`` of exp(g) and keeps on
-g; ``_power_rows`` keeps the last chain, so equal exponents share it.
+``_kernels_of(g)`` reads from ``_power_rows`` of exp(g) and keeps on g;
+``_power_rows`` keeps the last chain, so equal exponents share it.
 
 Algorithms and their costs in coefficient products, with n = dmax:
 
@@ -56,7 +56,7 @@ def _power_rows(en: tuple[int, ...], ed: int) -> tuple[tuple[tuple[int, ...], ..
     is e and each later row is the previous one times e.
 
     The stored form is canonical and its length carries n, so the last
-    chain is kept in a one-entry cache keyed by it.  ``DSeries._kernels``
+    chain is kept in a one-entry cache keyed by it.  ``DSeries._kernels_of``
     passes exp(g), so exponents of equal value share one immutable chain,
     and a request that solves or reverts twice with an equal m builds it
     once."""
@@ -123,29 +123,25 @@ class DSeries(_Truncated):
 
     # -- change of variables -------------------------------------------------
 
-    def _kernels(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The kernels exp(d*g) for d = 0..dmax, with g this series, as
-        (rows, den): row d holds the integer numerators over den of the
-        kernel's coefficients and stops at index dmax - d, the last one a
-        term Q^d times it reaches.  Read on first use, when the ``_powers``
-        slot is still unset, from ``_power_rows`` of exp(g), and kept on
-        the series; equal exponents have equal exp(g), so they share one
-        chain of rows.  The rows are shared, so do not change them."""
-        try:
-            return self._powers
-        except AttributeError:
-            e = self.exp()
-            self._powers = _power_rows(e._nums, e._den)
-            return self._powers
-
     def _kernels_of(self, g: DSeries) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """The kernels of g, which must share this series' dmax and have
-        zero constant term."""
+        """The kernels exp(d*g) for d = 0..dmax as (rows, den), g sharing
+        this series' dmax and with zero constant term: row d holds the
+        integer numerators over den of the kernel's coefficients and stops
+        at index dmax - d, the last one a term Q^d times it reaches.  Read
+        on first use, when g's ``_powers`` slot is still unset, from
+        ``_power_rows`` of exp(g), and kept on g; equal exponents have
+        equal exp(g), so they share one chain of rows.  The rows are
+        shared, so do not change them."""
         if g.dmax != self.dmax:
             raise ValueError("substitution exponent must share dmax")
         if g._nums[0]:
             raise ValueError("substitution exponent must have zero constant term")
-        return g._kernels()
+        try:
+            return g._powers
+        except AttributeError:
+            e = g.exp()
+            g._powers = _power_rows(e._nums, e._den)
+            return g._powers
 
     def substitute(self, g: DSeries) -> DSeries:
         """Apply Q -> Q * exp(g(Q)) to the series variable Q.

@@ -2,18 +2,21 @@
 ``pythonpath`` setting only reaches this process, so hand the checkout's
 ``src`` to the children through PYTHONPATH as well.
 
-``naive_series`` and the kernel chain ``series._power_rows`` keep their
-results in caches shared by the whole process.  Each test starts with
-both empty, so that a test which spoils code beneath them (say
-``_int_product`` or ``DSeries.exp``) computes anew and never reads a
-series or a chain that an earlier test cached."""
+Five package memos keep their results in caches shared by the whole
+process: ``naive_series``, the kernel chain ``series._power_rows``,
+``hypergeom._ambient``, the lemma's shape tables ``loglinear._shape``
+and its closed forms ``loglinear._closed_forms``.  Each test starts with
+all five empty, so that a test which spoils code beneath them (say
+``_int_product``, ``DSeries.exp`` or ``MultiPoly.log``) computes anew and
+never reads a value that an earlier test cached.  A hypothesis test runs
+many examples per test and clears a memo itself where it needs to."""
 
 import os
 from pathlib import Path
 
 import pytest
 
-from gwmirror.hypergeom import naive_series
+from gwmirror import hypergeom, loglinear
 from gwmirror.series import _power_rows
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -24,5 +27,11 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(autouse=True)
 def _empty_caches():
-    naive_series.cache_clear()
-    _power_rows.cache_clear()
+    for memo in (
+        hypergeom.naive_series,
+        _power_rows,
+        hypergeom._ambient,
+        loglinear._shape,
+        loglinear._closed_forms,
+    ):
+        memo.cache_clear()

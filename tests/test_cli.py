@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -712,6 +713,29 @@ def test_cli_import_loads_no_introspection_modules():
     loaded = set(r.stdout.split())
     assert "gwmirror.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"}
+
+
+def test_package_imports_only_the_pinned_modules_at_start_up():
+    # What a module imports outside its functions loads on every request.
+    # Adding a module here must be a deliberate edit, justified by setup_s
+    # measured before and after.
+    pinned = {
+        "__future__", "collections.abc", "contextlib", "fractions", "functools", "math",
+        "operator", "os", "random", "struct", "sys", "types",
+    }
+    found = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "gwmirror").glob("*.py"):
+        todo = list(ast.parse(path.read_text(encoding="utf-8")).body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.Import):
+                found.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level == 0:  # not one of the package's own modules
+                    found.add(node.module)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo.extend(ast.iter_child_nodes(node))  # class bodies, if and try blocks
+    assert found == pinned
 
 
 def _modules_after_main(args: list[str]) -> set[str]:

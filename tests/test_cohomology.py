@@ -134,13 +134,27 @@ def test_inv_matches_long_division(a, unit):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(fracs, max_size=8))
 def test_linear_product_untruncated(shifts):
-    # The log-linearity builders' use: rational shifts, l = 1 and a ring
-    # long enough that nothing is cut off.
+    # Rational shifts, l = 1, the unit vector and a ring long enough that
+    # nothing is cut off.
     r = len(shifts) + 1
     expected = linear(1, 0, r)
     for c in shifts:
         expected = pmul(expected, linear(c, 1, r), r)
-    assert list(_linear_product(r, 1, shifts)) == expected
+    assert _linear_product([1] + [0] * (r - 1), 1, shifts) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(-99, 99), min_size=1, max_size=8),
+    st.integers(-9, 9),
+    st.lists(st.integers(-30, 30), max_size=12),
+)
+def test_linear_product_grows_any_vector(c, l, shifts):
+    # The twist's use: shift-adding the factors into c in place equals one
+    # truncated product of c with the factors grown from the unit vector.
+    unit = [1] + [0] * (len(c) - 1)
+    expected = _int_product(c, _linear_product(unit, l, shifts), len(c))
+    assert _linear_product(c, l, shifts) == expected
 
 
 # -- integer-numerator kernels on non-integral data ------------------------------

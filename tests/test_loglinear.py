@@ -179,7 +179,6 @@ def test_builders_do_not_depend_on_the_shape_cache(cfg):
     # the x-degree.  Without variables the table has one multi-index and
     # its binomial rows stop at 0, so even --xdeg 10^9 returns at once.
     other = LemmaConfig(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(-3)), 3)
-    loglinear._shape.cache_clear()
     start = time.perf_counter()
     fresh = _built(cfg)
     assert time.perf_counter() - start < 1
@@ -730,21 +729,32 @@ def test_shape_rows_step_from_their_parents(nvars, xdeg):
     # the last nonzero entry of k, so a trial fills each k's a.k, b.k and
     # c.k by one addition; L // k! must be exact.  Without variables the
     # table has one row, and even --xdeg 10^9 returns at once.
-    loglinear._shape.cache_clear()
     start = time.perf_counter()
     rows, big_l = loglinear._shape(nvars, xdeg)
     assert time.perf_counter() - start < 1
     ks = _shape_indices(nvars, xdeg)
     assert ks == list(multi_indices_recursive(nvars, xdeg))
     assert big_l == math.lcm(*(math.prod(map(factorial, k)) for k in ks))
-    for r, ((s, _, kfact, lk, parent, j), k) in enumerate(zip(rows, ks)):
-        assert s == sum(k) and kfact == math.prod(map(factorial, k))
-        assert lk * kfact == big_l
+    for r, ((s, _, lk, parent, j), k) in enumerate(zip(rows, ks)):
+        kfact = math.prod(map(factorial, k))
+        assert s == sum(k) and lk == big_l // kfact and lk * kfact == big_l
         if r == 0:
             assert not any(k) and parent is None and j is None
             continue
         assert j == max(i for i, e in enumerate(k) if e)
         assert parent < r and ks[parent] == k[:j] + (k[j] - 1,) + k[j + 1 :]
+
+
+def test_each_series_looks_up_its_shape_once(monkeypatch):
+    # build_p and build_q hand _write the table they fetched.
+    calls = []
+    shape = loglinear._shape
+    monkeypatch.setattr(loglinear, "_shape", lambda *key: calls.append(key) or shape(*key))
+    cfg = LemmaConfig(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(-3)), 3)
+    for build in (build_p, build_q):
+        calls.clear()
+        build(cfg)
+        assert calls == [(2, 3)]
 
 
 def test_build_p_at_a_thousand_variables():

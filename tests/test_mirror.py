@@ -106,7 +106,6 @@ def test_crosscheck_request_twists_once_and_inverts_f0_twice(monkeypatch, capsys
     # reader: _solve, reconstruct_p_quintic and the reversion route.
     from gwmirror import cli, hypergeom
 
-    naive_series.cache_clear()
     calls = {"_twist_classes": 0, "inv": 0}
 
     def counted(name, real):
