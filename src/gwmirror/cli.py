@@ -49,7 +49,7 @@ FORMATS = ("pretty", "json", "csv")
 # Above LEMMA_MAX_VARS only --xdeg 1 stays under the term ceiling, where
 # the packed exponent keys ((vars + 2) * 32 bits a term) set the cost instead.
 # Trials times terms is bounded too: the slowest admitted requests, a1 and
-# a2 --vars 0 --trials 40000, take 1.4-2.2 s, and a1 and a2 --vars 1 --xdeg
+# a2 --vars 0 --trials 40000, take 0.9-1.3 s, and a1 and a2 --vars 1 --xdeg
 # 37 --trials 4 --seed 481 and --vars 2 --xdeg 15 --trials 4 --seed 37
 # (trial 1 every pair (0, 1)) 0.12-0.24 s (fresh process, best of 3, six
 # rounds each, same machine).

@@ -34,8 +34,9 @@ Brent & Kung, J. ACM 1978) and ``_linear_product`` (c * prod (l*H + i), one
 O(r) shift-add per factor).  A recurrence appends each output to its
 numerators with ``_push``, which reduces it by one gcd and rescales the
 earlier numerators only when its denominator does not divide the common
-one, so the result is already in lowest common form.  ``MultiPoly`` also
-keeps numerators over one denominator.
+one, so the result is already in lowest common form.  ``MultiPoly``
+keeps its numerator blocks in the same lowest common form and shares
+``_Truncated.__eq__`` on its own ``_key()``.
 """
 
 from __future__ import annotations

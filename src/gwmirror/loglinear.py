@@ -44,9 +44,9 @@ parent k - e_j, with its packed key and L // k! for L the lcm of all
 k!.  A trial takes each k's a.k, b.k and c.k, an integer over the common
 denominator cden of the c_i, as its parent's plus one variable's, and
 ``_write`` expands each product over i on integers over D = cden^B L,
-B the most factors, straight into its x-degree block; one gcd over D
-and all numerators gives the lowest common form.  ``p_term_bound``
-bounds the term count of P(t, z) for a shape without building it.
+B the most factors, straight into its x-degree block of a ``MultiPoly``,
+which keeps the lowest common form.  ``p_term_bound`` bounds the term
+count of P(t, z) for a shape without building it.
 ``LemmaConfig`` is an immutable record (``cohomology._Record``) that
 keeps its pairs as tuples and its c_i as Fractions.  A check returns
 its finding, the text of the first offending term or None on a pass;
@@ -58,10 +58,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .cohomology import _ints, _Record, as_fraction
-from .multipoly import EXP_MAX, FIELD_BITS, MultiPoly
+from .multipoly import EXP_MAX, FIELD_BITS, MultiPoly, _check_shape
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
@@ -81,8 +81,7 @@ class LemmaConfig(_Record):
         for p in pairs:
             if p not in ALLOWED_PAIRS:
                 raise ValueError(f"(a_i, b_i) = {p} not in {ALLOWED_PAIRS}")
-        if xdeg_max < 0:
-            raise ValueError("xdeg_max must be non-negative")
+        _check_shape(len(pairs), xdeg_max)
         self.pairs, self.cs, self.xdeg_max = pairs, cs, xdeg_max
 
     @property
@@ -146,15 +145,15 @@ def _write(cfg: LemmaConfig, shape, cden: int, heads, shift: int) -> MultiPoly:
     heads[k] = (off, n, u), of x^k/k! times the monomial of key off times
     prod_{i<n} (u - i cden + cden v) / cden^n, v the variable ``shift``
     bits up (z's for P's s, t's for Q), each product expanded over
-    D = cden^B L, B the largest n, straight into its block, then reduced
-    by one gcd (module docstring).  A field is at most the x-degree: k's
-    factor has degree <= sum(k)."""
+    D = cden^B L, B the largest n, straight into its block, which
+    ``MultiPoly._from_blocks`` reduces (module docstring).  A field is at
+    most the x-degree: k's factor has degree <= sum(k)."""
     rows, big_l = shape
     top = max([n for _, n, _ in heads])
     pows = [1]  # cden^0 .. cden^B
     for _ in range(top):
         pows.append(pows[-1] * cden)
-    den = g = pows[top] * big_l
+    den = pows[top] * big_l
     blocks: dict[int, dict[int, int]] = {}
     for (s, xkey, lk, _, _), (off, n, u) in zip(rows, heads):
         w = [pows[top - n] * lk]
@@ -169,12 +168,7 @@ def _write(cfg: LemmaConfig, shape, cden: int, heads, shift: int) -> MultiPoly:
             if wm:
                 block[key] = wm
             key += 1 << shift
-        g = gcd(g, *w)
-    if g != 1:
-        for block in blocks.values():
-            for key in block:
-                block[key] //= g
-    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den // g, {s: s for s in blocks})
+    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den, {s: s for s in blocks})
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:

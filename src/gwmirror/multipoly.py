@@ -9,9 +9,10 @@ as normalised Fractions, is built on first read: with two variables
 3*x1^2*t - z/2 is ``{(2, 0, 1, 0): Fraction(3), (0, 0, 0, 1):
 Fraction(-1, 2)}``.  The public constructor validates its input; the
 constants and variables, the lemma builders and every operation build
-numerator blocks without that check, make no Fraction and may leave the
-common denominator unreduced, so ``==`` compares each numerator times
-the other side's denominator, block by block.
+numerator blocks without that check and make no Fraction.  All end in
+``_from_blocks``, which divides den and every numerator by their gcd, so
+a polynomial keeps the lowest common form of ``cohomology``, gcd(den,
+*numerators) = 1, and ``==`` compares the stored forms.
 
 A key packs the exponent vector (k_1, ..., k_v, t_exp, z_exp) into one
 int, FIELD_BITS bits a field with k_1 most significant and z_exp least:
@@ -67,7 +68,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .cohomology import Rational, as_fraction
+from .cohomology import Rational, _Truncated, as_fraction
 
 FIELD_BITS = 32  # the width of the struct format "I" that packs a field
 EXP_MAX = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
@@ -90,6 +91,15 @@ def _unpack(packed: int, nfields: int) -> Key:
     return struct.unpack(f">{nfields}I", packed.to_bytes(FIELD_BITS // 8 * nfields, "big"))
 
 
+def _check_shape(nvars: int, xdeg_max: int) -> None:
+    """Refuse an nvars or xdeg_max that is not a non-negative int."""
+    for name, n in (("nvars", nvars), ("xdeg_max", xdeg_max)):
+        if type(n) is not int:
+            raise TypeError(f"{name} must be an int")
+        if n < 0:
+            raise ValueError(f"{name} must be non-negative")
+
+
 def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None:
     """into += scale * block."""
     for k, c in block.items():
@@ -97,13 +107,16 @@ def _accumulate(into: dict[int, int], block: dict[int, int], scale: int) -> None
 
 
 class MultiPoly:
-    __hash__ = None  # equality compares the terms
+    __eq__, __hash__ = _Truncated.__eq__, None  # no hash: the stored form holds dicts
 
     def __init__(self, nvars: int, xdeg_max: int, terms: Mapping[Key, Rational] | None = None):
+        _check_shape(nvars, xdeg_max)
         parts: list[Part] = []
         bounds: Bounds = {}
         for key, c in (terms or {}).items():
             key = tuple(key)
+            if any(type(e) is not int for e in key):
+                raise TypeError(f"exponent vector {key} has a non-int entry")
             if len(key) != nvars + 2:
                 raise ValueError(f"exponent vector {key} has wrong length for {nvars} variables")
             if min(key) < 0:
@@ -123,17 +136,22 @@ class MultiPoly:
     def _from_blocks(
         cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int, bounds: Bounds
     ) -> MultiPoly:
-        """The polynomial with numerator blocks over den, unvalidated; zeros
-        and blocks above xdeg_max are dropped.  bounds must bound the fields
-        of every block and may hold degrees without one.  A block without
-        zeros and the bounds are kept, not copied, so the caller must not
-        change them afterwards."""
+        """The polynomial with numerator blocks over den > 0, unvalidated:
+        zeros and blocks above xdeg_max are dropped, and den and every
+        numerator are divided by their gcd, so zero is over 1.  bounds must
+        bound the fields of every block and may hold degrees without one.
+        Blocks that need no change and the bounds are kept, not copied, so
+        the caller must not change them afterwards."""
         kept = {}
         for d, b in blocks.items():
             if 0 in b.values():
                 b = {k: c for k, c in b.items() if c}
             if b and d <= xdeg_max:
                 kept[d] = b
+        g = gcd(den, *(c for b in kept.values() for c in b.values())) if den != 1 else 1
+        if g != 1:
+            kept = {d: {k: c // g for k, c in b.items()} for d, b in kept.items()}
+            den //= g
         poly = object.__new__(cls)
         poly.__dict__.update(
             nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den, _bounds=bounds
@@ -175,25 +193,9 @@ class MultiPoly:
             for k, c in b.items()
         }
 
-    def __eq__(self, other: object) -> bool:
-        """Same ring and the same terms: the same keys in each block, with
-        numerators in the ratio of the two common denominators."""
-        if type(other) is not MultiPoly:
-            return NotImplemented
-        if (self.nvars, self.xdeg_max) != (other.nvars, other.xdeg_max):
-            return False
-        mine, theirs = self._blocks, other._blocks
-        if mine.keys() != theirs.keys():
-            return False
-        den, other_den = self._den, other._den
-        for d, block in mine.items():
-            other_block = theirs[d]
-            if block.keys() != other_block.keys():
-                return False
-            for k, c in block.items():
-                if c * other_den != other_block[k] * den:
-                    return False
-        return True
+    def _key(self) -> tuple:
+        """The ring and the canonical stored form; ``_bounds`` is only a bound."""
+        return self.nvars, self.xdeg_max, self._den, self._blocks
 
     def __repr__(self) -> str:
         return f"MultiPoly(nvars={self.nvars}, xdeg_max={self.xdeg_max}, terms={self.terms!r})"
@@ -202,10 +204,11 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int, xdeg_max: int) -> MultiPoly:
-        return cls._from_blocks(nvars, xdeg_max, {}, 1, {})
+        return cls.const(0, nvars, xdeg_max)
 
     @classmethod
     def const(cls, value: Rational, nvars: int, xdeg_max: int) -> MultiPoly:
+        _check_shape(nvars, xdeg_max)
         f = as_fraction(value)
         return cls._from_blocks(nvars, xdeg_max, {0: {0: f.numerator}}, f.denominator, {0: 0})
 
@@ -215,6 +218,7 @@ class MultiPoly:
 
     @classmethod
     def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:
+        _check_shape(nvars, xdeg_max)
         key, deg = 1 << FIELD_BITS * (nvars + 1 - pos), int(pos < nvars)
         return cls._from_blocks(nvars, xdeg_max, {deg: {key: 1}}, 1, {deg: 1})
 

@@ -37,6 +37,7 @@ from oracles import (
     multi_indices_recursive,
 )
 from strategies import million
+from test_multipoly import in_lowest_common_form
 
 
 def expand_tz(factors, nvars, xdeg, with_z=True):
@@ -153,6 +154,7 @@ def test_builders_hand_log_the_validated_integers(cfg):
     for built, brute in ((build_p(cfg), brute_force_p_ts(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
+        assert in_lowest_common_form(built)
         assert built._bounds == {n: n for n in range(top + 1)}
     p = build_p(cfg)
     validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
@@ -401,7 +403,9 @@ def test_closed_form_p_matches_its_product_in_t_and_z(pairs, xdeg):
         else:
             exp_arg = exp_arg + (xi * t if a else xi)
     want = exp_arg.exp() * ((z + t) * (binom + 1).log()).exp()
-    assert loglinear._closed_forms(pairs, xdeg)[0].shear(1).terms == want.terms
+    memo = loglinear._closed_forms(pairs, xdeg)
+    assert memo[0].shear(1).terms == want.terms
+    assert all(in_lowest_common_form(e) for e in memo)
 
 def test_closed_form_empty_variable_set():
     cfg = zero_c_config([], 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import MultiPoly
+from gwmirror import LemmaConfig, MultiPoly
 from gwmirror.multipoly import EXP_MAX, FIELD_BITS
 
 from oracles import mp_add, mp_exp_by_powers, mp_log_by_powers, mp_mul, mp_partial, mp_shear
@@ -224,6 +224,47 @@ def in_lowest_terms(p: MultiPoly) -> bool:
     )
 
 
+def in_lowest_common_form(p: MultiPoly) -> bool:
+    """The stored form: nonzero numerators over one positive denominator,
+    gcd(den, *numerators) = 1, and no empty block."""
+    nums = [c for b in p._blocks.values() for c in b.values()]
+    return (
+        p._den > 0
+        and math.gcd(p._den, *nums) == 1
+        and 0 not in nums
+        and all(p._blocks.values())
+    )
+
+
+def test_results_are_in_lowest_common_form():
+    # p = x1/2: twice p, p - p and the x1 derivative of x1^2/2 all have
+    # numerators that share the factor 2 with their denominator
+    p = MultiPoly(1, 2, {(1, 0, 0): Fraction(1, 2)})
+    square = MultiPoly(1, 2, {(2, 0, 0): Fraction(1, 2)})
+    for got in (p * 2, 2 * p, p - p, square.partial(0)):
+        assert in_lowest_common_form(got) and got._den == 1
+
+
+def test_bad_shapes_and_exponents_are_refused():
+    with pytest.raises(ValueError, match="^nvars must be non-negative$"):
+        MultiPoly(-1, 2, {(0,): 1})
+    with pytest.raises(TypeError, match="non-int entry"):
+        MultiPoly(1, 2, {(1.0, 0, 0): 1})
+    with pytest.raises(TypeError, match="^xdeg_max must be an int$"):
+        MultiPoly(1, 2.5, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="^xdeg_max must be non-negative$"):
+        MultiPoly.x(0, 1, -3)
+    for make in (MultiPoly.zero, MultiPoly.one, MultiPoly.t, MultiPoly.z):
+        with pytest.raises(TypeError, match="^nvars must be an int$"):
+            make(1.0, 2)
+        with pytest.raises(ValueError, match="^xdeg_max must be non-negative$"):
+            make(1, -1)
+    with pytest.raises(TypeError, match="^xdeg_max must be an int$"):
+        MultiPoly.const(Fraction(1, 2), 1, 2.5)
+    with pytest.raises(TypeError, match="^xdeg_max must be an int$"):
+        LemmaConfig(((0, 1),), (Fraction(1, 2),), 2.5)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     ring_shapes.flatmap(
@@ -250,7 +291,7 @@ def test_ring_operations_match_fraction_oracles(data):
         (pa.partial(var), mp_partial(a, pos)),
     ):
         assert got.terms == want
-        assert in_lowest_terms(got)
+        assert in_lowest_terms(got) and in_lowest_common_form(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,11 +309,11 @@ def test_log_exp_match_power_sums_on_wide_denominators(data):
     one = (0,) * (nvars + 2)
     got = MultiPoly(nvars, xdeg, g).exp()
     assert got.terms == mp_exp_by_powers(g, nvars, xdeg)
-    assert in_lowest_terms(got)
+    assert in_lowest_terms(got) and in_lowest_common_form(got)
     p = {**g, one: Fraction(1)}
     got = MultiPoly(nvars, xdeg, p).log()
     assert got.terms == mp_log_by_powers(p, nvars, xdeg)
-    assert in_lowest_terms(got)
+    assert in_lowest_terms(got) and in_lowest_common_form(got)
 
 
 @settings(max_examples=100, deadline=None)
@@ -283,8 +324,9 @@ def test_log_exp_match_power_sums_on_wide_denominators(data):
     st.integers(2, 10**6),
 )
 def test_equality_is_equality_of_normalised_terms(data, n):
-    # (p * n) * (1/n) and p - q + q carry other, unreduced common
-    # denominators than p, and must still compare equal to it
+    # (p * n) * (1/n) and p - q + q are formed over other common
+    # denominators than p and reduced to its stored form, so they compare
+    # equal to it
     (nvars, xdeg), a, b = data
     p, q = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
     for other in (p * n * Fraction(1, n), p - q + q, q, p * Fraction(n + 1, n)):
@@ -297,7 +339,8 @@ def test_equality_is_equality_of_normalised_terms(data, n):
 
 
 def _over(p: MultiPoly, m: int) -> MultiPoly:
-    """p with its numerators and common denominator multiplied by m."""
+    """p built from its numerators and common denominator multiplied by m;
+    the constructor reduces it to p's own stored form."""
     blocks = {d: {k: c * m for k, c in b.items()} for d, b in p._blocks.items()}
     return MultiPoly._from_blocks(p.nvars, p.xdeg_max, blocks, p._den * m, p._bounds)
 
@@ -311,12 +354,15 @@ def _over(p: MultiPoly, m: int) -> MultiPoly:
     st.integers(1, 10**6),
     st.data(),
 )
-def test_equality_cross_multiplies_unreduced_denominators(data, m, n, draw):
-    # == compares the stored numerators over two common denominators that
-    # neither side has reduced; it must agree with the normalised terms,
-    # also where one numerator, one key or one block differs
+def test_equality_compares_the_stored_forms(data, m, n, draw):
+    # numerators handed over a common denominator m times too large come
+    # back in p's own stored form, and == on the stored forms must agree
+    # with the normalised terms, also where one numerator, one key or one
+    # block differs
     (nvars, xdeg), a, b = data
     p, q = MultiPoly(nvars, xdeg, a), MultiPoly(nvars, xdeg, b)
+    for scaled in (_over(p, m), _over(p, n)):
+        assert (scaled._den, scaled._blocks) == (p._den, p._blocks)
     variants = [q, p + q, p * 2, p - p]
     if a:
         key = draw.draw(st.sampled_from(sorted(a)))
@@ -425,7 +471,7 @@ def test_shear_matches_the_fraction_oracle_and_round_trips(data, c):
     for d in (c, -c):
         q = p.shear(d)
         assert q.terms == mp_shear(a, d)
-        assert in_lowest_terms(q)
+        assert in_lowest_terms(q) and in_lowest_common_form(q)
         back = q.shear(-d)
         assert back == p and back.terms == a
         assert (back._blocks, back._den) == (p._blocks, p._den)
