@@ -146,8 +146,8 @@ def _write(cfg: LemmaConfig, shape, cden: int, heads, shift: int) -> MultiPoly:
     prod_{i<n} (u - i cden + cden v) / cden^n, v the variable ``shift``
     bits up (z's for P's s, t's for Q), each product expanded over
     D = cden^B L, B the largest n, straight into its block, which
-    ``MultiPoly._from_blocks`` reduces (module docstring).  A field is at
-    most the x-degree: k's factor has degree <= sum(k)."""
+    ``MultiPoly._from_blocks`` reduces (module docstring).  The keys need
+    no check against ``EXP_MAX``: a field of row k is at most sum(k)."""
     rows, big_l = shape
     top = max([n for _, n, _ in heads])
     pows = [1]  # cden^0 .. cden^B
@@ -168,7 +168,7 @@ def _write(cfg: LemmaConfig, shape, cden: int, heads, shift: int) -> MultiPoly:
             if wm:
                 block[key] = wm
             key += 1 << shift
-    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den, {s: s for s in blocks})
+    return MultiPoly._from_blocks(cfg.nvars, cfg.xdeg_max, blocks, den)
 
 
 def build_p(cfg: LemmaConfig) -> MultiPoly:

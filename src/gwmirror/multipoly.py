@@ -22,16 +22,14 @@ int, FIELD_BITS bits a field with k_1 most significant and z_exp least:
 so integer order is lexicographic order, the constant's key is 0, a
 monomial product is the sum of the keys and d/dt subtracts 1 << FIELD_BITS.
 Only ``terms``, ``term_str`` and the validating constructor see tuples.
-A field holds 0..EXP_MAX; a sum that passed EXP_MAX would carry into the
-next field and silently change the monomial.  So the constructor refuses
-a larger exponent with a ValueError, and every polynomial carries
-``_bounds``, for each x-degree an upper bound on every field of that
-block's keys: a sum keeps the larger bound of each block, a derivative
-its block's, and a product of two blocks adds theirs.  ``__mul__`` raises
-OverflowError before it multiplies two blocks whose bounds add up past
-EXP_MAX: one addition and comparison a pair of blocks, no scan of the
-keys.  A block bound is exact enough to compose: where every field is at
-most the x-degree, as in the lemma's P and Q, log and exp keep that bound.
+A field holds 0..EXP_MAX = 2^31 - 1, and the constructor refuses a larger
+exponent with a ValueError.  A field's top bit is thus clear, so the sum
+of two fields sets at most that bit and never carries into the next
+field, which would silently change the monomial.  Only a product and a
+shear raise a field, and each raises OverflowError rather than return a
+term with a field past EXP_MAX: ``__mul__`` ORs the keys of each block
+it returns and tests the top bit of every field at once, and the shear
+checks each term's a + b (below).
 
 ``shear(c)`` is the change of variables q(x, t, z) = p(x, t, z + c t) for
 an integer c.  It keeps the x-degree and is a ring automorphism, so it
@@ -40,10 +38,9 @@ coordinates (t, s = t + z), where P is sparse, takes its log there and
 shears only a failing log back.  A key t^a z^b becomes the signed
 binomial row sum_j C(b, j) c^j t^(a+j) z^(b-j), each coefficient the one
 before it times (b - j) c / (j + 1), an exact division; moving j from
-the z field to the t field adds j * EXP_MAX to the key.  The total degree
-in t and z is kept, so a block's bound becomes the larger of its own and
-the largest a + b, and the shear raises OverflowError before it writes a
-key whose a + b passes EXP_MAX.
+the z field to the t field adds j * (2^FIELD_BITS - 1) to the key.  The
+total degree in t and z is kept, so the shear raises OverflowError
+before it writes a row whose a + b passes EXP_MAX.
 
 ``log`` and ``exp`` solve the Euler-operator recurrences block by block,
 with theta = sum_i x_i d/dx_i (Brent & Kung, J. ACM 1978).  With
@@ -65,18 +62,19 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import gcd, lcm
+from operator import or_
 
 from .cohomology import Rational, _Truncated, as_fraction
 
 FIELD_BITS = 32  # the width of the struct format "I" that packs a field
-EXP_MAX = (1 << FIELD_BITS) - 1  # the largest exponent a field holds
+EXP_MAX = (1 << FIELD_BITS - 1) - 1  # the largest exponent: a field's top bit is clear
+_TOP = (EXP_MAX + 1).to_bytes(FIELD_BITS // 8, "big")  # a field with its top bit set
 
 Key = tuple[int, ...]  # (k_1..k_v, t_exp, z_exp)
 Blocks = dict[int, dict[int, int]]  # x-degree -> {packed key: numerator}
 Part = tuple[int, dict[int, int], int]  # (x-degree, {packed key: numerator}, den)
-Bounds = dict[int, int]  # x-degree -> bound on every field of the block's keys
 
 
 def _pack(key: Key) -> int:
@@ -112,7 +110,6 @@ class MultiPoly:
     def __init__(self, nvars: int, xdeg_max: int, terms: Mapping[Key, Rational] | None = None):
         _check_shape(nvars, xdeg_max)
         parts: list[Part] = []
-        bounds: Bounds = {}
         for key, c in (terms or {}).items():
             key = tuple(key)
             if any(type(e) is not int for e in key):
@@ -129,19 +126,15 @@ class MultiPoly:
                 continue
             c = as_fraction(c)
             parts.append((deg, {_pack(key): c.numerator}, c.denominator))
-            bounds[deg] = max(bounds.get(deg, 0), top)
-        self.__dict__.update(MultiPoly._over(nvars, xdeg_max, parts, bounds).__dict__)
+        self.__dict__.update(MultiPoly._over(nvars, xdeg_max, parts).__dict__)
 
     @classmethod
-    def _from_blocks(
-        cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int, bounds: Bounds
-    ) -> MultiPoly:
+    def _from_blocks(cls, nvars: int, xdeg_max: int, blocks: Blocks, den: int) -> MultiPoly:
         """The polynomial with numerator blocks over den > 0, unvalidated:
         zeros and blocks above xdeg_max are dropped, and den and every
-        numerator are divided by their gcd, so zero is over 1.  bounds must
-        bound the fields of every block and may hold degrees without one.
-        Blocks that need no change and the bounds are kept, not copied, so
-        the caller must not change them afterwards."""
+        numerator are divided by their gcd, so zero is over 1.  Blocks that
+        need no change are kept, not copied, so the caller must not change
+        them afterwards."""
         kept = {}
         for d, b in blocks.items():
             if 0 in b.values():
@@ -153,22 +146,17 @@ class MultiPoly:
             kept = {d: {k: c // g for k, c in b.items()} for d, b in kept.items()}
             den //= g
         poly = object.__new__(cls)
-        poly.__dict__.update(
-            nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den, _bounds=bounds
-        )
+        poly.__dict__.update(nvars=nvars, xdeg_max=xdeg_max, _blocks=kept, _den=den)
         return poly
 
-    def _result(self, blocks: Blocks, den: int, bounds: Bounds | None = None) -> MultiPoly:
-        """A polynomial in this ring from numerator blocks over den, with
-        the given field bounds or, by default, this polynomial's."""
-        bounds = self._bounds if bounds is None else bounds
-        return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den, bounds)
+    def _result(self, blocks: Blocks, den: int) -> MultiPoly:
+        """A polynomial in this ring from numerator blocks over den."""
+        return MultiPoly._from_blocks(self.nvars, self.xdeg_max, blocks, den)
 
     @classmethod
-    def _over(cls, nvars: int, xdeg_max: int, parts: list[Part], bounds: Bounds) -> MultiPoly:
+    def _over(cls, nvars: int, xdeg_max: int, parts: list[Part]) -> MultiPoly:
         """The sum of the parts (x-degree, numerators, den), no key in two
-        parts, as numerator blocks over the lcm of their dens, with the
-        field bounds of those blocks."""
+        parts, as numerator blocks over the lcm of their dens."""
         den = lcm(*(d for _, _, d in parts))
         blocks: Blocks = {}
         for n, b, d in parts:
@@ -176,7 +164,7 @@ class MultiPoly:
             into = blocks.setdefault(n, {})
             for k, c in b.items():
                 into[k] = c * scale
-        return cls._from_blocks(nvars, xdeg_max, blocks, den, bounds)
+        return cls._from_blocks(nvars, xdeg_max, blocks, den)
 
     def __setattr__(self, name: str, *value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -194,7 +182,7 @@ class MultiPoly:
         }
 
     def _key(self) -> tuple:
-        """The ring and the canonical stored form; ``_bounds`` is only a bound."""
+        """The ring and the canonical stored form."""
         return self.nvars, self.xdeg_max, self._den, self._blocks
 
     def __repr__(self) -> str:
@@ -210,7 +198,7 @@ class MultiPoly:
     def const(cls, value: Rational, nvars: int, xdeg_max: int) -> MultiPoly:
         _check_shape(nvars, xdeg_max)
         f = as_fraction(value)
-        return cls._from_blocks(nvars, xdeg_max, {0: {0: f.numerator}}, f.denominator, {0: 0})
+        return cls._from_blocks(nvars, xdeg_max, {0: {0: f.numerator}}, f.denominator)
 
     @classmethod
     def one(cls, nvars: int, xdeg_max: int) -> MultiPoly:
@@ -220,11 +208,13 @@ class MultiPoly:
     def _variable(cls, pos: int, nvars: int, xdeg_max: int) -> MultiPoly:
         _check_shape(nvars, xdeg_max)
         key, deg = 1 << FIELD_BITS * (nvars + 1 - pos), int(pos < nvars)
-        return cls._from_blocks(nvars, xdeg_max, {deg: {key: 1}}, 1, {deg: 1})
+        return cls._from_blocks(nvars, xdeg_max, {deg: {key: 1}}, 1)
 
     @classmethod
     def x(cls, i: int, nvars: int, xdeg_max: int) -> MultiPoly:
         """The variable x_{i+1} (0-based index i)."""
+        if type(i) is not int:
+            raise TypeError("variable index must be an int")
         if not 0 <= i < nvars:
             raise ValueError("variable index out of range")
         return cls._variable(i, nvars, xdeg_max)
@@ -260,11 +250,7 @@ class MultiPoly:
         for poly in (self, other):
             for d, b in poly._blocks.items():
                 _accumulate(out.setdefault(d, {}), b, den // poly._den)
-        bounds = dict(self._bounds)
-        for d, b in other._bounds.items():
-            if b > bounds.get(d, -1):
-                bounds[d] = b
-        return self._result(out, den, bounds)
+        return self._result(out, den)
 
     __radd__ = __add__
 
@@ -289,26 +275,25 @@ class MultiPoly:
         # Pairs of blocks beyond the truncation are never formed, and each
         # product term lands in the block of its degree.
         out: Blocks = {}
-        bounds: Bounds = {}
         for da, block_a in self._blocks.items():
             for db, block_b in other._blocks.items():
                 d = da + db
                 if d > self.xdeg_max:
                     continue
-                bound = self._bounds[da] + other._bounds[db]
-                if bound > EXP_MAX:
-                    raise OverflowError(
-                        f"a product could reach exponent {bound}, above the limit {EXP_MAX}"
-                    )
-                if bound > bounds.get(d, -1):
-                    bounds[d] = bound
                 into = out.setdefault(d, {})
                 get, items_b = into.get, block_b.items()
                 for ka, ca in block_a.items():
                     for kb, cb in items_b:
                         key = ka + kb
                         into[key] = get(key, 0) + ca * cb
-        return self._result(out, self._den * other._den, bounds)
+        product = self._result(out, self._den * other._den)
+        # A sum of two fields at most EXP_MAX cannot carry, so a field past
+        # EXP_MAX shows as its top bit in the OR of the block's keys.
+        guard = int.from_bytes(_TOP * (self.nvars + 2), "big")
+        for block in product._blocks.values():
+            if reduce(or_, block, 0) & guard:
+                raise OverflowError(f"a product reaches an exponent above the limit {EXP_MAX}")
+        return product
 
     __rmul__ = __mul__
 
@@ -320,7 +305,7 @@ class MultiPoly:
             pos = self.nvars
         elif var == "z":
             pos = self.nvars + 1
-        elif isinstance(var, int) and 0 <= var < self.nvars:
+        elif type(var) is int and 0 <= var < self.nvars:
             pos = var
         else:
             raise ValueError(f"unknown variable {var!r}")
@@ -333,8 +318,6 @@ class MultiPoly:
                 e = key >> shift & EXP_MAX
                 if e:  # distinct keys have distinct derivatives, so no sums
                     out.setdefault(d - lower, {})[key - one] = c * e
-        if lower:
-            return self._result(out, self._den, {d - 1: b for d, b in self._bounds.items()})
         return self._result(out, self._den)
 
     def shear(self, c: int) -> MultiPoly:
@@ -345,10 +328,10 @@ class MultiPoly:
             raise TypeError("shear takes an integer c")
         if not c:
             return self
+        step = (1 << FIELD_BITS) - 1  # the t field up by 1, the z field down by 1
         out: Blocks = {}
-        bounds: Bounds = {}
         for d, block in self._blocks.items():
-            into, bound = out.setdefault(d, {}), self._bounds[d]
+            into = out.setdefault(d, {})
             get = into.get
             for key, coeff in block.items():
                 b = key & EXP_MAX
@@ -356,23 +339,20 @@ class MultiPoly:
                     into[key] = get(key, 0) + coeff
                     continue
                 top = (key >> FIELD_BITS & EXP_MAX) + b  # the t field of t^(a+b)
-                if top > bound:
-                    if top > EXP_MAX:
-                        raise OverflowError(
-                            f"a shear could reach exponent {top}, above the limit {EXP_MAX}"
-                        )
-                    bound = top
+                if top > EXP_MAX:
+                    raise OverflowError(
+                        f"a shear could reach exponent {top}, above the limit {EXP_MAX}"
+                    )
                 m = coeff  # coeff C(b, j) c^j at t^(a+j) z^(b-j), j = 0..b
                 for j in range(b + 1):
                     into[key] = get(key, 0) + m
                     m = m * (b - j) * c // (j + 1)
-                    key += EXP_MAX  # the t field up by 1, the z field down by 1
-            bounds[d] = bound
-        return self._result(out, self._den, bounds)
+                    key += step
+        return self._result(out, self._den)
 
     def _solve(
         self, factor: MultiPoly, acc: Blocks, den_of: Callable[[int], int], sign: int
-    ) -> tuple[list[Part], Bounds]:
+    ) -> list[Part]:
         """The blocks Y_n, as parts (n, numerators, den) in lowest terms,
         n = 1..xdeg_max, of
 
@@ -384,11 +364,9 @@ class MultiPoly:
         later degree m.  The running sum acc[m] is kept over acc_den[m], the
         lcm of the denominators of the Y_k added to it so far, and rescaled
         only when a new one does not divide that, as ``cohomology._push``
-        does.  The field bounds of the Y_n, the largest of their seed's and
-        of the products added to them, are returned with the parts."""
+        does."""
         parts: list[Part] = []
         acc_den: dict[int, int] = {}
-        acc_bounds = dict(factor._bounds)
         for n in range(1, self.xdeg_max + 1):
             block = {k: c for k, c in acc.pop(n, {}).items() if c}
             if not block:
@@ -398,9 +376,8 @@ class MultiPoly:
             block, d = {k: c // g for k, c in block.items()}, d // g
             parts.append((n, block, d))
             if n < self.xdeg_max:
-                product = self._result({n: block}, 1, {n: acc_bounds[n]}) * factor
+                product = self._result({n: block}, 1) * factor
                 for m, b in product._blocks.items():
-                    acc_bounds[m] = max(acc_bounds.get(m, 0), product._bounds[m])
                     into, have = acc.setdefault(m, {}), acc_den.get(m, 1)
                     if have % d:
                         grow = d // gcd(have, d)
@@ -408,7 +385,7 @@ class MultiPoly:
                             into[k] *= grow
                         acc_den[m] = have = have * grow
                     _accumulate(into, b, sign * have // d)
-        return parts, acc_bounds
+        return parts
 
     def log(self) -> MultiPoly:
         """log of a polynomial whose x-degree-0 part is exactly 1: theta L
@@ -421,9 +398,8 @@ class MultiPoly:
         if u.is_zero:  # log 1 = 0, with no loop over xdeg_max
             return u
         acc = {n: {k: n * c for k, c in b.items()} for n, b in u._blocks.items()}
-        parts, bounds = self._solve(u, acc, lambda n: den, -1)
-        parts = [(n, b, n * d) for n, b, d in parts]
-        return MultiPoly._over(self.nvars, self.xdeg_max, parts, bounds)
+        parts = [(n, b, n * d) for n, b, d in self._solve(u, acc, lambda n: den, -1)]
+        return MultiPoly._over(self.nvars, self.xdeg_max, parts)
 
     def exp(self) -> MultiPoly:
         """exp of a polynomial all of whose terms have positive x-degree:
@@ -439,9 +415,8 @@ class MultiPoly:
         )
         # the share of E_0 = 1, copied since _solve adds into it
         acc = {n: dict(b) for n, b in theta_g._blocks.items()}
-        parts, bounds = self._solve(theta_g, acc, lambda n: n * den, 1)
-        bounds[0] = 0
-        return MultiPoly._over(self.nvars, self.xdeg_max, [(0, {0: 1}, 1), *parts], bounds)
+        parts = self._solve(theta_g, acc, lambda n: n * den, 1)
+        return MultiPoly._over(self.nvars, self.xdeg_max, [(0, {0: 1}, 1), *parts])
 
     # -- rendering --------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from oracles import (
     multi_indices_recursive,
 )
 from strategies import million
-from test_multipoly import in_lowest_common_form
+from test_multipoly import fields_within, in_lowest_common_form
 
 
 def expand_tz(factors, nvars, xdeg, with_z=True):
@@ -149,20 +149,19 @@ def test_builders_hand_log_the_validated_integers(cfg):
     # The builders skip the validating constructor; the numerator blocks and
     # the common denominator they hand over, which log and exp read, must be
     # those the constructor makes from the same terms, and every field of
-    # block n is bounded by n.
-    top = cfg.xdeg_max if cfg.nvars else 0
+    # block n is at most n.
     for built, brute in ((build_p(cfg), brute_force_p_ts(cfg)), (build_q(cfg), brute_force_q(cfg))):
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, brute.terms)
         assert (built._blocks, built._den) == (want._blocks, want._den)
         assert in_lowest_common_form(built)
-        assert built._bounds == {n: n for n in range(top + 1)}
+        assert fields_within(built, lambda n: n)
     p = build_p(cfg)
     validated = MultiPoly(cfg.nvars, cfg.xdeg_max, p.terms)
     assert p.log() == validated.log()
 
 
 def _built(cfg):
-    return [(s._blocks, s._den, s._bounds) for s in (build_p(cfg), build_q(cfg))]
+    return build_p(cfg), build_q(cfg)
 
 
 @pytest.mark.parametrize(
@@ -177,8 +176,8 @@ def test_builders_do_not_depend_on_the_shape_cache(cfg):
     # The per-shape table is built on a shape's first trial and shared by
     # the rest; what the builders hand over must be the same whether the
     # table is new, was evicted by another shape or is reused, and must be
-    # what the validating constructor makes, with every field bounded by
-    # the x-degree.  Without variables the table has one multi-index and
+    # what the validating constructor makes, with every field at most the
+    # x-degree.  Without variables the table has one multi-index and
     # its binomial rows stop at 0, so even --xdeg 10^9 returns at once.
     other = LemmaConfig(((1, 0), (0, 1)), (Fraction(1, 2), Fraction(-3)), 3)
     start = time.perf_counter()
@@ -188,12 +187,11 @@ def test_builders_do_not_depend_on_the_shape_cache(cfg):
     after_other = _built(cfg)
     reused = _built(cfg)
     assert after_other == fresh and reused == fresh
-    top = cfg.xdeg_max if cfg.nvars else 0
-    for (blocks, den, bounds), brute in zip(fresh, (brute_force_p_ts, brute_force_q)):
+    for built, brute in zip(fresh, (brute_force_p_ts, brute_force_q)):
         terms = brute(cfg).terms if cfg.nvars else {(0, 0): 1}
         want = MultiPoly(cfg.nvars, cfg.xdeg_max, terms)
-        assert (blocks, den) == (want._blocks, want._den)
-        assert bounds == {n: n for n in range(top + 1)}
+        assert (built._blocks, built._den) == (want._blocks, want._den)
+        assert fields_within(built, lambda n: n)
 
 
 def test_deep_one_variable_log_and_exp_match_power_sums():
@@ -421,12 +419,12 @@ def test_closed_forms_survive_a_failing_check():
     cfg = zero_c_config([(0, 1), (1, 0)], 3)
     p = build_p(cfg)
     memo = loglinear._closed_forms(cfg.pairs, cfg.xdeg_max)
-    before = [({d: dict(b) for d, b in e._blocks.items()}, e._den, dict(e._bounds)) for e in memo]
+    before = [({d: dict(b) for d, b in e._blocks.items()}, e._den) for e in memo]
     tampered = (p.shear(1) + MultiPoly(2, 3, {(1, 0, 2, 0): Fraction(1, 3)})).shear(-1)
     assert closed_forms(cfg, tampered) == "P mismatch at 1/3 * x1*t^2"
     assert closed_forms(cfg, p) is None
     assert loglinear._closed_forms(cfg.pairs, cfg.xdeg_max) is memo
-    assert [(e._blocks, e._den, e._bounds) for e in memo] == before
+    assert [(e._blocks, e._den) for e in memo] == before
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,20 @@ def in_lowest_common_form(p: MultiPoly) -> bool:
     )
 
 
+def fields(key: int, nvars: int) -> tuple:
+    """The fields of a packed key, each read whole, its top bit included."""
+    word = (1 << FIELD_BITS) - 1
+    return tuple(key >> FIELD_BITS * (nvars + 1 - j) & word for j in range(nvars + 2))
+
+
+def fields_within(p: MultiPoly, limit=lambda n: EXP_MAX) -> bool:
+    """Every field of every key of block n is at most limit(n), by default
+    EXP_MAX: no key of p has carried into the field above."""
+    return all(
+        max(fields(key, p.nvars)) <= limit(n) for n, block in p._blocks.items() for key in block
+    )
+
+
 def test_results_are_in_lowest_common_form():
     # p = x1/2: twice p, p - p and the x1 derivative of x1^2/2 all have
     # numerators that share the factor 2 with their denominator
@@ -263,6 +277,18 @@ def test_bad_shapes_and_exponents_are_refused():
         MultiPoly.const(Fraction(1, 2), 1, 2.5)
     with pytest.raises(TypeError, match="^xdeg_max must be an int$"):
         LemmaConfig(((0, 1),), (Fraction(1, 2),), 2.5)
+
+
+def test_a_variable_index_is_an_int_and_not_a_bool():
+    # True == 1, so a bool taken for an index would name x2
+    for index in (True, 0.5):
+        with pytest.raises(TypeError, match="^variable index must be an int$"):
+            MultiPoly.x(index, 2, 3)
+    p = MultiPoly.x(1, 2, 3) * MultiPoly.x(1, 2, 3)
+    with pytest.raises(ValueError, match="^unknown variable True$"):
+        p.partial(True)
+    with pytest.raises(ValueError, match="^variable index out of range$"):
+        MultiPoly.x(2, 2, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -342,7 +368,7 @@ def _over(p: MultiPoly, m: int) -> MultiPoly:
     """p built from its numerators and common denominator multiplied by m;
     the constructor reduces it to p's own stored form."""
     blocks = {d: {k: c * m for k, c in b.items()} for d, b in p._blocks.items()}
-    return MultiPoly._from_blocks(p.nvars, p.xdeg_max, blocks, p._den * m, p._bounds)
+    return MultiPoly._from_blocks(p.nvars, p.xdeg_max, blocks, p._den * m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -435,9 +461,9 @@ def test_constructor_refuses_an_exponent_one_past_the_limit(pos):
 def test_products_that_could_carry_raise():
     t = MultiPoly.t(0, 1)
     p = t
-    for _ in range(FIELD_BITS - 1):
+    for _ in range(FIELD_BITS - 2):
         p = p * p
-    assert p.terms == {(2 ** (FIELD_BITS - 1), 0): 1}
+    assert p.terms == {(2 ** (FIELD_BITS - 2), 0): 1}
     with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
         p * p
     # up to the limit itself a product is formed
@@ -446,10 +472,39 @@ def test_products_that_could_carry_raise():
     with pytest.raises(OverflowError):
         top * t
     # log's products: block 2 of log(1 + x t^a) holds t^(2a)
-    half = 2 ** (FIELD_BITS - 1)
+    half = (EXP_MAX + 1) // 2
     assert (MultiPoly(1, 1, {(1, half, 0): 1}) + 1).log().terms == {(1, half, 0): 1}
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
         (MultiPoly(1, 2, {(1, half, 0): 1}) + 1).log()
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_a_product_one_past_the_limit_raises_in_every_field(pos):
+    # x1, t and z: the check reads the top bit of every field, the lowest too
+    def mono(e):
+        key = [0, 0, 0]
+        key[pos] = e
+        return MultiPoly(1, 2 * EXP_MAX, {tuple(key): 1})
+
+    got = mono(EXP_MAX - 1) * mono(1)
+    assert got == mono(EXP_MAX) and fields_within(got)
+    with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
+        mono(EXP_MAX) * mono(1)
+
+
+def test_products_within_the_limit_are_formed():
+    # fields at the limit in different variables, and a factor whose
+    # terms at the limit cancel, give a valid product
+    t, z = MultiPoly(0, 1, {(EXP_MAX, 0): 1}), MultiPoly(0, 1, {(0, EXP_MAX): 1})
+    assert (t * z).terms == {(EXP_MAX, EXP_MAX): 1}
+    x, big = MultiPoly.x(0, 1, 3), MultiPoly(1, 3, {(0, EXP_MAX, 0): 1})
+    p = x * big + x - x * big
+    assert p * p == x * x
+    # x^2 t^(2m) is formed twice and cancels, so the product is x t^(3m - top)
+    m, top = EXP_MAX // 5 * 3, EXP_MAX
+    f = MultiPoly(1, 2, {(1, m, 0): 1, (2, top, 0): -1})
+    g = MultiPoly(1, 2, {(0, 2 * m - top, 0): 1, (1, m, 0): 1})
+    assert (f * g).terms == {(1, 3 * m - top, 0): 1}
 
 
 
@@ -475,17 +530,10 @@ def test_shear_matches_the_fraction_oracle_and_round_trips(data, c):
         back = q.shear(-d)
         assert back == p and back.terms == a
         assert (back._blocks, back._den) == (p._blocks, p._den)
-        # every field of a sheared key is within its block's bound
-        for deg, block in q._blocks.items():
-            for key in block:
-                assert max(_unpack_key(key, nvars)) <= q._bounds[deg]
+        assert fields_within(q)
     assert p.shear(0) is p
     with pytest.raises(TypeError):
         p.shear(Fraction(1, 2))
-
-
-def _unpack_key(key: int, nvars: int) -> tuple:
-    return tuple(key >> FIELD_BITS * (nvars + 1 - j) & EXP_MAX for j in range(nvars + 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -539,21 +587,23 @@ def test_shear_at_the_limit():
     # t^a z^b with a + b = EXP_MAX goes through, one more raises
     p = MultiPoly(1, 1, {(1, EXP_MAX - 2, 2): 1})
     assert p.shear(1).terms == {(1, EXP_MAX - 2, 2): 1, (1, EXP_MAX - 1, 1): 2, (1, EXP_MAX, 0): 1}
-    assert p.shear(1)._bounds == {1: EXP_MAX}
+    assert fields_within(p.shear(1))
     with pytest.raises(OverflowError, match=f"above the limit {EXP_MAX}$"):
         MultiPoly(1, 1, {(1, EXP_MAX - 1, 2): 1}).shear(-1)
 
 
-def test_log_exp_round_trips_keep_their_field_bounds():
+def test_log_exp_round_trips_keep_every_field_at_its_x_degree():
     # Q's exponents are at most its x-degree, and so are those of ln Q and
-    # exp ln Q; one bound for the whole polynomial, raised by every solved
-    # block, would grow 144-fold a round trip and refuse the fourth here
+    # exp ln Q: four round trips come back to Q, each field of block n at
+    # most n on the way
     x = MultiPoly.x(0, 1, 12)
     t = MultiPoly.t(1, 12)
     q = (t * (x + 1).log()).exp()
     p = q
     for _ in range(4):
-        p = p.log().exp()
+        ln_p = p.log()
+        p = ln_p.exp()
+        assert fields_within(ln_p, lambda n: n) and fields_within(p, lambda n: n)
     assert p == q
 
 
