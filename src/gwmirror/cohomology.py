@@ -28,15 +28,17 @@ Fractions and ints; the package builds values from numerators with
 ``_new``, unchecked.
 
 This module also holds the integer kernels that ``CohClass``,
-``DSeries`` and the twist and lemma products share: ``_int_product``
-(schoolbook product, O(r^2)), ``_inverse`` (triangular solve, O(r^2);
-Brent & Kung, J. ACM 1978) and ``_linear_product`` (c * prod (l*H + i), one
-O(r) shift-add per factor).  A recurrence appends each output to its
-numerators with ``_push``, which reduces it by one gcd and rescales the
-earlier numerators only when its denominator does not divide the common
-one, so the result is already in lowest common form.  ``MultiPoly``
-keeps its numerator blocks in the same lowest common form and shares
-``_Truncated.__eq__`` on its own ``_key()``.
+``DSeries`` and the twist products of ``hypergeom`` share:
+``_int_product`` (schoolbook product, O(r^2)), ``_inverse`` (triangular
+solve, O(r^2); Brent & Kung, J. ACM 1978) and ``_linear_product``
+(c * prod (l*H + i), one O(r) shift-add per factor).  A recurrence
+appends each output to its numerators with ``_push``, which reduces it
+by one gcd and rescales the earlier numerators only when its
+denominator does not divide the common one, so the result is already in
+lowest common form.  The lemma products use none of these kernels:
+``MultiPoly`` keeps its numerator blocks in the same lowest common form
+and shares ``_Truncated.__eq__`` on its own ``_key()``.  Every builder
+that takes a size refuses one that is not an int with ``_check_int``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,13 @@ def as_fraction(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact rational expected, got {type(x).__name__}")
+
+
+def _check_int(**sizes: int) -> None:
+    """Refuse a size that is not an int, by name, a bool included."""
+    for name, n in sizes.items():
+        if type(n) is not int:
+            raise TypeError(f"{name} must be an int")
 
 
 class _Truncated:

@@ -34,7 +34,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from math import comb
 
-from .cohomology import CohClass, _common, _int_product, _linear_product, _lowest
+from .cohomology import CohClass, _check_int, _common, _int_product, _linear_product, _lowest
 from .series import DSeries
 
 
@@ -44,6 +44,7 @@ def ambient_I(n: int, d: int) -> CohClass:
     >>> str(ambient_I(2, 1))
     '1 - 3*H + 6*H^2'
     """
+    _check_int(n=n, d=d)
     if n < 2:
         raise ValueError("ambient projective space needs n >= 2")
     if d < 0:
@@ -53,7 +54,7 @@ def ambient_I(n: int, d: int) -> CohClass:
     return CohClass._new(*_ambient(n, d))
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: n = 2.0 must raise, not find n = 2
+@lru_cache(maxsize=256)
 def _ambient(n: int, d: int) -> tuple[tuple[int, ...], int]:
     """The stored form (nums, den) of ambient_I(n, d), one step from d-1."""
     if d == 0:
@@ -66,6 +67,7 @@ def _ambient(n: int, d: int) -> tuple[tuple[int, ...], int]:
 def hyper_factor(l: int, d: int, ring_len: int) -> CohClass:
     """prod_{i=0}^{l*d} (l*H + i) in Q[H]/(H^ring_len); d = 0 gives the
     single factor l*H."""
+    _check_int(l=l, d=d, ring_len=ring_len)
     if l < 1 or d < 0 or ring_len < 1:
         raise ValueError("need l >= 1, d >= 0, ring_len >= 1")
     return CohClass(_linear_product((1,) + (0,) * (ring_len - 1), l, range(l * d + 1)))
@@ -95,6 +97,7 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
 def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
     """The coefficients of ``naive_series(n, l, dmax)`` as classes, index d
     for degree d, after the same checks."""
+    _check_int(n=n, l=l, dmax=dmax)
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     if not 1 <= l <= n + 1:

@@ -35,22 +35,21 @@ This module uses only the public operations of ``CohClass`` and
 with 1/5.  The recursion, divided once by F_0, reads
     (F_2 - F_1 m/2)/F_0 = U(Q exp(m)),   m = F_1/F_0,
 with U = sum_{d>0} w_d u_d Q^d, so the solver is ``DSeries.unsubstitute``
-by m followed by one division per weight, and the reversion route is
+by m alone; w_d is the only case data, and each case applies its own to
+U's coefficients (n_d = 5 U_d/d, v_d = U_d).  The reversion route is
 ``DSeries.substitute`` by the reverted exponent of m, after an
 H-division by F_0.  The change of variables and its kernels belong to
-``series``; this module passes it series only and reads each u_d from
-U's coefficients.  ``MirrorData`` is an immutable record
-(``cohomology._Record``) that forms 1/F_0 and m once, from its fields;
-a table is a tuple of exact values whose entry i belongs to curve
-degree i + 1.
+``series``; this module passes it series only.  ``MirrorData`` is an
+immutable record (``cohomology._Record``) that forms 1/F_0 and m once,
+from its fields; a table is a tuple of exact values whose entry i
+belongs to curve degree i + 1.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
-from .cohomology import CohClass, _Record, as_fraction
+from .cohomology import CohClass, _check_int, _Record
 from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_series
 from .series import DSeries
 
@@ -59,40 +58,38 @@ CUBIC_RING = 3  # cohomology of P^2
 
 
 class MirrorData(_Record):
-    """Scalar H-components of a naive series and the weights of the
-    correction recursion.
+    """Scalar H-components F_0, F_1, F_2 of a series with corrections;
+    the case, not the record, holds the weights w_d.
 
     ``f0`` is None for the plane-cubic case, whose series has no H^0 part;
     the recursion then reads with F_0 = 1, which is never multiplied in.
-    ``weights[d]`` is w_d, the factor of the degree-d unknown.  ``inv0`` =
-    1/F_0 (None without F_0) and ``m`` = F_1/F_0 are formed here, once for
-    every reader; they follow from the fields and are not fields.
+    ``inv0`` = 1/F_0 (None without F_0) and ``m`` = F_1/F_0 are formed
+    here, once for every reader; they follow from the fields and are not
+    fields.
     """
 
-    __slots__ = ("f0", "f1", "f2", "weights", "inv0", "m")
+    __slots__ = ("f0", "f1", "f2", "inv0", "m")
 
-    def __init__(
-        self, f0: DSeries | None, f1: DSeries, f2: DSeries, weights: tuple[Fraction, ...]
-    ) -> None:
-        self.f0, self.f1, self.f2, self.weights = f0, f1, f2, weights
+    def __init__(self, f0: DSeries | None, f1: DSeries, f2: DSeries) -> None:
+        self.f0, self.f1, self.f2 = f0, f1, f2
         self.inv0 = None if f0 is None else f0.inv()
         self.m = f1 if f0 is None else f1 * self.inv0
 
     def _key(self) -> tuple:
-        # the four fields lead __slots__, so _Record's repr shows just them
-        return self.f0, self.f1, self.f2, self.weights
+        # the three fields lead __slots__, so _Record's repr shows just them
+        return self.f0, self.f1, self.f2
 
 
 # -- the correction recursion shared by the quintic and the plane cubic --------
 
 
 def _solve(md: MirrorData) -> tuple[Fraction, ...]:
-    """Solve the recursion divided once by F_0: with m = F_1/F_0,
-    base = (F_2 - F_1 m/2)/F_0 equals sum_d w_d u_d Q^d exp(d m)."""
+    """U_d = w_d u_d from the recursion divided once by F_0: with m =
+    F_1/F_0, base = (F_2 - F_1 m/2)/F_0 equals sum_d U_d Q^d exp(d m)."""
     base = md.f2 - md.f1 * md.m * Fraction(1, 2)
     if md.inv0 is not None:  # the plane cubic has F_0 = 1
         base = base * md.inv0
-    return tuple(solve_correction_series(base, md.m, md.weights))
+    return solve_correction_series(base, md.m)
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -100,9 +97,10 @@ def _solve(md: MirrorData) -> tuple[Fraction, ...]:
 
 def quintic_f(dmax: int) -> MirrorData:
     """F_0, F_1, F_2 of the quintic naive series with its factor 5H taken
-    out, with weights w_d = d/5: the H^{k+1} part of the series is 5 F_k."""
+    out: the H^{k+1} part of the series is 5 F_k.  The quintic's weight
+    w_d = d/5 is applied by ``quintic_invariants``."""
     f0, f1, f2 = (h * Fraction(1, 5) for h in naive_series(4, 5, dmax)[1:4])
-    return MirrorData(f0, f1, f2, tuple(Fraction(d, 5) for d in range(dmax + 1)))
+    return MirrorData(f0, f1, f2)
 
 
 def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
@@ -122,12 +120,13 @@ def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
 
 def quintic_invariants(dmax: int) -> tuple[Fraction, ...]:
     """Virtual counts n_1..n_dmax of rational curves on the quintic,
-    solved degree by degree from the H^3 component of the corrected series.
+    solved degree by degree from the H^3 component of the corrected series:
+    U_d = (d/5) n_d.
 
     >>> quintic_invariants(3)
     (Fraction(2875, 1), Fraction(4876875, 8), Fraction(8564575000, 27))
     """
-    return _solve(quintic_f(dmax))
+    return tuple(5 * u / d for d, u in enumerate(_solve(quintic_f(dmax)), start=1))
 
 
 def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
@@ -170,8 +169,9 @@ def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
 
 def localp2_f(dmax: int) -> MirrorData:
     """F_1, F_2 of the plane-cubic series
-    sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d},
-    with weights w_d = 1."""
+    sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d};
+    its weight is w_d = 1, so U_d is the count itself."""
+    _check_int(dmax=dmax)
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     # The twist product prod_{i=0}^{3d-1}(3H+i) stops one factor short of
@@ -180,12 +180,12 @@ def localp2_f(dmax: int) -> MirrorData:
     # degree-0 term.
     zero = CohClass((0,) * CUBIC_RING)
     _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)))
-    return MirrorData(None, f1, f2, (Fraction(1),) * (dmax + 1))
+    return MirrorData(None, f1, f2)
 
 
 def localp2_invariants(dmax: int) -> tuple[Fraction, ...]:
     """Virtual counts of degree-d rational plane curves with a single point
-    of multiplicity-3d contact with a smooth cubic."""
+    of multiplicity-3d contact with a smooth cubic: v_d = U_d."""
     return _solve(localp2_f(dmax))
 
 
@@ -193,8 +193,7 @@ def localp2_kd(dmax: int) -> tuple[Fraction, ...]:
     """Local invariants K_d of the canonical bundle of P^2, repackaging the
     contact counts via K_d = (-1)^d v_d / (3d)."""
     return tuple(
-        Fraction((-1) ** d) * v / (3 * d)
-        for d, v in enumerate(localp2_invariants(dmax), start=1)
+        v / ((-1) ** d * 3 * d) for d, v in enumerate(localp2_invariants(dmax), start=1)
     )
 
 
@@ -220,27 +219,14 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
 # -- shared solver -------------------------------------------------------------
 
 
-def solve_correction_series(
-    base: DSeries,
-    m: DSeries,
-    weights: Sequence[Fraction],
-) -> list[Fraction]:
-    """Solve base = sum_{d>=1} weights[d] * u_d * Q^d * exp(d*m) for the u_d.
+def solve_correction_series(base: DSeries, m: DSeries) -> tuple[Fraction, ...]:
+    """The coefficients U_1..U_dmax of U with base = U(Q exp(m)), that is
+    base = sum_{d>=1} U_d Q^d exp(d*m); a case reads its u_d = U_d/w_d.
 
-    The right-hand side is U = sum_d weights[d] u_d Q^d after the change
-    of variables Q -> Q exp(m), so U is ``base.unsubstitute(m)``; m must
-    share base's dmax and have zero constant term.  ``weights`` needs
-    exact entries 0..dmax, nonzero from 1 on, and base a zero constant
-    term, since U has none; all are checked before any work.
-    Returns [u_1, ..., u_dmax].
+    U is ``base.unsubstitute(m)``; m must share base's dmax and have zero
+    constant term, and base must have none either, since U has none;
+    that is checked before any work.
     """
-    dmax = base.dmax
-    if len(weights) <= dmax:
-        raise ValueError(f"need weights for degrees 0..{dmax}, got {len(weights)}")
-    weights = [as_fraction(w) for w in weights[: dmax + 1]]
-    if not all(weights[1:]):
-        raise ValueError("weights[d] must be nonzero for d >= 1")
     if base.coeff(0):
         raise ValueError("base must have zero constant term")
-    u = base.unsubstitute(m)
-    return [c / w for c, w in zip(u.coeffs[1:], weights[1:])]
+    return base.unsubstitute(m).coeffs[1:]

@@ -66,7 +66,7 @@ from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import or_
 
-from .cohomology import Rational, _Truncated, as_fraction
+from .cohomology import Rational, _check_int, _Truncated, as_fraction
 
 FIELD_BITS = 32  # the width of the struct format "I" that packs a field
 EXP_MAX = (1 << FIELD_BITS - 1) - 1  # the largest exponent: a field's top bit is clear
@@ -91,9 +91,8 @@ def _unpack(packed: int, nfields: int) -> Key:
 
 def _check_shape(nvars: int, xdeg_max: int) -> None:
     """Refuse an nvars or xdeg_max that is not a non-negative int."""
+    _check_int(nvars=nvars, xdeg_max=xdeg_max)
     for name, n in (("nvars", nvars), ("xdeg_max", xdeg_max)):
-        if type(n) is not int:
-            raise TypeError(f"{name} must be an int")
         if n < 0:
             raise ValueError(f"{name} must be non-negative")
 

@@ -128,16 +128,17 @@ def bps_numbers(values: list[Fraction]) -> list[Fraction]:
 # -- resubstitution ----------------------------------------------------------------
 
 
-def recursion_rhs(md, table) -> DSeries:
+def recursion_rhs(md, table, weight) -> DSeries:
     """F_1^2/(2 F_0) + sum_d w_d u_d Q^d F_0 exp(d m), m = F_1/F_0, with the
-    table's values u_d put back; equals F_2 when the table solves the
-    recursion.  The sum over d is F_0 times U = sum_d w_d u_d Q^d sent
-    through Q -> Q exp(m); F_0 = 1 when absent."""
+    table's values u_d put back and the case's weight w_d = weight(d);
+    equals F_2 when the table solves the recursion.  The sum over d is
+    F_0 times U = sum_d w_d u_d Q^d sent through Q -> Q exp(m); F_0 = 1
+    when absent."""
     f0 = md.f0 if md.f0 is not None else DSeries.monomial(0, md.f1.dmax)
     m = md.f1 * f0.inv()
     u = [Fraction(0)] * (m.dmax + 1)
     for d, v in enumerate(table, start=1):
-        u[d] = md.weights[d] * v
+        u[d] = weight(d) * v
     return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u)).substitute(m)
 
 
@@ -361,17 +362,15 @@ def substitute_fractions(c: list[Fraction], kernels: list[list[Fraction]]) -> li
     return out
 
 
-def solve_fractions(
-    base: list[Fraction], kernels: list[list[Fraction]], weights: list[Fraction]
-) -> list[Fraction]:
-    """u_1..u_dmax with base = sum_{d>=1} weights[d] u_d Q^d kernels[d], the
-    kernels' constant coefficients taken as 1."""
+def solve_fractions(base: list[Fraction], kernels: list[list[Fraction]]) -> list[Fraction]:
+    """U_1..U_dmax with base = sum_{d>=1} U_d Q^d kernels[d], the kernels'
+    constant coefficients taken as 1."""
     out: list[Fraction] = []
     for e in range(1, len(base)):
         s = Fraction(0)
         for d in range(1, e):
-            s += weights[d] * out[d - 1] * kernels[d][e - d]
-        out.append((base[e] - s) / weights[e])
+            s += out[d - 1] * kernels[d][e - d]
+        out.append(base[e] - s)
     return out
 
 

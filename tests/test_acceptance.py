@@ -215,9 +215,9 @@ def test_criterion_8_property_suites():
 
     # re-substitution: solved tables reproduce F_2 exactly
     md_q = quintic_f(8)
-    assert recursion_rhs(md_q, quintic_invariants(8)) == md_q.f2
+    assert recursion_rhs(md_q, quintic_invariants(8), lambda k: Fraction(k, 5)) == md_q.f2
     md_l = localp2_f(10)
-    assert recursion_rhs(md_l, localp2_invariants(10)) == md_l.f2
+    assert recursion_rhs(md_l, localp2_invariants(10), lambda k: 1) == md_l.f2
     for _ in range(120):
         d = rng.randint(1, 5)
         f0 = rand_series(d, constant=Fraction(1))
@@ -228,12 +228,12 @@ def test_criterion_8_property_suites():
         kernels = [f0]
         for _ in range(d):
             kernels.append(kernels[-1] * e1)
-        weights = [Fraction(k, 5) for k in range(d + 1)]
         base = (f2 - f1 * m * Fraction(1, 2)) * f0.inv()
-        solved = solve_correction_series(base, m, weights)
+        # the solver returns U_k = w_k u_k; the quintic's weight is k/5
+        counts = [5 * u / k for k, u in enumerate(solve_correction_series(base, m), start=1)]
         rebuilt = f1 * f1 * f0.inv() * Fraction(1, 2)
-        for k, u in enumerate(solved, start=1):
-            rebuilt = rebuilt + DSeries.monomial(k, d, weights[k] * u) * kernels[k]
+        for k, n in enumerate(counts, start=1):
+            rebuilt = rebuilt + DSeries.monomial(k, d, Fraction(k, 5) * n) * kernels[k]
         assert rebuilt == f2
     report(8, "property suites, >=100 cases each")
 

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwmirror import CohClass, ambient_I, hyper_factor, hypergeom, naive_series
+from gwmirror import (
+    CohClass,
+    ambient_I,
+    hyper_factor,
+    hypergeom,
+    localp2_f,
+    localp2_invariants,
+    naive_series,
+    quintic_invariants,
+)
 
 from oracles import ambient_poly, hyper_poly, linear, naive_coeff, pmul
 from strategies import hpow
@@ -176,6 +185,30 @@ def test_naive_series_rejects_non_nef():
     with pytest.raises(ValueError, match="nef"):
         naive_series(4, 6, 2)
     naive_series(4, 5, 2)  # l = n+1 is the boundary case and is allowed
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda: ambient_I(2, True), "d"),
+        (lambda: ambient_I(2.0, 3), "n"),
+        (lambda: hyper_factor(True, 1, 2), "l"),
+        (lambda: naive_series(4, 5, True), "dmax"),
+        (lambda: naive_series(4.0, 5, 2), "n"),
+        (lambda: quintic_invariants(True), "dmax"),
+        (lambda: localp2_invariants(True), "dmax"),
+        (lambda: localp2_f(2.0), "dmax"),
+    ],
+    ids=[
+        "ambient_I-bool-d", "ambient_I-float-n", "hyper_factor-bool-l", "naive_series-bool-dmax",
+        "naive_series-float-n", "quintic-bool-dmax", "localp2-bool-dmax", "localp2_f-float-dmax",
+    ],
+)
+def test_a_size_is_an_int_and_not_a_bool(call, name):
+    # True == 1, so a bool taken for a size would run as 1; a float would
+    # fail deep in the loops without naming the argument.
+    with pytest.raises(TypeError, match=f"^{name} must be an int$"):
+        call()
 
 
 def test_naive_series_is_cached_by_typed_key():
