@@ -25,7 +25,7 @@ product of the denominators, each followed by one gcd reduction
 built on first read and kept; ``coeff(k)`` reads one coefficient
 without building them.  The public constructor validates
 Fractions and ints; the package builds values from numerators with
-``_new``, unchecked.
+``_new``, unchecked; ``_common`` is the one normaliser of other values.
 
 This module also holds the integer kernels that ``CohClass``,
 ``DSeries`` and the twist products of ``hypergeom`` share:
@@ -77,10 +77,11 @@ class _Truncated:
     __slots__ = ("_nums", "_den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Rational]) -> None:
-        nums, den = _ints([as_fraction(c) for c in coeffs])
+        cs = [as_fraction(c) for c in coeffs]
+        nums, den = _common([c.numerator for c in cs], [c.denominator for c in cs])
         if not nums:
             raise ValueError("at least the index-0 coefficient is needed")
-        self._nums, self._den, self._coeffs = tuple(nums), den, None
+        self._nums, self._den, self._coeffs = nums, den, None
 
     @classmethod
     def _new(cls, nums: tuple[int, ...], den: int):
@@ -229,14 +230,6 @@ class CohClass(_Truncated):
 # -- integer numerators --------------------------------------------------------
 
 
-def _ints(seq: Iterable[Rational]) -> tuple[list[int], int]:
-    """Integer numerators of ``seq`` over den = lcm of its denominators,
-    which is the lowest common form when every element is in lowest terms."""
-    seq = list(seq)
-    den = lcm(*(x.denominator for x in seq))
-    return [x.numerator * (den // x.denominator) for x in seq], den
-
-
 def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
     """The numerators over the positive ``den`` divided by their common
     gcd with it: the lowest common form of the same values."""
@@ -248,7 +241,8 @@ def _lowest(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 
 def _common(nums: Sequence[int], dens: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The values nums[i]/dens[i], every dens[i] positive, in lowest common
-    form: over the lcm of their denominators in lowest terms."""
+    form: over the lcm of their denominators in lowest terms.  The
+    constructor, the H-components and the lemma builders all use it."""
     gs = [gcd(x, d) for x, d in zip(nums, dens)]
     dens = [d // g for d, g in zip(dens, gs)]
     den = lcm(*dens)

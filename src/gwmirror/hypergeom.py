@@ -13,10 +13,10 @@ ingredients are:
   contributed, returned as its n+1 scalar H-components.
 
 Each linear factor is one O(r) integer shift-add in a ring of length r
-(``cohomology._linear_product``).  One loop, ``_twist_classes``, grows
-every twist product from degree to degree, for ``naive_series`` and for
-the plane-cubic series, which stops one factor short: degree d shift-adds
-its l new factors into the running twist in place, O(l*r) a degree.
+(``cohomology._linear_product``).  One loop, ``_twist_classes``, builds
+both twisted series whole, the naive one and the plane-cubic one, which
+stops one factor short; degree d shift-adds its l new factors into the
+running twist in place, O(l*r) a degree.
 ``ambient_I`` multiplies degree d-1, kept in a bounded cache
 (``_ambient``), by (H+d)^{-(n+1)} = sum_k (-1)^k C(n+k, k) d^{n-k} H^k /
 d^{2n+1}, one truncated integer product (``cohomology._int_product``).
@@ -98,21 +98,25 @@ def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
     """The coefficients of ``naive_series(n, l, dmax)`` as classes, index d
     for degree d, after the same checks."""
     _check_int(n=n, l=l, dmax=dmax)
-    if dmax < 0:
-        raise ValueError("dmax must be non-negative")
     if not 1 <= l <= n + 1:
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    return _twist_classes(n, l, 0, range(dmax + 1))
+    return _twist_classes(n, l, 0, dmax)
 
 
-def _twist_classes(n: int, l: int, short: int, degrees: range) -> list[CohClass]:
-    """prod_{i=0}^{l*d-short} (l*H + i) * ambient_I(n, d) in Q[H]/(H^{n+1})
-    for each d of the consecutive ``degrees``; each degree shift-adds
-    into the twist the factors its predecessor did not reach."""
-    twist, lo, classes = (1,) + (0,) * n, 0, []
-    for d in degrees:
+def _twist_classes(n: int, l: int, short: int, dmax: int) -> list[CohClass]:
+    """The classes prod_{i=0}^{l*d-short} (l*H + i) * ambient_I(n, d) in
+    Q[H]/(H^{n+1}), index d for degree d = 0..dmax: the naive series
+    with short = 0, and with short = 1 the contact series, which stops
+    one factor short and has the zero class at degree 0.  Each degree
+    shift-adds into the twist the factors its predecessor did not reach."""
+    _check_int(dmax=dmax)
+    if dmax < 0:
+        raise ValueError("dmax must be non-negative")
+    twist, lo = (1,) + (0,) * n, 0
+    classes = [CohClass._new((0,) * (n + 1), 1)] if short else []
+    for d in range(short, dmax + 1):
         hi = l * d - short + 1
         twist, lo = _linear_product(twist, l, range(lo, hi)), hi
         classes.append(CohClass._new(tuple(twist), 1) * ambient_I(n, d))

@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .cohomology import _ints, _Record, as_fraction
+from .cohomology import _common, _Record, as_fraction
 from .multipoly import EXP_MAX, FIELD_BITS, MultiPoly, _check_shape
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
@@ -91,7 +91,8 @@ class LemmaConfig(_Record):
 
 def sample_config(rng: random.Random, nvars: int, xdeg_max: int) -> LemmaConfig:
     """Draw (a_i, b_i) uniformly from the allowed pairs and c_i with
-    numerator in [-9, 9], denominator in [1, 9]."""
+    numerator in [-9, 9], denominator in [1, 9], once the shape passes."""
+    _check_shape(nvars, xdeg_max)
     pairs = tuple(ALLOWED_PAIRS[rng.randrange(3)] for _ in range(nvars))
     cs = tuple(
         Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(nvars)
@@ -181,7 +182,7 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
     >>> print(p)  # s in z's place: 1 + x (1/2 + s) + x^2 (1 + s) s / 2
     1 * 1 + 1/2 * x1 + 1 * x1*z + 1/2 * x1^2*z + 1/2 * x1^2*z^2
     """
-    cnum, cden = _ints(cfg.cs)
+    cnum, cden = _common([c.numerator for c in cfg.cs], [c.denominator for c in cfg.cs])
     pairs = cfg.pairs
     heads = [(0, 0, 0)]  # (t^{a.k}'s key, b.k, c.k over cden)
     shape = _shape(cfg.nvars, cfg.xdeg_max)
@@ -194,7 +195,7 @@ def build_p(cfg: LemmaConfig) -> MultiPoly:
 
 def build_q(cfg: LemmaConfig) -> MultiPoly:
     """Exact truncated expansion of Q(t); the sum(k) = 0 term is 1."""
-    cnum, cden = _ints(cfg.cs)
+    cnum, cden = _common([c.numerator for c in cfg.cs], [c.denominator for c in cfg.cs])
     t = 1 << FIELD_BITS  # the overall factor t of every k but 0
     heads = [(0, 0, -cden)]  # (t, sum(k) - 1, c.k - 1 over cden)
     shape = _shape(cfg.nvars, cfg.xdeg_max)

@@ -25,9 +25,10 @@ F_0 + F_1 H + F_2 H^2 + ..., each F_k a scalar q-series:
   coefficients, factor l*H included, ARE the invariants of Y.
 
 All recursions are solved strictly order by order in exact arithmetic.
-Both twisted series come from one loop in ``hypergeom``, which grows the
-twist product prod_{i=0}^{l*d-s}(l*H+i) from degree to degree: the
-naive series with s = 0, the plane-cubic series with s = 1.
+Both twisted series come whole, checks included, from one loop in
+``hypergeom``, which grows the twist product prod_{i=0}^{l*d-s}(l*H+i)
+from degree to degree: the naive series with s = 0, the plane-cubic
+series with s = 1 and the zero class at degree 0.
 
 This module uses only the public operations of ``CohClass`` and
 ``DSeries``; their stored integer form belongs to ``cohomology`` and
@@ -54,7 +55,6 @@ from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_seri
 from .series import DSeries
 
 QUINTIC_RING = 5  # cohomology of P^4
-CUBIC_RING = 3  # cohomology of P^2
 
 
 class MirrorData(_Record):
@@ -171,15 +171,10 @@ def localp2_f(dmax: int) -> MirrorData:
     """F_1, F_2 of the plane-cubic series
     sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d};
     its weight is w_d = 1, so U_d is the count itself."""
-    _check_int(dmax=dmax)
-    if dmax < 0:
-        raise ValueError("dmax must be non-negative")
     # The twist product prod_{i=0}^{3d-1}(3H+i) stops one factor short of
     # hyper_factor(3, d, 3): the final multiplicity step is the invariant
-    # being defined, not a factor of the series.  The series has no
-    # degree-0 term.
-    zero = CohClass((0,) * CUBIC_RING)
-    _, f1, f2 = _h_components([zero] + _twist_classes(2, 3, 1, range(1, dmax + 1)))
+    # being defined, not a factor of the series.
+    _, f1, f2 = _h_components(_twist_classes(2, 3, 1, dmax))
     return MirrorData(None, f1, f2)
 
 
@@ -208,6 +203,7 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
 
     The degree-0 class (which is Y itself by convention) is not emitted.
     """
+    _check_int(n=n, l=l, dmax=dmax)
     if not 1 <= l <= n - 1:
         raise ValueError(
             f"degree l={l} out of range: correction terms vanish only for "

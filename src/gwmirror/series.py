@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul
 
-from .cohomology import Rational, _int_product, _inverse, _lowest, _push, _Truncated
+from .cohomology import _check_int, _int_product, _inverse, _lowest, _push, _Truncated
 
 
 @lru_cache(maxsize=1)
@@ -85,13 +85,12 @@ class DSeries(_Truncated):
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def monomial(cls, d: int, dmax: int, value: Rational = 1) -> DSeries:
-        """The series value * Q^d."""
+    def monomial(cls, d: int, dmax: int) -> DSeries:
+        """The series Q^d, truncated at index dmax."""
+        _check_int(d=d, dmax=dmax)
         if not 0 <= d <= dmax:
             raise ValueError("monomial index out of range")
-        c = [0] * (dmax + 1)
-        c[d] = value
-        return cls(c)
+        return cls._new((0,) * d + (1,) + (0,) * (dmax - d), 1)
 
     # -- series operations -------------------------------------------------
 

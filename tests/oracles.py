@@ -13,7 +13,8 @@ import copy
 import pickle
 from dataclasses import make_dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -383,3 +384,183 @@ def multi_indices_recursive(nvars: int, total_max: int):
     for head in range(total_max + 1):
         for tail in multi_indices_recursive(nvars - 1, total_max - head):
             yield (head,) + tail
+
+
+# -- torus localization on the moduli space of stable maps --------------------------
+#
+# Genus-zero invariants as integrals over M_{0,0}(P^n, d), summed over the
+# fixed loci of the torus that scales the coordinates of P^n with weights
+# lambda_0..lambda_n (Kontsevich, "Enumeration of rational curves via torus
+# actions", 1995; Graber and Pandharipande, Invent. Math. 1999; Cox and
+# Katz, "Mirror Symmetry and Algebraic Geometry", ch. 9).  A fixed locus is
+# a tree whose vertices carry fixed points, adjacent ones different, and
+# whose edges carry degrees d_e summing to d; it shares no code with the
+# package: no hypergeometric series, no mirror map and no solver.  The sum
+# runs over unlabeled trees T, each with every colouring and every choice of
+# edge degrees, weighted by 1/|Aut T|, which sums each decorated graph once
+# over its own automorphisms.  The value does not depend on the weights, so
+# two weight vectors that agree check the oracle as well.
+
+
+def unlabeled_trees(vertices: int) -> list[tuple[list[tuple[int, int]], int]]:
+    """Every tree on ``vertices`` >= 2 unlabeled vertices as (edges,
+    |Aut T|): the labeled trees come from their Pruefer sequences, and a
+    class of c labelings has |Aut T| = vertices!/c."""
+    classes: dict[str, list] = {}
+    for seq in product(range(vertices), repeat=vertices - 2):
+        degree = [1] * vertices
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(i for i in range(vertices) if degree[i] == 1))
+        entry = classes.setdefault(_tree_form(vertices, edges), [edges, 0])
+        entry[1] += 1
+    return [(edges, factorial(vertices) // count) for edges, count in classes.values()]
+
+
+def _tree_form(vertices: int, edges: list[tuple[int, int]]) -> str:
+    """A canonical string of the unlabeled tree: the least rooted
+    parenthesis form over every root."""
+    nbrs = _neighbours(vertices, edges)
+
+    def rooted(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(rooted(w, v) for w in nbrs[v] if w != parent)) + ")"
+
+    return min(rooted(root, -1) for root in range(vertices))
+
+
+def _neighbours(vertices: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    nbrs: list[list[int]] = [[] for _ in range(vertices)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def sections(l: int):
+    """H^0(C, f^*O(l)), l >= 1, as (edge, vertex) Euler-class factors: an
+    edge of degree d_e from p_i to p_j has the section weights
+    (a lambda_i + (l d_e - a) lambda_j)/d_e, a = 0..l d_e, and each vertex
+    of valence v takes out v - 1 copies of the fibre at its fixed point,
+    of weight l lambda_i."""
+
+    def edge(wi: Fraction, wj: Fraction, de: int) -> Fraction:
+        out = Fraction(1)
+        for a in range(l * de + 1):
+            out *= (a * wi + (l * de - a) * wj) / de
+        return out
+
+    return edge, lambda wi: 1 / (l * wi)
+
+
+def obstructions(k: int):
+    """H^1(C, f^*O(-k)), k >= 2, as (edge, vertex) Euler-class factors: an
+    edge has the weights -(a lambda_i + (k d_e - a) lambda_j)/d_e,
+    a = 1..k d_e - 1, and each vertex of valence v adds v - 1 copies of
+    the fibre at its fixed point, of weight -k lambda_i."""
+
+    def edge(wi: Fraction, wj: Fraction, de: int) -> Fraction:
+        out = Fraction(1)
+        for a in range(1, k * de):
+            out *= -(a * wi + (k * de - a) * wj) / de
+        return out
+
+    return edge, lambda wi: -k * wi
+
+
+def localization(n: int, bundle, d: int, weights) -> Fraction:
+    """The integral of e(E) over M_{0,0}(P^n, d), d >= 1, with E given by
+    ``bundle``, its (edge, vertex) factors (``sections``, ``obstructions``),
+    at the torus weights ``weights`` = lambda_0..lambda_n, which must keep
+    every factor below away from zero.
+
+    A decorated tree contributes e(E) / (|Aut T| prod_e d_e e(N)), where
+    1/e(N) has the factors:
+
+    * each edge of degree d_e from p_i to p_j:
+      (-1)^{d_e} d_e^{2 d_e} / ((d_e!)^2 (lambda_i - lambda_j)^{2 d_e}) times
+      1/((a lambda_i + (d_e - a) lambda_j)/d_e - lambda_k) for every k other
+      than i and j and a = 0..d_e;
+    * each vertex at p_i of valence v, with a flag F for each of its edges
+      and omega_F = (lambda_i - lambda_j)/d_e:
+      prod_{j != i} (lambda_i - lambda_j)^{v-1} (sum_F 1/omega_F)^{v-3}
+      prod_F 1/omega_F, the flag integral over M_{0,v}, which gives
+      omega_F at v = 1 and 1/(omega_F + omega_F') at v = 2.
+
+    The sign convention: with ``obstructions(3)`` on P^2 this is the local
+    invariant of the canonical bundle of P^2, 3, -45/8, 244/9, ... at
+    d = 1, 2, 3, ...; ``mirror.localp2_kd`` gives K_d with the opposite
+    sign, -3, 45/8, -244/9, ....  With ``sections(5)`` on P^4 it is the
+    quintic's N_d, 2875, 4876875/8, ..., with the sign of
+    ``mirror.quintic_invariants``.
+    """
+    lam = [Fraction(w) for w in weights]
+    if len(lam) != n + 1:
+        raise ValueError("need one weight per coordinate of P^n")
+    bundle_edge, bundle_vertex = bundle
+    tangent = [prod(lam[i] - lam[j] for j in range(n + 1) if j != i) for i in range(n + 1)]
+    edge_cache: dict[tuple[int, int, int], Fraction] = {}
+
+    def edge(i: int, j: int, de: int) -> Fraction:
+        key = (i, j, de)
+        if key not in edge_cache:
+            wi, wj = lam[i], lam[j]
+            out = Fraction((-1) ** de * de ** (2 * de), factorial(de) ** 2 * (wi - wj) ** (2 * de))
+            for k in range(n + 1):
+                if k not in (i, j):
+                    for a in range(de + 1):
+                        out /= (a * wi + (de - a) * wj) / de - lam[k]
+            edge_cache[key] = out * bundle_edge(wi, wj, de) / de
+        return edge_cache[key]
+
+    total = Fraction(0)
+    for edges_count in range(1, d + 1):
+        degree_choices = [c for c in product(range(1, d + 1), repeat=edges_count) if sum(c) == d]
+        for edges, aut in unlabeled_trees(edges_count + 1):
+            tree_sum = Fraction(0)
+            for colours in _colourings(n, edges_count + 1, edges):
+                for degrees in degree_choices:
+                    term = Fraction(1)
+                    flags: list[list[Fraction]] = [[] for _ in colours]
+                    for (u, v), de in zip(edges, degrees):
+                        i, j = colours[u], colours[v]
+                        term *= edge(i, j, de)
+                        flags[u].append((lam[i] - lam[j]) / de)
+                        flags[v].append((lam[j] - lam[i]) / de)
+                    for i, omegas in zip(colours, flags):
+                        v = len(omegas)
+                        term *= (tangent[i] * bundle_vertex(lam[i])) ** (v - 1)
+                        term *= sum(1 / w for w in omegas) ** (v - 3) / prod(omegas)
+                    tree_sum += term
+            total += tree_sum / aut
+    return total
+
+
+def _colourings(n: int, vertices: int, edges: list[tuple[int, int]]):
+    """Every map from the tree's vertices to the fixed points 0..n that
+    gives adjacent vertices different points."""
+    nbrs = _neighbours(vertices, edges)
+    order, parent = [0], {0: None}
+    for v in order:
+        for w in nbrs[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    colours = [0] * vertices
+
+    def fill(pos: int):
+        if pos == vertices:
+            yield tuple(colours)
+            return
+        v, p = order[pos], parent[order[pos]]
+        for c in range(n + 1):
+            if p is None or c != colours[p]:
+                colours[v] = c
+                yield from fill(pos + 1)
+
+    yield from fill(0)

@@ -233,7 +233,7 @@ def test_criterion_8_property_suites():
         counts = [5 * u / k for k, u in enumerate(solve_correction_series(base, m), start=1)]
         rebuilt = f1 * f1 * f0.inv() * Fraction(1, 2)
         for k, n in enumerate(counts, start=1):
-            rebuilt = rebuilt + DSeries.monomial(k, d, Fraction(k, 5) * n) * kernels[k]
+            rebuilt = rebuilt + DSeries.monomial(k, d) * kernels[k] * (Fraction(k, 5) * n)
         assert rebuilt == f2
     report(8, "property suites, >=100 cases each")
 

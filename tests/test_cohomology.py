@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gwmirror import CohClass, DSeries
-from gwmirror.cohomology import _int_product, _ints, _inverse, _linear_product, _push
+from gwmirror.cohomology import _common, _int_product, _inverse, _linear_product, _push
 
 from oracles import convolve_fractions, inverse_fractions, linear, pinv, pmul, ppow
 from strategies import hpow, wide_fractions as wide
@@ -160,18 +160,25 @@ def test_linear_product_grows_any_vector(c, l, shifts):
 # -- integer-numerator kernels on non-integral data ------------------------------
 
 
+def common_form(values):
+    """The stored form of the Fractions ``values``, by ``_common``."""
+    return _common([v.numerator for v in values], [v.denominator for v in values])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(wide, max_size=10),
+    st.lists(st.tuples(wide, st.integers(1, 6)), max_size=10),
     st.lists(st.tuples(wide, st.integers(-6, 6).filter(bool)), max_size=10),
 )
-def test_ints_and_push_keep_the_least_common_denominator(head, tail):
-    # _push takes each value as an unreduced numerator and a nonzero
+def test_common_and_push_keep_the_least_common_denominator(head, tail):
+    # _common takes each value as an unreduced numerator over a positive
+    # denominator, _push as an unreduced numerator and a nonzero
     # denominator of either sign.
-    nums, den = _ints(head)
+    nums, den = _common([v.numerator * k for v, k in head], [v.denominator * k for v, k in head])
+    nums = list(nums)
     for v, k in tail:
         den = _push(nums, den, v.numerator * k, v.denominator * k)
-    values = head + [v for v, _ in tail]
+    values = [v for v, _ in head + tail]
     assert den == lcm(*(v.denominator for v in values))
     assert [Fraction(x, den) for x in nums] == values
 
@@ -185,7 +192,7 @@ def test_ints_and_push_keep_the_least_common_denominator(head, tail):
 )
 def test_convolve_and_inverse_match_fraction_oracles(pair, cut):
     a, b = pair
-    (an, ad), (bn, bd) = _ints(a), _ints(b)
+    (an, ad), (bn, bd) = common_form(a), common_form(b)
     for length in {len(a), min(cut, len(a))}:
         got = _int_product(an, bn, length)
         assert [Fraction(x, ad * bd) for x in got] == convolve_fractions(a, b, length)
@@ -233,6 +240,13 @@ def test_classes_and_series_never_mix(op):
         op(c, q)
     with pytest.raises(TypeError):
         op(q, c)
+
+
+def test_a_class_and_a_series_of_one_stored_form_are_unequal():
+    c, q = CohClass((Fraction(1, 2), 3, 0)), DSeries((Fraction(1, 2), 3, 0))
+    assert c._key() == q._key() == (2, (1, 6, 0))
+    assert c != q and q != c
+    assert not c == q and not q == c
 
 
 def test_shape_and_empty_messages():

@@ -8,16 +8,18 @@ from hypothesis import strategies as st
 
 from gwmirror import (
     CohClass,
+    DSeries,
     ambient_I,
     hyper_factor,
     hypergeom,
     localp2_f,
     localp2_invariants,
+    naive_invariants,
     naive_series,
     quintic_invariants,
 )
 
-from oracles import ambient_poly, hyper_poly, linear, naive_coeff, pmul
+from oracles import ambient_poly, hyper_poly, linear, naive_coeff, pinv, pmul
 from strategies import hpow
 
 
@@ -184,7 +186,41 @@ def test_naive_series_matches_oracle_at_every_degree(n, l, oracle_from):
 def test_naive_series_rejects_non_nef():
     with pytest.raises(ValueError, match="nef"):
         naive_series(4, 6, 2)
+    # the twist loop owns the dmax sign check, so a bad l is named first
+    with pytest.raises(ValueError, match="nef"):
+        naive_series(4, 6, -1)
     naive_series(4, 5, 2)  # l = n+1 is the boundary case and is allowed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_twist_classes_build_both_series_whole(n, monkeypatch):
+    # short = 0 is the naive series from d = 0; short = 1 is the contact
+    # series, the naive one without its last factor (l*H + l*d), which is
+    # a unit for d >= 1, and with the zero class at degree 0, where the
+    # loop asks ambient_I for nothing.
+    asked = []
+    real = hypergeom.ambient_I
+    monkeypatch.setattr(hypergeom, "ambient_I", lambda n, d: asked.append(d) or real(n, d))
+    l, dmax, r = n + 1, 4, n + 1
+    naive = hypergeom._twist_classes(n, l, 0, dmax)
+    assert asked == list(range(dmax + 1))
+    contact = hypergeom._twist_classes(n, l, 1, dmax)
+    assert asked[dmax + 1 :] == list(range(1, dmax + 1))
+    assert len(naive) == len(contact) == dmax + 1
+    assert [list(c.coeffs) for c in naive] == [naive_coeff(n, l, d, 0) for d in range(dmax + 1)]
+    assert contact[0] == CohClass((0,) * r)
+    for d in range(1, dmax + 1):
+        last = pinv(linear(l * d, l, r), r)
+        assert list(contact[d].coeffs) == pmul(naive_coeff(n, l, d, 0), last, r)
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_twist_classes_own_the_dmax_checks(short):
+    assert len(hypergeom._twist_classes(2, 3, short, 0)) == 1
+    with pytest.raises(ValueError, match="^dmax must be non-negative$"):
+        hypergeom._twist_classes(2, 3, short, -1)
+    with pytest.raises(TypeError, match="^dmax must be an int$"):
+        hypergeom._twist_classes(2, 3, short, True)
 
 
 @pytest.mark.parametrize(
@@ -198,10 +234,14 @@ def test_naive_series_rejects_non_nef():
         (lambda: quintic_invariants(True), "dmax"),
         (lambda: localp2_invariants(True), "dmax"),
         (lambda: localp2_f(2.0), "dmax"),
+        (lambda: naive_invariants(True, 1, 2), "n"),
+        (lambda: DSeries.monomial(True, 3), "d"),
+        (lambda: DSeries.monomial(1, 3.0), "dmax"),
     ],
     ids=[
         "ambient_I-bool-d", "ambient_I-float-n", "hyper_factor-bool-l", "naive_series-bool-dmax",
         "naive_series-float-n", "quintic-bool-dmax", "localp2-bool-dmax", "localp2_f-float-dmax",
+        "naive_invariants-bool-n", "monomial-bool-d", "monomial-float-dmax",
     ],
 )
 def test_a_size_is_an_int_and_not_a_bool(call, name):

@@ -507,6 +507,25 @@ def test_lemma_config_validation_messages():
         LemmaConfig((), (), -1)
 
 
+@pytest.mark.parametrize(
+    "nvars,xdeg_max,error,message",
+    [
+        (-1, 4, ValueError, "^nvars must be non-negative$"),
+        (2, -1, ValueError, "^xdeg_max must be non-negative$"),
+        (True, 4, TypeError, "^nvars must be an int$"),
+    ],
+)
+def test_sample_config_refuses_a_bad_shape_before_drawing(nvars, xdeg_max, error, message):
+    # A negative nvars draws nothing from range(nvars), so a shape checked
+    # only by LemmaConfig let sample_config(rng, -1, 4) return an empty
+    # configuration; the rng must not move either.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(error, match=message):
+        sample_config(rng, nvars, xdeg_max)
+    assert rng.getstate() == state
+
+
 # -- trial lines -----------------------------------------------------------------
 
 

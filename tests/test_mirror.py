@@ -26,9 +26,12 @@ from oracles import (
     bps_numbers,
     check_record,
     exp_by_powers,
+    localization,
     localp2_coeff,
     naive_coeff,
+    obstructions,
     recursion_rhs,
+    sections,
     solve_fractions,
 )
 from strategies import wide_fractions as wide
@@ -94,6 +97,25 @@ def test_quintic_empty_table():
 def test_quintic_crosscheck_agrees():
     for dmax in (1, 2, 4, 12, 30):
         assert quintic_crosscheck(dmax) == quintic_invariants(dmax)
+
+
+def test_reversion_route_h4_part_is_minus_two_n_d():
+    # The reversion route's H-division, run on through H^4, where the
+    # crosscheck stops at H^3: for d >= 1 the corrected class has H^3 part
+    # <H>_d = d n_d and H^4 part <tau_1(1)>_d = -2 n_d, the dilaton equation.
+    dmax = 20
+    md = quintic_f(dmax)
+    p0 = reconstruct_p_quintic(md)
+    quotient: list[DSeries] = []
+    for k, acc in enumerate(naive_series(4, 5, dmax)):
+        for j in range(1, k + 1):
+            acc = acc - p0[j] * quotient[k - j]
+        quotient.append(acc * md.inv0)
+    h = md.m.revert_exp()
+    h3, h4 = (quotient[k].substitute(h) for k in (3, 4))
+    for d, n in enumerate(quintic_invariants(dmax), start=1):
+        assert h3.coeff(d) == d * n
+        assert h4.coeff(d) == -2 * n
 
 
 def test_quintic_crosscheck_empty():
@@ -225,7 +247,7 @@ def _yukawa_holds(values, power, kappa, delta, f0, m):
     one = DSeries.monomial(0, m.dmax)
     table = DSeries([kappa] + [d**power * v for d, v in enumerate(values, start=1)])
     w = one + _theta(m)
-    denominator = (one - DSeries.monomial(1, m.dmax, delta)) * w * w * w
+    denominator = (one - DSeries.monomial(1, m.dmax) * delta) * w * w * w
     if f0 is not None:
         denominator = denominator * f0 * f0
     return table.substitute(m) == denominator.inv() * kappa
@@ -246,6 +268,28 @@ def test_localp2_table_satisfies_the_yukawa_identity():
     assert _yukawa_holds(values, 2, 1, 27, None, md.f1)
     values[6] += 1
     assert not _yukawa_holds(values, 2, 1, 27, None, md.f1)
+
+
+# -- torus localization -------------------------------------------------------------
+#
+# oracles.localization sums over the torus-fixed loci of the moduli space of
+# stable maps and shares no code with the mirror route.  Each table is
+# checked at two weight vectors, since the sum must not depend on them.
+
+
+@pytest.mark.parametrize("weights", [(1, 4, 9, 23, 50), (5, -2, 13, -29, 71)])
+def test_quintic_table_matches_localization(weights):
+    oracle = tuple(localization(4, sections(5), d, weights) for d in (1, 2, 3))
+    assert quintic_invariants(3) == oracle
+
+
+@pytest.mark.parametrize("weights", [(1, 4, 9), (5, -2, 13)])
+def test_localp2_kd_matches_localization_with_the_opposite_sign(weights):
+    # The oracle integrates e(H^1(C, f^*O(-3))), which gives K_1 = 3;
+    # localp2_kd reads K_d off v_d with the opposite sign.
+    oracle = tuple(localization(2, obstructions(3), d, weights) for d in range(1, 6))
+    assert oracle[0] == 3
+    assert localp2_kd(5) == tuple(-k for k in oracle)
 
 
 # -- structural identities ---------------------------------------------------------
@@ -418,7 +462,7 @@ def test_solver_round_trips_on_random_data(data):
     counts = [5 * u / d for d, u in enumerate(solve_correction_series(base, m), start=1)]
     acc = f1 * f1 * f0.inv() * Fraction(1, 2)
     for d, n in enumerate(counts, start=1):
-        acc = acc + DSeries.monomial(d, dmax, Fraction(d, 5) * n) * kernels[d]
+        acc = acc + DSeries.monomial(d, dmax) * kernels[d] * (Fraction(d, 5) * n)
     assert acc == f2
 
 
