@@ -15,8 +15,8 @@ ingredients are:
 Each linear factor is one O(r) integer shift-add in a ring of length r
 (``cohomology._linear_product``).  One loop, ``_twist_classes``, builds
 both twisted series whole, the naive one and the plane-cubic one, which
-stops one factor short; degree d shift-adds its l new factors into the
-running twist in place, O(l*r) a degree.
+stops one factor short (its degree-0 class is 1); degree d shift-adds
+its l new factors into the running twist in place, O(l*r) a degree.
 ``ambient_I`` multiplies degree d-1, kept in a bounded cache
 (``_ambient``), by (H+d)^{-(n+1)} = sum_k (-1)^k C(n+k, k) d^{n-k} H^k /
 d^{2n+1}, one truncated integer product (``cohomology._int_product``).
@@ -91,31 +91,27 @@ def naive_series(n: int, l: int, dmax: int) -> tuple[DSeries, ...]:
     >>> [str(h.coeffs[1]) for h in naive_series(4, 5, 1)]
     ['0', '600', '3850', '2875', '-5750']
     """
-    return _h_components(_naive_classes(n, l, dmax))
-
-
-def _naive_classes(n: int, l: int, dmax: int) -> list[CohClass]:
-    """The coefficients of ``naive_series(n, l, dmax)`` as classes, index d
-    for degree d, after the same checks."""
     _check_int(n=n, l=l, dmax=dmax)
     if not 1 <= l <= n + 1:
         raise ValueError(
             f"degree l={l} exceeds n+1={n + 1}: -K_Y nef required"
         )
-    return _twist_classes(n, l, 0, dmax)
+    return _h_components(_twist_classes(n, l, 0, dmax))
 
 
 def _twist_classes(n: int, l: int, short: int, dmax: int) -> list[CohClass]:
     """The classes prod_{i=0}^{l*d-short} (l*H + i) * ambient_I(n, d) in
     Q[H]/(H^{n+1}), index d for degree d = 0..dmax: the naive series
     with short = 0, and with short = 1 the contact series, which stops
-    one factor short and has the zero class at degree 0.  Each degree
-    shift-adds into the twist the factors its predecessor did not reach."""
+    one factor short, so its degree-0 class is the unit class; that is
+    written here, not asked of ``ambient_I``, only so that the contact
+    series makes no ambient_I(n, 0) call.  Each degree shift-adds into
+    the twist the factors its predecessor did not reach."""
     _check_int(dmax=dmax)
     if dmax < 0:
         raise ValueError("dmax must be non-negative")
     twist, lo = (1,) + (0,) * n, 0
-    classes = [CohClass._new((0,) * (n + 1), 1)] if short else []
+    classes = [CohClass._new(twist, 1)] if short else []
     for d in range(short, dmax + 1):
         hi = l * d - short + 1
         twist, lo = _linear_product(twist, l, range(lo, hi)), hi

@@ -60,14 +60,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
-from .cohomology import _common, _Record, as_fraction
+from .cohomology import _check_int, _common, _Record, as_fraction
 from .multipoly import EXP_MAX, FIELD_BITS, MultiPoly, _check_shape
 
 ALLOWED_PAIRS = ((0, 0), (1, 0), (0, 1))
 
 
 class LemmaConfig(_Record):
-    """One sampled instance: per-variable (a_i, b_i) pairs and rational c_i."""
+    """One sampled instance: per-variable int pairs (a_i, b_i) and rational c_i."""
 
     __slots__ = ("pairs", "cs", "xdeg_max")
 
@@ -79,6 +79,7 @@ class LemmaConfig(_Record):
         if len(pairs) != len(cs):
             raise ValueError("need one c_i per variable")
         for p in pairs:
+            _check_int(**dict(zip(("a_i", "b_i"), p)))
             if p not in ALLOWED_PAIRS:
                 raise ValueError(f"(a_i, b_i) = {p} not in {ALLOWED_PAIRS}")
         _check_shape(len(pairs), xdeg_max)

@@ -14,12 +14,12 @@ F_0 + F_1 H + F_2 H^2 + ..., each F_k a scalar q-series:
   (divide by the scaling series F_0 exp(H F_1/F_0), revert the variable
   change q -> q exp(F_1/(5 F_0)), read off coefficients) must reproduce
   the same table; that route divides the naive series itself, factor
-  5H and all.  The plane-cubic series stops one twist factor short and
-  has no H^0 part, so there F_k is its H^k part, F_0 = 1 and w_d = 1,
-  and u_d = v_d is the virtual number of degree-d rational plane curves
-  meeting a smooth cubic at a single point with multiplicity 3d.  These
-  repackage as local invariants K_d of the canonical bundle of P^2 via
-  v_d = (-1)^d * 3d * K_d.
+  5H and all.  The plane-cubic series stops one twist factor short, so
+  there F_k is its H^k part, with F_0 = 1 from the data like any F_0,
+  and w_d = 1; u_d = v_d is the virtual number of degree-d rational
+  plane curves meeting a smooth cubic at a single point with
+  multiplicity 3d.  These repackage as local invariants K_d of the
+  canonical bundle of P^2 via v_d = (-1)^d * 3d * K_d.
 
 * low degree (l <= n-1): no corrections arise at all, so the naive series
   coefficients, factor l*H included, ARE the invariants of Y.
@@ -28,7 +28,7 @@ All recursions are solved strictly order by order in exact arithmetic.
 Both twisted series come whole, checks included, from one loop in
 ``hypergeom``, which grows the twist product prod_{i=0}^{l*d-s}(l*H+i)
 from degree to degree: the naive series with s = 0, the plane-cubic
-series with s = 1 and the zero class at degree 0.
+series with s = 1, whose degree-0 class is the unit class.
 
 This module uses only the public operations of ``CohClass`` and
 ``DSeries``; their stored integer form belongs to ``cohomology`` and
@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cohomology import CohClass, _check_int, _Record
-from .hypergeom import _h_components, _naive_classes, _twist_classes, naive_series
+from .hypergeom import _h_components, _twist_classes, naive_series
 from .series import DSeries
 
 QUINTIC_RING = 5  # cohomology of P^4
@@ -61,19 +61,16 @@ class MirrorData(_Record):
     """Scalar H-components F_0, F_1, F_2 of a series with corrections;
     the case, not the record, holds the weights w_d.
 
-    ``f0`` is None for the plane-cubic case, whose series has no H^0 part;
-    the recursion then reads with F_0 = 1, which is never multiplied in.
-    ``inv0`` = 1/F_0 (None without F_0) and ``m`` = F_1/F_0 are formed
-    here, once for every reader; they follow from the fields and are not
-    fields.
+    ``inv0`` = 1/F_0 and ``m`` = F_1/F_0 are formed here, once for every
+    reader; they follow from the fields and are not fields.
     """
 
     __slots__ = ("f0", "f1", "f2", "inv0", "m")
 
-    def __init__(self, f0: DSeries | None, f1: DSeries, f2: DSeries) -> None:
+    def __init__(self, f0: DSeries, f1: DSeries, f2: DSeries) -> None:
         self.f0, self.f1, self.f2 = f0, f1, f2
-        self.inv0 = None if f0 is None else f0.inv()
-        self.m = f1 if f0 is None else f1 * self.inv0
+        self.inv0 = f0.inv()
+        self.m = f1 * self.inv0
 
     def _key(self) -> tuple:
         # the three fields lead __slots__, so _Record's repr shows just them
@@ -86,10 +83,7 @@ class MirrorData(_Record):
 def _solve(md: MirrorData) -> tuple[Fraction, ...]:
     """U_d = w_d u_d from the recursion divided once by F_0: with m =
     F_1/F_0, base = (F_2 - F_1 m/2)/F_0 equals sum_d U_d Q^d exp(d m)."""
-    base = md.f2 - md.f1 * md.m * Fraction(1, 2)
-    if md.inv0 is not None:  # the plane cubic has F_0 = 1
-        base = base * md.inv0
-    return solve_correction_series(base, md.m)
+    return solve_correction_series((md.f2 - md.f1 * md.m * Fraction(1, 2)) * md.inv0, md.m)
 
 
 # -- quintic threefold -------------------------------------------------------
@@ -110,8 +104,6 @@ def reconstruct_p_quintic(md: MirrorData) -> tuple[DSeries, ...]:
     The H^k component is F_0 m^k / k! with m = F_1/F_0, so the expansion
     starts F_0 + H F_1 + (H^2/2) F_1^2/F_0.
     """
-    if md.f0 is None:
-        raise ValueError("needs quintic-style mirror data (F_0 present)")
     out = [md.f0]
     for k in range(1, QUINTIC_RING):
         out.append(out[-1] * md.m * Fraction(1, k))
@@ -168,14 +160,13 @@ def quintic_crosscheck(dmax: int) -> tuple[Fraction, ...]:
 
 
 def localp2_f(dmax: int) -> MirrorData:
-    """F_1, F_2 of the plane-cubic series
-    sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d};
+    """F_0 = 1, F_1, F_2 of the plane-cubic series
+    1 + sum_{d>0} 3H prod_{i=1}^{3d-1}(3H+i) / prod_{i=1}^{d}(H+i)^3 q^{3d};
     its weight is w_d = 1, so U_d is the count itself."""
     # The twist product prod_{i=0}^{3d-1}(3H+i) stops one factor short of
     # hyper_factor(3, d, 3): the final multiplicity step is the invariant
     # being defined, not a factor of the series.
-    _, f1, f2 = _h_components(_twist_classes(2, 3, 1, dmax))
-    return MirrorData(None, f1, f2)
+    return MirrorData(*_h_components(_twist_classes(2, 3, 1, dmax)))
 
 
 def localp2_invariants(dmax: int) -> tuple[Fraction, ...]:
@@ -209,7 +200,7 @@ def naive_invariants(n: int, l: int, dmax: int) -> tuple[CohClass, ...]:
             f"degree l={l} out of range: correction terms vanish only for "
             f"hypersurfaces of degree at most n-1={n - 1} in P^{n}"
         )
-    return tuple(_naive_classes(n, l, dmax)[1:])
+    return tuple(_twist_classes(n, l, 0, dmax)[1:])
 
 
 # -- shared solver -------------------------------------------------------------

@@ -133,14 +133,12 @@ def recursion_rhs(md, table, weight) -> DSeries:
     """F_1^2/(2 F_0) + sum_d w_d u_d Q^d F_0 exp(d m), m = F_1/F_0, with the
     table's values u_d put back and the case's weight w_d = weight(d);
     equals F_2 when the table solves the recursion.  The sum over d is
-    F_0 times U = sum_d w_d u_d Q^d sent through Q -> Q exp(m); F_0 = 1
-    when absent."""
-    f0 = md.f0 if md.f0 is not None else DSeries.monomial(0, md.f1.dmax)
-    m = md.f1 * f0.inv()
+    F_0 times U = sum_d w_d u_d Q^d sent through Q -> Q exp(m)."""
+    m = md.f1 * md.f0.inv()
     u = [Fraction(0)] * (m.dmax + 1)
     for d, v in enumerate(table, start=1):
         u[d] = weight(d) * v
-    return md.f1 * m * Fraction(1, 2) + f0 * DSeries(tuple(u)).substitute(m)
+    return md.f1 * m * Fraction(1, 2) + md.f0 * DSeries(tuple(u)).substitute(m)
 
 
 # -- records ----------------------------------------------------------------------
@@ -456,6 +454,18 @@ def sections(l: int):
         return out
 
     return edge, lambda wi: 1 / (l * wi)
+
+
+def direct_sum(*bundles):
+    """The (edge, vertex) Euler-class factors of the direct sum of
+    ``bundles``: at every fixed locus the Euler class of a sum is the
+    product of its summands', as for sections(l_1) + ... + sections(l_k),
+    the bundle of a complete intersection of degrees l_1..l_k."""
+
+    def edge(wi: Fraction, wj: Fraction, de: int) -> Fraction:
+        return prod(e(wi, wj, de) for e, _ in bundles)
+
+    return edge, lambda wi: prod(v(wi) for _, v in bundles)
 
 
 def obstructions(k: int):

@@ -738,6 +738,25 @@ def test_package_imports_only_the_pinned_modules_at_start_up():
     assert found == pinned
 
 
+def test_conftest_clears_every_memo_the_package_defines():
+    # A process-wide memo that the autouse fixture misses keeps its values
+    # from one test to the next, so a test that spoils the code beneath it
+    # could read a value an earlier test cached and pass.
+    import pkgutil
+
+    import gwmirror
+    from conftest import MEMOS
+
+    found = set()
+    for info in pkgutil.iter_modules(gwmirror.__path__):
+        module = importlib.import_module(f"gwmirror.{info.name}")
+        found.update(
+            obj for obj in vars(module).values()
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == module.__name__
+        )
+    assert found == set(MEMOS)
+
+
 def _modules_after_main(args: list[str]) -> set[str]:
     """The modules loaded once cli.main(args) has run in a fresh
     interpreter under -S (as above)."""

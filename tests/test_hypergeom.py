@@ -196,7 +196,7 @@ def test_naive_series_rejects_non_nef():
 def test_twist_classes_build_both_series_whole(n, monkeypatch):
     # short = 0 is the naive series from d = 0; short = 1 is the contact
     # series, the naive one without its last factor (l*H + l*d), which is
-    # a unit for d >= 1, and with the zero class at degree 0, where the
+    # a unit for d >= 1, and with the unit class at degree 0, where the
     # loop asks ambient_I for nothing.
     asked = []
     real = hypergeom.ambient_I
@@ -208,7 +208,7 @@ def test_twist_classes_build_both_series_whole(n, monkeypatch):
     assert asked[dmax + 1 :] == list(range(1, dmax + 1))
     assert len(naive) == len(contact) == dmax + 1
     assert [list(c.coeffs) for c in naive] == [naive_coeff(n, l, d, 0) for d in range(dmax + 1)]
-    assert contact[0] == CohClass((0,) * r)
+    assert contact[0] == CohClass((1,) + (0,) * n)
     for d in range(1, dmax + 1):
         last = pinv(linear(l * d, l, r), r)
         assert list(contact[d].coeffs) == pmul(naive_coeff(n, l, d, 0), last, r)

@@ -508,6 +508,17 @@ def test_lemma_config_validation_messages():
 
 
 @pytest.mark.parametrize(
+    "pair,name",
+    [((True, False), "a_i"), ((0, True), "b_i"), ((1, 0.0), "b_i"), ((Fraction(1), 0), "a_i")],
+)
+def test_lemma_config_refuses_a_pair_entry_that_is_not_an_int(pair, name):
+    # True == 1 and hash(True) == hash(1), so (True, False) is found in
+    # ALLOWED_PAIRS; kept, it would print as such and equal the (1, 0) case.
+    with pytest.raises(TypeError, match=f"^{name} must be an int$"):
+        LemmaConfig((pair,), (Fraction(1),), 3)
+
+
+@pytest.mark.parametrize(
     "nvars,xdeg_max,error,message",
     [
         (-1, 4, ValueError, "^nvars must be non-negative$"),

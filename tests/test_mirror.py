@@ -1,6 +1,7 @@
 import copy
 import pickle
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from gwmirror.mirror import _solve
 from oracles import (
     bps_numbers,
     check_record,
+    direct_sum,
     exp_by_powers,
     localization,
     localp2_coeff,
@@ -82,8 +84,20 @@ def test_reconstruct_p_h_expansion():
     # P_0 = F_0 exp(H m): the H^k part is F_0 m^k / k!
     m = md.f1 * md.f0.inv()
     assert p[4] == md.f0 * m * m * m * m * Fraction(1, 24)
-    with pytest.raises(ValueError, match="F_0"):
-        reconstruct_p_quintic(localp2_f(2))
+
+
+@pytest.mark.parametrize("dmax", [0, 1, 6])
+def test_localp2_f0_is_the_series_one(dmax):
+    assert localp2_f(dmax).f0 == DSeries.monomial(0, dmax)
+
+
+def test_reconstruct_p_of_the_plane_cubic_is_exp_of_h_f1():
+    # F_0 = 1, so P_0 = exp(H F_1), whose H^k part is F_1^k / k!
+    md = localp2_f(8)
+    power = DSeries.monomial(0, 8)
+    for k, part in enumerate(reconstruct_p_quintic(md)):
+        assert part == power * Fraction(1, factorial(k)), k
+        power = power * md.f1
 
 
 def test_quintic_counts():
@@ -197,9 +211,10 @@ def test_localp2_f_degree_one():
 
 def test_localp2_series_has_no_h0_part():
     md = localp2_f(30)
-    # rebuild the series coefficients and compare with the oracle
+    # rebuild the series coefficients and compare with the oracle: past
+    # degree 0, where F_0 is 1, the H^0 part is zero
     for d in range(1, 31):
-        assert [0, md.f1.coeffs[d], md.f2.coeffs[d]] == localp2_coeff(d)
+        assert [md.f0.coeffs[d], md.f1.coeffs[d], md.f2.coeffs[d]] == localp2_coeff(d)
 
 
 def test_localp2_table_matches_reference():
@@ -247,9 +262,7 @@ def _yukawa_holds(values, power, kappa, delta, f0, m):
     one = DSeries.monomial(0, m.dmax)
     table = DSeries([kappa] + [d**power * v for d, v in enumerate(values, start=1)])
     w = one + _theta(m)
-    denominator = (one - DSeries.monomial(1, m.dmax) * delta) * w * w * w
-    if f0 is not None:
-        denominator = denominator * f0 * f0
+    denominator = (one - DSeries.monomial(1, m.dmax) * delta) * w * w * w * f0 * f0
     return table.substitute(m) == denominator.inv() * kappa
 
 
@@ -265,9 +278,9 @@ def test_quintic_table_satisfies_the_yukawa_identity():
 def test_localp2_table_satisfies_the_yukawa_identity():
     md = localp2_f(YUKAWA_DMAX)
     values = list(localp2_invariants(YUKAWA_DMAX))
-    assert _yukawa_holds(values, 2, 1, 27, None, md.f1)
+    assert _yukawa_holds(values, 2, 1, 27, md.f0, md.f1)
     values[6] += 1
-    assert not _yukawa_holds(values, 2, 1, 27, None, md.f1)
+    assert not _yukawa_holds(values, 2, 1, 27, md.f0, md.f1)
 
 
 # -- torus localization -------------------------------------------------------------
@@ -281,6 +294,38 @@ def test_localp2_table_satisfies_the_yukawa_identity():
 def test_quintic_table_matches_localization(weights):
     oracle = tuple(localization(4, sections(5), d, weights) for d in (1, 2, 3))
     assert quintic_invariants(3) == oracle
+
+
+def test_quintic_degree_four_matches_localization():
+    # d = 4 takes about 0.7 s a weight vector, so one vector is checked
+    weights = (1, 4, 9, 23, 50)
+    assert quintic_invariants(4)[3] == localization(4, sections(5), 4, weights)
+
+
+# The oracle against published values for complete intersections, which the
+# package does not compute yet: the 27 lines on a cubic surface, and N_1, N_2
+# of the four Calabi-Yau threefolds of Libgober and Teitelbaum (IMRN 1993),
+# where N_2 = n_2 + n_1/8.  Each ambient P^n takes the first n + 1 weights.
+@pytest.mark.parametrize(
+    "weights", [(1, 4, 9, 23, 50, 97, 131, 199), (5, -2, 13, -29, 71, -101, 157, -211)]
+)
+@pytest.mark.parametrize(
+    "n,degrees,values",
+    [
+        (3, (3,), [27]),
+        (5, (3, 3), [1053, Fraction(423549, 8)]),
+        (5, (2, 4), [1280, 92448]),
+        (6, (2, 2, 3), [720, 22518]),
+        (7, (2, 2, 2, 2), [512, 9792]),
+    ],
+    ids=["cubic-surface", "3,3", "2,4", "2,2,3", "2,2,2,2"],
+)
+def test_localization_gives_the_published_complete_intersection_values(
+    n, degrees, values, weights
+):
+    bundle = direct_sum(*(sections(l) for l in degrees))
+    got = [localization(n, bundle, d, weights[: n + 1]) for d in range(1, len(values) + 1)]
+    assert got == values
 
 
 @pytest.mark.parametrize("weights", [(1, 4, 9), (5, -2, 13)])
@@ -409,7 +454,6 @@ def test_mirror_data_is_a_record():
     f0, f1, f2 = DSeries((1, 2)), DSeries((0, 1)), DSeries((0, 3))
     md = MirrorData(f0, f1, f2)
     check_record(md, f0=f0, f1=f1, f2=f2)
-    check_record(MirrorData(None, f1, f2), f0=None, f1=f1, f2=f2)
     assert repr(md) == (
         "MirrorData(f0=DSeries(coeffs=(Fraction(1, 1), Fraction(2, 1))), "
         "f1=DSeries(coeffs=(Fraction(0, 1), Fraction(1, 1))), "
@@ -418,15 +462,21 @@ def test_mirror_data_is_a_record():
     # field by field: equal series, not the same objects
     assert md == MirrorData(DSeries((1, 2)), DSeries((0, 1)), f2)
     assert md != MirrorData(f0, f1, f1)
-    assert md != MirrorData(None, f1, f2)
+    assert md != MirrorData(DSeries.monomial(0, 1), f1, f2)
     # 1/F_0 and m = F_1/F_0 are formed from the fields, and copies keep them
     assert md.inv0 == DSeries((1, -2)) and md.m == f1 * DSeries((1, -2))
     assert pickle.loads(pickle.dumps(md)).m == copy.copy(md).m == md.m
     with pytest.raises(AttributeError):
         md.m = f1
-    cubic = MirrorData(None, f1, f2)
-    assert cubic.inv0 is None and cubic.m is f1
     assert quintic_f(3) == quintic_f(3) and hash(quintic_f(3)) == hash(quintic_f(3))
+
+
+def test_mirror_data_needs_f0():
+    # every case has an F_0, the plane cubic's the series 1, so None is not
+    # a series: it has no inv
+    f1, f2 = DSeries((0, 1)), DSeries((0, 3))
+    with pytest.raises(AttributeError):
+        MirrorData(None, f1, f2)
 
 
 # -- solver property -------------------------------------------------------------
